@@ -52,17 +52,16 @@ class OperatorAlgebra:
         return self.generators if self.generators is not None else self.basis
 
 
-def algebra_from_span(stack, generators=None, tol=DEFAULT_TOL, require_unital=True, require_star=True):
-    """Build an OperatorAlgebra from a spanning stack, with basic validation."""
+def algebra_from_span(stack, generators=None, tol=DEFAULT_TOL):
+    """Build an OperatorAlgebra from a spanning stack; it must be unital and star-closed."""
     stack = np.asarray(stack, dtype=complex)
     basis = orthonormal_rows(stack, tol)
     N = basis.shape[1]
-    if require_unital and span_residual(np.eye(N, dtype=complex)[None], basis) > tol.eq_tol:
+    if span_residual(np.eye(N, dtype=complex)[None], basis) > tol.eq_tol:
         raise ValueError("span does not contain the identity")
-    if require_star:
-        adj = np.conj(np.transpose(basis, (0, 2, 1)))
-        if span_residual(adj, basis) > tol.eq_tol:
-            raise ValueError("span is not closed under adjoints")
+    adj = np.conj(np.transpose(basis, (0, 2, 1)))
+    if span_residual(adj, basis) > tol.eq_tol:
+        raise ValueError("span is not closed under adjoints")
     gens = None if generators is None else np.asarray(generators, dtype=complex)
     return OperatorAlgebra(basis, gens)
 
@@ -78,7 +77,7 @@ def product_closure_residual(alg, tol=DEFAULT_TOL, pairs=None, rng=None):
     return span_residual(prods, alg.basis)
 
 
-def generated_star_algebra(gens, tol=DEFAULT_TOL, max_rounds=64):
+def generated_star_algebra(gens, tol=DEFAULT_TOL):
     """Smallest unital star-closed span containing the generators.
 
     Grows the span by right multiplication with generators and their adjoints
@@ -89,7 +88,7 @@ def generated_star_algebra(gens, tol=DEFAULT_TOL, max_rounds=64):
     N = gens.shape[1]
     multipliers = np.concatenate([gens, np.conj(np.transpose(gens, (0, 2, 1)))])
     basis = orthonormal_rows(np.concatenate([np.eye(N, dtype=complex)[None], multipliers]), tol)
-    for _ in range(max_rounds):
+    for _ in range(64):
         grown = np.einsum("aij,bjk->abik", basis, multipliers).reshape(-1, N, N)
         new_basis = orthonormal_rows(np.concatenate([basis, grown]), tol)
         if new_basis.shape[0] == basis.shape[0]:
@@ -144,14 +143,12 @@ def _kernel_commutant_basis(constraints_mats, N, tol, grading_twist=None):
     return np.transpose(cols).reshape(-1, N, N)
 
 
-def commutant(alg, tol=DEFAULT_TOL, rng=None):
+def commutant(alg, tol=DEFAULT_TOL):
     """Commutant algebra {X : aX = Xa for all a}, star-closed and unital."""
     mats = list(alg.constraint_generators())
     N = alg.space_dim
-    if rng is None:
-        rng = np.random.default_rng(1)
     if alg.generators is not None and _averaging_ready(mats, tol):
-        basis = _averaged_commutant_basis(mats, tol, rng, expected=N * N // alg.dim)
+        basis = _averaged_commutant_basis(mats, tol, np.random.default_rng(1), expected=N * N // alg.dim)
     else:
         basis = _kernel_commutant_basis([(a, False) for a in mats], N, tol)
     return algebra_from_span(basis, tol=tol)
@@ -173,7 +170,7 @@ def grading_parts(alg, grading, tol=DEFAULT_TOL):
     return parts
 
 
-def super_commutant(alg, grading, tol=DEFAULT_TOL, rng=None):
+def super_commutant(alg, grading, tol=DEFAULT_TOL):
     """Graded commutant: commutes with even elements, odd parts anticommute
     with odd elements.
 
@@ -181,14 +178,13 @@ def super_commutant(alg, grading, tol=DEFAULT_TOL, rng=None):
     u @ grading, turning the graded condition into a plain commutant solve.
     """
     N = alg.space_dim
-    if rng is None:
-        rng = np.random.default_rng(2)
     gens = alg.generators
     if gens is not None:
         odd_ok = all(maxabs(grading @ u @ grading + u) <= tol.eq_tol for u in gens)
         dressed = [u @ grading for u in gens]
         if odd_ok and _averaging_ready(dressed, tol):
-            basis = _averaged_commutant_basis(dressed, tol, rng, expected=N * N // alg.dim)
+            basis = _averaged_commutant_basis(dressed, tol, np.random.default_rng(2),
+                                              expected=N * N // alg.dim)
             return algebra_from_span(basis, tol=tol)
     parts = grading_parts(alg, grading, tol)
     basis = _kernel_commutant_basis([(a, odd) for a, odd in parts], N, tol, grading_twist=grading)
@@ -243,9 +239,6 @@ class StandardFormData:
         skew = maxabs(M - M.conj().T)
         lam_min = float(np.linalg.eigvalsh(herm)[0])
         return max(skew, -min(lam_min, 0.0))
-
-    def in_cone(self, v, tol=DEFAULT_TOL):
-        return self.cone_defect(v) <= tol.eq_tol
 
 
 def tomita_data(alg, omega, tol=DEFAULT_TOL):
@@ -333,17 +326,16 @@ def inner_automorphism_from_unitary(alg, u, tol=DEFAULT_TOL):
     return InnerAutomorphism(alg, images, rep)
 
 
-def automorphism_residual(alg, images, tol=DEFAULT_TOL, rng=None, product_samples=4):
+def automorphism_residual(alg, images, tol=DEFAULT_TOL):
     """How far basis images are from defining a star-automorphism of the span."""
     res = span_residual(images, alg.basis)
     adj_in = np.conj(np.transpose(alg.basis, (0, 2, 1)))
     adj_out = np.conj(np.transpose(images, (0, 2, 1)))
     coords = np.stack([alg.coordinates(a) for a in adj_in])
     res = max(res, maxabs(np.tensordot(coords, images, axes=(1, 0)) - adj_out))
-    if rng is None:
-        rng = np.random.default_rng(3)
+    rng = np.random.default_rng(3)
     k = alg.dim
-    for _ in range(product_samples):
+    for _ in range(4):
         i, j = rng.integers(0, k, size=2)
         prod_im = np.tensordot(alg.coordinates(alg.basis[i] @ alg.basis[j]), images, axes=(0, 0))
         res = max(res, maxabs(images[i] @ images[j] - prod_im))
@@ -409,7 +401,7 @@ def reflected_action(U, alg, sfd, tol=DEFAULT_TOL):
     return InnerAutomorphism(alg, images)
 
 
-def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, cone_samples=4, rng=None):
+def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
     """The unitary u J u J implementing theta on the algebra.
 
     Phase independent in the representative u; verified to act as theta, to
@@ -424,8 +416,8 @@ def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, cone_samples=4, r
         raise NotInner(f"canonical implementation failed action/J checks ({act:.2e}, {jcomm:.2e})")
     if rng is None:
         rng = np.random.default_rng(4)
-    probes = list(sfd.cone_frame[:cone_samples])
-    for _ in range(cone_samples):
+    probes = list(sfd.cone_frame[:4])
+    for _ in range(4):
         c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         a = alg.from_coordinates(c)
         probes.append(a @ sfd.reflect(a) @ sfd.omega)

@@ -11,11 +11,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clifford import pi_vector
+from .clifford import pi_columns
 from .errors import (ContractViolation, NonScalarDefect, NonUniqueImplementer,
                      NotOrthogonal, NotSpecialOrthogonal)
 from .linalg import (DEFAULT_TOL, averaged_intertwiners, joint_kernel, maxabs,
                      polar_unitary, scalar_defect)
+
+# generic probes of the averaging projection onto an intertwiner space
+# expected to be a line
+LINE_PROBES = 6
 
 
 def check_orthogonal(g, tol=DEFAULT_TOL):
@@ -55,12 +59,10 @@ def _classify_parity(model, U, tol):
 def implementation_residual(model, U, g):
     """max_i ||U pi_i U^* - pi(g e_i)|| over the real basis."""
     conj = U @ model.generators @ U.conj().T
-    targets = np.stack([pi_vector(model, np.asarray(g, dtype=complex)[:, i])
-                        for i in range(model.dim_h)])
-    return maxabs(conj - targets)
+    return maxabs(conj - pi_columns(model, g))
 
 
-def implement_oracle(model, g, tol=DEFAULT_TOL, rng=None, probes=6):
+def implement_oracle(model, g, tol=DEFAULT_TOL, rng=None):
     """Implementer from the kernel of the intertwining constraints.
 
     The joint kernel {U : pi(g e_i) U = U pi_i} is produced by the exact
@@ -70,9 +72,7 @@ def implement_oracle(model, g, tol=DEFAULT_TOL, rng=None, probes=6):
     g = check_orthogonal(g, tol)
     if rng is None:
         rng = np.random.default_rng(0)
-    lefts = [pi_vector(model, g[:, i].astype(complex)) for i in range(model.dim_h)]
-    rights = list(model.generators)
-    basis = averaged_intertwiners(lefts, rights, probes, rng, tol)
+    basis = averaged_intertwiners(pi_columns(model, g), model.generators, LINE_PROBES, rng, tol)
     if basis.shape[0] != 1:
         raise NonUniqueImplementer(f"intertwiner space has dimension {basis.shape[0]}")
     U = polar_unitary(basis[0], tol)
@@ -87,10 +87,10 @@ def implement_oracle_kernel(model, g, tol=DEFAULT_TOL):
     """
     g = check_orthogonal(g, tol)
     N = model.fock_dim
+    lefts = pi_columns(model, g)
 
     def constraint(i):
-        left = pi_vector(model, g[:, i].astype(complex))
-        right = model.generators[i]
+        left, right = lefts[i], model.generators[i]
 
         def apply(cols):
             X = cols.T.reshape(-1, N, N)
@@ -211,22 +211,13 @@ def check_skew(X, tol=DEFAULT_TOL):
 def derived_implementer(model, X, tol=DEFAULT_TOL):
     """Quadratic generator dG(X) with [dG(X), pi(v)] = pi(X v), vacuum-centred.
 
-    dG(X) = -1/4 sum_j pi_j pi(X e_j) minus its vacuum expectation.
+    dG(X) = -1/4 sum_j pi_j pi(X^T e_j) minus its vacuum expectation.
     """
     X = check_skew(X, tol)
-    N = model.fock_dim
-    out = np.zeros((N, N), dtype=complex)
-    for j in range(model.dim_h):
-        row = X[j, :].astype(complex)
-        if not np.any(row):
-            continue
-        out += model.generators[j] @ pi_vector(model, row)
-    out *= -0.25
-    out -= out[0, 0] * np.eye(N)
-    worst = 0.0
-    for i in range(model.dim_h):
-        target = pi_vector(model, X[:, i].astype(complex))
-        worst = max(worst, maxabs(out @ model.generators[i] - model.generators[i] @ out - target))
+    gens = model.generators
+    out = -0.25 * np.tensordot(gens, pi_columns(model, X.T), axes=([0, 2], [0, 1]))
+    out -= out[0, 0] * np.eye(model.fock_dim)
+    worst = maxabs(out @ gens - gens @ out - pi_columns(model, X))
     if worst > tol.eq_tol:
         raise ContractViolation(f"commutator contract violated by {worst:.2e}")
     return out
@@ -252,6 +243,6 @@ def random_special_orthogonal(dim, rng):
     return np.real((V * np.exp(-1j * w)) @ V.conj().T)
 
 
-def random_skew(dim, rng, scale=1.0):
-    B = rng.standard_normal((dim, dim)) * scale
+def random_skew(dim, rng):
+    B = rng.standard_normal((dim, dim))
     return B - B.T

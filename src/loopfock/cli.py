@@ -10,12 +10,11 @@ import json as _json
 import os
 import sys
 
-import numpy as np
-
 from .bogoliubov import implementation_residual
 from .errors import ConfigError, LoopfockError
 from .linalg import dump_matrix, maxabs
-from .loops import is_half_supported, lift, loop_from_bivectors, omega_matrix
+from .loops import (SpinGroup, is_half_supported, lift, loop_from_bivectors,
+                    omega_matrix)
 from .report import SUITE_NAMES, RunConfig
 from .suites import Environment, run
 
@@ -120,12 +119,12 @@ def _describe_loop(config, literal):
     except ValueError as exc:
         raise ConfigError(f"loop literal is not valid JSON: {exc}")
     env = Environment(config)
-    model = env.model
+    model, spin = env.model, SpinGroup(config.d)
     if not isinstance(coords, list) or len(coords) != 2 * config.n:
         raise ConfigError(f"loop literal must list {2 * config.n} vertices")
-    loop = loop_from_bivectors(env.ctx.spin, coords)
-    ext = lift(model, env.ctx.spin, loop, env.tol)
-    g = omega_matrix(model, env.ctx.spin, loop)
+    loop = loop_from_bivectors(spin, coords)
+    ext = lift(model, spin, loop, env.tol)
+    g = omega_matrix(model, spin, loop)
     G = model.grading
     print(f"loop lift: implementer residual {implementation_residual(model, ext.unitary, g):.3e}, "
           f"parity {ext.implementer.parity}, "

@@ -107,14 +107,16 @@ def creation_operators(modes):
 
 @dataclass
 class CliffordModel:
-    """Lattice, Lagrangian, Fock generators and grading, plus small caches."""
+    """Lattice, Lagrangian, Fock generators and grading, plus small caches.
+
+    generators stacks pi(e_i) over the real basis of H; it is the only
+    stored form of pi, and pi(v) is its contraction with v.
+    """
 
     lattice: LatticeModel
     lagrangian: np.ndarray
     generators: np.ndarray
     grading: np.ndarray
-    creators: np.ndarray
-    annihilators: np.ndarray
     lift_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -161,29 +163,26 @@ def build_clifford_model(n, d, lagrangian=None, allow_odd_modes=False, tol=DEFAU
         lagrangian = np.asarray(lagrangian, dtype=complex)
         if not validate_lagrangian(lagrangian, tol):
             raise ValueError("provided subspace is not Lagrangian")
-    creators = creation_operators(lattice.modes)
-    annihilators = np.conj(np.transpose(creators, (0, 2, 1)))
-    N = lattice.fock_dim
-    parity = np.array([bin(i).count("1") & 1 for i in range(N)])
+    # pi(e_i) = sqrt(2) (C_i - C_i^*) with C_i = sum_mu conj(L_{i,mu}) a^dag_mu,
+    # since the annihilators are the adjoints of the (real) creators
+    C = np.tensordot(lagrangian.conj(), creation_operators(lattice.modes), axes=(1, 0))
+    generators = np.sqrt(2.0) * (C - np.conj(np.transpose(C, (0, 2, 1))))
+    parity = np.array([bin(i).count("1") & 1 for i in range(lattice.fock_dim)])
     grading = np.diag(1.0 - 2.0 * parity).astype(complex)
-    model = CliffordModel(lattice, lagrangian, np.empty(0), grading, creators, annihilators)
-    gens = np.stack([pi_vector(model, model.basis_vector(i)) for i in range(lattice.dim_h)])
-    model.generators = gens
-    return model
+    return CliffordModel(lattice, lagrangian, generators, grading)
 
 
 def pi_vector(model, v):
-    """Fock operator of v in H^C: sqrt(2) (a^dag on the L part - a on the conj(L) part)."""
+    """Fock operator of v in H^C: sum_i v_i pi(e_i), pi being complex linear."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (model.dim_h,):
         raise DimensionMismatch(f"vector has shape {v.shape}, expected ({model.dim_h},)")
-    L = model.lagrangian
-    create_coeff = L.conj().T @ v
-    annihilate_coeff = L.T @ v
-    return np.sqrt(2.0) * (
-        np.tensordot(create_coeff, model.creators, axes=(0, 0))
-        - np.tensordot(annihilate_coeff, model.annihilators, axes=(0, 0))
-    )
+    return np.tensordot(v, model.generators, axes=(0, 0))
+
+
+def pi_columns(model, g):
+    """Stack of pi(g e_i), the Fock operators of the columns of g (2nd rows)."""
+    return np.tensordot(g, model.generators, axes=(0, 0))
 
 
 def half_space(model, which):

@@ -35,11 +35,6 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
-def opnorm(M):
-    """Spectral norm."""
-    return float(np.linalg.norm(M, 2))
-
-
 def maxabs(M):
     return float(np.max(np.abs(M))) if np.size(M) else 0.0
 
@@ -48,7 +43,7 @@ def null_space(M, tol=DEFAULT_TOL):
     """Orthonormal basis of ker(M), as columns.
 
     Singular values below tol.rank_tol count as zero; the returned block Q
-    satisfies Q*Q = 1 and ``M @ Q`` small relative to ``opnorm(M)``.
+    satisfies Q*Q = 1 and ``M @ Q`` small relative to the spectral norm of M.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
@@ -216,8 +211,9 @@ def orthonormal_rows(stack, tol=DEFAULT_TOL):
     return vh[:dim].reshape((dim,) + stack.shape[1:])
 
 
-def span_residual(stack, ortho, relative=True):
-    """Sup-norm residual of stack elements against an orthonormal row span."""
+def span_residual(stack, ortho):
+    """Sup-norm residual of stack elements against an orthonormal row span,
+    relative to the largest entry of the stack when that exceeds one."""
     stack = np.atleast_2d(np.asarray(stack, dtype=complex))
     if stack.shape[0] == 0:
         return 0.0
@@ -228,9 +224,7 @@ def span_residual(stack, ortho, relative=True):
         B = np.asarray(ortho, dtype=complex).reshape(ortho.shape[0], -1)
         rec = (flat @ B.conj().T) @ B
         res = maxabs(flat - rec)
-    if relative:
-        res /= max(1.0, maxabs(flat))
-    return res
+    return res / max(1.0, maxabs(flat))
 
 
 def subspace_equal(B1, B2, tol=DEFAULT_TOL):

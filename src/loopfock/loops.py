@@ -57,20 +57,22 @@ def covering(x, gammas):
     return lam
 
 
-def spin_sample(d, rng, gammas=None, scale=0.7):
-    if gammas is None:
-        gammas = gamma_matrices(d)
-    B = rng.standard_normal((d, d)) * scale
+# spread of the sampled so(d) coefficients, for spin elements and loop algebra values
+SAMPLE_SCALE = 0.7
+
+
+def spin_sample(gammas, rng):
+    d = gammas.shape[0]
+    B = rng.standard_normal((d, d)) * SAMPLE_SCALE
     return spin_exp(B - B.T, gammas)
 
 
 class SpinGroup(ComputableGroup):
     """Even unit elements of the gamma representation, double covering SO(d)."""
 
-    def __init__(self, d, scale=0.7):
+    def __init__(self, d):
         self.d = d
         self.gammas = gamma_matrices(d)
-        self.scale = scale
         self.name = f"Spin({d})"
 
     @property
@@ -90,7 +92,7 @@ class SpinGroup(ComputableGroup):
         return maxabs(np.asarray(a) - np.asarray(b))
 
     def sample(self, rng):
-        return spin_sample(self.d, rng, self.gammas, self.scale)
+        return spin_sample(self.gammas, rng)
 
     def covering(self, x):
         return covering(x, self.gammas)
@@ -238,9 +240,8 @@ class ExtLoopGroup(ComputableGroup):
     unitary, so central phases are distinct elements.
     """
 
-    def __init__(self, model, spin, tol=DEFAULT_TOL, phase_fiber=True):
+    def __init__(self, model, spin, tol=DEFAULT_TOL):
         self.model, self.spin, self.tol = model, spin, tol
-        self.phase_fiber = phase_fiber
         self.name = "lifted half loops"
 
     def identity(self):
@@ -271,11 +272,9 @@ class ExtLoopGroup(ComputableGroup):
         for j in range(1, n):
             loop[j] = self.spin.sample(rng)
         ext = lift(self.model, self.spin, np.stack(loop), self.tol)
-        if self.phase_fiber:
-            z = np.exp(2j * np.pi * rng.random())
-            ext = ExtLoop(ext.loop, Implementer(z * ext.unitary, ext.implementer.implemented,
-                                                ext.implementer.parity, "raw"))
-        return ext
+        z = np.exp(2j * np.pi * rng.random())
+        return ExtLoop(ext.loop, Implementer(z * ext.unitary, ext.implementer.implemented,
+                                             ext.implementer.parity, "raw"))
 
     def central(self, z):
         e = self.identity()
@@ -410,11 +409,11 @@ def loop_cocycle_compare(model, xi, eta, tol=DEFAULT_TOL):
             "difference": complex(fock - disc), "difference centered": complex(fock - centered)}
 
 
-def random_loop_algebra(model, rng, scale=0.7):
+def random_loop_algebra(model, rng):
     d = model.d
     out = []
     for _ in range(2 * model.n):
-        B = rng.standard_normal((d, d)) * scale
+        B = rng.standard_normal((d, d)) * SAMPLE_SCALE
         out.append(B - B.T)
     return out
 
@@ -424,6 +423,8 @@ def bivector_from_coordinates(coords, d):
     coords = list(coords)
     if len(coords) != d * (d - 1) // 2:
         raise ValueError(f"expected {d * (d - 1) // 2} bivector coordinates, got {len(coords)}")
+    if not np.all(np.isfinite(np.asarray(coords, dtype=float))):
+        raise ValueError(f"bivector coordinates {coords} are not finite")
     B = np.zeros((d, d))
     k = 0
     for a in range(d):

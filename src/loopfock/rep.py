@@ -16,7 +16,7 @@ from .algebra import (InnerAutomorphism, OperatorAlgebra, algebra_from_span,
                       canonical_implementation, commutant, conjugation_action,
                       inner_automorphism_from_unitary, reflected_action,
                       super_commutant, tomita_data)
-from .bogoliubov import Implementer, implementation_residual
+from .bogoliubov import LINE_PROBES, Implementer, implementation_residual
 from .clifford import clifford_monomials, generator_indices, half_space
 from .errors import NotInA
 from .linalg import (DEFAULT_TOL, averaged_intertwiners, maxabs, scalar_defect,
@@ -61,9 +61,9 @@ class UnitaryInAlgebraGroup(ComputableGroup):
     def dist(self, a, b):
         return maxabs(np.asarray(a) - np.asarray(b))
 
-    def sample(self, rng, scale=0.8):
+    def sample(self, rng):
         c = rng.standard_normal(self.alg.dim) + 1j * rng.standard_normal(self.alg.dim)
-        x = self.alg.from_coordinates(c * scale)
+        x = self.alg.from_coordinates(c * 0.8)
         h = 0.5 * (x + x.conj().T)
         w, V = np.linalg.eigh(h)
         return (V * np.exp(1j * w)) @ V.conj().T
@@ -553,10 +553,10 @@ def check_pi_levels(ctx, sample_count=20, rng=None, tol=None):
     return CheckReport("pi-level structure", res, tol.eq_tol)
 
 
-def irreducibility_dimension(model, rng=None, tol=DEFAULT_TOL, probes=6):
+def irreducibility_dimension(model, rng=None, tol=DEFAULT_TOL):
     """Dimension of the commutant of all generators (1 = irreducible)."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    basis = averaged_intertwiners(list(model.generators), list(model.generators), probes, rng, tol)
+    basis = averaged_intertwiners(model.generators, model.generators, LINE_PROBES, rng, tol)
     return basis.shape[0]
 
 

@@ -8,6 +8,7 @@ from .errors import ConfigError
 
 SUITE_NAMES = ("clifford", "bogoliubov", "tomita", "two-group", "string", "rep")
 SUITE_ORDER = {name: i for i, name in enumerate(SUITE_NAMES)}
+MODES_CAP = 8   # largest n*d, i.e. Fock dimension 256
 
 
 @dataclass(frozen=True)
@@ -25,15 +26,14 @@ class RunConfig:
     report_path: str | None = None
     report_format: str = "json"
     dump_path: str | None = None
-    modes_cap: int = 8
 
     def validate(self):
         if self.n < 1 or self.d < 1:
             raise ConfigError("n and d must be positive")
         if (self.n * self.d) % 2 == 1:
             raise ConfigError(f"n*d = {self.n * self.d} is odd; the half-circle algebra would not be a factor")
-        if self.n * self.d > self.modes_cap:
-            raise ConfigError(f"n*d = {self.n * self.d} exceeds the cap {self.modes_cap} "
+        if self.n * self.d > MODES_CAP:
+            raise ConfigError(f"n*d = {self.n * self.d} exceeds the cap {MODES_CAP} "
                               f"(Fock dimension 2^(n*d))")
         for s in self.suites:
             if s not in SUITE_NAMES:

@@ -6,7 +6,7 @@ exhaustive for small finite groups, sampled otherwise.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class ComputableGroup:
 
     def eq(self, a, b, tol=DEFAULT_TOL):
         return self.dist(a, b) <= tol.eq_tol
-
-    def order(self):
-        return None if self.elements is None else len(self.elements)
 
     def conj(self, a, b):
         """a b a^{-1}"""
@@ -93,25 +90,6 @@ class FiniteGroup(ComputableGroup):
         return FiniteGroup([0], lambda a, b: 0, lambda a: 0, 0, name="1")
 
 
-class UnitCircleGroup(ComputableGroup):
-    name = "U1"
-
-    def identity(self):
-        return 1.0 + 0.0j
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return np.conj(a)
-
-    def dist(self, a, b):
-        return abs(a - b)
-
-    def sample(self, rng):
-        return np.exp(2j * np.pi * rng.random())
-
-
 class MatrixGroup(ComputableGroup):
     """Matrix group with max-abs entry distance; subclasses fix sampling."""
 
@@ -134,30 +112,16 @@ class MatrixGroup(ComputableGroup):
 
 class GeneralLinearGroup(MatrixGroup):
     # conditioning bound keeps inverse-based residuals far below the gates
-    def __init__(self, dim, scale=1.0, max_cond=20.0):
+    MAX_COND = 20.0
+
+    def __init__(self, dim):
         super().__init__(dim, name=f"GL{dim}")
-        self.scale = scale
-        self.max_cond = max_cond
 
     def sample(self, rng):
         while True:
             g = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal((self.dim, self.dim))
-            g *= self.scale
-            if np.linalg.cond(g) < self.max_cond:
+            if np.linalg.cond(g) < self.MAX_COND:
                 return g
-
-
-class UnitaryMatrixGroup(MatrixGroup):
-    def __init__(self, dim):
-        super().__init__(dim, name=f"U{dim}")
-
-    def inv(self, a):
-        return np.asarray(a).conj().T
-
-    def sample(self, rng):
-        g = rng.standard_normal((self.dim, self.dim)) + 1j * rng.standard_normal((self.dim, self.dim))
-        q, r = np.linalg.qr(g)
-        return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class ProjectiveUnitGroup(MatrixGroup):
@@ -169,9 +133,9 @@ class ProjectiveUnitGroup(MatrixGroup):
     inverse-conditioning noise a conjugation-based comparison would carry.
     """
 
-    def __init__(self, dim, scale=1.0):
+    def __init__(self, dim):
         super().__init__(dim, name=f"PGL{dim}")
-        self._sampler = GeneralLinearGroup(dim, scale)
+        self._sampler = GeneralLinearGroup(dim)
 
     def dist(self, a, b):
         an = np.asarray(a) / np.linalg.norm(a)
@@ -227,9 +191,6 @@ class CheckReport:
     @property
     def passed(self):
         return self.max_residual <= self.tol
-
-    def merged(self):
-        return self.max_residual
 
 
 def _tuples(groups, sample_count, rng, cap=300_000):
@@ -445,10 +406,9 @@ class PiReport:
     pi1_contains: callable
     pi0_equal: callable
     centrality: float
-    details: dict = field(default_factory=dict)
 
 
-def pi0_pi1(cm, rng=None, sample_count=50, pi1_sampler=None, pi0_section=None, tol=DEFAULT_TOL):
+def pi0_pi1(cm, rng=None, sample_count=50, pi0_section=None, tol=DEFAULT_TOL):
     """Kernel and cokernel structure of t, with a centrality test of the action.
 
     pi1 membership is the predicate t(h) = 1.  pi0 equality of g, g' is
@@ -473,15 +433,13 @@ def pi0_pi1(cm, rng=None, sample_count=50, pi1_sampler=None, pi0_section=None, t
         return False
 
     worst = 0.0
-    found = 0
     for _ in range(sample_count):
-        h = pi1_sampler(rng) if pi1_sampler is not None else H.sample(rng)
-        if pi1_sampler is None and not pi1_contains(h):
+        h = H.sample(rng)
+        if not pi1_contains(h):
             continue
-        found += 1
         g = G.sample(rng)
         worst = max(worst, H.dist(cm.act(g, h), h))
-    return PiReport(pi1_contains, pi0_equal, worst, details={"pi1 samples tested": found})
+    return PiReport(pi1_contains, pi0_equal, worst)
 
 
 def delooping(abelian_group):
@@ -511,10 +469,10 @@ def inclusion_intertwiner(scale, source_cm, target_cm):
     )
 
 
-def matrix_automorphism_module(dim=2, scale=1.0):
+def matrix_automorphism_module(dim=2):
     """Units of the d x d matrix algebra mapping onto its conjugation automorphisms."""
-    units = GeneralLinearGroup(dim, scale)
-    autos = ProjectiveUnitGroup(dim, scale)
+    units = GeneralLinearGroup(dim)
+    autos = ProjectiveUnitGroup(dim)
     return CrossedModule(
         base=autos,
         fiber=units,

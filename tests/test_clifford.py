@@ -3,6 +3,7 @@ import pytest
 
 from loopfock.clifford import (LatticeModel, anticommutator_residual,
                                build_clifford_model, clifford_monomials,
+                               creation_operators,
                                default_lagrangian, generator_indices,
                                half_space, pi_vector, star_residual,
                                validate_lagrangian)
@@ -77,6 +78,25 @@ class TestFockOperators:
         w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         assert maxabs(pi_vector(model, v + 2j * w)
                       - pi_vector(model, v) - 2j * pi_vector(model, w)) < 1e-13
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 2), (3, 2)])
+    def test_pi_is_the_defining_mode_formula(self, n, d):
+        # pi(v) = sqrt(2) (sum_mu (L^* v)_mu a^dag_mu - (L^T v)_mu a_mu), with
+        # a_mu the adjoint of a^dag_mu, for complex v and for the basis vectors
+        model = build_clifford_model(n, d, allow_odd_modes=True)
+        L = model.lagrangian
+        creators = creation_operators(model.lattice.modes)
+        annihilators = np.conj(np.transpose(creators, (0, 2, 1)))
+
+        def formula(v):
+            return np.sqrt(2.0) * (np.tensordot(L.conj().T @ v, creators, axes=(0, 0))
+                                   - np.tensordot(L.T @ v, annihilators, axes=(0, 0)))
+
+        for _ in range(5):
+            v = rng.standard_normal(model.dim_h) + 1j * rng.standard_normal(model.dim_h)
+            assert maxabs(pi_vector(model, v) - formula(v)) < 1e-13
+        for i in range(model.dim_h):
+            assert maxabs(model.generators[i] - formula(model.basis_vector(i))) < 1e-14
 
     def test_dimension_guard(self):
         model = build_clifford_model(1, 2)

@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import pytest
 
+import loopfock.rep
 from loopfock.cli import build_config, main
 from loopfock.errors import ConfigError
 from loopfock.report import (CheckRecord, RunConfig, emit_report, strip_timing,
@@ -159,6 +161,26 @@ class TestCli:
     def test_loop_literal_errors(self):
         assert main(["--points", "4", "--dim", "2", "--loop", "[[0.0]]"]) == 2
         assert main(["--points", "4", "--dim", "2", "--loop", "not json"]) == 2
+
+    def test_loop_does_not_build_the_representation_context(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("--loop built the representation context")
+
+        monkeypatch.setattr(loopfock.rep, "build_context", refuse)
+        code = main(["--points", "4", "--dim", "3", "--loop",
+                     "[[0.1, 0.2, 0.3], [0.0, 0.4, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]"])
+        assert code == 0
+        assert "parity even" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_loop_rejects_non_finite_coordinates(self, bad, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--points", "2", "--dim", "2", "--loop", f"[[{bad}], [0]]"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not finite" in err
+        assert "det(g)" not in err
 
     def test_dump(self, tmp_path):
         dump = tmp_path / "mats.txt"
