@@ -1,9 +1,10 @@
 """Orthogonal maps on the one-particle space and their Fock implementers.
 
 Two independent routes construct an implementer U with
-U pi(v) U^* = pi(g v): a convention-free kernel solve (group-averaged
-projection onto the intertwiner space) and a fast constructive product of
-plane-rotation exponentials.  Quadratic generators and their scalar
+U pi(v) U^* = pi(g v) for general g in SO(2nd): a convention-free kernel
+solve (group-averaged projection onto the intertwiner space) and a
+constructive product of plane-rotation exponentials, which tests also use
+as the reference for loops.lift.  Quadratic generators and their scalar
 commutator anomaly live here as well.
 """
 
@@ -175,7 +176,7 @@ def normalize_phase(imp, mode="vacuum", tol=DEFAULT_TOL):
 
 
 def normalized_unitary(model, g, tol=DEFAULT_TOL):
-    """Vacuum-normalized rotation implementer (the standard lift)."""
+    """Vacuum-normalized plane-rotation implementer of g."""
     return normalize_phase(implement_pin(model, g, tol), "vacuum", tol).unitary
 
 

@@ -13,8 +13,7 @@ import sys
 from .bogoliubov import implementation_residual
 from .errors import ConfigError, LoopfockError
 from .linalg import dump_matrix, maxabs
-from .loops import (SpinGroup, is_half_supported, lift, loop_from_bivectors,
-                    omega_matrix)
+from .loops import SpinGroup, is_half_supported, lift, loop_from_bivectors
 from .report import SUITE_NAMES, RunConfig
 from .suites import Environment, run
 
@@ -124,8 +123,7 @@ def _describe_loop(config, literal):
         raise ConfigError(f"loop literal must list {2 * config.n} vertices")
     loop = loop_from_bivectors(spin, coords)
     ext = lift(model, spin, loop, env.tol)
-    g = omega_matrix(model, spin, loop)
-    G = model.grading
+    g, G = ext.implementer.implemented, model.grading
     print(f"loop lift: implementer residual {implementation_residual(model, ext.unitary, g):.3e}, "
           f"parity {ext.implementer.parity}, "
           f"vacuum overlap {ext.unitary[0, 0]:.6f}, "

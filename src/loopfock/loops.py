@@ -3,17 +3,20 @@
 Spin(d) lives inside a fixed gamma-matrix representation; loops are arrays
 of 2n spin elements (one per lattice vertex), based paths have n+1 entries
 starting at the identity.  Pointwise conjugation on vectors gives the
-orthogonal action on H, and the rotation implementers of the previous layer
-lift loops to pairs (loop, unitary) forming the extension group.
+orthogonal action on H; the pointwise spin representation, phase-fixed by
+the vacuum overlap, lifts loops to pairs (loop, unitary) forming the
+extension group.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from numbers import Real
 
 import numpy as np
 
-from .bogoliubov import Implementer, implement_pin, normalize_phase, schwinger_term
-from .errors import EndpointMismatch
+from .bogoliubov import (Implementer, check_orthogonal, is_special, normalize_phase,
+                         schwinger_term)
+from .errors import EndpointMismatch, NotSpecialOrthogonal
 from .linalg import DEFAULT_TOL, maxabs
 from .twogroup import ComputableGroup, CrossedModule
 
@@ -198,15 +201,32 @@ class ExtLoop:
 
 
 def lift(model, spin, loop, tol=DEFAULT_TOL):
-    """Vacuum-normalized rotation implementer paired with the loop; cached."""
+    """Pointwise unitary of the loop, phase fixed by its vacuum overlap; cached."""
     key = np.asarray(loop).tobytes()
     cached = model.lift_cache.get(key)
     if cached is not None:
         return cached
-    g = omega_matrix(model, spin, loop)
-    imp = normalize_phase(implement_pin(model, g, tol), "vacuum", tol)
-    out = ExtLoop(np.array(loop), imp)
+    g = check_orthogonal(omega_matrix(model, spin, loop), tol)
+    if not is_special(g, tol):
+        raise NotSpecialOrthogonal("a loop value is odd: its rotation has det -1")
+    imp = Implementer(pointwise_unitary(model, spin, loop), g, "even", "raw")
+    out = ExtLoop(np.array(loop), normalize_phase(imp, "vacuum", tol))
     model.lift_cache[key] = out
+    return out
+
+
+def _even_monomials(mats):
+    """Ordered products prod_{a in S} mats[a] over the even subsets S, keyed by bitmask.
+
+    A product of four or more factors is its lowest pair times the rest, so
+    2^(d-1) - 1 matrix products form the even monomials and no odd one.
+    """
+    out = {0: np.eye(mats.shape[1], dtype=complex)}
+    for S in range(3, 2 ** len(mats)):
+        bits = [a for a in range(len(mats)) if S >> a & 1]
+        if len(bits) % 2 == 0:
+            pair = 1 << bits[0] | 1 << bits[1]
+            out[S] = mats[bits[0]] @ mats[bits[1]] if S == pair else out[pair] @ out[S ^ pair]
     return out
 
 
@@ -219,17 +239,13 @@ def pointwise_unitary(model, spin, loop):
     Even elements at different vertices commute, so loop -> U is an exact
     group homomorphism implementing omega_matrix(loop); no phase is fixed.
     """
-    d, r, N = model.d, spin.rep_dim, model.fock_dim
-    gam = [np.eye(r, dtype=complex)]
-    for a in range(d):
-        gam.extend([m @ spin.gammas[a] for m in gam])
-    even = [S for S in range(2 ** d) if bin(S).count("1") % 2 == 0]
-    U = np.eye(N, dtype=complex)
+    d, r = model.d, spin.rep_dim
+    gam = _even_monomials(spin.gammas)
+    U = None
     for j in range(2 * model.n):
-        fock = [np.eye(N, dtype=complex)]
-        for a in range(d):
-            fock.extend([m @ (1j * model.generators[j * d + a]) for m in fock])
-        U = U @ sum(np.trace(gam[S].conj().T @ loop[j]) / r * fock[S] for S in even)
+        fock = _even_monomials(1j * model.generators[j * d:(j + 1) * d])
+        rho = sum(np.vdot(gam[S], loop[j]) / r * fock[S] for S in gam)
+        U = rho if U is None else U @ rho
     return U
 
 
@@ -420,7 +436,9 @@ def random_loop_algebra(model, rng):
 
 def bivector_from_coordinates(coords, d):
     """Antisymmetric d x d matrix from coordinates ordered (0,1), (0,2), ..."""
-    coords = list(coords)
+    if not (isinstance(coords, list) and all(isinstance(c, Real) and not isinstance(c, bool)
+                                             for c in coords)):
+        raise ValueError(f"bivector coordinates must be a list of real numbers, got {coords!r}")
     if len(coords) != d * (d - 1) // 2:
         raise ValueError(f"expected {d * (d - 1) // 2} bivector coordinates, got {len(coords)}")
     if not np.all(np.isfinite(np.asarray(coords, dtype=float))):

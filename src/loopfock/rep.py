@@ -45,9 +45,9 @@ class RepresentationContext:
 class UnitaryInAlgebraGroup(ComputableGroup):
     """Unitary elements of an operator algebra, sampled by exponentials."""
 
-    def __init__(self, alg, name="U(A)"):
+    def __init__(self, alg):
         self.alg = alg
-        self.name = name
+        self.name = "U(A)"
 
     def identity(self):
         return np.eye(self.alg.space_dim, dtype=complex)
@@ -72,10 +72,10 @@ class UnitaryInAlgebraGroup(ComputableGroup):
 class InnerAutomorphismGroup(ComputableGroup):
     """Automorphisms of a finite factor, compared by their basis action."""
 
-    def __init__(self, alg, name="Aut(A)"):
+    def __init__(self, alg):
         self.alg = alg
         self.unitaries = UnitaryInAlgebraGroup(alg)
-        self.name = name
+        self.name = "Aut(A)"
 
     def identity(self):
         return InnerAutomorphism(self.alg, np.array(self.alg.basis),
@@ -129,27 +129,25 @@ def build_context(model, tol=DEFAULT_TOL):
     )
 
 
-def loop_unitary(ctx, ext, tol=None):
+def loop_unitary(ctx, ext):
     """Fiber map of the representation: the unitary of a lifted half loop.
 
     Verified to be grading even and to lie in the half-circle algebra span
     before it is returned.
     """
-    tol = tol or ctx.tol
     U = ext.unitary
     G = ctx.model.grading
     even = maxabs(U @ G - G @ U)
     member = ctx.algebra.membership_residual(U)
-    if max(even, member) > tol.eq_tol:
+    if max(even, member) > ctx.tol.eq_tol:
         raise NotInA(f"half-loop unitary failed evenness/membership ({even:.2e}, {member:.2e})")
     return U
 
 
-def path_automorphism(ctx, p, tol=None):
+def path_automorphism(ctx, p):
     """Base map of the representation: conjugation by a doubled-path lift."""
-    tol = tol or ctx.tol
-    V = lift(ctx.model, ctx.spin, double_path(p, tol), tol)
-    return conjugation_action(V.unitary, ctx.algebra, tol)
+    V = lift(ctx.model, ctx.spin, double_path(p, ctx.tol), ctx.tol)
+    return conjugation_action(V.unitary, ctx.algebra, ctx.tol)
 
 
 def representation_intertwiner(ctx):
@@ -160,9 +158,7 @@ def representation_intertwiner(ctx):
     )
 
 
-def check_membership_evenness(ctx, sample_count=50, rng=None, tol=None):
-    tol = tol or ctx.tol
-    rng = rng if rng is not None else np.random.default_rng(0)
+def check_membership_evenness(ctx, sample_count, rng):
     H = ctx.string_cm.fiber
     G = ctx.model.grading
     res = {"algebra membership": 0.0, "evenness": 0.0}
@@ -170,44 +166,38 @@ def check_membership_evenness(ctx, sample_count=50, rng=None, tol=None):
         U = H.sample(rng).unitary
         res["algebra membership"] = max(res["algebra membership"], ctx.algebra.membership_residual(U))
         res["evenness"] = max(res["evenness"], maxabs(U @ G - G @ U))
-    return CheckReport("half-loop unitaries in U(A)", res, tol.eq_tol)
+    return CheckReport("half-loop unitaries in U(A)", res, ctx.tol.eq_tol)
 
 
-def check_t_compatibility(ctx, sample_count=100, rng=None, tol=None):
+def check_t_compatibility(ctx, sample_count, rng):
     """Conjugation by the half-loop unitary matches the restricted-path automorphism."""
-    tol = tol or ctx.tol
-    rng = rng if rng is not None else np.random.default_rng(0)
     worst = 0.0
     for _ in range(sample_count):
         ext = ctx.string_cm.fiber.sample(rng)
-        left = path_automorphism(ctx, restrict_loop(ext.loop, tol), tol)
-        right = conjugation_action(loop_unitary(ctx, ext, tol), ctx.algebra, tol)
+        left = path_automorphism(ctx, restrict_loop(ext.loop, ctx.tol))
+        right = conjugation_action(loop_unitary(ctx, ext), ctx.algebra, ctx.tol)
         worst = max(worst, left.distance(right))
-    return CheckReport("t compatibility", {"action residual": worst}, tol.eq_tol)
+    return CheckReport("t compatibility", {"action residual": worst}, ctx.tol.eq_tol)
 
 
-def check_alpha_compatibility(ctx, sample_count=100, rng=None, tol=None):
+def check_alpha_compatibility(ctx, sample_count, rng):
     """Fiber map intertwines the two actions, as elements and up to phase."""
-    tol = tol or ctx.tol
-    rng = rng if rng is not None else np.random.default_rng(0)
     base, fiber = ctx.string_cm.base, ctx.string_cm.fiber
     res = {"exact": 0.0, "projective": 0.0}
     for _ in range(sample_count):
         p = base.sample(rng)
         ext = fiber.sample(rng)
-        left = loop_unitary(ctx, ctx.string_cm.act(p, ext), tol)
-        right = path_automorphism(ctx, p, tol).apply(loop_unitary(ctx, ext, tol))
+        left = loop_unitary(ctx, ctx.string_cm.act(p, ext))
+        right = path_automorphism(ctx, p).apply(loop_unitary(ctx, ext))
         res["exact"] = max(res["exact"], maxabs(left - right))
         z = np.trace(right.conj().T @ left)
         z = z / abs(z) if abs(z) > 0 else 1.0
         res["projective"] = max(res["projective"], maxabs(left - z * right))
-    return CheckReport("action compatibility", res, tol.eq_tol)
+    return CheckReport("action compatibility", res, ctx.tol.eq_tol)
 
 
-def check_well_definedness(ctx, sample_count=50, rng=None, tol=None):
+def check_well_definedness(ctx, sample_count, rng):
     """The induced automorphism depends only on the first half of the loop."""
-    tol = tol or ctx.tol
-    rng = rng if rng is not None else np.random.default_rng(0)
     base = ctx.string_cm.base
     worst = 0.0
     for _ in range(sample_count):
@@ -216,15 +206,15 @@ def check_well_definedness(ctx, sample_count=50, rng=None, tol=None):
         q2 = base.sample(rng)
         q[-1] = p[-1]
         q2[-1] = p[-1]
-        U1 = lift(ctx.model, ctx.spin, concat_paths(p, q, tol), tol).unitary
-        U2 = lift(ctx.model, ctx.spin, concat_paths(p, q2, tol), tol).unitary
-        a1 = conjugation_action(U1, ctx.algebra, tol)
-        a2 = conjugation_action(U2, ctx.algebra, tol)
+        U1 = lift(ctx.model, ctx.spin, concat_paths(p, q, ctx.tol), ctx.tol).unitary
+        U2 = lift(ctx.model, ctx.spin, concat_paths(p, q2, ctx.tol), ctx.tol).unitary
+        a1 = conjugation_action(U1, ctx.algebra, ctx.tol)
+        a2 = conjugation_action(U2, ctx.algebra, ctx.tol)
         worst = max(worst, a1.distance(a2))
-    return CheckReport("well-definedness", {"action residual": worst}, tol.eq_tol)
+    return CheckReport("well-definedness", {"action residual": worst}, ctx.tol.eq_tol)
 
 
-def fusion_factorization(ctx, p, tol=None):
+def fusion_factorization(ctx, p):
     """Doubled loop paired with the canonical implementation of its automorphism.
 
     The unitary is the modular-canonical representative u J u J; it realizes
@@ -233,20 +223,17 @@ def fusion_factorization(ctx, p, tol=None):
     half-integer axis) rather than of the vertex-doubled loop returned in
     the loop slot; the verification layer records both residuals.
     """
-    tol = tol or ctx.tol
-    theta = path_automorphism(ctx, p, tol)
-    W = canonical_implementation(ctx.sfd, ctx.algebra, theta, tol)
-    dbl = double_path(p, tol)
+    theta = path_automorphism(ctx, p)
+    W = canonical_implementation(ctx.sfd, ctx.algebra, theta, ctx.tol)
+    dbl = double_path(p, ctx.tol)
     return ExtLoop(dbl, Implementer(W, omega_matrix(ctx.model, ctx.spin, dbl), "even", "raw"))
 
 
-def check_fusion_factorization(ctx, sample_count=20, rng=None, tol=None):
+def check_fusion_factorization(ctx, sample_count, rng):
     """Section, homomorphism and J-commutation checks, plus the two
     implementer residuals of the canonical unitary: against the
     vertex-doubled rotation (structurally order one here) and against the
     edge-doubled one (which it matches)."""
-    tol = tol or ctx.tol
-    rng = rng if rng is not None else np.random.default_rng(0)
     base = ctx.string_cm.base
     J = ctx.sfd.conjugation.linear
     res = {"loop component exact": 0.0, "homomorphism": 0.0, "J commutation": 0.0}
@@ -254,10 +241,10 @@ def check_fusion_factorization(ctx, sample_count=20, rng=None, tol=None):
     edge_residual = 0.0
     for _ in range(sample_count):
         p, q = base.sample(rng), base.sample(rng)
-        fp, fq = fusion_factorization(ctx, p, tol), fusion_factorization(ctx, q, tol)
-        fpq = fusion_factorization(ctx, base.mul(p, q), tol)
+        fp, fq = fusion_factorization(ctx, p), fusion_factorization(ctx, q)
+        fpq = fusion_factorization(ctx, base.mul(p, q))
         res["loop component exact"] = max(res["loop component exact"],
-                                          maxabs(fp.loop - double_path(p, tol)))
+                                          maxabs(fp.loop - double_path(p, ctx.tol)))
         res["homomorphism"] = max(res["homomorphism"], maxabs(fp.unitary @ fq.unitary - fpq.unitary))
         res["J commutation"] = max(res["J commutation"], maxabs(fp.unitary @ J - J @ np.conj(fp.unitary)))
         vertex_residual = max(vertex_residual,
@@ -266,11 +253,11 @@ def check_fusion_factorization(ctx, sample_count=20, rng=None, tol=None):
         g_edge = omega_matrix(ctx.model, ctx.spin, edge_double_path(p))
         edge_residual = max(edge_residual,
                             implementation_residual(ctx.model, fp.unitary, g_edge))
-    return CheckReport("fusion factorization", res, tol.eq_tol), \
+    return CheckReport("fusion factorization", res, ctx.tol.eq_tol), \
         {"vertex doubled": vertex_residual, "edge doubled": edge_residual}
 
 
-def check_f_scalar(ctx, sample_count=50, rng=None, tol=None):
+def check_f_scalar(ctx, sample_count, rng):
     """Defect between the canonical and lifted units of doubled loops.
 
     f(p) = (canonical unitary) (lift of the doubled loop)^{-1}; both gates
@@ -280,29 +267,27 @@ def check_f_scalar(ctx, sample_count=50, rng=None, tol=None):
     the canonical unitary implements the edge-reversed loop instead of the
     doubled loop itself.  The residuals returned are the measured truth.
     """
-    tol = tol or ctx.tol
-    rng = rng if rng is not None else np.random.default_rng(0)
     base = ctx.string_cm.base
     scalar_res = 0.0
     value_dev = 0.0
     homo_res = 0.0
     for _ in range(sample_count):
         p = base.sample(rng)
-        W = fusion_factorization(ctx, p, tol).unitary
-        V = lift(ctx.model, ctx.spin, double_path(p, tol), tol).unitary
+        W = fusion_factorization(ctx, p).unitary
+        V = lift(ctx.model, ctx.spin, double_path(p, ctx.tol), ctx.tol).unitary
         defect, lam = scalar_defect(W @ V.conj().T)
         scalar_res = max(scalar_res, defect)
         value_dev = max(value_dev, abs(lam / max(abs(lam), 1e-300) - 1.0))
         q = base.sample(rng)
-        Wq = fusion_factorization(ctx, q, tol).unitary
-        Vq = lift(ctx.model, ctx.spin, double_path(q, tol), tol).unitary
-        Wpq = fusion_factorization(ctx, base.mul(p, q), tol).unitary
-        Vpq = lift(ctx.model, ctx.spin, double_path(base.mul(p, q), tol), tol).unitary
+        Wq = fusion_factorization(ctx, q).unitary
+        Vq = lift(ctx.model, ctx.spin, double_path(q, ctx.tol), ctx.tol).unitary
+        Wpq = fusion_factorization(ctx, base.mul(p, q)).unitary
+        Vpq = lift(ctx.model, ctx.spin, double_path(base.mul(p, q), ctx.tol), ctx.tol).unitary
         _, fp = scalar_defect(W @ V.conj().T)
         _, fq = scalar_defect(Wq @ Vq.conj().T)
         _, fpq = scalar_defect(Wpq @ Vpq.conj().T)
         homo_res = max(homo_res, abs(fpq - fp * fq))
-    return CheckReport("unit comparison f", {"scalar defect": scalar_res}, tol.eq_tol), \
+    return CheckReport("unit comparison f", {"scalar defect": scalar_res}, ctx.tol.eq_tol), \
         {"scalar minus one": value_dev, "homomorphism defect": homo_res}
 
 
@@ -374,28 +359,27 @@ def pair_two_group(ctx):
     )
 
 
-def unit_sign_cocycle(ctx, sample_count=20, rng=None, tol=None):
+def unit_sign_cocycle(ctx, sample_count, rng):
     """Cocycle data of the vacuum-normalized lift over doubled loops.
 
-    The vacuum-normalized lifts of doubled loops multiply up to a scalar
-    that is measured here to be a sign: +1 off the branch strata of the
-    vacuum overlap and -1 across them.  The commutator pairing of the
-    restricted extension is trivial, so the signs are a normalization
-    artifact rather than an obstruction class: the pointwise unitary of a
-    doubled loop has a real vacuum overlap, and the lift is that unitary
-    times the sign of the overlap.  These are the signs measured here; the
-    pair 2-group's unit uses the pointwise unitary and carries none of them.
+    The lift is by construction the pointwise unitary of the loop times the
+    phase of its vacuum overlap.  For loops that overlap is real, so the
+    lifts of doubled loops multiply up to a sign: +1 off the branch strata
+    of the vacuum overlap and -1 across them.  The signs are a
+    normalization artifact rather than an obstruction class, since the
+    pointwise unitaries multiply exactly; the same reason makes the
+    commutator pairing of lifted half loops a sign.  These are the signs
+    measured here; the pair 2-group's unit uses the pointwise unitary and
+    carries none of them.
     """
-    tol = tol or ctx.tol
-    rng = rng if rng is not None else np.random.default_rng(0)
     base = ctx.string_cm.base
     dist_signs = 0.0
     negatives = 0
     for _ in range(sample_count):
         p, q = base.sample(rng), base.sample(rng)
-        Up = lift(ctx.model, ctx.spin, double_path(p, tol), tol).unitary
-        Uq = lift(ctx.model, ctx.spin, double_path(q, tol), tol).unitary
-        Upq = lift(ctx.model, ctx.spin, double_path(base.mul(p, q), tol), tol).unitary
+        Up = lift(ctx.model, ctx.spin, double_path(p, ctx.tol), ctx.tol).unitary
+        Uq = lift(ctx.model, ctx.spin, double_path(q, ctx.tol), ctx.tol).unitary
+        Upq = lift(ctx.model, ctx.spin, double_path(base.mul(p, q), ctx.tol), ctx.tol).unitary
         defect, lam = scalar_defect(Up @ Uq @ Upq.conj().T)
         dist_signs = max(dist_signs, defect, min(abs(lam - 1.0), abs(lam + 1.0)))
         if abs(lam + 1.0) < 0.5:
@@ -450,7 +434,7 @@ def normalizer_two_group(ctx):
     )
 
 
-def check_two_group_compatibility(ctx, sample_count=50, rng=None, tol=None):
+def check_two_group_compatibility(ctx, sample_count, rng):
     """Source/target compatibility of the morphism-level representation.
 
     Targets must agree always.  Sources are compared on interior pairs
@@ -458,35 +442,33 @@ def check_two_group_compatibility(ctx, sample_count=50, rng=None, tol=None):
     out; the residual against the edge-reversed source is returned
     alongside, which is the identity this lattice actually satisfies.
     """
-    tol = tol or ctx.tol
-    rng = rng if rng is not None else np.random.default_rng(0)
     pairs = PairLiftGroup(ctx)
     res_target = 0.0
     res_source_interior = 0.0
     res_source_shifted = 0.0
     for _ in range(sample_count):
         p, q, U = pairs.sample(rng)
-        t_rep = conjugation_action(U, ctx.algebra, tol)
-        res_target = max(res_target, t_rep.distance(path_automorphism(ctx, p, tol)))
+        t_rep = conjugation_action(U, ctx.algebra, ctx.tol)
+        res_target = max(res_target, t_rep.distance(path_automorphism(ctx, p)))
 
         pi_, qi_, Ui = pairs.sample_interior(rng)
-        s_rep = reflected_action(Ui, ctx.algebra, ctx.sfd, tol)
+        s_rep = reflected_action(Ui, ctx.algebra, ctx.sfd, ctx.tol)
         res_source_interior = max(res_source_interior,
-                                  s_rep.distance(path_automorphism(ctx, qi_, tol)))
+                                  s_rep.distance(path_automorphism(ctx, qi_)))
         # identity satisfied exactly: source equals conjugation by a lift of
         # the edge-reversed concatenated loop
-        loop = concat_paths(pi_, qi_, tol)
+        loop = concat_paths(pi_, qi_, ctx.tol)
         shifted = reversed_loop(loop, shift=1)
-        Vs = lift(ctx.model, ctx.spin, shifted, tol)
-        s_exact = conjugation_action(Vs.unitary, ctx.algebra, tol)
+        Vs = lift(ctx.model, ctx.spin, shifted, ctx.tol)
+        s_exact = conjugation_action(Vs.unitary, ctx.algebra, ctx.tol)
         res_source_shifted = max(res_source_shifted, s_rep.distance(s_exact))
     gated = CheckReport("2-group source/target compatibility",
                         {"target": res_target, "source (interior class)": res_source_interior},
-                        tol.eq_tol)
+                        ctx.tol.eq_tol)
     return gated, {"source vs edge-reversed loop": res_source_shifted}
 
 
-def modular_vs_reflection(ctx, sample_count=10, rng=None, tol=None):
+def modular_vs_reflection(ctx, sample_count, rng):
     """What rotation does J U J implement?
 
     For implementers U of sampled rotations g, the conjugate J U J is
@@ -496,8 +478,6 @@ def modular_vs_reflection(ctx, sample_count=10, rng=None, tol=None):
     against the edge reflection prediction, which this lattice satisfies
     identically.
     """
-    tol = tol or ctx.tol
-    rng = rng if rng is not None else np.random.default_rng(0)
     model, spin = ctx.model, ctx.spin
     tau_v = vertex_reflection(model)
     tau_e = edge_reflection(model)
@@ -509,7 +489,7 @@ def modular_vs_reflection(ctx, sample_count=10, rng=None, tol=None):
     for _ in range(sample_count):
         loop = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
         g = omega_matrix(model, spin, loop)
-        U = lift(model, spin, loop, tol).unitary
+        U = lift(model, spin, loop, ctx.tol).unitary
         W = ctx.sfd.reflect(U)
         conj = W @ model.generators @ W.conj().T
         coeff = -np.einsum("kab,iba->ki", model.generators, conj) / N
@@ -524,11 +504,9 @@ def modular_vs_reflection(ctx, sample_count=10, rng=None, tol=None):
     return out
 
 
-def check_pi_levels(ctx, sample_count=20, rng=None, tol=None):
+def check_pi_levels(ctx, sample_count, rng):
     """Central fiber elements map to their phase; endpoint-equal paths give
     automorphisms differing by conjugation inside the algebra."""
-    tol = tol or ctx.tol
-    rng = rng if rng is not None else np.random.default_rng(0)
     fiber = ctx.string_cm.fiber
     base = ctx.string_cm.base
     res = {"central identity": 0.0, "centrality": 0.0, "endpoint inner difference": 0.0}
@@ -537,47 +515,46 @@ def check_pi_levels(ctx, sample_count=20, rng=None, tol=None):
         z = np.exp(2j * np.pi * rng.random())
         central = fiber.central(z)
         res["central identity"] = max(res["central identity"],
-                                      maxabs(loop_unitary(ctx, central, tol) - z * np.eye(N)))
+                                      maxabs(loop_unitary(ctx, central) - z * np.eye(N)))
         p = base.sample(rng)
         res["centrality"] = max(res["centrality"], fiber.dist(ctx.string_cm.act(p, central), central))
 
         q = base.sample(rng)
         q[-1] = p[-1]
         h = base.mul(base.inv(p), q)      # based, endpoint identity
-        u = lift(ctx.model, ctx.spin, concat_paths(h, base.identity(), tol), tol).unitary
+        u = lift(ctx.model, ctx.spin, concat_paths(h, base.identity(), ctx.tol), ctx.tol).unitary
         member = ctx.algebra.membership_residual(u)
-        diff = path_automorphism(ctx, p, tol).inverse().compose(path_automorphism(ctx, q, tol))
-        inner = conjugation_action(u, ctx.algebra, tol)
+        diff = path_automorphism(ctx, p).inverse().compose(path_automorphism(ctx, q))
+        inner = conjugation_action(u, ctx.algebra, ctx.tol)
         res["endpoint inner difference"] = max(res["endpoint inner difference"],
                                                max(member, diff.distance(inner)))
-    return CheckReport("pi-level structure", res, tol.eq_tol)
+    return CheckReport("pi-level structure", res, ctx.tol.eq_tol)
 
 
-def irreducibility_dimension(model, rng=None, tol=DEFAULT_TOL):
+def irreducibility_dimension(model, rng, tol=DEFAULT_TOL):
     """Dimension of the commutant of all generators (1 = irreducible)."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     basis = averaged_intertwiners(model.generators, model.generators, LINE_PROBES, rng, tol)
     return basis.shape[0]
 
 
-def check_twisted_duality(ctx, tol=None):
+def check_twisted_duality(ctx):
     """The two half algebras are each other's super commutants."""
-    tol = tol or ctx.tol
     model = ctx.model
     second = half_space(model, "second")
     mon_perp = clifford_monomials(model, second)
     alg_perp_direct = algebra_from_span(
-        mon_perp, generators=model.generators[generator_indices(model, second)], tol=tol)
-    sc_of_perp = super_commutant(alg_perp_direct, model.grading, tol)
+        mon_perp, generators=model.generators[generator_indices(model, second)], tol=ctx.tol)
+    sc_of_perp = super_commutant(alg_perp_direct, model.grading, ctx.tol)
     res = {
-        "super commutant of A equals A_perp": 0.0 if _same_span(ctx.algebra_perp, alg_perp_direct, tol) else 1.0,
-        "super commutant of A_perp equals A": 0.0 if _same_span(sc_of_perp, ctx.algebra, tol) else 1.0,
+        "super commutant of A equals A_perp":
+            0.0 if _same_span(ctx.algebra_perp, alg_perp_direct, ctx.tol) else 1.0,
+        "super commutant of A_perp equals A": 0.0 if _same_span(sc_of_perp, ctx.algebra, ctx.tol) else 1.0,
     }
     res["span residual A_perp"] = max(span_residual(ctx.algebra_perp.basis, alg_perp_direct.basis),
                                       span_residual(alg_perp_direct.basis, ctx.algebra_perp.basis))
     res["span residual A"] = max(span_residual(sc_of_perp.basis, ctx.algebra.basis),
                                  span_residual(ctx.algebra.basis, sc_of_perp.basis))
-    return CheckReport("twisted duality", res, tol.eq_tol)
+    return CheckReport("twisted duality", res, ctx.tol.eq_tol)
 
 
 def _same_span(a, b, tol):

@@ -16,7 +16,7 @@ from . import clifford as cliff
 from . import loops as lp
 from . import rep
 from . import twogroup as tg
-from .linalg import TolerancePolicy, maxabs, scalar_defect, span_residual
+from .linalg import TolerancePolicy, averaged_intertwiners, maxabs, scalar_defect, span_residual
 from .report import CheckRecord, emit_report, summarize
 
 EXPLORATORY = float("inf")
@@ -111,11 +111,15 @@ def bogoliubov_checks(env):
     D = model.dim_h
 
     rng = env.rng("implementer construction")
+    probe_rng = env.rng("implementer uniqueness")
     dim_defect = 0.0
     relation = 0.0
     agreement = 0.0
     for _ in range(50):
         g = bog.random_special_orthogonal(D, rng)
+        line = averaged_intertwiners(cliff.pi_columns(model, g), model.generators,
+                                     bog.LINE_PROBES, probe_rng, tol)
+        dim_defect = max(dim_defect, abs(line.shape[0] - 1))
         oracle = bog.implement_oracle(model, g, tol, rng)
         relation = max(relation, bog.implementation_residual(model, oracle.unitary, g))
         pin = bog.implement_pin(model, g, tol)
@@ -239,7 +243,7 @@ def tomita_checks(env):
     out.append(_record(env, "tomita", "conjugation onto commutant", "J maps the algebra onto its commutant",
                        res, 1e-9, 1))
 
-    report = rep.check_twisted_duality(ctx, tol)
+    report = rep.check_twisted_duality(ctx)
     out.append(_from_report(env, "tomita", "twisted duality", "half algebras are mutual super commutants",
                             report, cfg.gate))
 
@@ -527,14 +531,14 @@ def rep_checks(env):
     out = []
 
     out.append(_from_report(env, "rep", "fiber lands in the algebra", "even unitaries inside the span",
-                            rep.check_membership_evenness(ctx, 50, env.rng("fiber membership"), tol), cfg.gate))
+                            rep.check_membership_evenness(ctx, 50, env.rng("fiber membership")), cfg.gate))
     out.append(_from_report(env, "rep", "t compatibility", "restriction matches conjugation",
-                            rep.check_t_compatibility(ctx, 100, env.rng("t compatibility"), tol), cfg.gate))
+                            rep.check_t_compatibility(ctx, 100, env.rng("t compatibility")), cfg.gate))
     out.append(_from_report(env, "rep", "action compatibility", "doubling action matches evaluation",
-                            rep.check_alpha_compatibility(ctx, 100, env.rng("action compatibility"), tol),
+                            rep.check_alpha_compatibility(ctx, 100, env.rng("action compatibility")),
                             cfg.gate))
     out.append(_from_report(env, "rep", "well definedness", "only the first half matters",
-                            rep.check_well_definedness(ctx, 50, env.rng("well definedness"), tol), cfg.gate))
+                            rep.check_well_definedness(ctx, 50, env.rng("well definedness")), cfg.gate))
 
     R = rep.representation_intertwiner(ctx)
     report = tg.check_intertwiner(R, ctx.string_cm, ctx.unitary_cm, 50,
@@ -542,7 +546,7 @@ def rep_checks(env):
     out.append(_from_report(env, "rep", "strict intertwiner", "both compatibilities and both homomorphisms",
                             report, cfg.gate))
 
-    ff_report, ff_impl = rep.check_fusion_factorization(ctx, 12, env.rng("fusion factorization"), tol)
+    ff_report, ff_impl = rep.check_fusion_factorization(ctx, 12, env.rng("fusion factorization"))
     out.append(_from_report(env, "rep", "fusion factorization", "section, homomorphism, J commutation",
                             ff_report, cfg.gate))
     out.append(_record(env, "rep", "fusion factorization implements",
@@ -552,7 +556,7 @@ def rep_checks(env):
                        "canonical unitary implements the edge-doubled rotation (reported)",
                        ff_impl["edge doubled"], EXPLORATORY, 12))
 
-    f_report, f_extra = rep.check_f_scalar(ctx, 20, env.rng("unit comparison"), tol)
+    f_report, f_extra = rep.check_f_scalar(ctx, 20, env.rng("unit comparison"))
     out.append(_from_report(env, "rep", "unit comparison scalar", "canonical and lifted units differ by a phase",
                             f_report, cfg.gate))
     out.append(_record(env, "rep", "unit comparison value", "observed deviation of the phase from one (reported)",
@@ -566,7 +570,7 @@ def rep_checks(env):
                        pair_report.max_residual, cfg.gate, 12))
     out.append(_record(env, "rep", "pair 2-group unit multiplicativity",
                        "pointwise unit section is a homomorphism", unit_res, cfg.gate, 12))
-    sign_report = rep.unit_sign_cocycle(ctx, 20, env.rng("unit sign cocycle"), tol)
+    sign_report = rep.unit_sign_cocycle(ctx, 20, env.rng("unit sign cocycle"))
     out.append(_record(env, "rep", "unit section sign cocycle",
                        "worst distance of the lift cocycle from +-1 (reported)",
                        sign_report["distance from signs"], EXPLORATORY, 20))
@@ -577,7 +581,7 @@ def rep_checks(env):
     out.append(_record(env, "rep", "normalizer 2-group minimal data", "sections and commuting kernels",
                        res, cfg.gate, 8))
 
-    gated, extra = rep.check_two_group_compatibility(ctx, 25, env.rng("2-group compatibility"), tol)
+    gated, extra = rep.check_two_group_compatibility(ctx, 25, env.rng("2-group compatibility"))
     out.append(_record(env, "rep", "2-group target compatibility", "targets intertwine",
                        gated.residuals["target"], cfg.gate, 25))
     out.append(_record(env, "rep", "2-group source compatibility", "sources intertwine on interior loops",
@@ -585,7 +589,7 @@ def rep_checks(env):
     out.append(_record(env, "rep", "2-group source shifted", "source equals the edge-reversed conjugation (reported)",
                        extra["source vs edge-reversed loop"], EXPLORATORY, 25))
 
-    mod = rep.modular_vs_reflection(ctx, 8, env.rng("modular reflection"), tol)
+    mod = rep.modular_vs_reflection(ctx, 8, env.rng("modular reflection"))
     out.append(_record(env, "rep", "mirror is a rotation", "J conjugation stays Bogoliubov (reported)",
                        mod["bogoliubov defect"], EXPLORATORY, 8))
     out.append(_record(env, "rep", "mirror vs vertex reflection", "moved-coordinate defect (reported)",
@@ -595,7 +599,7 @@ def rep_checks(env):
     out.append(_record(env, "rep", "mirror vs edge reflection", "edge-reversal defect (reported)",
                        mod["edge"], EXPLORATORY, 8))
 
-    pi_report = rep.check_pi_levels(ctx, 20, env.rng("pi levels"), tol)
+    pi_report = rep.check_pi_levels(ctx, 20, env.rng("pi levels"))
     out.append(_record(env, "rep", "central fiber identity", "phases map to phases",
                        pi_report.residuals["central identity"], 1e-10, 20))
     out.append(_record(env, "rep", "centrality", "phases are fixed by the action",

@@ -13,7 +13,6 @@ lattice does satisfy are asserted alongside at 1e-9.
 """
 
 import numpy as np
-import pytest
 
 from loopfock import algebra as am
 from loopfock import bogoliubov as bog
@@ -21,7 +20,7 @@ from loopfock import loops as lp
 from loopfock import rep
 from loopfock import twogroup as tg
 from loopfock.clifford import build_clifford_model
-from loopfock.linalg import maxabs, scalar_defect, span_residual
+from loopfock.linalg import maxabs, span_residual
 from loopfock.report import RunConfig, emit_report, strip_timing
 from loopfock.suites import Environment, run_suites
 
@@ -162,13 +161,13 @@ def test_c07_representation_compatibilities():
         env = env_for(n, d)
         ctx = env.ctx
         worst_t = max(worst_t, rep.check_t_compatibility(
-            ctx, 100, env.rng("acceptance t"), env.tol).max_residual)
+            ctx, 100, env.rng("acceptance t")).max_residual)
         worst_alpha = max(worst_alpha, rep.check_alpha_compatibility(
-            ctx, 100, env.rng("acceptance alpha"), env.tol).max_residual)
+            ctx, 100, env.rng("acceptance alpha")).max_residual)
         worst_member = max(worst_member, rep.check_membership_evenness(
-            ctx, 50, env.rng("acceptance membership"), env.tol).max_residual)
+            ctx, 50, env.rng("acceptance membership")).max_residual)
         worst_well = max(worst_well, rep.check_well_definedness(
-            ctx, 50, env.rng("acceptance well"), env.tol).max_residual)
+            ctx, 50, env.rng("acceptance well")).max_residual)
     ok = report_line(7, "t compatibility over 100 samples", worst_t, 1e-8)
     ok &= report_line(7, "action compatibility over 100 samples", worst_alpha, 1e-8)
     ok &= report_line(7, "fiber membership and evenness", worst_member, 1e-8)
@@ -198,9 +197,9 @@ def test_c08_two_group_layer_structure():
         worst_sections = max(worst_sections, max(sections.values()))
         worst_norm = max(worst_norm, tg.check_minimal_data(
             rep.normalizer_two_group(ctx), 6, env.rng("acceptance norm data"), env.tol).max_residual)
-        ff_report, _ = rep.check_fusion_factorization(ctx, 10, env.rng("acceptance ff"), env.tol)
+        ff_report, _ = rep.check_fusion_factorization(ctx, 10, env.rng("acceptance ff"))
         worst_ff = max(worst_ff, ff_report.residuals["homomorphism"])
-        gated, _ = rep.check_two_group_compatibility(ctx, 15, env.rng("acceptance compat"), env.tol)
+        gated, _ = rep.check_two_group_compatibility(ctx, 15, env.rng("acceptance compat"))
         worst_target = max(worst_target, gated.residuals["target"])
     ok = report_line(8, "functor round trip", worst_round, 1e-10)
     ok &= report_line(8, "path-pair 2-group sections and kernels", worst_sections, 1e-8)
@@ -227,7 +226,7 @@ def test_c08_unit_section_multiplicativity():
         pair_report = tg.check_minimal_data(rep.pair_two_group(ctx), 10,
                                             env.rng("acceptance pair data"), env.tol)
         worst_unit = max(worst_unit, pair_report.residuals["i homomorphism"])
-        sign = rep.unit_sign_cocycle(ctx, 15, env.rng("acceptance signs"), env.tol)
+        sign = rep.unit_sign_cocycle(ctx, 15, env.rng("acceptance signs"))
         worst_sign = max(worst_sign, sign["distance from signs"])
     assert worst_sign <= 1e-9, "unit cocycle stopped being a sign"
     ok = report_line(8, "path-pair unit section is a homomorphism", worst_unit, 1e-8)
@@ -252,10 +251,10 @@ def test_c08_unit_comparison_scalar():
     for n, d in CONFIGS:
         env = env_for(n, d)
         ctx = env.ctx
-        f_report, extra = rep.check_f_scalar(ctx, 15, env.rng("acceptance f"), env.tol)
+        f_report, extra = rep.check_f_scalar(ctx, 15, env.rng("acceptance f"))
         worst_scalar = max(worst_scalar, f_report.residuals["scalar defect"])
         deviations.append(extra["scalar minus one"])
-        _, impl = rep.check_fusion_factorization(ctx, 6, env.rng("acceptance f edge"), env.tol)
+        _, impl = rep.check_fusion_factorization(ctx, 6, env.rng("acceptance f edge"))
         worst_edge = max(worst_edge, impl["edge doubled"])
     assert worst_edge <= 1e-9, "canonical unit stopped implementing the edge-doubled loop"
     print(f"[info] criterion 8: observed phase deviations from one per configuration: "
@@ -281,7 +280,7 @@ def test_c08_source_compatibility():
     for n, d in CONFIGS:
         env = env_for(n, d)
         gated, extra = rep.check_two_group_compatibility(env.ctx, 15,
-                                                         env.rng("acceptance source"), env.tol)
+                                                         env.rng("acceptance source"))
         worst_source = max(worst_source, gated.residuals["source (interior class)"])
         worst_shifted = max(worst_shifted, extra["source vs edge-reversed loop"])
     assert worst_shifted <= 1e-9, "edge-reversed source identity stopped holding"
@@ -306,7 +305,7 @@ def test_c09_pi_level_structure():
             z = np.exp(2j * np.pi * rng.random())
             central = fiber.central(z)
             worst_identity = max(worst_identity, maxabs(
-                rep.loop_unitary(ctx, central, env.tol) - z * np.eye(env.model.fock_dim)))
+                rep.loop_unitary(ctx, central) - z * np.eye(env.model.fock_dim)))
             p = ctx.string_cm.base.sample(rng)
             worst_central = max(worst_central, fiber.dist(ctx.string_cm.act(p, central), central))
     ok = report_line(9, "phase subgroup is the full kernel", worst_kernel, 1e-12)
@@ -339,11 +338,11 @@ def test_exploratory_observations():
         print(f"    n={n}: fock {cmp['fock']:+.6f}, forward {cmp['discrete']:+.6f}, "
               f"centered {cmp['centered']:+.6f}, difference {abs(cmp['difference']):.3e}")
     env = env_for(2, 2)
-    out = rep.modular_vs_reflection(env.ctx, 6, env.rng("exploratory mirror"), env.tol)
+    out = rep.modular_vs_reflection(env.ctx, 6, env.rng("exploratory mirror"))
     print(f"[info] exploratory: mirror conjugation at (2,2): stays a rotation to "
           f"{out['bogoliubov defect']:.2e}; vertex-reflection defect on moved coordinates "
           f"{out['vertex moved']:.3e}, on fixed coordinates {out['vertex fixed']:.3e}; "
           f"edge-reflection defect {out['edge']:.2e}")
-    sign = rep.unit_sign_cocycle(env.ctx, 20, env.rng("exploratory signs"), env.tol)
+    sign = rep.unit_sign_cocycle(env.ctx, 20, env.rng("exploratory signs"))
     print(f"[info] exploratory: unit cocycle sign structure at (2,2): distance from signs "
           f"{sign['distance from signs']:.2e}, negative-branch fraction {sign['negative fraction']:.2f}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loopfock import suites
 from loopfock.bogoliubov import (derived_implementer, extension_cocycle,
                                  givens_factorization, implement_oracle,
                                  implement_oracle_kernel, implement_pin,
@@ -10,6 +11,7 @@ from loopfock.bogoliubov import (derived_implementer, extension_cocycle,
 from loopfock.clifford import build_clifford_model
 from loopfock.errors import NotOrthogonal, NotSpecialOrthogonal
 from loopfock.linalg import maxabs, scalar_defect
+from loopfock.report import RunConfig
 
 rng = np.random.default_rng(23)
 
@@ -70,6 +72,21 @@ class TestOracle:
     def test_rejects_non_orthogonal(self, model12):
         with pytest.raises(NotOrthogonal):
             implement_oracle(model12, np.diag([2.0, 1.0, 1.0, 1.0]), rng=rng)
+
+    @pytest.mark.parametrize("extra_dim, passed", [(0, True), (1, False)])
+    def test_uniqueness_record_measures_the_intertwiner_dimension(self, monkeypatch,
+                                                                  extra_dim, passed):
+        averaged = suites.averaged_intertwiners
+
+        def widened(*args):
+            line = averaged(*args)
+            return np.concatenate([line] * (1 + extra_dim))
+
+        monkeypatch.setattr(suites, "averaged_intertwiners", widened)
+        records = suites.bogoliubov_checks(suites.Environment(RunConfig(n=1, d=2, seed=5)))
+        record = next(r for r in records if r.name == "implementer uniqueness")
+        assert record.residual == extra_dim
+        assert record.passed is passed
 
 
 class TestPin:

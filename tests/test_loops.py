@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loopfock.bogoliubov import implementation_residual, normalize_phase
+from loopfock.bogoliubov import implement_pin, implementation_residual, normalize_phase
 from loopfock.clifford import build_clifford_model
-from loopfock.errors import EndpointMismatch
+from loopfock.errors import EndpointMismatch, NotOrthogonal, NotSpecialOrthogonal
 from loopfock.linalg import maxabs, scalar_defect
 from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
                             disjoint_support_pair, discrete_loop_cocycle,
                             discrete_loop_cocycle_centered, double_path,
                             edge_reflection, gamma_matrices, is_half_supported,
-                            lift, loop_cocycle_compare, loop_identity,
-                            omega_matrix, random_loop_algebra,
+                            lift, loop_cocycle_compare, loop_from_bivectors,
+                            loop_identity, omega_matrix, random_loop_algebra,
                             reflect_orthogonal, restrict_loop, reversed_loop,
                             spin_exp, string_crossed_module, vertex_reflection)
 from loopfock.twogroup import check_crossed_module
@@ -152,12 +154,88 @@ class TestLifts:
         assert defect < 1e-12
         assert abs(abs(lam) - 1.0) < 1e-12
 
+    def test_rejects_values_outside_the_spin_group(self, model22):
+        spin = SpinGroup(2)
+        with pytest.raises(NotOrthogonal):
+            lift(model22, spin, 2.0 * loop_identity(2, spin))
+        odd = loop_identity(2, spin)
+        odd[1] = spin.gammas[0]
+        with pytest.raises(NotSpecialOrthogonal):
+            lift(model22, spin, odd)
+
     def test_cache_hits(self, model22):
         spin = SpinGroup(2)
         loop = np.stack([spin.sample(rng) for _ in range(4)])
         first = lift(model22, spin, loop)
         again = lift(model22, spin, np.array(loop))
         assert first is again
+
+
+def givens_lift(model, spin, loop):
+    """The lift's reference: the vacuum-normalised Givens implementer of omega(loop)."""
+    return normalize_phase(implement_pin(model, omega_matrix(model, spin, loop)), "vacuum")
+
+
+class TestSingleRoute:
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2), (2, 4)])
+    def test_lift_equals_the_givens_route(self, n, d):
+        model, spin = build_clifford_model(n, d), SpinGroup(d)
+        local = np.random.default_rng(100 * n + d)
+        for _ in range(3):
+            loop = np.stack([spin.sample(local) for _ in range(2 * n)])
+            assert maxabs(lift(model, spin, loop).unitary
+                          - givens_lift(model, spin, loop).unitary) <= 1e-12
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (2, 4)])
+    def test_commutator_pairing_is_a_sign(self, n, d):
+        model, spin = build_clifford_model(n, d), SpinGroup(d)
+        local = np.random.default_rng(7 * d)
+
+        def half_loop():
+            return np.stack([spin.sample(local) if 0 < j < n else spin.identity()
+                             for j in range(2 * n)])
+
+        def inv(loop):
+            return np.conj(np.transpose(loop, (0, 2, 1)))
+
+        for _ in range(3):
+            a, b = half_loop(), half_loop()
+            Ua, Ub = lift(model, spin, a).unitary, lift(model, spin, b).unitary
+            Uc = lift(model, spin, a @ b @ inv(a) @ inv(b)).unitary
+            defect, lam = scalar_defect(Ua @ Ub @ Ua.conj().T @ Ub.conj().T @ Uc.conj().T)
+            assert defect <= 1e-9
+            assert min(abs(lam - 1.0), abs(lam + 1.0)) <= 1e-9
+
+
+coordinate_lists = {
+    (n, d): st.lists(st.lists(st.floats(-20.0, 20.0), min_size=d * (d - 1) // 2,
+                              max_size=d * (d - 1) // 2), min_size=2 * n, max_size=2 * n)
+    for n, d in [(1, 2), (2, 2)]
+}
+models = {}
+
+
+@pytest.mark.parametrize("n, d", sorted(coordinate_lists))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lift_property_single_route_and_cache(n, d, data):
+    """Over arbitrary bivector coordinates the lift is the Givens route, and
+    the cache hands each loop its own entry."""
+    if (n, d) not in models:
+        models[n, d] = build_clifford_model(n, d), SpinGroup(d)
+    model, spin = models[n, d]
+    first, second = (loop_from_bivectors(spin, data.draw(coordinate_lists[n, d]))
+                     for _ in range(2))
+    ext = lift(model, spin, first)
+    ref = givens_lift(model, spin, first)
+    assert ext.implementer.normalization == ref.normalization
+    assert maxabs(ext.unitary - ref.unitary) <= 1e-12
+    other = lift(model, spin, second)
+    again = lift(model, spin, np.array(first))
+    assert again is ext
+    assert maxabs(ext.loop - first) == 0.0 and maxabs(other.loop - second) == 0.0
+    if maxabs(first - second) > 0.0:
+        assert other is not ext
 
 
 class TestStringCrossedModule:

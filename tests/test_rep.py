@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from loopfock.algebra import conjugation_action, inner_automorphism_from_unitary
-from loopfock.bogoliubov import Implementer, implementation_residual
+from loopfock.algebra import conjugation_action
+from loopfock.bogoliubov import implementation_residual
 from loopfock.clifford import build_clifford_model, clifford_monomials, half_space
 from loopfock.errors import EndpointMismatch, NotInA
-from loopfock.linalg import TolerancePolicy, maxabs, scalar_defect, span_residual
-from loopfock.loops import (ExtLoop, concat_paths, double_path, lift,
-                            loop_identity, omega_matrix, reversed_loop)
+from loopfock.linalg import TolerancePolicy, maxabs, span_residual
+from loopfock.loops import (concat_paths, double_path, lift, loop_identity,
+                            omega_matrix)
 from loopfock.rep import (build_context, check_alpha_compatibility,
                           check_f_scalar, check_fusion_factorization,
                           check_membership_evenness, check_pi_levels,

@@ -182,6 +182,12 @@ class TestCli:
         assert "not finite" in err
         assert "det(g)" not in err
 
+    @pytest.mark.parametrize("bad", ["[1, 0]", "[[{}], [0]]"])
+    def test_loop_rejects_malformed_coordinates(self, bad, capsys):
+        code = main(["--points", "2", "--dim", "2", "--loop", bad])
+        assert code == 2
+        assert "must be a list of real numbers" in capsys.readouterr().err
+
     def test_dump(self, tmp_path):
         dump = tmp_path / "mats.txt"
         code = main(["--points", "2", "--dim", "2", "--suite", "two-group",
