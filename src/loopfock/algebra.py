@@ -66,34 +66,36 @@ def algebra_from_span(stack, generators=None, tol=DEFAULT_TOL):
     return OperatorAlgebra(basis, gens)
 
 
-def product_closure_residual(alg, tol=DEFAULT_TOL, pairs=None, rng=None):
-    """Residual of basis products against the span; all pairs unless sampled."""
-    k = alg.dim
-    if pairs is None:
-        prods = np.einsum("aij,bjk->abik", alg.basis, alg.basis).reshape(k * k, alg.space_dim, alg.space_dim)
-    else:
-        idx = rng.integers(0, k, size=(pairs, 2))
-        prods = np.stack([alg.basis[i] @ alg.basis[j] for i, j in idx])
-    return span_residual(prods, alg.basis)
+def product_closure_residual(alg):
+    """Residual of all basis products against the span."""
+    return max(span_residual(a @ alg.basis, alg.basis) for a in alg.basis)
 
 
 def generated_star_algebra(gens, tol=DEFAULT_TOL):
     """Smallest unital star-closed span containing the generators.
 
-    Grows the span by right multiplication with generators and their adjoints
-    until the dimension stabilizes; at finite dimension this is the same
-    algebra as the one obtained from weak closure.
+    Grows the span by right multiplication with M, an orthonormal basis of
+    the span of the generators and their adjoints, until the dimension
+    stabilizes; at finite dimension this is the same algebra as the one
+    obtained from weak closure.  Only the frontier F, the rows the last round
+    added, is multiplied: the span V after a round is V' + F with V' M
+    already inside V, so V M lies in V + F M.  The products are projected off
+    the current basis, only the remainder is orthonormalized, and growth stops
+    when the remainder has rank zero.
     """
     gens = np.asarray(gens, dtype=complex)
     N = gens.shape[1]
-    multipliers = np.concatenate([gens, np.conj(np.transpose(gens, (0, 2, 1)))])
+    multipliers = orthonormal_rows(np.concatenate([gens, np.conj(np.transpose(gens, (0, 2, 1)))]), tol)
     basis = orthonormal_rows(np.concatenate([np.eye(N, dtype=complex)[None], multipliers]), tol)
+    frontier = basis
     for _ in range(64):
-        grown = np.einsum("aij,bjk->abik", basis, multipliers).reshape(-1, N, N)
-        new_basis = orthonormal_rows(np.concatenate([basis, grown]), tol)
-        if new_basis.shape[0] == basis.shape[0]:
-            return OperatorAlgebra(new_basis, gens)
-        basis = new_basis
+        grown = (frontier[:, None] @ multipliers[None]).reshape(-1, N * N)
+        flat = basis.reshape(-1, N * N)
+        remainder = grown - (grown @ flat.conj().T) @ flat
+        frontier = orthonormal_rows(remainder, tol).reshape(-1, N, N)
+        if frontier.shape[0] == 0:
+            return OperatorAlgebra(basis, gens)
+        basis = np.concatenate([basis, frontier])
     raise ArithmeticError("span growth failed to stabilize")
 
 
@@ -252,7 +254,6 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
     Ms = star_frame @ np.linalg.inv(np.conj(frame))
     S = AntilinearOperator(Ms)
     J, delta = antilinear_polar(S, tol)
-    N = alg.space_dim
     checks = {
         "S omega": maxabs(S(omega) - omega),
         "J omega": maxabs(J(omega) - omega),

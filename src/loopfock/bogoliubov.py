@@ -14,7 +14,7 @@ import numpy as np
 
 from .clifford import pi_columns
 from .errors import (ContractViolation, NonScalarDefect, NonUniqueImplementer,
-                     NotOrthogonal, NotSpecialOrthogonal)
+                     NotOrthogonal, NotSpecialOrthogonal, SingularInput)
 from .linalg import (DEFAULT_TOL, averaged_intertwiners, joint_kernel, maxabs,
                      polar_unitary, scalar_defect)
 
@@ -169,8 +169,10 @@ def normalize_phase(imp, mode="vacuum", tol=DEFAULT_TOL):
         pivot = None
     if pivot is None:
         flat = U.ravel()
-        k = int(np.argmax(np.abs(flat) > tol.eq_tol))
-        pivot = flat[k]
+        significant = np.flatnonzero(np.abs(flat) > tol.eq_tol)
+        if significant.size == 0:
+            raise SingularInput(f"no entry of the unitary exceeds {tol.eq_tol:g}, so scan mode has no pivot")
+        pivot = flat[significant[0]]
     phase = np.conj(pivot) / abs(pivot)
     return replace(imp, unitary=U * phase, normalization=used)
 

@@ -54,7 +54,7 @@ def spin_exp(B, gammas):
 
 def covering(x, gammas):
     """The rotation lambda(x) with x gamma_a x^* = sum_b lambda_{ba} gamma_b."""
-    d, gdim = gammas.shape[0], gammas.shape[1]
+    gdim = gammas.shape[1]
     conj = x @ gammas @ np.asarray(x).conj().T
     lam = np.real(np.einsum("bij,aji->ba", gammas, conj)) / gdim
     return lam

@@ -447,7 +447,7 @@ def check_two_group_compatibility(ctx, sample_count, rng):
     res_source_interior = 0.0
     res_source_shifted = 0.0
     for _ in range(sample_count):
-        p, q, U = pairs.sample(rng)
+        p, _, U = pairs.sample(rng)
         t_rep = conjugation_action(U, ctx.algebra, ctx.tol)
         res_target = max(res_target, t_rep.distance(path_automorphism(ctx, p)))
 

@@ -12,7 +12,8 @@ from loopfock.clifford import (build_clifford_model, clifford_monomials,
                                generator_indices, half_space)
 from loopfock.errors import (NotAutomorphism, NotCyclicSeparating, NotGraded,
                              NotInner, NotInNormalizer)
-from loopfock.linalg import maxabs, span_residual, subspace_equal
+from loopfock.linalg import (DEFAULT_TOL, maxabs, orthonormal_rows,
+                             span_residual, subspace_equal)
 
 rng = np.random.default_rng(31)
 
@@ -39,6 +40,11 @@ def other_half_algebra(model):
                              generators=model.generators[generator_indices(model, pts)])
 
 
+def random_unitary(rand, k):
+    q, _ = np.linalg.qr(rand.standard_normal((k, k)) + 1j * rand.standard_normal((k, k)))
+    return q
+
+
 def random_unitary_in(alg, rand):
     c = rand.standard_normal(alg.dim) + 1j * rand.standard_normal(alg.dim)
     x = alg.from_coordinates(c)
@@ -47,7 +53,66 @@ def random_unitary_in(alg, rand):
     return (V * np.exp(1j * w)) @ V.conj().T
 
 
+def restacked_star_algebra(gens, tol=DEFAULT_TOL):
+    """Reference growth: multiply the whole basis each round and
+    re-orthonormalize the whole stack."""
+    N = gens.shape[1]
+    multipliers = np.concatenate([gens, np.conj(np.transpose(gens, (0, 2, 1)))])
+    basis = orthonormal_rows(np.concatenate([np.eye(N, dtype=complex)[None], multipliers]), tol)
+    while True:
+        grown = np.einsum("aij,bjk->abik", basis, multipliers).reshape(-1, N, N)
+        new_basis = orthonormal_rows(np.concatenate([basis, grown]), tol)
+        if new_basis.shape[0] == basis.shape[0]:
+            return new_basis
+        basis = new_basis
+
+
+def clifford_generators(n, d, half):
+    model = build_clifford_model(n, d)
+    if not half:
+        return model.generators
+    return model.generators[generator_indices(model, half_space(model, "first"))]
+
+
+def block_unitary(rand):
+    u = np.zeros((5, 5), dtype=complex)
+    u[:3, :3] = random_unitary(rand, 3)
+    u[3:, 3:] = random_unitary(rand, 2)
+    return u
+
+
+def rank3_projection(rand):
+    q = random_unitary(rand, 6)[:, :3]
+    return (q @ q.conj().T)[None]
+
+
+# generator set -> (dimension of the generated algebra, builder)
+GENERATOR_SETS = {
+    "half (1,2)": (4, lambda rand: clifford_generators(1, 2, True)),
+    "full (1,2)": (16, lambda rand: clifford_generators(1, 2, False)),
+    "half (2,2)": (16, lambda rand: clifford_generators(2, 2, True)),
+    "full (2,2)": (256, lambda rand: clifford_generators(2, 2, False)),
+    # four distinct eigenvalues: the diagonals constant on eigenspaces
+    "diagonal unitary": (4, lambda rand: np.diag(np.exp(1j * np.array([0.1, 0.5, 0.5, 2.0, 3.0])))[None]),
+    # generic pair of blocks: M_3 + M_2
+    "block-diagonal pair": (13, lambda rand: np.stack([block_unitary(rand), block_unitary(rand)])),
+    # span of 1 and P
+    "rank-3 projection": (2, rank3_projection),
+}
+
+
 class TestGeneratedAlgebra:
+    @pytest.mark.parametrize("name", list(GENERATOR_SETS))
+    def test_frontier_growth_matches_restacking(self, name):
+        dim, build = GENERATOR_SETS[name]
+        gens = np.asarray(build(np.random.default_rng(5)), dtype=complex)
+        alg = generated_star_algebra(gens)
+        reference = restacked_star_algebra(gens)
+        assert alg.dim == reference.shape[0] == dim
+        assert max(span_residual(alg.basis, reference), span_residual(reference, alg.basis)) <= 1e-12
+        flat = alg.basis.reshape(alg.dim, -1)
+        assert maxabs(flat @ flat.conj().T - np.eye(alg.dim)) <= 1e-12
+
     def test_identity_alone(self):
         alg = generated_star_algebra(np.eye(4, dtype=complex)[None])
         assert alg.dim == 1

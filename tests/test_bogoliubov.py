@@ -1,15 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from loopfock import suites
-from loopfock.bogoliubov import (derived_implementer, extension_cocycle,
-                                 givens_factorization, implement_oracle,
-                                 implement_oracle_kernel, implement_pin,
-                                 implementation_residual, normalize_phase,
-                                 projective_distance, random_skew,
-                                 random_special_orthogonal, schwinger_term)
+from loopfock.bogoliubov import (Implementer, derived_implementer,
+                                 extension_cocycle, givens_factorization,
+                                 implement_oracle, implement_oracle_kernel,
+                                 implement_pin, implementation_residual,
+                                 normalize_phase, projective_distance,
+                                 random_skew, random_special_orthogonal,
+                                 schwinger_term)
 from loopfock.clifford import build_clifford_model
-from loopfock.errors import NotOrthogonal, NotSpecialOrthogonal
+from loopfock.errors import NotOrthogonal, NotSpecialOrthogonal, SingularInput
 from loopfock.linalg import maxabs, scalar_defect
 from loopfock.report import RunConfig
 
@@ -41,7 +44,7 @@ def plane_rotation(dim, i, j, theta):
 class TestOracle:
     def test_identity_is_scalar(self, model12):
         imp = implement_oracle(model12, np.eye(4), rng=rng)
-        defect, lam = scalar_defect(imp.unitary)
+        defect, _ = scalar_defect(imp.unitary)
         assert defect < 1e-12
         norm = normalize_phase(imp)
         assert maxabs(norm.unitary - np.eye(4)) < 1e-12
@@ -134,7 +137,6 @@ class TestPin:
 class TestNormalization:
     def test_vacuum_example(self, micro):
         theta = 0.37
-        U = np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)])
         imp = implement_oracle(micro, plane_rotation(2, 0, 1, theta), rng=rng)
         norm = normalize_phase(imp)
         assert maxabs(norm.unitary - np.diag([1.0, np.exp(-1j * theta)])) < 1e-12
@@ -162,6 +164,16 @@ class TestNormalization:
         norm = normalize_phase(fake)
         assert norm.normalization == "scan"
         assert maxabs(norm.unitary - U) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["scan", "vacuum"])
+    def test_scan_without_pivot_raises(self, mode):
+        # vacuum mode falls back to scan on the zero corner, and scan finds
+        # no significant entry: an error, not a NaN unitary
+        zero = Implementer(np.zeros((2, 2), dtype=complex), np.eye(2), "even", "raw")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInput, match="no pivot"):
+                normalize_phase(zero, mode)
 
 
 class TestCocycle:

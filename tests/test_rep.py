@@ -145,7 +145,7 @@ class TestFusionFactorization:
         assert implementation_residual(ctx22.model, W, g) < 1e-9
 
     def test_unit_comparison_defect_is_nonscalar(self, ctx22):
-        report, extra = check_f_scalar(ctx22, 10, np.random.default_rng(7))
+        report, _ = check_f_scalar(ctx22, 10, np.random.default_rng(7))
         assert report.residuals["scalar defect"] > 1e-2
 
 

@@ -1,14 +1,17 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
+import loopfock.algebra
 import loopfock.rep
 from loopfock.cli import build_config, main
 from loopfock.errors import ConfigError
+from loopfock.linalg import maxabs
 from loopfock.report import (CheckRecord, RunConfig, emit_report, strip_timing,
                              summarize)
-from loopfock.suites import run_suites
+from loopfock.suites import Environment, run_suites, tomita_checks
 
 
 class TestRunConfig:
@@ -103,6 +106,41 @@ class TestDeterminism:
         _, r1 = run_suites(base)
         _, r2 = run_suites(other)
         assert [r.name for r in r1] == [r.name for r in r2]
+
+
+def record_named(records, name):
+    return next(r for r in records if r.name == name)
+
+
+class TestGatedRecords:
+    def test_monomial_span_fails_on_a_short_span(self, monkeypatch):
+        cfg = RunConfig(n=2, d=2, suites=("clifford",))
+        assert record_named(run_suites(cfg)[1], "monomial span").passed
+        generated = loopfock.algebra.generated_star_algebra
+
+        def short(gens, tol):
+            alg = generated(gens, tol)
+            return loopfock.algebra.OperatorAlgebra(alg.basis[:-1], alg.generators)
+
+        monkeypatch.setattr(loopfock.algebra, "generated_star_algebra", short)
+        assert not record_named(run_suites(cfg)[1], "monomial span").passed
+
+    def test_double_commutant_record(self):
+        env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
+        A, comm = env.ctx.algebra, env.ctx.algebra_comm
+
+        def all_pairs():
+            return maxabs(np.einsum("aij,bjk->abik", A.basis, comm.basis)
+                          - np.einsum("bij,ajk->abik", comm.basis, A.basis))
+
+        untouched = record_named(tomita_checks(env), "double commutant")
+        assert untouched.passed
+        assert untouched.residual == pytest.approx(all_pairs(), rel=0, abs=1e-15)
+        # a Clifford generator of the algebra anticommutes with the others
+        comm.basis[-1] = A.generators[0]
+        planted = record_named(tomita_checks(env), "double commutant")
+        assert not planted.passed
+        assert planted.residual == pytest.approx(all_pairs(), rel=1e-12)
 
 
 class TestCli:
