@@ -42,7 +42,7 @@ class OperatorAlgebra:
 
     def coordinates(self, X):
         flat = self.basis.reshape(self.dim, -1)
-        return flat.conj() @ np.asarray(X, dtype=complex).ravel()
+        return np.conj(flat @ np.conj(np.asarray(X, dtype=complex).ravel()))
 
     def from_coordinates(self, c):
         return np.tensordot(np.asarray(c, dtype=complex), self.basis, axes=(0, 0))
@@ -53,9 +53,20 @@ class OperatorAlgebra:
 
 
 def algebra_from_span(stack, generators=None, tol=DEFAULT_TOL):
-    """Build an OperatorAlgebra from a spanning stack; it must be unital and star-closed."""
-    stack = np.asarray(stack, dtype=complex)
-    basis = orthonormal_rows(stack, tol)
+    """Build an OperatorAlgebra from a spanning stack; it must be unital and star-closed.
+
+    The stack may be any spanning set: it is orthonormalized here, once, and
+    the orthonormal rows go to _checked_algebra.
+    """
+    return _checked_algebra(orthonormal_rows(np.asarray(stack, dtype=complex), tol), generators, tol)
+
+
+def _checked_algebra(basis, generators=None, tol=DEFAULT_TOL):
+    """OperatorAlgebra on rows that are already orthonormal in the
+    Hilbert-Schmidt inner product; they are not orthonormalized again.
+
+    Checks that their span contains the identity and is closed under adjoints.
+    """
     N = basis.shape[1]
     if span_residual(np.eye(N, dtype=complex)[None], basis) > tol.eq_tol:
         raise ValueError("span does not contain the identity")
@@ -146,14 +157,20 @@ def _kernel_commutant_basis(constraints_mats, N, tol, grading_twist=None):
 
 
 def commutant(alg, tol=DEFAULT_TOL):
-    """Commutant algebra {X : aX = Xa for all a}, star-closed and unital."""
+    """Commutant algebra {X : aX = Xa for all a}, star-closed and unital.
+
+    Both routes return orthonormal rows, the averaging route as SVD rows and
+    the kernel route as a product of orthonormal null-space bases, so the
+    basis is checked but not orthonormalized again; likewise in
+    super_commutant.
+    """
     mats = list(alg.constraint_generators())
     N = alg.space_dim
     if alg.generators is not None and _averaging_ready(mats, tol):
         basis = _averaged_commutant_basis(mats, tol, np.random.default_rng(1), expected=N * N // alg.dim)
     else:
         basis = _kernel_commutant_basis([(a, False) for a in mats], N, tol)
-    return algebra_from_span(basis, tol=tol)
+    return _checked_algebra(basis, tol=tol)
 
 
 def grading_parts(alg, grading, tol=DEFAULT_TOL):
@@ -187,10 +204,10 @@ def super_commutant(alg, grading, tol=DEFAULT_TOL):
         if odd_ok and _averaging_ready(dressed, tol):
             basis = _averaged_commutant_basis(dressed, tol, np.random.default_rng(2),
                                               expected=N * N // alg.dim)
-            return algebra_from_span(basis, tol=tol)
+            return _checked_algebra(basis, tol=tol)
     parts = grading_parts(alg, grading, tol)
     basis = _kernel_commutant_basis([(a, odd) for a, odd in parts], N, tol, grading_twist=grading)
-    return algebra_from_span(basis, tol=tol)
+    return _checked_algebra(basis, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -330,9 +347,10 @@ def inner_automorphism_from_unitary(alg, u, tol=DEFAULT_TOL):
 def automorphism_residual(alg, images, tol=DEFAULT_TOL):
     """How far basis images are from defining a star-automorphism of the span."""
     res = span_residual(images, alg.basis)
-    adj_in = np.conj(np.transpose(alg.basis, (0, 2, 1)))
     adj_out = np.conj(np.transpose(images, (0, 2, 1)))
-    coords = np.stack([alg.coordinates(a) for a in adj_in])
+    # coordinates of every adjoint a_i* at once; conj(a_i*) is the transpose a_i^T
+    transposed = np.transpose(alg.basis, (0, 2, 1)).reshape(alg.dim, -1)
+    coords = np.conj(transposed @ alg.basis.reshape(alg.dim, -1).T)
     res = max(res, maxabs(np.tensordot(coords, images, axes=(1, 0)) - adj_out))
     rng = np.random.default_rng(3)
     k = alg.dim

@@ -13,7 +13,7 @@ import sys
 from .bogoliubov import implementation_residual
 from .errors import ConfigError, LoopfockError
 from .linalg import dump_matrix, maxabs
-from .loops import SpinGroup, is_half_supported, lift, loop_from_bivectors
+from .loops import is_half_supported, lift, loop_from_bivectors
 from .report import SUITE_NAMES, RunConfig
 from .suites import Environment, run
 
@@ -118,7 +118,7 @@ def _describe_loop(config, literal):
     except ValueError as exc:
         raise ConfigError(f"loop literal is not valid JSON: {exc}")
     env = Environment(config)
-    model, spin = env.model, SpinGroup(config.d)
+    model, spin = env.model, env.spin
     if not isinstance(coords, list) or len(coords) != 2 * config.n:
         raise ConfigError(f"loop literal must list {2 * config.n} vertices")
     loop = loop_from_bivectors(spin, coords)

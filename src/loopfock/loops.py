@@ -18,7 +18,7 @@ from .bogoliubov import (Implementer, check_orthogonal, is_special, normalize_ph
                          schwinger_term)
 from .errors import EndpointMismatch, NotSpecialOrthogonal
 from .linalg import DEFAULT_TOL, maxabs
-from .twogroup import ComputableGroup, CrossedModule
+from .twogroup import ComputableGroup, CrossedModule, UnitaryGroup
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -70,29 +70,14 @@ def spin_sample(gammas, rng):
     return spin_exp(B - B.T, gammas)
 
 
-class SpinGroup(ComputableGroup):
+class SpinGroup(UnitaryGroup):
     """Even unit elements of the gamma representation, double covering SO(d)."""
 
     def __init__(self, d):
+        gammas = gamma_matrices(d)
+        super().__init__(gammas.shape[1], name=f"Spin({d})")
         self.d = d
-        self.gammas = gamma_matrices(d)
-        self.name = f"Spin({d})"
-
-    @property
-    def rep_dim(self):
-        return self.gammas.shape[1]
-
-    def identity(self):
-        return np.eye(self.rep_dim, dtype=complex)
-
-    def mul(self, a, b):
-        return a @ b
-
-    def inv(self, a):
-        return np.asarray(a).conj().T
-
-    def dist(self, a, b):
-        return maxabs(np.asarray(a) - np.asarray(b))
+        self.gammas = gammas
 
     def sample(self, rng):
         return spin_sample(self.gammas, rng)
@@ -101,24 +86,15 @@ class SpinGroup(ComputableGroup):
         return covering(x, self.gammas)
 
 
-class PathGroup(ComputableGroup):
+class PathGroup(UnitaryGroup):
     """Based discrete paths: arrays (n+1, r, r) with p[0] = 1, pointwise product."""
 
     def __init__(self, n, spin):
+        super().__init__(spin.dim, name=f"paths({spin.name}, n={n})")
         self.n, self.spin = n, spin
-        self.name = f"paths({spin.name}, n={n})"
 
     def identity(self):
         return np.stack([self.spin.identity()] * (self.n + 1))
-
-    def mul(self, a, b):
-        return a @ b
-
-    def inv(self, a):
-        return np.conj(np.transpose(a, (0, 2, 1)))
-
-    def dist(self, a, b):
-        return maxabs(np.asarray(a) - np.asarray(b))
 
     def sample(self, rng, end_identity=False):
         vals = [self.spin.identity()]
@@ -239,7 +215,7 @@ def pointwise_unitary(model, spin, loop):
     Even elements at different vertices commute, so loop -> U is an exact
     group homomorphism implementing omega_matrix(loop); no phase is fixed.
     """
-    d, r = model.d, spin.rep_dim
+    d, r = model.d, spin.dim
     gam = _even_monomials(spin.gammas)
     U = None
     for j in range(2 * model.n):

@@ -9,6 +9,7 @@ are still computed faithfully and reported with their true residuals.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,47 +20,49 @@ from .algebra import (InnerAutomorphism, OperatorAlgebra, algebra_from_span,
 from .bogoliubov import LINE_PROBES, Implementer, implementation_residual
 from .clifford import clifford_monomials, generator_indices, half_space
 from .errors import NotInA
-from .linalg import (DEFAULT_TOL, averaged_intertwiners, maxabs, scalar_defect,
-                     span_residual, subspace_equal)
+from .linalg import DEFAULT_TOL, averaged_intertwiners, maxabs, scalar_defect, span_residual
 from .loops import (ExtLoop, SpinGroup, concat_paths, double_path,
                     edge_double_path, edge_reflection, lift, omega_matrix,
                     pointwise_unitary, reflect_orthogonal, restrict_loop,
                     reversed_loop, string_crossed_module, vertex_reflection)
 from .twogroup import (CheckReport, ComputableGroup, CrossedModule,
-                       StrictIntertwiner, TwoGroup)
+                       StrictIntertwiner, TwoGroup, UnitaryGroup)
 
 
 @dataclass
 class RepresentationContext:
+    """Half-circle algebra, its modular data and the string crossed module.
+
+    algebra_perp (the super commutant) and algebra_comm (the plain
+    commutant) are built on first read and then kept, since only the tomita
+    checks read them.  Every algebra basis here has orthonormal rows.
+    """
+
     model: object
     spin: SpinGroup
     algebra: OperatorAlgebra            # first half-circle algebra
-    algebra_perp: OperatorAlgebra       # its super commutant
-    algebra_comm: OperatorAlgebra       # its plain commutant
     sfd: object                         # modular data for (algebra, vacuum)
     string_cm: CrossedModule
     unitary_cm: CrossedModule           # U(A) -> inner automorphisms
     tol: object
 
+    @cached_property
+    def algebra_perp(self):
+        """Super commutant of the algebra."""
+        return super_commutant(self.algebra, self.model.grading, self.tol)
 
-class UnitaryInAlgebraGroup(ComputableGroup):
+    @cached_property
+    def algebra_comm(self):
+        """Plain commutant of the algebra."""
+        return commutant(self.algebra, self.tol)
+
+
+class UnitaryInAlgebraGroup(UnitaryGroup):
     """Unitary elements of an operator algebra, sampled by exponentials."""
 
     def __init__(self, alg):
+        super().__init__(alg.space_dim, name="U(A)")
         self.alg = alg
-        self.name = "U(A)"
-
-    def identity(self):
-        return np.eye(self.alg.space_dim, dtype=complex)
-
-    def mul(self, a, b):
-        return a @ b
-
-    def inv(self, a):
-        return np.asarray(a).conj().T
-
-    def dist(self, a, b):
-        return maxabs(np.asarray(a) - np.asarray(b))
 
     def sample(self, rng):
         c = rng.standard_normal(self.alg.dim) + 1j * rng.standard_normal(self.alg.dim)
@@ -108,20 +111,17 @@ def unitary_automorphism_module(alg):
 
 
 def build_context(model, tol=DEFAULT_TOL):
-    """Assemble algebra, modular and string data for one lattice model."""
+    """Assemble algebra, modular and string data for one lattice model;
+    the commutants wait for their first read."""
     spin = SpinGroup(model.d)
     first = half_space(model, "first")
     gens = model.generators[generator_indices(model, first)]
     alg = algebra_from_span(clifford_monomials(model, first), generators=gens, tol=tol)
-    alg_perp = super_commutant(alg, model.grading, tol)
-    alg_comm = commutant(alg, tol)
     sfd = tomita_data(alg, model.vacuum, tol)
     return RepresentationContext(
         model=model,
         spin=spin,
         algebra=alg,
-        algebra_perp=alg_perp,
-        algebra_comm=alg_comm,
         sfd=sfd,
         string_cm=string_crossed_module(model, spin, tol),
         unitary_cm=unitary_automorphism_module(alg),
@@ -283,10 +283,9 @@ def check_f_scalar(ctx, sample_count, rng):
         Vq = lift(ctx.model, ctx.spin, double_path(q, ctx.tol), ctx.tol).unitary
         Wpq = fusion_factorization(ctx, base.mul(p, q)).unitary
         Vpq = lift(ctx.model, ctx.spin, double_path(base.mul(p, q), ctx.tol), ctx.tol).unitary
-        _, fp = scalar_defect(W @ V.conj().T)
         _, fq = scalar_defect(Wq @ Vq.conj().T)
         _, fpq = scalar_defect(Wpq @ Vpq.conj().T)
-        homo_res = max(homo_res, abs(fpq - fp * fq))
+        homo_res = max(homo_res, abs(fpq - lam * fq))
     return CheckReport("unit comparison f", {"scalar defect": scalar_res}, ctx.tol.eq_tol), \
         {"scalar minus one": value_dev, "homomorphism defect": homo_res}
 
@@ -387,25 +386,13 @@ def unit_sign_cocycle(ctx, sample_count, rng):
     return {"distance from signs": dist_signs, "negative fraction": negatives / sample_count}
 
 
-class NormalizerGroup(ComputableGroup):
+class NormalizerGroup(UnitaryGroup):
     """Sampled elements of the unitary normalizer of the algebra."""
 
     def __init__(self, ctx):
+        super().__init__(ctx.model.fock_dim, name="N(A)")
         self.ctx = ctx
         self.unitaries = UnitaryInAlgebraGroup(ctx.algebra)
-        self.name = "N(A)"
-
-    def identity(self):
-        return np.eye(self.ctx.model.fock_dim, dtype=complex)
-
-    def mul(self, a, b):
-        return a @ b
-
-    def inv(self, a):
-        return np.asarray(a).conj().T
-
-    def dist(self, a, b):
-        return maxabs(np.asarray(a) - np.asarray(b))
 
     def sample(self, rng):
         u = self.unitaries.sample(rng)
@@ -545,19 +532,17 @@ def check_twisted_duality(ctx):
     alg_perp_direct = algebra_from_span(
         mon_perp, generators=model.generators[generator_indices(model, second)], tol=ctx.tol)
     sc_of_perp = super_commutant(alg_perp_direct, model.grading, ctx.tol)
+    perp_res = max(span_residual(ctx.algebra_perp.basis, alg_perp_direct.basis),
+                   span_residual(alg_perp_direct.basis, ctx.algebra_perp.basis))
+    a_res = max(span_residual(sc_of_perp.basis, ctx.algebra.basis),
+                span_residual(ctx.algebra.basis, sc_of_perp.basis))
+    # the bases have orthonormal rows, so dim is the dimension of each span
+    same_perp = ctx.algebra_perp.dim == alg_perp_direct.dim and perp_res <= ctx.tol.eq_tol
+    same_a = sc_of_perp.dim == ctx.algebra.dim and a_res <= ctx.tol.eq_tol
     res = {
-        "super commutant of A equals A_perp":
-            0.0 if _same_span(ctx.algebra_perp, alg_perp_direct, ctx.tol) else 1.0,
-        "super commutant of A_perp equals A": 0.0 if _same_span(sc_of_perp, ctx.algebra, ctx.tol) else 1.0,
+        "super commutant of A equals A_perp": 0.0 if same_perp else 1.0,
+        "super commutant of A_perp equals A": 0.0 if same_a else 1.0,
+        "span residual A_perp": perp_res,
+        "span residual A": a_res,
     }
-    res["span residual A_perp"] = max(span_residual(ctx.algebra_perp.basis, alg_perp_direct.basis),
-                                      span_residual(alg_perp_direct.basis, ctx.algebra_perp.basis))
-    res["span residual A"] = max(span_residual(sc_of_perp.basis, ctx.algebra.basis),
-                                 span_residual(ctx.algebra.basis, sc_of_perp.basis))
     return CheckReport("twisted duality", res, ctx.tol.eq_tol)
-
-
-def _same_span(a, b, tol):
-    flat_a = a.basis.reshape(a.dim, -1).T
-    flat_b = b.basis.reshape(b.dim, -1).T
-    return subspace_equal(flat_a, flat_b, tol)

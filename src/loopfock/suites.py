@@ -7,6 +7,7 @@ of the others and identical configurations reproduce identical reports.
 
 import time
 import zlib
+from functools import cached_property
 
 import numpy as np
 
@@ -23,29 +24,24 @@ EXPLORATORY = float("inf")
 
 
 class Environment:
-    """Lazily built model and context shared by the checks of one run."""
+    """Lazily built model, spin group and context shared by the checks of one
+    run.  Only the tomita and rep suites read the context."""
 
     def __init__(self, config):
         self.config = config
         self.tol = TolerancePolicy(config.eq_tol, config.rank_tol)
-        self._model = None
-        self._ctx = None
 
-    @property
+    @cached_property
     def model(self):
-        if self._model is None:
-            self._model = cliff.build_clifford_model(self.config.n, self.config.d, tol=self.tol)
-        return self._model
+        return cliff.build_clifford_model(self.config.n, self.config.d, tol=self.tol)
 
-    @property
+    @cached_property
     def ctx(self):
-        if self._ctx is None:
-            self._ctx = rep.build_context(self.model, self.tol)
-        return self._ctx
+        return rep.build_context(self.model, self.tol)
 
-    @property
+    @cached_property
     def spin(self):
-        return self.ctx.spin
+        return lp.SpinGroup(self.config.d)
 
     def rng(self, name):
         return np.random.default_rng([self.config.seed, zlib.crc32(name.encode())])
@@ -436,13 +432,13 @@ def string_checks(env):
     for _ in range(20):
         a = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
         b = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
-        Ua = lp.lift(model, spin, a, tol).unitary
+        ext_a = lp.lift(model, spin, a, tol)
+        Ua = ext_a.unitary
         Ub = lp.lift(model, spin, b, tol).unitary
         Uab = lp.lift(model, spin, a @ b, tol).unitary
         defect, lam = scalar_defect(Ua @ Ub @ Uab.conj().T)
         res_proj = max(res_proj, defect, abs(abs(lam) - 1.0))
-        imp = lp.lift(model, spin, a, tol).implementer
-        rescan = bog.normalize_phase(imp, "scan", tol).unitary
+        rescan = bog.normalize_phase(ext_a.implementer, "scan", tol).unitary
         sdef, slam = scalar_defect(rescan @ Ua.conj().T)
         res_scan = max(res_scan, max(sdef, abs(abs(slam) - 1.0)))
     out.append(_record(env, "string", "projective lifts", "lift products differ by a phase",
@@ -450,7 +446,8 @@ def string_checks(env):
     out.append(_record(env, "string", "lift ambiguity", "renormalized lifts differ by a phase",
                        res_scan, cfg.gate, 20))
 
-    report = tg.check_crossed_module(env.ctx.string_cm, 100, env.rng("string axioms"), tol)
+    string_cm = lp.string_crossed_module(model, spin, tol)
+    report = tg.check_crossed_module(string_cm, 100, env.rng("string axioms"), tol)
     out.append(_from_report(env, "string", "string crossed module", "equivariance and peiffer",
                             report, cfg.gate))
 
@@ -487,7 +484,7 @@ def string_checks(env):
                        res, cfg.gate, 10))
 
     rng = env.rng("endpoint section")
-    fiber = env.ctx.string_cm.fiber
+    fiber = string_cm.fiber
     res = 0.0
     for _ in range(20):
         ext = fiber.sample(rng)

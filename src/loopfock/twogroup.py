@@ -110,6 +110,14 @@ class MatrixGroup(ComputableGroup):
         return maxabs(np.asarray(a) - np.asarray(b))
 
 
+class UnitaryGroup(MatrixGroup):
+    """Unitary matrices, or stacks of them: the inverse is the conjugate
+    transpose over the last two axes; subclasses fix sampling."""
+
+    def inv(self, a):
+        return np.conj(np.swapaxes(a, -1, -2))
+
+
 class GeneralLinearGroup(MatrixGroup):
     # conditioning bound keeps inverse-based residuals far below the gates
     MAX_COND = 20.0

@@ -34,6 +34,12 @@ def half_algebra(model):
                              generators=model.generators[generator_indices(model, pts)])
 
 
+def gram_deviation(alg):
+    """How far the basis rows are from orthonormal."""
+    flat = alg.basis.reshape(alg.dim, -1)
+    return maxabs(flat @ flat.conj().T - np.eye(alg.dim))
+
+
 def other_half_algebra(model):
     pts = half_space(model, "second")
     return algebra_from_span(clifford_monomials(model, pts),
@@ -110,8 +116,7 @@ class TestGeneratedAlgebra:
         reference = restacked_star_algebra(gens)
         assert alg.dim == reference.shape[0] == dim
         assert max(span_residual(alg.basis, reference), span_residual(reference, alg.basis)) <= 1e-12
-        flat = alg.basis.reshape(alg.dim, -1)
-        assert maxabs(flat @ flat.conj().T - np.eye(alg.dim)) <= 1e-12
+        assert gram_deviation(alg) <= 1e-12
 
     def test_identity_alone(self):
         alg = generated_star_algebra(np.eye(4, dtype=complex)[None])
@@ -168,6 +173,8 @@ class TestCommutant:
         slow = commutant(without)
         assert fast.dim == slow.dim
         assert span_residual(fast.basis, slow.basis) < 1e-9
+        # both routes skip a second SVD, so their rows must already be orthonormal
+        assert max(gram_deviation(fast), gram_deviation(slow)) <= 1e-12
 
 
 class TestSuperCommutant:
@@ -176,6 +183,7 @@ class TestSuperCommutant:
         B = other_half_algebra(model22)
         sc = super_commutant(A, model22.grading)
         assert sc.dim == B.dim
+        assert gram_deviation(sc) <= 1e-12
         assert span_residual(B.basis, sc.basis) < 1e-10
         back = super_commutant(B, model22.grading)
         assert span_residual(A.basis, back.basis) < 1e-10
@@ -190,6 +198,7 @@ class TestSuperCommutant:
         sc = super_commutant(algebra_from_span(A.basis), model22.grading)  # no generators: generic path
         back = super_commutant(sc, model22.grading)
         assert span_residual(A.basis, back.basis) < 1e-9
+        assert max(gram_deviation(sc), gram_deviation(back)) <= 1e-12
 
     def test_rejects_ungraded_span(self, model12):
         # mixed-parity element whose homogeneous parts leave the span

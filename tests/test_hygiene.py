@@ -1,6 +1,7 @@
 """Static hygiene of the package and its tests, checked with the stdlib ast
-module: no unused imports, and no function-local name that is assigned but
-never read."""
+module: no unused imports, no function-local name that is assigned but
+never read, and no module-level definition of the package that nothing
+refers to."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,31 @@ def unread_locals(tree):
     return found
 
 
+def defined_names(tree):
+    """Module-level functions and classes, with their lines."""
+    return [(node.lineno, node.name) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def referenced_names(tree):
+    """Every name a Name, an Attribute or an import alias refers to."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def dead_definitions(tree, referencing_trees):
+    """Definitions of tree that none of referencing_trees refers to."""
+    used = set().union(*(referenced_names(t) for t in referencing_trees))
+    return [(line, name) for line, name in defined_names(tree) if name not in used]
+
+
 def offenders(paths, finder):
     return [f"{path.relative_to(ROOT)}:{line} {what}"
             for path in paths for line, what in sorted(finder(parse(path)))]
@@ -71,9 +97,21 @@ def test_no_locals_assigned_but_never_read():
     assert offenders(PACKAGE + TESTS, unread_locals) == []
 
 
+def test_no_dead_definitions():
+    trees = [parse(path) for path in PACKAGE + TESTS]
+    found = [f"{path.relative_to(ROOT)}:{line} {name}"
+             for path in PACKAGE for line, name in dead_definitions(parse(path), trees)]
+    assert found == []
+
+
 def test_finders_flag_what_they_name():
     tree = ast.parse("import os\nimport a.b as c\n"
                      "def f(x):\n    y = 1\n    _z = 2\n    w = x\n"
                      "    def g():\n        return w\n    return g\n")
     assert sorted(unused_imports(tree)) == [(1, "os"), (2, "c")]
     assert unread_locals(tree) == [(4, "f: y")]
+    module = ast.parse("def used():\n    pass\n\ndef unused():\n    return used()\n\n"
+                       "class Called:\n    pass\n\nclass Dead:\n    pass\n")
+    caller = ast.parse("import m\nfrom m import Called as C\nm.unused\n")
+    assert dead_definitions(module, [module]) == [(4, "unused"), (7, "Called"), (10, "Dead")]
+    assert dead_definitions(module, [module, caller]) == [(10, "Dead")]

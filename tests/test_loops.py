@@ -67,7 +67,7 @@ class TestSpinGroup:
 
     def test_samples_are_unitary(self, spin3):
         x = spin3.sample(rng)
-        assert maxabs(x @ x.conj().T - np.eye(spin3.rep_dim)) < 1e-12
+        assert maxabs(x @ x.conj().T - np.eye(spin3.dim)) < 1e-12
 
 
 class TestPathsAndLoops:

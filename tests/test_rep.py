@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from loopfock.algebra import conjugation_action
+import loopfock.rep
+from loopfock.algebra import commutant, conjugation_action
 from loopfock.bogoliubov import implementation_residual
 from loopfock.clifford import build_clifford_model, clifford_monomials, half_space
 from loopfock.errors import EndpointMismatch, NotInA
 from loopfock.linalg import TolerancePolicy, maxabs, span_residual
 from loopfock.loops import (concat_paths, double_path, lift, loop_identity,
                             omega_matrix)
+from loopfock.report import RunConfig
 from loopfock.rep import (build_context, check_alpha_compatibility,
                           check_f_scalar, check_fusion_factorization,
                           check_membership_evenness, check_pi_levels,
@@ -18,6 +20,7 @@ from loopfock.rep import (build_context, check_alpha_compatibility,
                           modular_vs_reflection, normalizer_two_group,
                           pair_two_group, path_automorphism,
                           representation_intertwiner, unit_sign_cocycle)
+from loopfock.suites import run_suites
 from loopfock.twogroup import check_intertwiner, check_minimal_data
 
 rng = np.random.default_rng(61)
@@ -43,6 +46,33 @@ class TestContext:
     def test_super_commutant_is_the_other_half(self, ctx22):
         report = check_twisted_duality(ctx22)
         assert report.passed, report.residuals
+
+    def test_commutants_are_built_on_first_read(self, monkeypatch):
+        def rep_suite():
+            code, records = run_suites(RunConfig(n=1, d=2, suites=("rep",)))
+            return code, [(r.name, r.residual, r.passed) for r in records]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a commutant was built before it was read")
+
+        expected = rep_suite()
+        monkeypatch.setattr(loopfock.rep, "commutant", refuse)
+        monkeypatch.setattr(loopfock.rep, "super_commutant", refuse)
+        ctx = build_context(build_clifford_model(1, 2))
+        # the same records, the structural red "unit comparison scalar" included
+        assert rep_suite() == expected
+        calls = []
+
+        def counted(alg, tol):
+            calls.append(alg)
+            return commutant(alg, tol)
+
+        monkeypatch.setattr(loopfock.rep, "commutant", counted)
+        first = ctx.algebra_comm
+        assert len(calls) == 1 and calls[0] is ctx.algebra
+        assert ctx.algebra_comm is first
+        assert len(calls) == 1
+        assert first.dim * ctx.algebra.dim == ctx.model.fock_dim ** 2
 
     def test_modular_conjugation_edge_law(self, ctx22):
         # J pi(e_{j,a}) J = i Gamma pi(e_{2n-1-j,a}): the lattice reflection

@@ -210,6 +210,14 @@ class TestCli:
         assert code == 0
         assert "parity even" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suite", ["clifford", "bogoliubov", "two-group", "string"])
+    def test_context_free_suites_do_not_build_the_representation_context(self, suite, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"--suite {suite} built the representation context")
+
+        monkeypatch.setattr(loopfock.rep, "build_context", refuse)
+        assert main(["--points", "2", "--dim", "2", "--suite", suite]) == 0
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_loop_rejects_non_finite_coordinates(self, bad, capsys):
         with warnings.catch_warnings():
