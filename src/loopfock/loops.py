@@ -103,12 +103,17 @@ class PathGroup(UnitaryGroup):
         vals.append(self.spin.identity() if end_identity else self.spin.sample(rng))
         return np.stack(vals)
 
-    def endpoint(self, p):
-        return p[self.n]
-
 
 def loop_identity(n, spin):
     return np.stack([spin.identity()] * (2 * n))
+
+
+def half_supported_loop(n, spin, rng):
+    """Loop with sampled values at vertices 1..n-1 and the identity elsewhere."""
+    loop = loop_identity(n, spin)
+    for j in range(1, n):
+        loop[j] = spin.sample(rng)
+    return loop
 
 
 def is_half_supported(loop, tol=DEFAULT_TOL):
@@ -259,11 +264,7 @@ class ExtLoopGroup(ComputableGroup):
         return max(maxabs(a.loop - b.loop), maxabs(a.unitary - b.unitary))
 
     def sample(self, rng):
-        n = self.model.n
-        loop = [self.spin.identity() for _ in range(2 * n)]
-        for j in range(1, n):
-            loop[j] = self.spin.sample(rng)
-        ext = lift(self.model, self.spin, np.stack(loop), self.tol)
+        ext = lift(self.model, self.spin, half_supported_loop(self.model.n, self.spin, rng), self.tol)
         z = np.exp(2j * np.pi * rng.random())
         return ExtLoop(ext.loop, Implementer(z * ext.unitary, ext.implementer.implemented,
                                              ext.implementer.parity, "raw"))
@@ -301,13 +302,11 @@ def string_crossed_module(model, spin, tol=DEFAULT_TOL):
 def disjoint_support_pair(model, spin, rng):
     """Loops supported strictly inside opposite half circles."""
     n = model.n
-    first = [spin.identity() for _ in range(2 * n)]
-    second = [spin.identity() for _ in range(2 * n)]
-    for j in range(1, n):
-        first[j] = spin.sample(rng)
+    first = half_supported_loop(n, spin, rng)
+    second = loop_identity(n, spin)
     for j in range(n + 1, 2 * n):
         second[j] = spin.sample(rng)
-    return np.stack(first), np.stack(second)
+    return first, second
 
 
 def vertex_reflection(model):

@@ -59,13 +59,16 @@ class CheckRecord:
     anchor: str            # short label of the identity being verified
     residual: float
     tolerance: float       # +inf marks exploratory, never-gating records
-    passed: bool
-    wall_time: float
+    wall_time: float       # seconds since the previous record of the suite
     sample_count: int
 
     @property
     def exploratory(self):
         return math.isinf(self.tolerance)
+
+    @property
+    def passed(self):
+        return bool(self.residual <= self.tolerance)
 
     def to_dict(self):
         return {

@@ -47,21 +47,27 @@ class Environment:
         return np.random.default_rng([self.config.seed, zlib.crc32(name.encode())])
 
 
-def _record(env, suite, name, anchor, residual, tolerance, samples):
-    return CheckRecord(suite, name, anchor, float(residual), tolerance,
-                       bool(residual <= tolerance), 0.0, samples)
+class _Recorder:
+    """Builds the records of one suite.  Each record's wall_time is the time
+    since the previous record, the first record's since the recorder was made."""
 
+    def __init__(self, suite):
+        self.suite = suite
+        self.records = []
+        self.last = time.perf_counter()
 
-def _from_report(env, suite, name, anchor, report, tolerance, samples=None):
-    return _record(env, suite, name, anchor, report.max_residual, tolerance,
-                   samples if samples is not None else env.config.samples)
+    def __call__(self, name, anchor, residual, tolerance, samples):
+        now = time.perf_counter()
+        self.records.append(CheckRecord(self.suite, name, anchor, float(residual), tolerance,
+                                        now - self.last, samples))
+        self.last = now
 
 
 # ---------------------------------------------------------------- clifford
 
 def clifford_checks(env):
+    record = _Recorder("clifford")
     cfg, model, tol = env.config, env.model, env.tol
-    out = []
 
     rng = env.rng("clifford anticommutation")
     worst_ac, worst_star = 0.0, 0.0
@@ -70,40 +76,36 @@ def clifford_checks(env):
         w = rng.standard_normal(model.dim_h) + 1j * rng.standard_normal(model.dim_h)
         worst_ac = max(worst_ac, cliff.anticommutator_residual(model, v, w))
         worst_star = max(worst_star, cliff.star_residual(model, v))
-    out.append(_record(env, "clifford", "anticommutation", "generator anticommutator",
-                       worst_ac, 1e-10, 200))
-    out.append(_record(env, "clifford", "star relation", "adjoint versus conjugate vector",
-                       worst_star, 1e-10, 200))
+    record("anticommutation", "generator anticommutator", worst_ac, 1e-10, 200)
+    record("star relation", "adjoint versus conjugate vector", worst_star, 1e-10, 200)
 
     L = model.lagrangian
     m = model.lattice.modes
     res = max(maxabs(L.conj().T @ L - np.eye(m)), maxabs(L.T @ L))
-    out.append(_record(env, "clifford", "lagrangian", "orthonormal and isotropic", res, cfg.gate, 1))
+    record("lagrangian", "orthonormal and isotropic", res, cfg.gate, 1)
 
     G = model.grading
     res = maxabs(G @ G - np.eye(model.fock_dim))
     res = max(res, maxabs(G @ model.generators @ G + model.generators))
-    out.append(_record(env, "clifford", "grading", "involution flipping generators", res, cfg.gate, 1))
+    record("grading", "involution flipping generators", res, cfg.gate, 1)
 
     dim = rep.irreducibility_dimension(model, env.rng("clifford irreducibility"), tol)
-    out.append(_record(env, "clifford", "irreducibility", "generator commutant is scalar",
-                       abs(dim - 1), cfg.gate, 1))
+    record("irreducibility", "generator commutant is scalar", abs(dim - 1), cfg.gate, 1)
 
     first = cliff.half_space(model, "first")
     mono = cliff.clifford_monomials(model, first)
     spanned = alg_mod.generated_star_algebra(model.generators[cliff.generator_indices(model, first)], tol)
     res = 0.0 if spanned.dim == mono.shape[0] else float(abs(spanned.dim - mono.shape[0]))
     res = max(res, span_residual(mono, spanned.basis))
-    out.append(_record(env, "clifford", "monomial span", "monomials span the generated algebra",
-                       res, cfg.gate, 1))
-    return out
+    record("monomial span", "monomials span the generated algebra", res, cfg.gate, 1)
+    return record.records
 
 
 # -------------------------------------------------------------- bogoliubov
 
 def bogoliubov_checks(env):
+    record = _Recorder("bogoliubov")
     cfg, model, tol = env.config, env.model, env.tol
-    out = []
     D = model.dim_h
 
     rng = env.rng("implementer construction")
@@ -125,12 +127,9 @@ def bogoliubov_checks(env):
             agreement = max(agreement, maxabs(no.unitary - npi.unitary))
         else:
             agreement = max(agreement, bog.projective_distance(no.unitary, npi.unitary))
-    out.append(_record(env, "bogoliubov", "implementer uniqueness", "intertwiner space is a line",
-                       dim_defect, cfg.gate, 50))
-    out.append(_record(env, "bogoliubov", "implementer relation", "conjugation realizes the rotation",
-                       relation, 1e-9, 50))
-    out.append(_record(env, "bogoliubov", "pin oracle agreement", "two constructions, one unitary",
-                       agreement, cfg.gate, 50))
+    record("implementer uniqueness", "intertwiner space is a line", dim_defect, cfg.gate, 50)
+    record("implementer relation", "conjugation realizes the rotation", relation, 1e-9, 50)
+    record("pin oracle agreement", "two constructions, one unitary", agreement, cfg.gate, 50)
 
     rng = env.rng("extension cocycle")
     scal = 0.0
@@ -144,10 +143,8 @@ def bogoliubov_checks(env):
         lhs = cgh * bog.extension_cocycle(model, g @ h, k, tol)
         rhs = bog.extension_cocycle(model, g, h @ k, tol) * bog.extension_cocycle(model, h, k, tol)
         ident = max(ident, abs(lhs - rhs))
-    out.append(_record(env, "bogoliubov", "cocycle scalar", "triple product collapses to a phase",
-                       scal, cfg.gate, 50))
-    out.append(_record(env, "bogoliubov", "cocycle identity", "associativity of the phase defect",
-                       ident, cfg.gate, 50))
+    record("cocycle scalar", "triple product collapses to a phase", scal, cfg.gate, 50)
+    record("cocycle identity", "associativity of the phase defect", ident, cfg.gate, 50)
 
     rng = env.rng("derived implementers")
     contract = 0.0
@@ -173,12 +170,9 @@ def bogoliubov_checks(env):
     g_rot[1, 0], g_rot[0, 1] = np.sin(theta), -np.sin(theta)
     U_pin = bog.normalize_phase(bog.implement_pin(model, g_rot, tol), "vacuum", tol).unitary
     expmatch = bog.projective_distance(U_exp, U_pin)
-    out.append(_record(env, "bogoliubov", "derived linearity", "quadratic generator is linear",
-                       linear, cfg.gate, 10))
-    out.append(_record(env, "bogoliubov", "derived contract", "commutator reproduces the generator",
-                       contract, cfg.gate, 10))
-    out.append(_record(env, "bogoliubov", "derived exponential", "one-parameter rotation matches",
-                       expmatch, cfg.gate, 1))
+    record("derived linearity", "quadratic generator is linear", linear, cfg.gate, 10)
+    record("derived contract", "commutator reproduces the generator", contract, cfg.gate, 10)
+    record("derived exponential", "one-parameter rotation matches", expmatch, cfg.gate, 1)
 
     rng = env.rng("schwinger term")
     bilin = 0.0
@@ -195,26 +189,23 @@ def bogoliubov_checks(env):
         jacobi = max(jacobi, abs(bog.schwinger_term(model, comm(X, Y), Z, tol)
                                  + bog.schwinger_term(model, comm(Y, Z), X, tol)
                                  + bog.schwinger_term(model, comm(Z, X), Y, tol)))
-    out.append(_record(env, "bogoliubov", "schwinger bilinear", "anomaly is an antisymmetric form",
-                       bilin, cfg.gate, 20))
-    out.append(_record(env, "bogoliubov", "schwinger jacobi", "cocycle identity of the anomaly",
-                       jacobi, cfg.gate, 20))
-    return out
+    record("schwinger bilinear", "anomaly is an antisymmetric form", bilin, cfg.gate, 20)
+    record("schwinger jacobi", "cocycle identity of the anomaly", jacobi, cfg.gate, 20)
+    return record.records
 
 
 # ------------------------------------------------------------------ tomita
 
 def tomita_checks(env):
+    record = _Recorder("tomita")
     cfg, model, tol = env.config, env.model, env.tol
     ctx = env.ctx
-    out = []
     N = model.fock_dim
     A = ctx.algebra
     sfd = ctx.sfd
 
     status = alg_mod.cyclic_separating_check(A, model.vacuum, tol)
-    out.append(_record(env, "tomita", "cyclic separating", "vacuum is cyclic and separating",
-                       0.0 if bool(status) else 1.0, cfg.gate, 1))
+    record("cyclic separating", "vacuum is cyclic and separating", 0.0 if bool(status) else 1.0, cfg.gate, 1)
 
     Ms = sfd.tomita.linear
     Mj = sfd.conjugation.linear
@@ -230,24 +221,22 @@ def tomita_checks(env):
         maxabs(Ms @ np.conj(model.vacuum) - model.vacuum),
         maxabs(delta @ model.vacuum - model.vacuum),
     )
-    out.append(_record(env, "tomita", "modular identities", "polar pieces of the star map",
-                       res, 1e-9, 1))
+    record("modular identities", "polar pieces of the star map", res, 1e-9, 1)
 
     JAJ = np.stack([sfd.conjugation.conjugate_matrix(a) for a in A.basis])
-    res = max(span_residual(JAJ, ctx.algebra_comm.basis),
-              span_residual(ctx.algebra_comm.basis, alg_mod.orthonormal_rows(JAJ, tol)))
-    out.append(_record(env, "tomita", "conjugation onto commutant", "J maps the algebra onto its commutant",
-                       res, 1e-9, 1))
+    # J is antiunitary and A.basis orthonormal, so JAJ is an orthonormal stack
+    res = max(span_residual(JAJ, ctx.algebra_comm.basis), span_residual(ctx.algebra_comm.basis, JAJ))
+    record("conjugation onto commutant", "J maps the algebra onto its commutant", res, 1e-9, 1)
 
     report = rep.check_twisted_duality(ctx)
-    out.append(_from_report(env, "tomita", "twisted duality", "half algebras are mutual super commutants",
-                            report, cfg.gate))
+    record("twisted duality", "half algebras are mutual super commutants",
+           report.max_residual, cfg.gate, cfg.samples)
 
     comm = ctx.algebra_comm
     pairwise = max(maxabs(a @ comm.basis - comm.basis @ a) for a in A.basis)
     dim_defect = 0.0 if A.dim * comm.dim == N * N else 1.0
-    out.append(_record(env, "tomita", "double commutant", "commutant dimensions multiply to the full algebra",
-                       max(pairwise, dim_defect), cfg.gate, 1))
+    record("double commutant", "commutant dimensions multiply to the full algebra",
+           max(pairwise, dim_defect), cfg.gate, 1)
 
     rng = env.rng("haagerup implementation")
     units = rep.UnitaryInAlgebraGroup(A)
@@ -269,17 +258,12 @@ def tomita_checks(env):
         kernel_res = max(kernel_res,
                          maxabs(alg_mod.reflected_action(u, A, sfd, tol).images - A.basis),
                          maxabs(alg_mod.conjugation_action(sfd.reflect(u), A, tol).images - A.basis))
-    out.append(_record(env, "tomita", "canonical action", "implementation acts as the automorphism",
-                       act_res, 1e-9, 20))
-    out.append(_record(env, "tomita", "canonical J commutation", "implementation commutes with J",
-                       j_res, 1e-9, 20))
-    out.append(_record(env, "tomita", "canonical cone", "implementation preserves the positive cone",
-                       cone_res, 1e-9, 20))
-    out.append(_record(env, "tomita", "canonical multiplicative", "implementation is a homomorphism",
-                       mult_res, cfg.gate, 20))
-    out.append(_record(env, "tomita", "action kernels", "algebra unitaries act trivially on the mirror side",
-                       kernel_res, cfg.gate, 20))
-    return out
+    record("canonical action", "implementation acts as the automorphism", act_res, 1e-9, 20)
+    record("canonical J commutation", "implementation commutes with J", j_res, 1e-9, 20)
+    record("canonical cone", "implementation preserves the positive cone", cone_res, 1e-9, 20)
+    record("canonical multiplicative", "implementation is a homomorphism", mult_res, cfg.gate, 20)
+    record("action kernels", "algebra unitaries act trivially on the mirror side", kernel_res, cfg.gate, 20)
+    return record.records
 
 
 # --------------------------------------------------------------- two-group
@@ -293,38 +277,37 @@ def _builtin_crossed_modules():
 
 
 def twogroup_checks(env):
+    record = _Recorder("two-group")
     cfg, tol = env.config, env.tol
-    out = []
     samples = cfg.samples
 
     worst = 0.0
     for cm in _builtin_crossed_modules():
         report = tg.check_crossed_module(cm, samples, env.rng(f"axioms {cm.name}"), tol)
         worst = max(worst, report.max_residual)
-    out.append(_record(env, "two-group", "finite crossed modules", "axioms on the stock examples",
-                       worst, cfg.gate, samples))
+    record("finite crossed modules", "axioms on the stock examples", worst, cfg.gate, samples)
 
     s3 = tg.FiniteGroup.symmetric(3)
     bad = tg.delooping(s3)
     report = tg.check_crossed_module(bad, samples, env.rng("nonabelian fiber"), tol)
     detected = report.residuals["peiffer"] > 0.5
-    out.append(_record(env, "two-group", "peiffer detects nonabelian", "delooped nonabelian group fails",
-                       0.0 if detected else 1.0, cfg.gate, samples))
+    record("peiffer detects nonabelian", "delooped nonabelian group fails",
+           0.0 if detected else 1.0, cfg.gate, samples)
 
     aut = tg.matrix_automorphism_module(2)
     report = tg.check_crossed_module(aut, 50, env.rng("matrix automorphisms"), tol)
-    out.append(_from_report(env, "two-group", "matrix automorphism module", "units over conjugations",
-                            report, cfg.gate))
+    record("matrix automorphism module", "units over conjugations",
+           report.max_residual, cfg.gate, samples)
 
     z2, z4cm = tg.delooping(tg.FiniteGroup.cyclic(2)), tg.delooping(tg.FiniteGroup.cyclic(4))
     incl = tg.inclusion_intertwiner(2, z2, z4cm)
     report = tg.check_intertwiner(incl, z2, z4cm, samples, env.rng("inclusion"), tol)
-    out.append(_from_report(env, "two-group", "inclusion intertwiner", "doubling map between deloopings",
-                            report, cfg.gate))
+    record("inclusion intertwiner", "doubling map between deloopings",
+           report.max_residual, cfg.gate, samples)
     broken = tg.StrictIntertwiner(on_base=incl.on_base, on_fiber=lambda h: (h * h + 1) % 4, name="broken")
     report = tg.check_intertwiner(broken, z2, z4cm, samples, env.rng("broken map"), tol)
-    out.append(_record(env, "two-group", "intertwiner detects defect", "non-homomorphism is flagged",
-                       0.0 if report.max_residual > 0.5 else 1.0, cfg.gate, samples))
+    record("intertwiner detects defect", "non-homomorphism is flagged",
+           0.0 if report.max_residual > 0.5 else 1.0, cfg.gate, samples)
 
     round_trip = 0.0
     minimal = 0.0
@@ -349,12 +332,9 @@ def twogroup_checks(env):
         composition = max(composition,
                           two.morphisms.dist(tg.compose_morphisms(two, two.unit(g), two.unit(g), tol),
                                              two.unit(g)))
-    out.append(_record(env, "two-group", "functor round trip", "crossed module survives the 2-group detour",
-                       round_trip, 1e-10, 50))
-    out.append(_record(env, "two-group", "minimal data", "section and kernel conditions",
-                       minimal, cfg.gate, 50))
-    out.append(_record(env, "two-group", "composition laws", "interchange, units and inverses",
-                       composition, cfg.gate, 30))
+    record("functor round trip", "crossed module survives the 2-group detour", round_trip, 1e-10, 50)
+    record("minimal data", "section and kernel conditions", minimal, cfg.gate, 50)
+    record("composition laws", "interchange, units and inverses", composition, cfg.gate, 30)
 
     rng = env.rng("pi structure")
     z4 = tg.FiniteGroup.cyclic(4)
@@ -368,17 +348,16 @@ def twogroup_checks(env):
     pi = tg.pi0_pi1(dis, rng, 50, tol=tol)
     eq01 = pi.pi0_equal(s3.elements[0], s3.elements[1])
     res = max(res, 1.0 if eq01 else 0.0)
-    out.append(_record(env, "two-group", "pi structure", "kernel and quotient of the stock examples",
-                       res, cfg.gate, 50))
-    return out
+    record("pi structure", "kernel and quotient of the stock examples", res, cfg.gate, 50)
+    return record.records
 
 
 # ------------------------------------------------------------------ string
 
 def string_checks(env):
+    record = _Recorder("string")
     cfg, model, tol = env.config, env.model, env.tol
     spin = env.spin
-    out = []
     d = model.d
 
     rng = env.rng("spin covering")
@@ -397,8 +376,7 @@ def string_checks(env):
         lam = spin.covering(x)
         res = max(res, maxabs(lam.T @ lam - np.eye(d)))
         res = max(res, abs(np.linalg.det(lam) - 1.0))
-    out.append(_record(env, "string", "spin covering", "double cover onto rotations",
-                       res, cfg.gate, 50))
+    record("spin covering", "double cover onto rotations", res, cfg.gate, 50)
 
     rng = env.rng("pointwise action")
     paths = lp.PathGroup(model.n, spin)
@@ -408,8 +386,7 @@ def string_checks(env):
         b = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
         res = max(res, maxabs(lp.omega_matrix(model, spin, a @ b)
                               - lp.omega_matrix(model, spin, a) @ lp.omega_matrix(model, spin, b)))
-    out.append(_record(env, "string", "orthogonal action", "pointwise rotations form a homomorphism",
-                       res, cfg.gate, 50))
+    record("orthogonal action", "pointwise rotations form a homomorphism", res, cfg.gate, 50)
 
     rng = env.rng("paths and doubling")
     res = maxabs(lp.double_path(paths.identity(), tol) - lp.loop_identity(model.n, spin))
@@ -420,11 +397,10 @@ def string_checks(env):
         loop = lp.concat_paths(p, q, tol)
         res = max(res, maxabs(loop[model.n] - p[model.n]))
         res = max(res, maxabs(loop[0] - spin.identity()))
-        half = _half_supported_from(model, spin, rng)
+        half = lp.half_supported_loop(model.n, spin, rng)
         back = lp.concat_paths(lp.restrict_loop(half, tol), paths.identity(), tol)
         res = max(res, maxabs(back - half))
-    out.append(_record(env, "string", "path doubling", "concatenation and restriction bookkeeping",
-                       res, cfg.gate, 20))
+    record("path doubling", "concatenation and restriction bookkeeping", res, cfg.gate, 20)
 
     rng = env.rng("lift structure")
     res_proj = 0.0
@@ -441,15 +417,12 @@ def string_checks(env):
         rescan = bog.normalize_phase(ext_a.implementer, "scan", tol).unitary
         sdef, slam = scalar_defect(rescan @ Ua.conj().T)
         res_scan = max(res_scan, max(sdef, abs(abs(slam) - 1.0)))
-    out.append(_record(env, "string", "projective lifts", "lift products differ by a phase",
-                       res_proj, cfg.gate, 20))
-    out.append(_record(env, "string", "lift ambiguity", "renormalized lifts differ by a phase",
-                       res_scan, cfg.gate, 20))
+    record("projective lifts", "lift products differ by a phase", res_proj, cfg.gate, 20)
+    record("lift ambiguity", "renormalized lifts differ by a phase", res_scan, cfg.gate, 20)
 
     string_cm = lp.string_crossed_module(model, spin, tol)
     report = tg.check_crossed_module(string_cm, 100, env.rng("string axioms"), tol)
-    out.append(_from_report(env, "string", "string crossed module", "equivariance and peiffer",
-                            report, cfg.gate))
+    record("string crossed module", "equivariance and peiffer", report.max_residual, cfg.gate, cfg.samples)
 
     rng = env.rng("disjoint supports")
     res = 0.0
@@ -464,10 +437,8 @@ def string_checks(env):
         b = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
         Ua, Ub = lp.lift(model, spin, a, tol).unitary, lp.lift(model, spin, b, tol).unitary
         overlap = max(overlap, maxabs(Ua @ Ub - Ub @ Ua))
-    out.append(_record(env, "string", "disjoint commutativity", "separated half loops commute",
-                       res, cfg.gate, 50))
-    out.append(_record(env, "string", "overlapping supports", "generic loops fail to commute (reported)",
-                       overlap, EXPLORATORY, 5))
+    record("disjoint commutativity", "separated half loops commute", res, cfg.gate, 50)
+    record("overlapping supports", "generic loops fail to commute (reported)", overlap, EXPLORATORY, 5)
 
     rng = env.rng("reflection")
     tau = lp.vertex_reflection(model)
@@ -480,8 +451,7 @@ def string_checks(env):
         gpq = lp.omega_matrix(model, spin, lp.concat_paths(p, q, tol))
         gqp = lp.omega_matrix(model, spin, lp.concat_paths(q, p, tol))
         res = max(res, maxabs(lp.reflect_orthogonal(tau, gpq) - gqp))
-    out.append(_record(env, "string", "vertex reflection", "reversal swaps concatenated halves",
-                       res, cfg.gate, 10))
+    record("vertex reflection", "reversal swaps concatenated halves", res, cfg.gate, 10)
 
     rng = env.rng("endpoint section")
     fiber = string_cm.fiber
@@ -489,123 +459,110 @@ def string_checks(env):
     for _ in range(20):
         ext = fiber.sample(rng)
         res = max(res, maxabs(lp.restrict_loop(ext.loop, tol)[model.n] - spin.identity()))
-    out.append(_record(env, "string", "endpoint section", "restricted half loops end at the identity",
-                       res, cfg.gate, 20))
+    record("endpoint section", "restricted half loops end at the identity", res, cfg.gate, 20)
 
     rng = env.rng("loop cocycle")
     xi = lp.random_loop_algebra(model, rng)
     eta = lp.random_loop_algebra(model, rng)
     cmp = lp.loop_cocycle_compare(model, xi, eta, tol)
-    out.append(_record(env, "string", "loop cocycle comparison",
-                       "discrete pairing versus commutator anomaly (reported)",
-                       abs(cmp["difference"]), EXPLORATORY, 1))
+    record("loop cocycle comparison",
+           "discrete pairing versus commutator anomaly (reported)",
+           abs(cmp["difference"]), EXPLORATORY, 1)
     anti = abs(lp.discrete_loop_cocycle_centered(xi, eta) + lp.discrete_loop_cocycle_centered(eta, xi))
     anti = max(anti, abs(bog.schwinger_term(model, lp.skew_from_loop_algebra(model, xi),
                                             lp.skew_from_loop_algebra(model, eta), tol)
                          + bog.schwinger_term(model, lp.skew_from_loop_algebra(model, eta),
                                               lp.skew_from_loop_algebra(model, xi), tol)))
-    out.append(_record(env, "string", "loop cocycle antisymmetry", "pairing changes sign under swap",
-                       anti, cfg.gate, 1))
+    record("loop cocycle antisymmetry", "pairing changes sign under swap", anti, cfg.gate, 1)
     fwd = abs(lp.discrete_loop_cocycle(xi, eta) + lp.discrete_loop_cocycle(eta, xi))
-    out.append(_record(env, "string", "forward difference asymmetry",
-                       "lattice defect of the one-sided pairing (reported)", fwd, EXPLORATORY, 1))
-    return out
-
-
-def _half_supported_from(model, spin, rng):
-    loop = [spin.identity() for _ in range(2 * model.n)]
-    for j in range(1, model.n):
-        loop[j] = spin.sample(rng)
-    return np.stack(loop)
+    record("forward difference asymmetry",
+           "lattice defect of the one-sided pairing (reported)", fwd, EXPLORATORY, 1)
+    return record.records
 
 
 # --------------------------------------------------------------------- rep
 
 def rep_checks(env):
+    record = _Recorder("rep")
     cfg, tol = env.config, env.tol
     ctx = env.ctx
-    out = []
 
-    out.append(_from_report(env, "rep", "fiber lands in the algebra", "even unitaries inside the span",
-                            rep.check_membership_evenness(ctx, 50, env.rng("fiber membership")), cfg.gate))
-    out.append(_from_report(env, "rep", "t compatibility", "restriction matches conjugation",
-                            rep.check_t_compatibility(ctx, 100, env.rng("t compatibility")), cfg.gate))
-    out.append(_from_report(env, "rep", "action compatibility", "doubling action matches evaluation",
-                            rep.check_alpha_compatibility(ctx, 100, env.rng("action compatibility")),
-                            cfg.gate))
-    out.append(_from_report(env, "rep", "well definedness", "only the first half matters",
-                            rep.check_well_definedness(ctx, 50, env.rng("well definedness")), cfg.gate))
+    report = rep.check_membership_evenness(ctx, 50, env.rng("fiber membership"))
+    record("fiber lands in the algebra", "even unitaries inside the span",
+           report.max_residual, cfg.gate, cfg.samples)
+    report = rep.check_t_compatibility(ctx, 100, env.rng("t compatibility"))
+    record("t compatibility", "restriction matches conjugation", report.max_residual, cfg.gate, cfg.samples)
+    report = rep.check_alpha_compatibility(ctx, 100, env.rng("action compatibility"))
+    record("action compatibility", "doubling action matches evaluation",
+           report.max_residual, cfg.gate, cfg.samples)
+    report = rep.check_well_definedness(ctx, 50, env.rng("well definedness"))
+    record("well definedness", "only the first half matters", report.max_residual, cfg.gate, cfg.samples)
 
     R = rep.representation_intertwiner(ctx)
     report = tg.check_intertwiner(R, ctx.string_cm, ctx.unitary_cm, 50,
                                   env.rng("full intertwiner"), tol)
-    out.append(_from_report(env, "rep", "strict intertwiner", "both compatibilities and both homomorphisms",
-                            report, cfg.gate))
+    record("strict intertwiner", "both compatibilities and both homomorphisms",
+           report.max_residual, cfg.gate, cfg.samples)
 
     ff_report, ff_impl = rep.check_fusion_factorization(ctx, 12, env.rng("fusion factorization"))
-    out.append(_from_report(env, "rep", "fusion factorization", "section, homomorphism, J commutation",
-                            ff_report, cfg.gate))
-    out.append(_record(env, "rep", "fusion factorization implements",
-                       "canonical unitary versus the vertex-doubled rotation (reported)",
-                       ff_impl["vertex doubled"], EXPLORATORY, 12))
-    out.append(_record(env, "rep", "canonical unit edge law",
-                       "canonical unitary implements the edge-doubled rotation (reported)",
-                       ff_impl["edge doubled"], EXPLORATORY, 12))
+    record("fusion factorization", "section, homomorphism, J commutation",
+           ff_report.max_residual, cfg.gate, cfg.samples)
+    record("fusion factorization implements",
+           "canonical unitary versus the vertex-doubled rotation (reported)",
+           ff_impl["vertex doubled"], EXPLORATORY, 12)
+    record("canonical unit edge law",
+           "canonical unitary implements the edge-doubled rotation (reported)",
+           ff_impl["edge doubled"], EXPLORATORY, 12)
 
     f_report, f_extra = rep.check_f_scalar(ctx, 20, env.rng("unit comparison"))
-    out.append(_from_report(env, "rep", "unit comparison scalar", "canonical and lifted units differ by a phase",
-                            f_report, cfg.gate))
-    out.append(_record(env, "rep", "unit comparison value", "observed deviation of the phase from one (reported)",
-                       f_extra["scalar minus one"], EXPLORATORY, 20))
+    record("unit comparison scalar", "canonical and lifted units differ by a phase",
+           f_report.max_residual, cfg.gate, cfg.samples)
+    record("unit comparison value", "observed deviation of the phase from one (reported)",
+           f_extra["scalar minus one"], EXPLORATORY, 20)
 
     pair_tg = rep.pair_two_group(ctx)
     norm_tg = rep.normalizer_two_group(ctx)
     pair_report = tg.check_minimal_data(pair_tg, 12, env.rng("pair minimal data"), tol)
     unit_res = pair_report.residuals.pop("i homomorphism")
-    out.append(_record(env, "rep", "pair 2-group minimal data", "sections and commuting kernels",
-                       pair_report.max_residual, cfg.gate, 12))
-    out.append(_record(env, "rep", "pair 2-group unit multiplicativity",
-                       "pointwise unit section is a homomorphism", unit_res, cfg.gate, 12))
+    record("pair 2-group minimal data", "sections and commuting kernels",
+           pair_report.max_residual, cfg.gate, 12)
+    record("pair 2-group unit multiplicativity",
+           "pointwise unit section is a homomorphism", unit_res, cfg.gate, 12)
     sign_report = rep.unit_sign_cocycle(ctx, 20, env.rng("unit sign cocycle"))
-    out.append(_record(env, "rep", "unit section sign cocycle",
-                       "worst distance of the lift cocycle from +-1 (reported)",
-                       sign_report["distance from signs"], EXPLORATORY, 20))
-    out.append(_record(env, "rep", "unit section sign frequency",
-                       "fraction of sampled pairs on the negative branch (reported)",
-                       sign_report["negative fraction"], EXPLORATORY, 20))
+    record("unit section sign cocycle",
+           "worst distance of the lift cocycle from +-1 (reported)",
+           sign_report["distance from signs"], EXPLORATORY, 20)
+    record("unit section sign frequency",
+           "fraction of sampled pairs on the negative branch (reported)",
+           sign_report["negative fraction"], EXPLORATORY, 20)
     res = tg.check_minimal_data(norm_tg, 8, env.rng("normalizer minimal data"), tol).max_residual
-    out.append(_record(env, "rep", "normalizer 2-group minimal data", "sections and commuting kernels",
-                       res, cfg.gate, 8))
+    record("normalizer 2-group minimal data", "sections and commuting kernels", res, cfg.gate, 8)
 
     gated, extra = rep.check_two_group_compatibility(ctx, 25, env.rng("2-group compatibility"))
-    out.append(_record(env, "rep", "2-group target compatibility", "targets intertwine",
-                       gated.residuals["target"], cfg.gate, 25))
-    out.append(_record(env, "rep", "2-group source compatibility", "sources intertwine on interior loops",
-                       gated.residuals["source (interior class)"], cfg.gate, 25))
-    out.append(_record(env, "rep", "2-group source shifted", "source equals the edge-reversed conjugation (reported)",
-                       extra["source vs edge-reversed loop"], EXPLORATORY, 25))
+    record("2-group target compatibility", "targets intertwine", gated.residuals["target"], cfg.gate, 25)
+    record("2-group source compatibility", "sources intertwine on interior loops",
+           gated.residuals["source (interior class)"], cfg.gate, 25)
+    record("2-group source shifted", "source equals the edge-reversed conjugation (reported)",
+           extra["source vs edge-reversed loop"], EXPLORATORY, 25)
 
     mod = rep.modular_vs_reflection(ctx, 8, env.rng("modular reflection"))
-    out.append(_record(env, "rep", "mirror is a rotation", "J conjugation stays Bogoliubov (reported)",
-                       mod["bogoliubov defect"], EXPLORATORY, 8))
-    out.append(_record(env, "rep", "mirror vs vertex reflection", "moved-coordinate defect (reported)",
-                       mod["vertex moved"], EXPLORATORY, 8))
-    out.append(_record(env, "rep", "mirror vs vertex reflection fixed", "fixed-coordinate defect (reported)",
-                       mod["vertex fixed"], EXPLORATORY, 8))
-    out.append(_record(env, "rep", "mirror vs edge reflection", "edge-reversal defect (reported)",
-                       mod["edge"], EXPLORATORY, 8))
+    record("mirror is a rotation", "J conjugation stays Bogoliubov (reported)",
+           mod["bogoliubov defect"], EXPLORATORY, 8)
+    record("mirror vs vertex reflection", "moved-coordinate defect (reported)",
+           mod["vertex moved"], EXPLORATORY, 8)
+    record("mirror vs vertex reflection fixed", "fixed-coordinate defect (reported)",
+           mod["vertex fixed"], EXPLORATORY, 8)
+    record("mirror vs edge reflection", "edge-reversal defect (reported)", mod["edge"], EXPLORATORY, 8)
 
     pi_report = rep.check_pi_levels(ctx, 20, env.rng("pi levels"))
-    out.append(_record(env, "rep", "central fiber identity", "phases map to phases",
-                       pi_report.residuals["central identity"], 1e-10, 20))
-    out.append(_record(env, "rep", "centrality", "phases are fixed by the action",
-                       pi_report.residuals["centrality"], 1e-10, 20))
-    out.append(_record(env, "rep", "endpoint inner difference", "equal endpoints differ by an inner twist",
-                       pi_report.residuals["endpoint inner difference"], cfg.gate, 20))
+    record("central fiber identity", "phases map to phases",
+           pi_report.residuals["central identity"], 1e-10, 20)
+    record("centrality", "phases are fixed by the action", pi_report.residuals["centrality"], 1e-10, 20)
+    record("endpoint inner difference", "equal endpoints differ by an inner twist",
+           pi_report.residuals["endpoint inner difference"], cfg.gate, 20)
     kernel_dim = rep.irreducibility_dimension(ctx.model, env.rng("pi1 kernel"), tol)
-    out.append(_record(env, "rep", "pi1 kernel dimension", "only phases fix every generator",
-                       abs(kernel_dim - 1), cfg.gate, 1))
-    return out
+    record("pi1 kernel dimension", "only phases fix every generator", abs(kernel_dim - 1), cfg.gate, 1)
+    return record.records
 
 
 SUITES = {
@@ -622,17 +579,8 @@ def run_suites(config):
     """Execute the configured suites; returns (exit_code, records)."""
     config.validate()
     env = Environment(config)
-    records = []
-    for suite in config.ordered_suites():
-        t0 = time.perf_counter()
-        suite_records = SUITES[suite](env)
-        elapsed = time.perf_counter() - t0
-        share = elapsed / max(len(suite_records), 1)
-        for r in suite_records:
-            r.wall_time = share
-        records.extend(suite_records)
-    failed = [r for r in records if not r.exploratory and not r.passed]
-    return (1 if failed else 0), records
+    records = [r for suite in config.ordered_suites() for r in SUITES[suite](env)]
+    return (1 if summarize(records)["failed"] else 0), records
 
 
 def run(config):

@@ -1,7 +1,7 @@
 """Static hygiene of the package and its tests, checked with the stdlib ast
 module: no unused imports, no function-local name that is assigned but
-never read, and no module-level definition of the package that nothing
-refers to."""
+never read, and no module-level definition of the package, nor method of
+one of its classes, that nothing refers to."""
 
 import ast
 from pathlib import Path
@@ -58,9 +58,17 @@ def unread_locals(tree):
 
 
 def defined_names(tree):
-    """Module-level functions and classes, with their lines."""
-    return [(node.lineno, node.name) for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    """Module-level functions and classes, and the non-dunder methods of those
+    classes, as (line, label, name a reference would use)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, f"{node.name}.{item.name}", item.name) for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return found
 
 
 def referenced_names(tree):
@@ -79,7 +87,7 @@ def referenced_names(tree):
 def dead_definitions(tree, referencing_trees):
     """Definitions of tree that none of referencing_trees refers to."""
     used = set().union(*(referenced_names(t) for t in referencing_trees))
-    return [(line, name) for line, name in defined_names(tree) if name not in used]
+    return [(line, label) for line, label, name in defined_names(tree) if name not in used]
 
 
 def offenders(paths, finder):
@@ -111,7 +119,10 @@ def test_finders_flag_what_they_name():
     assert sorted(unused_imports(tree)) == [(1, "os"), (2, "c")]
     assert unread_locals(tree) == [(4, "f: y")]
     module = ast.parse("def used():\n    pass\n\ndef unused():\n    return used()\n\n"
-                       "class Called:\n    pass\n\nclass Dead:\n    pass\n")
-    caller = ast.parse("import m\nfrom m import Called as C\nm.unused\n")
-    assert dead_definitions(module, [module]) == [(4, "unused"), (7, "Called"), (10, "Dead")]
-    assert dead_definitions(module, [module, caller]) == [(10, "Dead")]
+                       "class Called:\n    def __init__(self):\n        pass\n\n"
+                       "    def method(self):\n        pass\n\n    def stale(self):\n        pass\n\n"
+                       "class Dead:\n    pass\n")
+    caller = ast.parse("import m\nfrom m import Called as C\nm.unused\nC().method()\n")
+    assert dead_definitions(module, [module]) == [(4, "unused"), (7, "Called"), (11, "Called.method"),
+                                                  (14, "Called.stale"), (17, "Dead")]
+    assert dead_definitions(module, [module, caller]) == [(14, "Called.stale"), (17, "Dead")]

@@ -6,6 +6,8 @@ import pytest
 
 import loopfock.algebra
 import loopfock.rep
+import loopfock.suites
+import loopfock.twogroup
 from loopfock.cli import build_config, main
 from loopfock.errors import ConfigError
 from loopfock.linalg import maxabs
@@ -37,9 +39,9 @@ class TestRunConfig:
 
 def sample_records():
     return [
-        CheckRecord("clifford", "a", "identity a", 1e-12, 1e-8, True, 0.1, 10),
-        CheckRecord("clifford", "b", "identity b", 0.5, 1e-8, False, 0.2, 5),
-        CheckRecord("string", "c", "observed c", 0.3, float("inf"), True, 0.3, 2),
+        CheckRecord("clifford", "a", "identity a", 1e-12, 1e-8, 0.1, 10),
+        CheckRecord("clifford", "b", "identity b", 0.5, 1e-8, 0.2, 5),
+        CheckRecord("string", "c", "observed c", 0.3, float("inf"), 0.3, 2),
     ]
 
 
@@ -94,6 +96,23 @@ class TestDeterminism:
         inside = {r.name: r.residual for r in r_all if r.suite == "two-group"}
         alone = {r.name: r.residual for r in r_one}
         assert inside == alone
+
+    def test_wall_time_is_time_since_previous_record(self, monkeypatch):
+        # only the two pi0_pi1 calls of the "pi structure" check advance the clock
+        clock = [0.0]
+        pi0_pi1 = loopfock.twogroup.pi0_pi1
+
+        def ticking(*args, **kwargs):
+            clock[0] += 1.0
+            return pi0_pi1(*args, **kwargs)
+
+        monkeypatch.setattr(loopfock.suites.time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(loopfock.twogroup, "pi0_pi1", ticking)
+        _, records = run_suites(RunConfig(n=1, d=2, suites=("two-group",)))
+        times = {r.name: r.wall_time for r in records}
+        assert len(times) == 9
+        assert times.pop("pi structure") == 2.0
+        assert set(times.values()) == {0.0}
 
     def test_all_alias(self):
         cfg, _ = build_config(["--points", "2", "--dim", "2", "--suite", "all"])
