@@ -12,6 +12,7 @@ with pi(f) = sqrt(2) a^dag(f) on Lagrangian vectors f.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,30 @@ def creation_operators(modes):
     return ops
 
 
+def even_monomials(mats):
+    """Ordered products prod_{a in S} mats[a] over the even subsets S, keyed by bitmask.
+
+    A product of four or more factors is its lowest pair times the rest, so
+    2^(d-1) - 1 matrix products form the even monomials and no odd one.
+    """
+    out = {0: np.eye(mats.shape[1], dtype=complex)}
+    for S in range(3, 2 ** len(mats)):
+        bits = [a for a in range(len(mats)) if S >> a & 1]
+        if len(bits) % 2 == 0:
+            pair = 1 << bits[0] | 1 << bits[1]
+            out[S] = mats[bits[0]] @ mats[bits[1]] if S == pair else out[pair] @ out[S ^ pair]
+    return out
+
+
+def _compressed_rows(M):
+    """(cols, vals) with M[k, cols[k]] = vals[k]: each row's nonzero columns
+    first, padded with zero entries to the widest row.  Both arrays own their data."""
+    nonzero = M != 0
+    width = int(nonzero.sum(axis=1).max())
+    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :width].copy()
+    return cols, np.take_along_axis(M, cols, axis=1)
+
+
 @dataclass
 class CliffordModel:
     """Lattice, Lagrangian, Fock generators and grading, plus small caches.
@@ -145,6 +170,15 @@ class CliffordModel:
         v = np.zeros(self.dim_h, dtype=complex)
         v[flat] = 1.0
         return v
+
+    @cached_property
+    def vertex_monomials(self):
+        """Per vertex j, the even monomials of i pi(e_{j,a}) keyed by bitmask,
+        row-compressed as in _compressed_rows; built on first read."""
+        d = self.d
+        return [{S: _compressed_rows(M) for S, M in
+                 even_monomials(1j * self.generators[j * d:(j + 1) * d]).items()}
+                for j in range(self.lattice.points)]
 
 
 def build_clifford_model(n, d, lagrangian=None, allow_odd_modes=False, tol=DEFAULT_TOL):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bogoliubov import (Implementer, check_orthogonal, is_special, normalize_phase,
                          schwinger_term)
+from .clifford import even_monomials
 from .errors import EndpointMismatch, NotSpecialOrthogonal
 from .linalg import DEFAULT_TOL, maxabs
 from .twogroup import ComputableGroup, CrossedModule, UnitaryGroup
@@ -78,6 +79,7 @@ class SpinGroup(UnitaryGroup):
         super().__init__(gammas.shape[1], name=f"Spin({d})")
         self.d = d
         self.gammas = gammas
+        self.even_gammas = even_monomials(gammas)
 
     def sample(self, rng):
         return spin_sample(self.gammas, rng)
@@ -196,36 +198,26 @@ def lift(model, spin, loop, tol=DEFAULT_TOL):
     return out
 
 
-def _even_monomials(mats):
-    """Ordered products prod_{a in S} mats[a] over the even subsets S, keyed by bitmask.
-
-    A product of four or more factors is its lowest pair times the rest, so
-    2^(d-1) - 1 matrix products form the even monomials and no odd one.
-    """
-    out = {0: np.eye(mats.shape[1], dtype=complex)}
-    for S in range(3, 2 ** len(mats)):
-        bits = [a for a in range(len(mats)) if S >> a & 1]
-        if len(bits) % 2 == 0:
-            pair = 1 << bits[0] | 1 << bits[1]
-            out[S] = mats[bits[0]] @ mats[bits[1]] if S == pair else out[pair] @ out[S ^ pair]
-    return out
-
-
 def pointwise_unitary(model, spin, loop):
     """Fock unitary of the loop through the pointwise spin representation.
 
     At vertex j, gamma_a -> i pi(e_{j,a}) extends to a *-homomorphism rho_j
     of the Clifford algebra, and U = prod_j rho_j(x_j) with
-    rho_j(x) = sum_{|S| even} tr(gamma_S^* x)/r prod_{a in S} i pi(e_{j,a}).
+    rho_j(x) = sum_{|S| even} tr(gamma_S^* x)/r M_{j,S}, M_{j,S} being the
+    ordered product of the i pi(e_{j,a}), a in S.  The M_{j,S} are read from
+    the model's row-compressed vertex_monomials table and scattered into one
+    dense rho_j per vertex, so a lift costs 2n - 1 dense products.
     Even elements at different vertices commute, so loop -> U is an exact
     group homomorphism implementing omega_matrix(loop); no phase is fixed.
     """
-    d, r = model.d, spin.dim
-    gam = _even_monomials(spin.gammas)
+    r, N = spin.dim, model.fock_dim
+    rows = np.arange(N)[:, None]
     U = None
-    for j in range(2 * model.n):
-        fock = _even_monomials(1j * model.generators[j * d:(j + 1) * d])
-        rho = sum(np.vdot(gam[S], loop[j]) / r * fock[S] for S in gam)
+    for x, table in zip(loop, model.vertex_monomials, strict=True):
+        rho = np.zeros((N, N), dtype=complex)
+        for S, gamma_S in spin.even_gammas.items():
+            cols, vals = table[S]
+            rho[rows, cols] += np.vdot(gamma_S, x) / r * vals
         U = rho if U is None else U @ rho
     return U
 

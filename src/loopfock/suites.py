@@ -230,7 +230,7 @@ def tomita_checks(env):
 
     report = rep.check_twisted_duality(ctx)
     record("twisted duality", "half algebras are mutual super commutants",
-           report.max_residual, cfg.gate, cfg.samples)
+           report.max_residual, cfg.gate, 1)
 
     comm = ctx.algebra_comm
     pairwise = max(maxabs(a @ comm.basis - comm.basis @ a) for a in A.basis)
@@ -297,7 +297,7 @@ def twogroup_checks(env):
     aut = tg.matrix_automorphism_module(2)
     report = tg.check_crossed_module(aut, 50, env.rng("matrix automorphisms"), tol)
     record("matrix automorphism module", "units over conjugations",
-           report.max_residual, cfg.gate, samples)
+           report.max_residual, cfg.gate, 50)
 
     z2, z4cm = tg.delooping(tg.FiniteGroup.cyclic(2)), tg.delooping(tg.FiniteGroup.cyclic(4))
     incl = tg.inclusion_intertwiner(2, z2, z4cm)
@@ -422,7 +422,7 @@ def string_checks(env):
 
     string_cm = lp.string_crossed_module(model, spin, tol)
     report = tg.check_crossed_module(string_cm, 100, env.rng("string axioms"), tol)
-    record("string crossed module", "equivariance and peiffer", report.max_residual, cfg.gate, cfg.samples)
+    record("string crossed module", "equivariance and peiffer", report.max_residual, cfg.gate, 100)
 
     rng = env.rng("disjoint supports")
     res = 0.0
@@ -489,24 +489,24 @@ def rep_checks(env):
 
     report = rep.check_membership_evenness(ctx, 50, env.rng("fiber membership"))
     record("fiber lands in the algebra", "even unitaries inside the span",
-           report.max_residual, cfg.gate, cfg.samples)
+           report.max_residual, cfg.gate, 50)
     report = rep.check_t_compatibility(ctx, 100, env.rng("t compatibility"))
-    record("t compatibility", "restriction matches conjugation", report.max_residual, cfg.gate, cfg.samples)
+    record("t compatibility", "restriction matches conjugation", report.max_residual, cfg.gate, 100)
     report = rep.check_alpha_compatibility(ctx, 100, env.rng("action compatibility"))
     record("action compatibility", "doubling action matches evaluation",
-           report.max_residual, cfg.gate, cfg.samples)
+           report.max_residual, cfg.gate, 100)
     report = rep.check_well_definedness(ctx, 50, env.rng("well definedness"))
-    record("well definedness", "only the first half matters", report.max_residual, cfg.gate, cfg.samples)
+    record("well definedness", "only the first half matters", report.max_residual, cfg.gate, 50)
 
     R = rep.representation_intertwiner(ctx)
     report = tg.check_intertwiner(R, ctx.string_cm, ctx.unitary_cm, 50,
                                   env.rng("full intertwiner"), tol)
     record("strict intertwiner", "both compatibilities and both homomorphisms",
-           report.max_residual, cfg.gate, cfg.samples)
+           report.max_residual, cfg.gate, 50)
 
     ff_report, ff_impl = rep.check_fusion_factorization(ctx, 12, env.rng("fusion factorization"))
     record("fusion factorization", "section, homomorphism, J commutation",
-           ff_report.max_residual, cfg.gate, cfg.samples)
+           ff_report.max_residual, cfg.gate, 12)
     record("fusion factorization implements",
            "canonical unitary versus the vertex-doubled rotation (reported)",
            ff_impl["vertex doubled"], EXPLORATORY, 12)
@@ -516,7 +516,7 @@ def rep_checks(env):
 
     f_report, f_extra = rep.check_f_scalar(ctx, 20, env.rng("unit comparison"))
     record("unit comparison scalar", "canonical and lifted units differ by a phase",
-           f_report.max_residual, cfg.gate, cfg.samples)
+           f_report.max_residual, cfg.gate, 20)
     record("unit comparison value", "observed deviation of the phase from one (reported)",
            f_extra["scalar minus one"], EXPLORATORY, 20)
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopfock.clifford
 from loopfock.bogoliubov import implement_pin, implementation_residual, normalize_phase
-from loopfock.clifford import build_clifford_model
+from loopfock.clifford import build_clifford_model, even_monomials
 from loopfock.errors import EndpointMismatch, NotOrthogonal, NotSpecialOrthogonal
 from loopfock.linalg import maxabs, scalar_defect
 from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
@@ -12,8 +13,8 @@ from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
                             discrete_loop_cocycle_centered, double_path,
                             edge_reflection, gamma_matrices, is_half_supported,
                             lift, loop_cocycle_compare, loop_from_bivectors,
-                            loop_identity, omega_matrix, random_loop_algebra,
-                            reflect_orthogonal, restrict_loop, reversed_loop,
+                            loop_identity, omega_matrix, pointwise_unitary,
+                            random_loop_algebra, reflect_orthogonal, restrict_loop, reversed_loop,
                             spin_exp, string_crossed_module, vertex_reflection)
 from loopfock.twogroup import check_crossed_module
 
@@ -205,6 +206,72 @@ class TestSingleRoute:
             defect, lam = scalar_defect(Ua @ Ub @ Ua.conj().T @ Ub.conj().T @ Uc.conj().T)
             assert defect <= 1e-9
             assert min(abs(lam - 1.0), abs(lam + 1.0)) <= 1e-9
+
+
+def dense_pointwise_unitary(model, spin, loop):
+    """The tabled lift's reference: each vertex's dense Fock monomials, rebuilt and summed."""
+    d, r = model.d, spin.dim
+    U = None
+    for j in range(2 * model.n):
+        fock = even_monomials(1j * model.generators[j * d:(j + 1) * d])
+        rho = sum(np.vdot(gamma_S, loop[j]) / r * fock[S] for S, gamma_S in spin.even_gammas.items())
+        U = rho if U is None else U @ rho
+    return U
+
+
+def tabled_vs_dense(model, spin, seed):
+    local = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(3):
+        loop = np.stack([spin.sample(local) for _ in range(2 * model.n)])
+        worst = max(worst, maxabs(pointwise_unitary(model, spin, loop)
+                                  - dense_pointwise_unitary(model, spin, loop)))
+    return worst
+
+
+class TestVertexTable:
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2), (1, 4), (2, 4)])
+    def test_tabled_lift_equals_the_dense_route(self, n, d):
+        model, spin = build_clifford_model(n, d), SpinGroup(d)
+        assert tabled_vs_dense(model, spin, 10 * n + d) <= 1e-15
+
+    def test_dropping_one_table_entry_is_detected(self):
+        model, spin = build_clifford_model(2, 3), SpinGroup(3)
+        table = [dict(vertex) for vertex in model.vertex_monomials]
+        cols, vals = table[1][3]
+        vals = vals.copy()
+        vals[0, 0] = 0.0
+        table[1][3] = cols, vals
+        model.vertex_monomials = table
+        assert tabled_vs_dense(model, spin, 23) > 1e-3
+
+    def test_table_is_built_once_on_the_first_lift(self, monkeypatch):
+        model, spin = build_clifford_model(2, 4), SpinGroup(4)
+        assert "vertex_monomials" not in vars(model)
+        fock_calls = []
+
+        def counting(mats):
+            if mats.shape[1] == model.fock_dim:
+                fock_calls.append(mats.shape)
+            return even_monomials(mats)
+
+        monkeypatch.setattr(loopfock.clifford, "even_monomials", counting)
+        local = np.random.default_rng(24)
+        lift(model, spin, np.stack([spin.sample(local) for _ in range(4)]))
+        assert "vertex_monomials" in vars(model)
+        assert len(fock_calls) == 2 * model.n
+        lift(model, spin, np.stack([spin.sample(local) for _ in range(4)]))
+        assert len(model.lift_cache) == 2
+        assert len(fock_calls) == 2 * model.n
+
+    def test_table_size_and_ownership(self):
+        model = build_clifford_model(2, 4)
+        arrays = [a for vertex in model.vertex_monomials for entry in vertex.values() for a in entry]
+        assert sum(a.nbytes for a in arrays) <= 2 * 2 ** 20
+        # a view would pin the full N x N array it was cut from
+        assert all(a.base is None for a in arrays)
+        widths = {S: cols.shape[1] for S, (cols, _) in model.vertex_monomials[0].items()}
+        assert widths == {0: 1, 3: 4, 5: 4, 6: 4, 9: 4, 10: 4, 12: 4, 15: 16}
 
 
 coordinate_lists = {

@@ -162,6 +162,23 @@ class TestGatedRecords:
         assert planted.residual == pytest.approx(all_pairs(), rel=1e-12)
 
 
+class TestSampleCounts:
+    # checks whose sample count is fixed, whatever --samples says
+    FIXED = {"matrix automorphism module": 50, "fiber lands in the algebra": 50,
+             "well definedness": 50, "strict intertwiner": 50, "t compatibility": 100,
+             "action compatibility": 100, "string crossed module": 100,
+             "fusion factorization": 12, "unit comparison scalar": 20, "twisted duality": 1}
+    SCALED = ("finite crossed modules", "peiffer detects nonabelian", "inclusion intertwiner",
+              "intertwiner detects defect")
+
+    def test_records_count_the_samples_their_checks_draw(self):
+        cfg, _ = build_config(["--points", "2", "--dim", "2", "--samples", "7"])
+        _, records = run_suites(cfg)
+        counts = {r.name: r.sample_count for r in records}
+        assert {name: counts[name] for name in self.FIXED} == self.FIXED
+        assert {counts[name] for name in self.SCALED} == {7}
+
+
 class TestCli:
     def test_flag_parsing(self):
         cfg, literal = build_config(["--points", "4", "--dim", "3", "--seed", "5",
