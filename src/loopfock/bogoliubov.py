@@ -12,15 +12,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clifford import pi_columns
-from .errors import (ContractViolation, NonScalarDefect, NonUniqueImplementer,
-                     NotOrthogonal, NotSpecialOrthogonal, SingularInput)
+from .clifford import flip_table, pi_columns
+from .errors import (ContractViolation, DimensionMismatch, NonScalarDefect,
+                     NonUniqueImplementer, NotOrthogonal, NotSpecialOrthogonal,
+                     SingularInput)
 from .linalg import (DEFAULT_TOL, averaged_intertwiners, joint_kernel, maxabs,
                      polar_unitary, scalar_defect)
 
 # generic probes of the averaging projection onto an intertwiner space
 # expected to be a line
 LINE_PROBES = 6
+# entries per generator in one row block of implementation_residual
+_BLOCK_ENTRIES = 2 ** 13
 
 
 def check_orthogonal(g, tol=DEFAULT_TOL):
@@ -47,9 +50,9 @@ class Implementer:
 
 
 def _classify_parity(model, U, tol):
-    G = model.grading
-    comm = maxabs(U @ G - G @ U)
-    anti = maxabs(U @ G + G @ U)
+    s = model.grading.diagonal().real
+    comm = maxabs(U * s - s[:, None] * U)
+    anti = maxabs(U * s + s[:, None] * U)
     if comm <= tol.eq_tol:
         return "even"
     if anti <= tol.eq_tol:
@@ -58,9 +61,34 @@ def _classify_parity(model, U, tol):
 
 
 def implementation_residual(model, U, g):
-    """max_i ||U pi_i U^* - pi(g e_i)|| over the real basis."""
-    conj = U @ model.generators @ U.conj().T
-    return maxabs(conj - pi_columns(model, g))
+    """max_i ||U pi_i - pi(g e_i) U||_F, the Frobenius commutator norm over the real basis.
+
+    For unitary U it equals ||U pi_i U^* - pi(g e_i)||_F, never below that
+    matrix's largest entry.  Each pi is a sum of bit flips weighted by
+    model.flip_coefficients, so U pi_i gathers columns of U and pi(g e_i) U
+    gathers rows; every generator is taken at once, a block of rows at a time.
+    """
+    N, D = model.fock_dim, model.dim_h
+    U, g = np.asarray(U), np.asarray(g)
+    if U.shape != (N, N):
+        raise DimensionMismatch(f"unitary has shape {U.shape}, expected ({N}, {N})")
+    if g.shape != (D, D):
+        raise DimensionMismatch(f"orthogonal map has shape {g.shape}, expected ({D}, {D})")
+    c = model.flip_coefficients
+    flips = flip_table(model.lattice.modes)
+    # right[s, mu, i] = pi_i[s ^ 2^mu, s] and left[r, mu, i] = pi(g e_i)[r, r ^ 2^mu]
+    right = c[:, np.arange(c.shape[1]), flips].transpose(1, 2, 0)
+    left = np.tensordot(g, c, axes=(0, 0)).transpose(2, 1, 0)
+    rows = max(1, _BLOCK_ENTRIES // N)
+    squares = np.zeros(2 * D)
+    for start in range(0, N, rows):
+        block = slice(start, start + rows)
+        # U pi_i as [s, r, i] and pi(g e_i) U as [r, s, i] on the block's rows r
+        u_pi = np.matmul(U[block].T[flips].transpose(0, 2, 1), right)
+        pi_u = np.matmul(U[flips[block]].transpose(0, 2, 1), left[block])
+        diff = (pi_u - u_pi.transpose(1, 0, 2)).view(float)
+        squares += np.einsum("rsk,rsk->k", diff, diff)
+    return float(np.sqrt(squares.reshape(D, 2).sum(axis=1).max()))
 
 
 def implement_oracle(model, g, tol=DEFAULT_TOL, rng=None):

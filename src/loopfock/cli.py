@@ -123,11 +123,11 @@ def _describe_loop(config, literal):
         raise ConfigError(f"loop literal must list {2 * config.n} vertices")
     loop = loop_from_bivectors(spin, coords)
     ext = lift(model, spin, loop, env.tol)
-    g, G = ext.implementer.implemented, model.grading
-    print(f"loop lift: implementer residual {implementation_residual(model, ext.unitary, g):.3e}, "
+    U, g, s = ext.unitary, ext.implementer.implemented, model.grading.diagonal().real
+    print(f"loop lift: implementer residual {implementation_residual(model, U, g):.3e}, "
           f"parity {ext.implementer.parity}, "
-          f"vacuum overlap {ext.unitary[0, 0]:.6f}, "
-          f"grading commutator {maxabs(ext.unitary @ G - G @ ext.unitary):.3e}, "
+          f"vacuum overlap {U[0, 0]:.6f}, "
+          f"grading commutator {maxabs(U * s - s[:, None] * U):.3e}, "
           f"half supported: {is_half_supported(loop, env.tol)}")
     if config.dump_path:
         with open(config.dump_path, "a") as fh:

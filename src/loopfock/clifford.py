@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ContractViolation, DimensionMismatch
 from .linalg import DEFAULT_TOL, maxabs
 
 
@@ -179,6 +179,22 @@ class CliffordModel:
         return [{S: _compressed_rows(M) for S, M in
                  even_monomials(1j * self.generators[j * d:(j + 1) * d]).items()}
                 for j in range(self.lattice.points)]
+
+    @cached_property
+    def flip_coefficients(self):
+        """c[i, mu, r] = pi_i[r, r ^ 2^mu], so pi_i = sum_mu diag(c[i, mu]) X_mu
+        with X_mu the bit flip of mode mu (Jordan-Wigner form); built on first read."""
+        c = self.generators[:, np.arange(self.fock_dim), flip_table(self.lattice.modes).T]
+        # the flip positions are distinct, so c rebuilds the stack exactly
+        # when no other entry of it is nonzero
+        if np.count_nonzero(c) != np.count_nonzero(self.generators):
+            raise ContractViolation("a generator has entries off the single bit flips")
+        return c
+
+
+def flip_table(modes):
+    """flips[r, mu] = r ^ 2^mu over the Fock basis."""
+    return np.arange(2 ** modes)[:, None] ^ (1 << np.arange(modes))
 
 
 def build_clifford_model(n, d, lagrangian=None, allow_odd_modes=False, tol=DEFAULT_TOL):

@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import loopfock.clifford
 from loopfock import suites
 from loopfock.bogoliubov import (Implementer, derived_implementer,
                                  extension_cocycle, givens_factorization,
@@ -11,9 +13,11 @@ from loopfock.bogoliubov import (Implementer, derived_implementer,
                                  normalize_phase, projective_distance,
                                  random_skew, random_special_orthogonal,
                                  schwinger_term)
-from loopfock.clifford import build_clifford_model
-from loopfock.errors import NotOrthogonal, NotSpecialOrthogonal, SingularInput
+from loopfock.clifford import build_clifford_model, pi_columns
+from loopfock.errors import (DimensionMismatch, NotOrthogonal,
+                             NotSpecialOrthogonal, SingularInput)
 from loopfock.linalg import maxabs, scalar_defect
+from loopfock.loops import SpinGroup, lift, omega_matrix
 from loopfock.report import RunConfig
 
 rng = np.random.default_rng(23)
@@ -90,6 +94,103 @@ class TestOracle:
         record = next(r for r in records if r.name == "implementer uniqueness")
         assert record.residual == extra_dim
         assert record.passed is passed
+
+
+def dense_implementation_residual(model, U, g):
+    """The flip residual's reference: max_i of the largest entry of
+    U pi_i U^* - pi(g e_i), by dense products."""
+    conj = U @ model.generators @ U.conj().T
+    return maxabs(conj - pi_columns(model, g))
+
+
+def residual_cases(n, d):
+    """(unitary, implemented map) pairs from a lift, a Givens implementer and,
+    at Fock dimension <= 64, the averaging oracle."""
+    model, spin = build_clifford_model(n, d), SpinGroup(d)
+    local = np.random.default_rng(10 * n + d)
+    loop = np.stack([spin.sample(local) for _ in range(2 * n)])
+    cases = [(lift(model, spin, loop).unitary, omega_matrix(model, spin, loop))]
+    g = random_special_orthogonal(model.dim_h, local)
+    cases.append((implement_pin(model, g).unitary, g))
+    if model.fock_dim <= 64:
+        cases.append((implement_oracle(model, g, rng=local).unitary, g))
+    return model, cases
+
+
+class TestFlipResidual:
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2), (1, 4), (2, 4)])
+    def test_bounds_the_dense_route_and_detects_wrong_maps(self, n, d):
+        model, cases = residual_cases(n, d)
+        for U, g in cases:
+            flip = implementation_residual(model, U, g)
+            assert dense_implementation_residual(model, U, g) <= flip <= 1e-12
+            swapped = g[:, [1, 0] + list(range(2, model.dim_h))]
+            assert implementation_residual(model, U, swapped) >= 0.1
+            assert dense_implementation_residual(model, U, swapped) >= 0.1
+            odd = U @ model.generators[0]
+            assert implementation_residual(model, odd, g) >= 0.1
+            assert dense_implementation_residual(model, odd, g) >= 0.1
+        # on a generic matrix every entry counts: the dense Frobenius norms agree
+        local, shape, g = np.random.default_rng(n + 10 * d), (model.fock_dim,) * 2, cases[0][1]
+        M = local.standard_normal(shape) + 1j * local.standard_normal(shape)
+        dense = max(np.linalg.norm(M @ P - Q @ M)
+                    for P, Q in zip(model.generators, pi_columns(model, g)))
+        assert abs(implementation_residual(model, M, g) - dense) <= 1e-12 * dense
+
+    def test_rejects_a_missized_unitary(self, model22):
+        g = np.eye(model22.dim_h)
+        larger = np.eye(model22.fock_dim + 1, dtype=complex)
+        with pytest.raises(DimensionMismatch, match="unitary"):
+            implementation_residual(model22, larger, g)
+        with pytest.raises(DimensionMismatch, match="unitary"):
+            implementation_residual(model22, larger[:-1], g)
+
+    def test_rejects_a_missized_map(self, model22):
+        U = np.eye(model22.fock_dim, dtype=complex)
+        with pytest.raises(DimensionMismatch, match="orthogonal map"):
+            implementation_residual(model22, U, np.eye(model22.dim_h + 2))
+        with pytest.raises(DimensionMismatch, match="orthogonal map"):
+            implementation_residual(model22, U, np.eye(model22.dim_h)[:-1])
+
+    def test_first_residual_builds_the_table_and_the_second_reuses_it(self, monkeypatch):
+        model = build_clifford_model(2, 2)
+        assert "flip_coefficients" not in vars(model)
+        flip_table = loopfock.clifford.flip_table
+        builds = []
+
+        def counting(modes):
+            builds.append(modes)
+            return flip_table(modes)
+
+        monkeypatch.setattr(loopfock.clifford, "flip_table", counting)
+        U, g = np.eye(model.fock_dim, dtype=complex), np.eye(model.dim_h)
+        assert implementation_residual(model, U, g) == 0.0
+        table = vars(model)["flip_coefficients"]
+        assert implementation_residual(model, U, g) == 0.0
+        assert vars(model)["flip_coefficients"] is table
+        assert len(builds) == 1
+
+    def test_memory_peak_at_fock_256(self):
+        model, [(U, g), *_] = residual_cases(2, 4)
+        model.flip_coefficients  # built outside the traced call
+        tracemalloc.start()
+        try:
+            implementation_residual(model, U, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1.5 times the generator stack; the dense products peaked at 48 MiB
+        assert peak <= 24 * 2 ** 20
+
+
+class TestParityFromGradingDiagonal:
+    def test_commutators_equal_the_dense_products_bitwise(self, model22):
+        G, s = model22.grading, model22.grading.diagonal().real
+        even = implement_pin(model22, random_special_orthogonal(8, rng)).unitary
+        odd = implement_oracle(model22, np.diag([-1.0] + [1.0] * 7), rng=rng).unitary
+        for U in (even, odd):
+            assert np.array_equal(U * s - s[:, None] * U, U @ G - G @ U)
+            assert np.array_equal(U * s + s[:, None] * U, U @ G + G @ U)
 
 
 class TestPin:

@@ -4,10 +4,10 @@ import pytest
 from loopfock.clifford import (LatticeModel, anticommutator_residual,
                                build_clifford_model, clifford_monomials,
                                creation_operators,
-                               default_lagrangian, generator_indices,
+                               default_lagrangian, flip_table, generator_indices,
                                half_space, pi_vector, star_residual,
                                validate_lagrangian)
-from loopfock.errors import DimensionMismatch
+from loopfock.errors import ContractViolation, DimensionMismatch
 from loopfock.linalg import maxabs, orthonormal_rows
 
 rng = np.random.default_rng(7)
@@ -119,6 +119,47 @@ class TestFockOperators:
         assert maxabs(G @ model.generators @ G + model.generators) < 1e-14
         # diagonal signs follow the number of occupied modes
         assert G[0, 0] == 1.0 and G[1, 1] == -1.0 and G[3, 3] == 1.0
+
+
+def rebuilt_from_flips(model):
+    """Dense stack sum_mu diag(c[i, mu]) X_mu from the flip table."""
+    c = model.flip_coefficients
+    dense = np.zeros_like(model.generators)
+    rows = np.arange(model.fock_dim)
+    for mu, cols in enumerate(flip_table(model.lattice.modes).T):
+        dense[:, rows, cols] = c[:, mu]
+    return dense
+
+
+class TestFlipTable:
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2), (1, 4), (2, 4)])
+    def test_rebuilds_the_generators_bitwise(self, n, d):
+        model = build_clifford_model(n, d)
+        assert "flip_coefficients" not in vars(model)
+        assert np.array_equal(rebuilt_from_flips(model), model.generators)
+
+    def test_rebuilds_the_generators_of_a_rotated_lagrangian(self):
+        lattice = LatticeModel(2, 2)
+        local = np.random.default_rng(29)
+        O, _ = np.linalg.qr(local.standard_normal((lattice.dim_h, lattice.dim_h)))
+        V, _ = np.linalg.qr(local.standard_normal((lattice.modes, lattice.modes))
+                            + 1j * local.standard_normal((lattice.modes, lattice.modes)))
+        L = O @ default_lagrangian(lattice) @ V
+        model = build_clifford_model(2, 2, lagrangian=L)
+        assert maxabs(model.lagrangian - default_lagrangian(lattice)) > 0.1
+        assert np.array_equal(rebuilt_from_flips(model), model.generators)
+
+    def test_rejects_an_entry_off_the_flips(self):
+        model = build_clifford_model(2, 2)
+        model.generators = model.generators.copy()
+        model.generators[3, 5, 5] = 1e-3
+        with pytest.raises(ContractViolation):
+            model.flip_coefficients
+
+    def test_size_at_fock_256(self):
+        model = build_clifford_model(2, 4)
+        assert model.flip_coefficients.shape == (16, 8, 256)
+        assert model.flip_coefficients.nbytes <= 2 * 2 ** 20
 
 
 class TestMonomials:
