@@ -4,9 +4,16 @@ Algebras are carried as linear bases (stacks of matrices).  Commutants and
 super commutants have a generic kernel-solver route plus an exact averaging
 fast path available whenever the algebra comes with involution-type unitary
 generators, which is the case for all Clifford half-circle algebras.
+
+Inner automorphisms are solved by averaging too: x -> sum_i theta(b_i) x b_i^*
+over an orthonormal basis b_i maps the algebra onto the implementers of
+theta times the centre, a single line on a factor.  inner_unitary checks
+that assumption on every solve and refuses algebras with a centre.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +53,13 @@ class OperatorAlgebra:
 
     def from_coordinates(self, c):
         return np.tensordot(np.asarray(c, dtype=complex), self.basis, axes=(0, 0))
+
+    @cached_property
+    def adjoint_coordinates(self):
+        """Row i holds the coordinates of the adjoint b_i^* of basis element i."""
+        # conj(b_i^*) is the transpose b_i^T, so one product gives every row
+        transposed = np.transpose(self.basis, (0, 2, 1)).reshape(self.dim, -1)
+        return np.conj(transposed @ self.basis.reshape(self.dim, -1).T)
 
     def constraint_generators(self):
         """Matrices whose commutation constraints cut out the commutant."""
@@ -348,10 +362,7 @@ def automorphism_residual(alg, images, tol=DEFAULT_TOL):
     """How far basis images are from defining a star-automorphism of the span."""
     res = span_residual(images, alg.basis)
     adj_out = np.conj(np.transpose(images, (0, 2, 1)))
-    # coordinates of every adjoint a_i* at once; conj(a_i*) is the transpose a_i^T
-    transposed = np.transpose(alg.basis, (0, 2, 1)).reshape(alg.dim, -1)
-    coords = np.conj(transposed @ alg.basis.reshape(alg.dim, -1).T)
-    res = max(res, maxabs(np.tensordot(coords, images, axes=(1, 0)) - adj_out))
+    res = max(res, maxabs(np.tensordot(alg.adjoint_coordinates, images, axes=(1, 0)) - adj_out))
     rng = np.random.default_rng(3)
     k = alg.dim
     for _ in range(4):
@@ -361,37 +372,47 @@ def automorphism_residual(alg, images, tol=DEFAULT_TOL):
     return res
 
 
+INNER_PROBES = 2
+
+
 def inner_unitary(alg, images, tol=DEFAULT_TOL):
     """Unitary u in the algebra with u a u^* matching the given basis images.
 
-    Solves x a = theta(a) x inside the span by a stacked kernel solve in
-    algebra coordinates.  The cutoff separating the solution line from the
-    rest is noise aware (the images may carry the conditioning error of the
-    modular data), and the returned unitary is re-verified against the
-    action, so a misclassified kernel cannot slip through.
+    Averages over the orthonormal basis b_i.  The map
+    x -> sum_i theta(b_i) x b_i^* sends every x to a solution y of
+    theta(a) y = y a, and for theta = Ad u it sends the algebra onto u Z(A),
+    Z(A) the centre.  The solve assumes a factor, where that is the line C u,
+    and checks it: the images of two fixed-seed probes in the algebra must
+    have rank one.  Rank zero means no implementer lies in the algebra, rank
+    above one that the algebra has a centre.  The rank cutoff is relative
+    to the largest image (the images may carry the conditioning error of
+    the modular data), and the returned unitary is re-verified against the
+    action, so a misjudged rank cannot slip through.
     """
     if automorphism_residual(alg, images, tol) > tol.eq_tol:
         raise NotAutomorphism("images do not define a star-automorphism of the span")
     k, N = alg.dim, alg.space_dim
-    if alg.generators is not None:
-        constraints = [(g, np.tensordot(alg.coordinates(g), images, axes=(0, 0)))
-                       for g in alg.generators]
-    else:
-        constraints = list(zip(alg.basis, images))
-    gram = np.zeros((k, k), dtype=complex)
-    for a, theta_a in constraints:
-        block = (alg.basis @ a - theta_a @ alg.basis).reshape(k, N * N)
-        gram += block.conj() @ block.T
-    w, V = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-    svals = np.sqrt(np.maximum(w, 0.0))
-    cutoff = max(tol.rank_tol, 1e-6 * svals[-1])
-    dim = int(np.sum(svals < cutoff))
+    rng = np.random.default_rng(5)
+    coords = rng.standard_normal((INNER_PROBES, k)) + 1j * rng.standard_normal((INNER_PROBES, k))
+    probes = np.tensordot(coords, alg.basis, axes=(1, 0))
+    # theta(b_i) x for every basis element and probe in one product, then
+    # regrouped so that row a of probe p reads theta(b_i)[a, :] x over all i
+    left = images.reshape(k * N, N) @ probes.transpose(1, 0, 2).reshape(N, -1)
+    left = left.reshape(k, N, INNER_PROBES, N).transpose(2, 1, 0, 3).reshape(INNER_PROBES, N, k * N)
+    adjoints = np.conj(np.transpose(alg.basis, (0, 2, 1))).reshape(k * N, N)
+    averaged = (left @ adjoints).reshape(INNER_PROBES, N * N)
+    _, svals, vh = np.linalg.svd(averaged, full_matrices=False)
+    dim = int(np.sum(svals > max(tol.rank_tol, 1e-6 * svals[0])))
     if dim == 0:
         raise NotInner("no implementing element inside the algebra")
     if dim > 1:
         raise NotInner(f"solution space has dimension {dim}; algebra is not a factor")
-    x = alg.from_coordinates(V[:, 0])
-    u = polar_unitary(x, tol)
+    u = polar_unitary(vh[0].reshape(N, N), tol)
+    if alg.generators is not None:
+        constraints = [(g, np.tensordot(alg.coordinates(g), images, axes=(0, 0)))
+                       for g in alg.generators]
+    else:
+        constraints = zip(alg.basis, images)
     worst = max(maxabs(u @ a @ u.conj().T - theta_a) for a, theta_a in constraints)
     if worst > tol.eq_tol or span_residual(u[None], alg.basis) > tol.eq_tol:
         raise NotInner(f"candidate representative fails the action by {worst:.2e}")
@@ -420,11 +441,20 @@ def reflected_action(U, alg, sfd, tol=DEFAULT_TOL):
     return InnerAutomorphism(alg, images)
 
 
+class CanonicalImplementation(NamedTuple):
+    """The unitary u J u J with the two residuals it was verified by."""
+
+    unitary: np.ndarray
+    action_residual: float      # sup norm of U a U^* - theta(a) over the basis
+    j_residual: float           # sup norm of U J - J U
+
+
 def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
     """The unitary u J u J implementing theta on the algebra.
 
     Phase independent in the representative u; verified to act as theta, to
     commute with J, and to preserve the positive cone on sampled elements.
+    The first two residuals are returned with the unitary.
     """
     u = theta.representative(tol)
     U = u @ sfd.reflect(u)
@@ -443,4 +473,4 @@ def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
     worst = max(sfd.cone_defect(U @ v) for v in probes)
     if worst > tol.eq_tol:
         raise ConeViolation(f"cone moved by {worst:.2e}")
-    return U
+    return CanonicalImplementation(U, act, jcomm)

@@ -181,28 +181,37 @@ def implement_pin(model, g, tol=DEFAULT_TOL):
 
 
 def normalize_phase(imp, mode="vacuum", tol=DEFAULT_TOL):
-    """Fix the U(1) ambiguity of an implementer; idempotent.
+    """Fix the U(1) ambiguity of an implementer; idempotent, bit for bit.
 
     vacuum mode makes the vacuum expectation real positive, falling back to
     scan (first row-major entry of significant magnitude) when the vacuum
-    overlap degenerates.
+    overlap degenerates.  The pivot is set to the modulus its cutoff was
+    judged by.  Rounding in the phase can still lift another entry across a
+    cutoff and so move the pivot; the rotation is then repeated on the
+    result, each time at an earlier pivot, until the pivot it picks is
+    already real positive.
     """
     if mode not in ("vacuum", "scan"):
         raise ValueError(f"unknown mode {mode!r}")
     U = imp.unitary
-    used = mode
-    pivot = U[0, 0] if mode == "vacuum" else None
-    if mode == "vacuum" and abs(pivot) < tol.rank_tol:
-        used = "scan"
-        pivot = None
-    if pivot is None:
-        flat = U.ravel()
-        significant = np.flatnonzero(np.abs(flat) > tol.eq_tol)
-        if significant.size == 0:
-            raise SingularInput(f"no entry of the unitary exceeds {tol.eq_tol:g}, so scan mode has no pivot")
-        pivot = flat[significant[0]]
-    phase = np.conj(pivot) / abs(pivot)
-    return replace(imp, unitary=U * phase, normalization=used)
+    while True:
+        used, at, modulus = mode, 0, abs(U[0, 0])
+        # a NaN overlap is degenerate too: scan never picks a NaN pivot
+        if mode == "vacuum" and not modulus >= tol.rank_tol:
+            used = "scan"
+        if used == "scan":
+            mags = np.abs(U.ravel())
+            significant = np.flatnonzero(mags > tol.eq_tol)
+            if significant.size == 0:
+                raise SingularInput(f"no entry of the unitary exceeds {tol.eq_tol:g}, "
+                                    f"so scan mode has no pivot")
+            at = significant[0]
+            modulus = mags[at]
+        pivot = U.flat[at]
+        if pivot.imag == 0 and pivot.real > 0:
+            return replace(imp, unitary=U, normalization=used)
+        U = U * (np.conj(pivot) / abs(pivot))
+        U.flat[at] = modulus
 
 
 def normalized_unitary(model, g, tol=DEFAULT_TOL):

@@ -136,8 +136,8 @@ def loop_unitary(ctx, ext):
     before it is returned.
     """
     U = ext.unitary
-    G = ctx.model.grading
-    even = maxabs(U @ G - G @ U)
+    s = ctx.model.grading.diagonal().real
+    even = maxabs(U * s - s[:, None] * U)
     member = ctx.algebra.membership_residual(U)
     if max(even, member) > ctx.tol.eq_tol:
         raise NotInA(f"half-loop unitary failed evenness/membership ({even:.2e}, {member:.2e})")
@@ -160,12 +160,12 @@ def representation_intertwiner(ctx):
 
 def check_membership_evenness(ctx, sample_count, rng):
     H = ctx.string_cm.fiber
-    G = ctx.model.grading
+    s = ctx.model.grading.diagonal().real
     res = {"algebra membership": 0.0, "evenness": 0.0}
     for _ in range(sample_count):
         U = H.sample(rng).unitary
         res["algebra membership"] = max(res["algebra membership"], ctx.algebra.membership_residual(U))
-        res["evenness"] = max(res["evenness"], maxabs(U @ G - G @ U))
+        res["evenness"] = max(res["evenness"], maxabs(U * s - s[:, None] * U))
     return CheckReport("half-loop unitaries in U(A)", res, ctx.tol.eq_tol)
 
 
@@ -224,7 +224,7 @@ def fusion_factorization(ctx, p):
     the loop slot; the verification layer records both residuals.
     """
     theta = path_automorphism(ctx, p)
-    W = canonical_implementation(ctx.sfd, ctx.algebra, theta, ctx.tol)
+    W = canonical_implementation(ctx.sfd, ctx.algebra, theta, ctx.tol).unitary
     dbl = double_path(p, ctx.tol)
     return ExtLoop(dbl, Implementer(W, omega_matrix(ctx.model, ctx.spin, dbl), "even", "raw"))
 
@@ -398,7 +398,7 @@ class NormalizerGroup(UnitaryGroup):
         u = self.unitaries.sample(rng)
         v = self.unitaries.sample(rng)
         theta = inner_automorphism_from_unitary(self.ctx.algebra, self.unitaries.sample(rng))
-        W = canonical_implementation(self.ctx.sfd, self.ctx.algebra, theta, self.ctx.tol)
+        W = canonical_implementation(self.ctx.sfd, self.ctx.algebra, theta, self.ctx.tol).unitary
         return u @ self.ctx.sfd.reflect(v) @ W
 
 
@@ -409,7 +409,7 @@ def normalizer_two_group(ctx):
     morphisms = NormalizerGroup(ctx)
 
     def unit(theta):
-        return canonical_implementation(ctx.sfd, ctx.algebra, theta, ctx.tol)
+        return canonical_implementation(ctx.sfd, ctx.algebra, theta, ctx.tol).unitary
 
     return TwoGroup(
         objects=autos,

@@ -44,6 +44,8 @@ class RunConfig:
             raise ConfigError("need 0 <= rank_tol <= eq_tol")
         if self.samples < 1:
             raise ConfigError("samples must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed {self.seed} is not a 64-bit unsigned integer")
         return self
 
     def ordered_suites(self):

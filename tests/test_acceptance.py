@@ -126,7 +126,7 @@ def test_c05_modular_theory():
         units = rep.UnitaryInAlgebraGroup(ctx.algebra)
         for _ in range(20):
             theta = am.inner_automorphism_from_unitary(ctx.algebra, units.sample(rng))
-            U = am.canonical_implementation(sfd, ctx.algebra, theta, env.tol, rng=rng)
+            U = am.canonical_implementation(sfd, ctx.algebra, theta, env.tol, rng=rng).unitary
             worst = max(worst, maxabs(U @ ctx.algebra.basis @ U.conj().T - theta.images))
             worst = max(worst, maxabs(U @ Mj - Mj @ np.conj(U)))
             probe = ctx.algebra.from_coordinates(

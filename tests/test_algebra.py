@@ -278,12 +278,53 @@ class TestInnerAutomorphisms:
         assert both.distance(direct) < 1e-10
         assert t1.compose(t1.inverse()).is_identity()
 
+    def test_recovers_traceless_representative(self, model22):
+        # a product of two first-half generators has trace zero, so a solve
+        # that probed with the identity alone would find nothing
+        A = half_algebra(model22)
+        first = generator_indices(model22, half_space(model22, "first"))
+        v = model22.generators[first[0]] @ model22.generators[first[1]]
+        assert abs(np.trace(v)) < 1e-12
+        u = inner_unitary(A, inner_automorphism_from_unitary(A, v).images)
+        z = np.trace(v.conj().T @ u) / np.trace(v.conj().T @ v)
+        assert maxabs(u - z * v) < 1e-9
+        assert abs(abs(z) - 1.0) < 1e-9
+
+    def test_round_trip_without_generators(self, model22):
+        # no generators: the action is re-verified on every basis element
+        A = half_algebra(model22)
+        bare = algebra_from_span(A.basis)
+        assert bare.generators is None
+        v = random_unitary_in(bare, rng)
+        u = inner_unitary(bare, inner_automorphism_from_unitary(bare, v).images)
+        z = np.trace(v.conj().T @ u) / np.trace(v.conj().T @ v)
+        assert maxabs(u - z * v) < 1e-9
+
+    def test_round_trip_at_fock64(self):
+        model = build_clifford_model(2, 3)
+        A = half_algebra(model)
+        v = random_unitary_in(A, rng)
+        theta = inner_automorphism_from_unitary(A, v)
+        u = inner_unitary(A, theta.images)
+        assert maxabs(u @ A.basis @ u.conj().T - theta.images) < 1e-9
+        z = np.trace(v.conj().T @ u) / np.trace(v.conj().T @ v)
+        assert maxabs(u - z * v) < 1e-9
+
     def test_rejects_non_automorphism(self, model12):
         A = half_algebra(model12)
         images = np.array(A.basis)
         images[1] = images[1] * 2.0
         with pytest.raises(NotAutomorphism):
             inner_unitary(A, images)
+
+    def test_rejects_automorphism_implemented_outside(self):
+        # conjugation by the other generator flips the sign of the first: an
+        # automorphism of the two-point algebra with no implementer inside it
+        model = build_clifford_model(1, 1, allow_odd_modes=True)
+        A = algebra_from_span(np.stack([np.eye(2, dtype=complex), model.generators[0]]))
+        w = model.generators[1]
+        with pytest.raises(NotInner, match="no implementing element"):
+            inner_unitary(A, w @ A.basis @ w.conj().T)
 
     def test_center_blocks_uniqueness(self):
         # single lattice mode: the two-point algebra has a center, so the
@@ -300,7 +341,7 @@ class TestCanonicalImplementation:
         A = half_algebra(model12)
         sfd = tomita_data(A, model12.vacuum)
         theta = inner_automorphism_from_unitary(A, np.eye(4, dtype=complex))
-        U = canonical_implementation(sfd, A, theta)
+        U = canonical_implementation(sfd, A, theta).unitary
         assert maxabs(U - np.eye(4)) < 1e-10
 
     def test_phase_independence(self, model12):
@@ -309,8 +350,8 @@ class TestCanonicalImplementation:
         v = random_unitary_in(A, rng)
         t1 = inner_automorphism_from_unitary(A, v)
         t2 = inner_automorphism_from_unitary(A, np.exp(0.7j) * v)
-        U1 = canonical_implementation(sfd, A, t1)
-        U2 = canonical_implementation(sfd, A, t2)
+        U1 = canonical_implementation(sfd, A, t1).unitary
+        U2 = canonical_implementation(sfd, A, t2).unitary
         assert maxabs(U1 - U2) < 1e-10
 
     def test_haagerup_properties(self, model12):
@@ -319,9 +360,9 @@ class TestCanonicalImplementation:
         Mj = sfd.conjugation.linear
         for _ in range(20):
             theta = inner_automorphism_from_unitary(A, random_unitary_in(A, rng))
-            U = canonical_implementation(sfd, A, theta)
-            assert maxabs(U @ A.basis @ U.conj().T - theta.images) < 1e-9
-            assert maxabs(U @ Mj - Mj @ np.conj(U)) < 1e-9
+            U, act, jcomm = canonical_implementation(sfd, A, theta)
+            assert act == maxabs(U @ A.basis @ U.conj().T - theta.images) < 1e-9
+            assert jcomm == maxabs(U @ Mj - Mj @ np.conj(U)) < 1e-9
 
     def test_multiplicative(self, model22):
         A = half_algebra(model22)
@@ -329,9 +370,9 @@ class TestCanonicalImplementation:
         for _ in range(5):
             t1 = inner_automorphism_from_unitary(A, random_unitary_in(A, rng))
             t2 = inner_automorphism_from_unitary(A, random_unitary_in(A, rng))
-            U12 = canonical_implementation(sfd, A, t1.compose(t2))
-            assert maxabs(canonical_implementation(sfd, A, t1)
-                          @ canonical_implementation(sfd, A, t2) - U12) < 1e-9
+            U12 = canonical_implementation(sfd, A, t1.compose(t2)).unitary
+            assert maxabs(canonical_implementation(sfd, A, t1).unitary
+                          @ canonical_implementation(sfd, A, t2).unitary - U12) < 1e-9
 
 
 class TestNormalizer:
@@ -368,7 +409,7 @@ class TestNormalizer:
         A = half_algebra(model22)
         sfd = tomita_data(A, model22.vacuum)
         theta = inner_automorphism_from_unitary(A, random_unitary_in(A, rng))
-        U = canonical_implementation(sfd, A, theta)
+        U = canonical_implementation(sfd, A, theta).unitary
         assert conjugation_action(U, A).distance(theta) < 1e-9
         assert reflected_action(U, A, sfd).distance(theta) < 1e-9
 

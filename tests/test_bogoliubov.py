@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopfock.clifford
 from loopfock import suites
@@ -16,7 +18,7 @@ from loopfock.bogoliubov import (Implementer, derived_implementer,
 from loopfock.clifford import build_clifford_model, pi_columns
 from loopfock.errors import (DimensionMismatch, NotOrthogonal,
                              NotSpecialOrthogonal, SingularInput)
-from loopfock.linalg import maxabs, scalar_defect
+from loopfock.linalg import DEFAULT_TOL, maxabs, scalar_defect
 from loopfock.loops import SpinGroup, lift, omega_matrix
 from loopfock.report import RunConfig
 
@@ -275,6 +277,58 @@ class TestNormalization:
             warnings.simplefilter("error")
             with pytest.raises(SingularInput, match="no pivot"):
                 normalize_phase(zero, mode)
+
+
+# entry magnitudes around both cutoffs of normalize_phase: below rank_tol a
+# vacuum overlap falls back to scan, at or below eq_tol scan skips the entry
+CUTOFF_SCALES = (0.0, 1e-13, DEFAULT_TOL.rank_tol, 3e-11, DEFAULT_TOL.eq_tol, 2e-9, 1.0)
+entries = st.builds(lambda scale, x, y: scale * complex(x, y),
+                    st.sampled_from(CUTOFF_SCALES),
+                    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(size=st.integers(1, 3), data=st.data(), mode=st.sampled_from(["vacuum", "scan"]))
+def test_normalize_phase_property_idempotent(size, data, mode):
+    """A second normalization in the same mode changes nothing, bit for bit,
+    on any matrix: generic, with a degenerate vacuum overlap, or with no
+    significant entry at all."""
+    U = np.array(data.draw(st.lists(entries, min_size=size * size, max_size=size * size)),
+                 dtype=complex).reshape(size, size)
+    imp = Implementer(U, np.eye(2), "even", "raw")
+    try:
+        once = normalize_phase(imp, mode)
+    except SingularInput:
+        assert maxabs(U) <= DEFAULT_TOL.eq_tol
+        with pytest.raises(SingularInput):
+            normalize_phase(Implementer(1j * U, np.eye(2), "even", "raw"), mode)
+        return
+    assert once.normalization == ("scan" if mode == "scan" or abs(U[0, 0]) < DEFAULT_TOL.rank_tol
+                                  else "vacuum")
+    twice = normalize_phase(once, mode)
+    assert twice.normalization == once.normalization
+    assert np.array_equal(twice.unitary, once.unitary)
+    assert np.allclose(np.abs(once.unitary), np.abs(U), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("mode, corner", [("scan", DEFAULT_TOL.eq_tol),
+                                          ("vacuum", np.nextafter(DEFAULT_TOL.rank_tol, 0))])
+def test_normalize_phase_idempotent_at_cutoffs(mode, corner):
+    # a corner entry just at or below a cutoff can cross it when the phase of
+    # a later pivot is applied; the second pass must not move the pivot
+    for phase in np.exp(2j * np.pi * np.linspace(0, 1, 400, endpoint=False)):
+        U = np.array([[corner, 2e-9 * phase], [0.3, 0.1j]], dtype=complex)
+        once = normalize_phase(Implementer(U, np.eye(2), "even", "raw"), mode)
+        twice = normalize_phase(once, mode)
+        assert twice.normalization == once.normalization
+        assert np.array_equal(twice.unitary, once.unitary)
+
+
+def test_normalize_phase_nan_vacuum_overlap_scans():
+    U = np.array([[np.nan, 1j], [1.0, 0.0]], dtype=complex)
+    norm = normalize_phase(Implementer(U, np.eye(2), "even", "raw"), "vacuum")
+    assert norm.normalization == "scan"
+    assert norm.unitary[0, 1] == 1.0
 
 
 class TestCocycle:

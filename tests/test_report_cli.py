@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopfock.algebra
 import loopfock.rep
@@ -11,8 +13,8 @@ import loopfock.twogroup
 from loopfock.cli import build_config, main
 from loopfock.errors import ConfigError
 from loopfock.linalg import maxabs
-from loopfock.report import (CheckRecord, RunConfig, emit_report, strip_timing,
-                             summarize)
+from loopfock.report import (SUITE_NAMES, CheckRecord, RunConfig, emit_report,
+                             strip_timing, summarize)
 from loopfock.suites import Environment, run_suites, tomita_checks
 
 
@@ -31,6 +33,11 @@ class TestRunConfig:
     def test_bad_suite(self):
         with pytest.raises(ConfigError):
             RunConfig(suites=("clifford", "nope")).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(seed=seed).validate()
 
     def test_suite_order_is_canonical(self):
         cfg = RunConfig(suites=("rep", "clifford", "two-group"))
@@ -76,6 +83,34 @@ class TestReports:
         b = emit_report(RunConfig(), recs, "json")
         assert a != b
         assert strip_timing(a) == strip_timing(b)
+
+
+records = st.builds(CheckRecord, st.sampled_from(SUITE_NAMES), st.text(), st.text(),
+                    st.floats(), st.floats(min_value=0.0), st.floats(min_value=0.0),
+                    st.integers(1, 10 ** 6))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(recs=st.lists(records, max_size=6), seed=st.integers(0, 2 ** 64 - 1))
+def test_strip_timing_property_idempotent(recs, seed):
+    once = strip_timing(emit_report(RunConfig(seed=seed), recs, "json"))
+    assert strip_timing(once) == once
+    assert all(r["wall_time"] == 0.0 for r in json.loads(once)["records"])
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(seed=st.integers(-2 ** 64, 2 ** 65))
+def test_reports_property_byte_identical_for_any_seed(seed):
+    """Two runs of one configuration give the same stripped report; seeds
+    outside 64 bits are a configuration error, not a crash."""
+    cfg = RunConfig(n=1, d=2, suites=("clifford", "two-group"), seed=seed)
+    if not 0 <= seed < 2 ** 64:
+        with pytest.raises(ConfigError, match="seed"):
+            run_suites(cfg)
+        return
+    _, r1 = run_suites(cfg)
+    _, r2 = run_suites(cfg)
+    assert strip_timing(emit_report(cfg, r1, "json")) == strip_timing(emit_report(cfg, r2, "json"))
 
 
 class TestDeterminism:
