@@ -1,8 +1,9 @@
 """Command line front end.
 
-Flags mirror the flat key=value config file; flags win over the file.  Exit
-codes: 0 all gated checks passed, 1 some check failed, 2 configuration
-error.
+Flags mirror the keys of the flat key=value config file, which takes no
+other key; flags win over the file.  Exit codes: 0 all gated checks passed,
+1 some check failed, 2 configuration error, including an unreadable config
+file and an unwritable report or dump path.
 """
 
 import argparse
@@ -40,53 +41,55 @@ def _parse_args(argv):
 
 def _read_config_file(path):
     values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line: {line!r}")
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
     return values
 
 
-_INT_KEYS = {"points", "dim", "seed", "samples"}
-_FLOAT_KEYS = {"tol"}
+_NUMBER_KEYS = {"points": int, "dim": int, "seed": int, "samples": int, "tol": float}
+# RunConfig field of each key whose value passes through as it is
+_FIELDS = {"dim": "d", "seed": "seed", "samples": "samples", "tol": "gate",
+           "report": "report_path", "format": "report_format", "dump": "dump_path"}
 
 
 def build_config(argv):
     args = _parse_args(argv)
-    values = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for key in ("points", "dim", "seed", "samples", "tol", "report", "format", "dump", "loop"):
+    keys = set(vars(args)) - {"config"}
+    values = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(values) - keys)
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(unknown)} in config file {args.config}; "
+                          f"the keys are the flag names {', '.join(sorted(keys))}")
+    for key in keys - {"suite"}:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     if args.suite:
         values["suite"] = ",".join(args.suite)
-    kwargs = {}
+    for key, kind in _NUMBER_KEYS.items():
+        if key in values:
+            try:
+                values[key] = kind(values[key])
+            except ValueError:
+                expected = "an integer" if kind is int else "a number"
+                raise ConfigError(f"{key}={values[key]} is not {expected}") from None
+    kwargs = {field: values[key] for key, field in _FIELDS.items() if key in values}
     if "points" in values:
-        points = int(values["points"])
+        points = values["points"]
         if points < 2 or points % 2 == 1:
             raise ConfigError("--points must be a positive even vertex count (= 2n)")
         kwargs["n"] = points // 2
-    if "dim" in values:
-        kwargs["d"] = int(values["dim"])
-    if "seed" in values:
-        kwargs["seed"] = int(values["seed"])
-    if "samples" in values:
-        kwargs["samples"] = int(values["samples"])
-    if "tol" in values:
-        kwargs["gate"] = float(values["tol"])
-    if "report" in values:
-        kwargs["report_path"] = str(values["report"])
-    if "format" in values:
-        kwargs["report_format"] = str(values["format"])
-    if "dump" in values:
-        kwargs["dump_path"] = str(values["dump"])
     if "suite" in values:
         suites = tuple(s for s in str(values["suite"]).split(",") if s)
         if "all" in suites:
@@ -99,7 +102,11 @@ def build_config(argv):
 def _write_dump(config, path):
     env = Environment(config)
     model = env.model
-    with open(path, "w") as fh:
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write dump file {path}: {exc.strerror}") from None
+    with fh:
         dump_matrix(model.lagrangian, fh, name="lagrangian")
         dump_matrix(model.grading, fh, name="grading")
         for i, g in enumerate(model.generators):
@@ -121,8 +128,11 @@ def _describe_loop(config, literal):
     model, spin = env.model, env.spin
     if not isinstance(coords, list) or len(coords) != 2 * config.n:
         raise ConfigError(f"loop literal must list {2 * config.n} vertices")
-    loop = loop_from_bivectors(spin, coords)
-    ext = lift(model, spin, loop, env.tol)
+    try:
+        loop = loop_from_bivectors(spin, coords)
+        ext = lift(model, spin, loop, env.tol)
+    except (LoopfockError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     U, g, s = ext.unitary, ext.implementer.implemented, model.grading.diagonal().real
     print(f"loop lift: implementer residual {implementation_residual(model, U, g):.3e}, "
           f"parity {ext.implementer.parity}, "
@@ -138,18 +148,14 @@ def _describe_loop(config, literal):
 def main(argv=None):
     try:
         config, loop_literal = build_config(sys.argv[1:] if argv is None else argv)
+        if config.dump_path:
+            _write_dump(config, config.dump_path)
+        if loop_literal is not None:
+            return _describe_loop(config, loop_literal)
+        code, records, summary = run(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if config.dump_path:
-        _write_dump(config, config.dump_path)
-    if loop_literal is not None:
-        try:
-            return _describe_loop(config, loop_literal)
-        except (ConfigError, LoopfockError, ValueError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-    code, records, summary = run(config)
     for r in records:
         status = "info" if r.exploratory else ("pass" if r.passed else "FAIL")
         print(f"[{status:4s}] {r.suite:10s} {r.name:38s} residual {r.residual:.3e}")

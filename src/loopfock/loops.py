@@ -380,7 +380,7 @@ def discrete_loop_cocycle_centered(xi, eta):
 def loop_cocycle_compare(model, xi, eta, tol=DEFAULT_TOL):
     """Discrete curvature pairing versus the Fock commutator anomaly.
 
-    Exploratory: returns the scalars and their differences without a
+    Exploratory: returns the scalars and the forward difference without a
     pass/fail threshold, since the lattice spacing error carries no stated
     bound.
     """
@@ -389,7 +389,7 @@ def loop_cocycle_compare(model, xi, eta, tol=DEFAULT_TOL):
     fock = schwinger_term(model, skew_from_loop_algebra(model, xi),
                           skew_from_loop_algebra(model, eta), tol)
     return {"discrete": complex(disc), "centered": complex(centered), "fock": complex(fock),
-            "difference": complex(fock - disc), "difference centered": complex(fock - centered)}
+            "difference": complex(fock - disc)}
 
 
 def random_loop_algebra(model, rng):

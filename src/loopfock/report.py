@@ -42,6 +42,8 @@ class RunConfig:
             raise ConfigError("format must be json or md")
         if not (0 <= self.rank_tol <= self.eq_tol):
             raise ConfigError("need 0 <= rank_tol <= eq_tol")
+        if not (math.isfinite(self.gate) and self.gate > 0):
+            raise ConfigError(f"gate (--tol) {self.gate} is not a positive finite number")
         if self.samples < 1:
             raise ConfigError("samples must be positive")
         if not 0 <= self.seed < 2 ** 64:

@@ -1,8 +1,9 @@
 """Generic crossed modules and strict 2-groups over pluggable groups.
 
 Groups are value objects with tolerance-aware equality and seeded random
-sampling; axiom checkers report the worst residual per identity and are
-exhaustive for small finite groups, sampled otherwise.
+sampling.  Each axiom checker returns a dict from identity name to its worst
+residual, exhaustive for small finite groups and over sample_count draws
+from the caller's rng otherwise; the caller decides what to gate.
 """
 
 import itertools
@@ -184,23 +185,6 @@ class StrictIntertwiner:
     name: str = "intertwiner"
 
 
-@dataclass
-class CheckReport:
-    """Worst residual per axiom, with a pass threshold."""
-
-    name: str
-    residuals: dict
-    tol: float
-
-    @property
-    def max_residual(self):
-        return max(self.residuals.values()) if self.residuals else 0.0
-
-    @property
-    def passed(self):
-        return self.max_residual <= self.tol
-
-
 def _tuples(groups, sample_count, rng, cap=300_000):
     """Either the full product of small finite groups or sampled tuples."""
     if all(g.elements is not None and len(g.elements) <= 64 for g in groups):
@@ -210,10 +194,8 @@ def _tuples(groups, sample_count, rng, cap=300_000):
     return ([g.sample(rng) for g in groups] for _ in range(sample_count))
 
 
-def check_crossed_module(cm, sample_count=200, rng=None, tol=DEFAULT_TOL):
+def check_crossed_module(cm, sample_count, rng):
     """Homomorphism, action, equivariance and Peiffer residuals."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     G, H = cm.base, cm.fiber
     res = {"t homomorphism": 0.0, "action homomorphism": 0.0, "action composition": 0.0,
            "action unit": 0.0, "equivariance": 0.0, "peiffer": 0.0}
@@ -228,13 +210,11 @@ def check_crossed_module(cm, sample_count=200, rng=None, tol=DEFAULT_TOL):
         res["equivariance"] = max(res["equivariance"],
                                   G.dist(cm.t(cm.act(g, h)), G.conj(g, cm.t(h))))
         res["peiffer"] = max(res["peiffer"], H.dist(cm.act(cm.t(h), k), H.conj(h, k)))
-    return CheckReport(f"crossed module axioms [{cm.name}]", res, tol.eq_tol)
+    return res
 
 
-def check_intertwiner(R, cm, cm2, sample_count=100, rng=None, tol=DEFAULT_TOL):
+def check_intertwiner(R, cm, cm2, sample_count, rng):
     """Homomorphism laws for both components plus the two compatibilities."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     res = {"base homomorphism": 0.0, "fiber homomorphism": 0.0,
            "t compatibility": 0.0, "action compatibility": 0.0}
     G, H = cm.base, cm.fiber
@@ -248,7 +228,7 @@ def check_intertwiner(R, cm, cm2, sample_count=100, rng=None, tol=DEFAULT_TOL):
                                      G2.dist(R.on_base(cm.t(h)), cm2.t(R.on_fiber(h))))
         res["action compatibility"] = max(res["action compatibility"],
                                           H2.dist(R.on_fiber(cm.act(g, h)), cm2.act(R.on_base(g), R.on_fiber(h))))
-    return CheckReport(f"intertwiner compatibility [{R.name}]", res, tol.eq_tol)
+    return res
 
 
 class SemidirectGroup(ComputableGroup):
@@ -355,10 +335,8 @@ def invert_morphism(tg, x):
     return M.mul(M.mul(tg.unit(tg.source(x)), M.inv(x)), tg.unit(tg.target(x)))
 
 
-def check_minimal_data(tg, sample_count=100, rng=None, tol=DEFAULT_TOL):
+def check_minimal_data(tg, sample_count, rng):
     """Section and homomorphism laws plus commutation of the two kernels."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     O, M = tg.objects, tg.morphisms
     res = {"s o i": 0.0, "t o i": 0.0, "s homomorphism": 0.0, "t homomorphism": 0.0,
            "i homomorphism": 0.0, "kernel commutation": 0.0}
@@ -375,17 +353,15 @@ def check_minimal_data(tg, sample_count=100, rng=None, tol=DEFAULT_TOL):
         ker_t = M.mul(y, M.inv(tg.unit(tg.target(y))))
         res["kernel commutation"] = max(res["kernel commutation"],
                                         M.dist(M.mul(ker_s, ker_t), M.mul(ker_t, ker_s)))
-    return CheckReport(f"minimal 2-group data [{tg.name}]", res, tol.eq_tol)
+    return res
 
 
-def check_interchange(tg, sample_count=50, rng=None, tol=DEFAULT_TOL):
+def check_interchange(tg, sample_count, rng, tol=DEFAULT_TOL):
     """(x o y)(x' o y') = (x x') o (y y') on composable samples.
 
     Composable pairs are manufactured by replacing x with a unit-corrected
     morphism so that s(x) = t(y) holds exactly.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     M = tg.morphisms
     res = {"interchange": 0.0, "composition forms agree": 0.0}
     for _ in range(sample_count):
@@ -398,13 +374,16 @@ def check_interchange(tg, sample_count=50, rng=None, tol=DEFAULT_TOL):
         res["composition forms agree"] = max(
             res["composition forms agree"],
             M.dist(compose_morphisms(tg, x, y, tol), compose_morphisms_target_form(tg, x, y, tol)))
-    return CheckReport(f"interchange [{tg.name}]", res, tol.eq_tol)
+    return res
 
 
 def _force_composable(tg, x, y):
     M, O = tg.morphisms, tg.objects
     fix = tg.unit(O.mul(O.inv(tg.source(x)), tg.target(y)))
     return M.mul(x, fix)
+
+
+PI0_ATTEMPTS = 200   # fiber samples searched by pi0_equal outside finite groups
 
 
 @dataclass
@@ -416,25 +395,20 @@ class PiReport:
     centrality: float
 
 
-def pi0_pi1(cm, rng=None, sample_count=50, pi0_section=None, tol=DEFAULT_TOL):
+def pi0_pi1(cm, rng, sample_count, tol=DEFAULT_TOL):
     """Kernel and cokernel structure of t, with a centrality test of the action.
 
     pi1 membership is the predicate t(h) = 1.  pi0 equality of g, g' is
-    decided by a caller-supplied section when available (g ~ g' iff the
-    sections agree), otherwise by searching for h with g' = t(h) g among
-    fiber samples (exact enumeration for small finite groups).
+    decided by searching for h with g' = t(h) g among PI0_ATTEMPTS fiber
+    samples (exact enumeration for small finite groups).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     G, H = cm.base, cm.fiber
 
     def pi1_contains(h):
         return G.eq(cm.t(h), G.identity(), tol)
 
-    def pi0_equal(g, g2, attempts=200):
-        if pi0_section is not None:
-            return pi0_section(g, g2)
-        pool = H.elements if H.elements is not None else (H.sample(rng) for _ in range(attempts))
+    def pi0_equal(g, g2):
+        pool = H.elements if H.elements is not None else (H.sample(rng) for _ in range(PI0_ATTEMPTS))
         for h in pool:
             if G.eq(g2, G.mul(cm.t(h), g), tol):
                 return True

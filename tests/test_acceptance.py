@@ -101,8 +101,7 @@ def test_c04_twisted_duality():
     worst = 0.0
     for n, d in CONFIGS:
         env = env_for(n, d)
-        report = rep.check_twisted_duality(env.ctx)
-        worst = max(worst, report.max_residual)
+        worst = max(worst, *rep.check_twisted_duality(env.ctx).values())
     ok = report_line(4, "half algebras are each other's super commutants", worst, 1e-8)
     assert ok
 
@@ -140,10 +139,8 @@ def test_c06_string_crossed_module():
     worst_axioms, worst_disjoint = 0.0, 0.0
     for n, d in CONFIGS:
         env = env_for(n, d)
-        report = tg.check_crossed_module(env.ctx.string_cm, 100,
-                                         env.rng("acceptance string axioms"), env.tol)
-        worst_axioms = max(worst_axioms, report.residuals["equivariance"],
-                           report.residuals["peiffer"])
+        res = tg.check_crossed_module(env.ctx.string_cm, 100, env.rng("acceptance string axioms"))
+        worst_axioms = max(worst_axioms, res["equivariance"], res["peiffer"])
         rng = env.rng("acceptance disjoint")
         for _ in range(50):
             a, b = lp.disjoint_support_pair(env.model, env.spin, rng)
@@ -160,14 +157,14 @@ def test_c07_representation_compatibilities():
     for n, d in CONFIGS:
         env = env_for(n, d)
         ctx = env.ctx
-        worst_t = max(worst_t, rep.check_t_compatibility(
-            ctx, 100, env.rng("acceptance t")).max_residual)
-        worst_alpha = max(worst_alpha, rep.check_alpha_compatibility(
-            ctx, 100, env.rng("acceptance alpha")).max_residual)
-        worst_member = max(worst_member, rep.check_membership_evenness(
-            ctx, 50, env.rng("acceptance membership")).max_residual)
-        worst_well = max(worst_well, rep.check_well_definedness(
-            ctx, 50, env.rng("acceptance well")).max_residual)
+        worst_t = max(worst_t, *rep.check_t_compatibility(
+            ctx, 100, env.rng("acceptance t")).values())
+        worst_alpha = max(worst_alpha, *rep.check_alpha_compatibility(
+            ctx, 100, env.rng("acceptance alpha")).values())
+        worst_member = max(worst_member, *rep.check_membership_evenness(
+            ctx, 50, env.rng("acceptance membership")).values())
+        worst_well = max(worst_well, *rep.check_well_definedness(
+            ctx, 50, env.rng("acceptance well")).values())
     ok = report_line(7, "t compatibility over 100 samples", worst_t, 1e-8)
     ok &= report_line(7, "action compatibility over 100 samples", worst_alpha, 1e-8)
     ok &= report_line(7, "fiber membership and evenness", worst_member, 1e-8)
@@ -182,7 +179,7 @@ def test_c08_two_group_layer_structure():
         two = tg.to_two_group(cm)
         back = tg.to_crossed_module(two)
         rng = np.random.default_rng(SEED)
-        worst_round = max(worst_round, tg.check_crossed_module(back, 50, rng).max_residual)
+        worst_round = max(worst_round, *tg.check_crossed_module(back, 50, rng).values())
         for _ in range(20):
             h, g = cm.fiber.sample(rng), cm.base.sample(rng)
             worst_round = max(worst_round, cm.base.dist(back.t((h, cm.base.identity())), cm.t(h)))
@@ -191,16 +188,15 @@ def test_c08_two_group_layer_structure():
     for n, d in CONFIGS:
         env = env_for(n, d)
         ctx = env.ctx
-        pair_report = tg.check_minimal_data(rep.pair_two_group(ctx), 10,
-                                            env.rng("acceptance pair data"), env.tol)
-        sections = {k: v for k, v in pair_report.residuals.items() if k != "i homomorphism"}
+        pair_res = tg.check_minimal_data(rep.pair_two_group(ctx), 10, env.rng("acceptance pair data"))
+        sections = {k: v for k, v in pair_res.items() if k != "i homomorphism"}
         worst_sections = max(worst_sections, max(sections.values()))
-        worst_norm = max(worst_norm, tg.check_minimal_data(
-            rep.normalizer_two_group(ctx), 6, env.rng("acceptance norm data"), env.tol).max_residual)
-        ff_report, _ = rep.check_fusion_factorization(ctx, 10, env.rng("acceptance ff"))
-        worst_ff = max(worst_ff, ff_report.residuals["homomorphism"])
-        gated, _ = rep.check_two_group_compatibility(ctx, 15, env.rng("acceptance compat"))
-        worst_target = max(worst_target, gated.residuals["target"])
+        worst_norm = max(worst_norm, *tg.check_minimal_data(
+            rep.normalizer_two_group(ctx), 6, env.rng("acceptance norm data")).values())
+        ff = rep.check_fusion_factorization(ctx, 10, env.rng("acceptance ff"))
+        worst_ff = max(worst_ff, ff["homomorphism"])
+        compat = rep.check_two_group_compatibility(ctx, 15, env.rng("acceptance compat"))
+        worst_target = max(worst_target, compat["target"])
     ok = report_line(8, "functor round trip", worst_round, 1e-10)
     ok &= report_line(8, "path-pair 2-group sections and kernels", worst_sections, 1e-8)
     ok &= report_line(8, "normalizer 2-group minimal data", worst_norm, 1e-8)
@@ -223,9 +219,8 @@ def test_c08_unit_section_multiplicativity():
     for n, d in CONFIGS:
         env = env_for(n, d)
         ctx = env.ctx
-        pair_report = tg.check_minimal_data(rep.pair_two_group(ctx), 10,
-                                            env.rng("acceptance pair data"), env.tol)
-        worst_unit = max(worst_unit, pair_report.residuals["i homomorphism"])
+        pair_res = tg.check_minimal_data(rep.pair_two_group(ctx), 10, env.rng("acceptance pair data"))
+        worst_unit = max(worst_unit, pair_res["i homomorphism"])
         sign = rep.unit_sign_cocycle(ctx, 15, env.rng("acceptance signs"))
         worst_sign = max(worst_sign, sign["distance from signs"])
     assert worst_sign <= 1e-9, "unit cocycle stopped being a sign"
@@ -251,11 +246,11 @@ def test_c08_unit_comparison_scalar():
     for n, d in CONFIGS:
         env = env_for(n, d)
         ctx = env.ctx
-        f_report, extra = rep.check_f_scalar(ctx, 15, env.rng("acceptance f"))
-        worst_scalar = max(worst_scalar, f_report.residuals["scalar defect"])
-        deviations.append(extra["scalar minus one"])
-        _, impl = rep.check_fusion_factorization(ctx, 6, env.rng("acceptance f edge"))
-        worst_edge = max(worst_edge, impl["edge doubled"])
+        f = rep.check_f_scalar(ctx, 15, env.rng("acceptance f"))
+        worst_scalar = max(worst_scalar, f["scalar defect"])
+        deviations.append(f["scalar minus one"])
+        ff = rep.check_fusion_factorization(ctx, 6, env.rng("acceptance f edge"))
+        worst_edge = max(worst_edge, ff["edge doubled"])
     assert worst_edge <= 1e-9, "canonical unit stopped implementing the edge-doubled loop"
     print(f"[info] criterion 8: observed phase deviations from one per configuration: "
           + ", ".join(f"{v:.3e}" for v in deviations))
@@ -279,10 +274,9 @@ def test_c08_source_compatibility():
     worst_shifted = 0.0
     for n, d in CONFIGS:
         env = env_for(n, d)
-        gated, extra = rep.check_two_group_compatibility(env.ctx, 15,
-                                                         env.rng("acceptance source"))
-        worst_source = max(worst_source, gated.residuals["source (interior class)"])
-        worst_shifted = max(worst_shifted, extra["source vs edge-reversed loop"])
+        compat = rep.check_two_group_compatibility(env.ctx, 15, env.rng("acceptance source"))
+        worst_source = max(worst_source, compat["source (interior class)"])
+        worst_shifted = max(worst_shifted, compat["source vs edge-reversed loop"])
     assert worst_shifted <= 1e-9, "edge-reversed source identity stopped holding"
     ok = report_line(8, "2-group source compatibility on interior loops", worst_source, 1e-8)
     assert ok, (

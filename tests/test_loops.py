@@ -310,8 +310,8 @@ class TestStringCrossedModule:
         model = build_clifford_model(2, 3)
         spin = SpinGroup(3)
         cm = string_crossed_module(model, spin)
-        report = check_crossed_module(cm, 40, np.random.default_rng(9))
-        assert report.passed, report.residuals
+        res = check_crossed_module(cm, 40, np.random.default_rng(9))
+        assert max(res.values()) <= 1e-9, res
 
     def test_action_phase_independence(self, model22):
         spin = SpinGroup(2)

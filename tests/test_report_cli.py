@@ -39,6 +39,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed"):
             RunConfig(seed=seed).validate()
 
+    @pytest.mark.parametrize("gate", [float("inf"), float("nan"), -1.0, 0.0])
+    def test_gate_must_be_positive_and_finite(self, gate):
+        with pytest.raises(ConfigError, match="gate"):
+            RunConfig(gate=gate).validate()
+
     def test_suite_order_is_canonical(self):
         cfg = RunConfig(suites=("rep", "clifford", "two-group"))
         assert cfg.ordered_suites() == ("clifford", "two-group", "rep")
@@ -234,6 +239,28 @@ class TestCli:
         assert (cfg.n, cfg.d, cfg.seed) == (2, 2, 7)
         cfg, _ = build_config(["--config", str(cfgfile), "--seed", "8"])
         assert cfg.seed == 8
+
+    @pytest.mark.parametrize("text, named", [
+        (None, "missing.cfg"),
+        ("points=abc\n", "points=abc"),
+        ("seed=1.5\n", "seed=1.5"),
+        ("dim=2\nsead=5\n", "sead"),
+    ], ids=["missing file", "points", "seed", "unknown key"])
+    def test_malformed_config_file_rejected(self, tmp_path, text, named):
+        cfgfile = tmp_path / "missing.cfg"
+        if text is not None:
+            cfgfile.write_text(text)
+        with pytest.raises(ConfigError, match=named):
+            build_config(["--config", str(cfgfile)])
+
+    @pytest.mark.parametrize("flag", ["--report", "--dump"])
+    def test_unwritable_output_path_exits_two(self, tmp_path, capsys, flag):
+        path = str(tmp_path / "no-such-dir" / "out")
+        code = main(["--points", "2", "--dim", "2", "--suite", "two-group", flag, path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("configuration error:") == 1 and path in err
+        assert "Traceback" not in err
 
     def test_exit_codes_and_report(self, tmp_path, capsys):
         report = tmp_path / "out.json"
