@@ -21,7 +21,7 @@ from .errors import (ConeViolation, NotAutomorphism, NotCyclicSeparating,
                      NotGraded, NotInNormalizer, NotInner)
 from .linalg import (DEFAULT_TOL, AntilinearOperator, antilinear_polar,
                      averaged_intertwiners, joint_kernel, maxabs,
-                     orthonormal_rows, polar_unitary, span_residual)
+                     orthonormal_rows, polar_unitary, singular_rows, span_residual)
 
 
 @dataclass
@@ -293,9 +293,10 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
     worst = max(checks.values())
     if worst > tol.eq_tol:
         raise NotCyclicSeparating(f"modular data failed vacuum identities: {checks}")
-    # cone pairing tensor T[i, j] = vector a_i J a_j J omega
+    # cone pairing tensor T[i, j] = vector a_i J a_j J omega, one BLAS product
+    # whose C-contiguous result cone_defect contracts without a copy
     jbj_omega = np.stack([J.conjugate_matrix(b) @ omega for b in alg.basis])
-    cone_tensor = np.einsum("iab,jb->ija", alg.basis, jbj_omega)
+    cone_tensor = np.matmul(jbj_omega, np.transpose(alg.basis, (0, 2, 1)))
     cone_frame = np.stack([cone_tensor[i, i] for i in range(alg.dim)])
     return StandardFormData(np.asarray(omega, dtype=complex), S, J, delta, cone_frame, cone_tensor)
 
@@ -401,7 +402,7 @@ def inner_unitary(alg, images, tol=DEFAULT_TOL):
     left = left.reshape(k, N, INNER_PROBES, N).transpose(2, 1, 0, 3).reshape(INNER_PROBES, N, k * N)
     adjoints = np.conj(np.transpose(alg.basis, (0, 2, 1))).reshape(k * N, N)
     averaged = (left @ adjoints).reshape(INNER_PROBES, N * N)
-    _, svals, vh = np.linalg.svd(averaged, full_matrices=False)
+    svals, vh = singular_rows(averaged)
     dim = int(np.sum(svals > max(tol.rank_tol, 1e-6 * svals[0])))
     if dim == 0:
         raise NotInner("no implementing element inside the algebra")

@@ -118,8 +118,13 @@ def _describe_loop(config, literal):
     """Lift a loop literal and print its diagnostics."""
     text = literal
     if os.path.exists(literal):
-        with open(literal) as fh:
-            text = fh.read()
+        try:
+            with open(literal) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read loop file {literal}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"loop file {literal} is not text") from None
     try:
         coords = _json.loads(text)
     except ValueError as exc:

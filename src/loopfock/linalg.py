@@ -2,7 +2,10 @@
 
 Matrices are plain complex ndarrays.  Bases of subspaces come in two shapes:
 column bases (dim, k) for vector problems, and row stacks (k, n, n) for
-spans of operators, which get flattened before rank computations.
+spans of operators, which get flattened before rank computations.  Row
+spaces come from the SVD of the tall orientation of the flattened stack
+(``singular_rows``): for the usual wide k x n^2 stack that is the SVD of its
+transpose, which LAPACK computes two to three times faster.
 """
 
 from dataclasses import dataclass
@@ -114,8 +117,7 @@ def averaged_intertwiners(lefts, rights, num_probes, rng, tol=DEFAULT_TOL):
     Z = rng.standard_normal((num_probes, n, n)) + 1j * rng.standard_normal((num_probes, n, n))
     for L, R in zip(lefts, rights):
         Z = 0.5 * (Z + L @ Z @ R.conj().T)
-    flat = Z.reshape(num_probes, n * n)
-    _, s, vh = np.linalg.svd(flat, full_matrices=False)
+    s, vh = singular_rows(Z.reshape(num_probes, n * n))
     scale = s[0] if len(s) and s[0] > 0 else 1.0
     dim = int(np.sum(s > max(tol.rank_tol, 1e-7 * scale)))
     basis = vh[:dim].reshape(dim, n, n)
@@ -199,13 +201,26 @@ def antilinear_polar(S, tol=DEFAULT_TOL, require_involutive=True):
     return J, delta
 
 
+def singular_rows(flat):
+    """Singular values and C-contiguous right singular rows of a 2-D stack.
+
+    A wide stack is decomposed through its tall transpose: flat.T = U S V^*
+    makes the rows of U^T the right singular rows of flat.  They are copied
+    to C order here, once, so that reshaping them later makes no copy.
+    """
+    if flat.shape[0] < flat.shape[1]:
+        u, s, _ = np.linalg.svd(flat.T, full_matrices=False)
+        return s, np.ascontiguousarray(u.T)
+    _, s, vh = np.linalg.svd(flat, full_matrices=False)
+    return s, vh
+
+
 def orthonormal_rows(stack, tol=DEFAULT_TOL):
     """Orthonormalize a stack of vectors/matrices along its first axis."""
     stack = np.asarray(stack, dtype=complex)
     if stack.shape[0] == 0:
         return stack
-    flat = stack.reshape(stack.shape[0], -1)
-    _, s, vh = np.linalg.svd(flat, full_matrices=False)
+    s, vh = singular_rows(stack.reshape(stack.shape[0], -1))
     scale = s[0] if len(s) and s[0] > 0 else 1.0
     dim = int(np.sum(s > max(tol.rank_tol, 1e-7 * scale)))
     return vh[:dim].reshape((dim,) + stack.shape[1:])

@@ -35,9 +35,14 @@ class RunConfig:
         if self.n * self.d > MODES_CAP:
             raise ConfigError(f"n*d = {self.n * self.d} exceeds the cap {MODES_CAP} "
                               f"(Fock dimension 2^(n*d))")
+        if not self.suites:
+            raise ConfigError(f"no suite to run; choose from {SUITE_NAMES}")
         for s in self.suites:
             if s not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {s!r}; choose from {SUITE_NAMES}")
+        for key, path in (("report", self.report_path), ("dump", self.dump_path)):
+            if path == "":
+                raise ConfigError(f"{key} path is empty")
         if self.report_format not in ("json", "md"):
             raise ConfigError("format must be json or md")
         if not (0 <= self.rank_tol <= self.eq_tol):

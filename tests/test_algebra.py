@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loopfock.linalg
 from loopfock.algebra import (algebra_from_span, automorphism_residual,
                               canonical_implementation, commutant,
                               conjugation_action, cyclic_separating_check,
@@ -13,7 +14,8 @@ from loopfock.clifford import (build_clifford_model, clifford_monomials,
 from loopfock.errors import (NotAutomorphism, NotCyclicSeparating, NotGraded,
                              NotInner, NotInNormalizer)
 from loopfock.linalg import (DEFAULT_TOL, maxabs, orthonormal_rows,
-                             span_residual, subspace_equal)
+                             singular_rows, span_residual, subspace_equal)
+from loopfock.rep import build_context
 
 rng = np.random.default_rng(31)
 
@@ -420,3 +422,65 @@ class TestAutomorphismResidual:
         images = np.array(A.basis)
         images[2] = 1j * images[2]
         assert automorphism_residual(A, images) > 1e-3
+
+
+def rank_deficient_stack(rand, rows, cols, rank):
+    left = rand.standard_normal((rows, rank)) + 1j * rand.standard_normal((rows, rank))
+    right = rand.standard_normal((rank, cols)) + 1j * rand.standard_normal((rank, cols))
+    return left @ right
+
+
+@pytest.fixture(scope="module")
+def context23():
+    return build_context(build_clifford_model(2, 3))
+
+
+class TestTallRowSpaces:
+    """The tall-SVD row space and the matmul cone tensor against the wide-SVD
+    and einsum routes they replaced."""
+
+    @staticmethod
+    def assert_matches_wide_svd(flat):
+        _, s_ref, rows_ref = np.linalg.svd(flat, full_matrices=False)
+        s, rows = singular_rows(flat)
+        assert rows.flags.c_contiguous
+        assert maxabs(s - s_ref) <= 1e-12 * s_ref[0]
+        cutoff = max(DEFAULT_TOL.rank_tol, 1e-7 * s_ref[0])
+        rank = int(np.sum(s_ref > cutoff))
+        assert int(np.sum(s > cutoff)) == rank
+        assert span_residual(rows[:rank], rows_ref[:rank]) <= 1e-12
+        assert span_residual(rows_ref[:rank], rows[:rank]) <= 1e-12
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (2, 3), (3, 2)])
+    def test_monomial_stacks(self, n, d):
+        model = build_clifford_model(n, d)
+        stack = clifford_monomials(model, half_space(model, "first"))
+        self.assert_matches_wide_svd(stack.reshape(stack.shape[0], -1))
+
+    @pytest.mark.parametrize("rows, cols", [(12, 300), (300, 12)], ids=["wide", "tall"])
+    def test_rank_deficient_random_stack(self, rows, cols):
+        self.assert_matches_wide_svd(rank_deficient_stack(np.random.default_rng(7), rows, cols, 7))
+
+    def test_averaging_stack_from_commutant(self, context23, monkeypatch):
+        seen = []
+
+        def recording(flat):
+            seen.append(flat.copy())
+            return singular_rows(flat)
+
+        monkeypatch.setattr(loopfock.linalg, "singular_rows", recording)
+        commutant(context23.algebra, context23.tol)
+        assert seen
+        for flat in seen:
+            self.assert_matches_wide_svd(flat)
+
+    def test_cone_tensor_matches_einsum(self, context23):
+        alg, sfd = context23.algebra, context23.sfd
+        jbj_omega = np.stack([sfd.reflect(b) @ sfd.omega for b in alg.basis])
+        reference = np.einsum("iab,jb->ija", alg.basis, jbj_omega)
+        assert sfd._cone_tensor.flags.c_contiguous
+        assert maxabs(sfd._cone_tensor - reference) <= 1e-13
+
+    def test_context_bases_are_c_contiguous(self, context23):
+        for alg in (context23.algebra, context23.algebra_comm, context23.algebra_perp):
+            assert alg.basis.flags.c_contiguous

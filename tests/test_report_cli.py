@@ -262,6 +262,23 @@ class TestCli:
         assert err.count("configuration error:") == 1 and path in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("config, flags, named", [
+        ("suite=\n", [], "no suite"),
+        ("suite=two-group\nreport=\n", [], "report path is empty"),
+        ("suite=two-group\ndump=\n", [], "dump path is empty"),
+        (None, ["--suite", "two-group", "--report", ""], "report path is empty"),
+        (None, ["--suite", "two-group", "--dump", ""], "dump path is empty"),
+    ], ids=["suite=", "report=", "dump=", "--report", "--dump"])
+    def test_empty_value_exits_two(self, tmp_path, capsys, config, flags, named):
+        if config is not None:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(config)
+            flags = ["--config", str(cfgfile)]
+        assert main(["--points", "2", "--dim", "2"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("configuration error:") == 1 and named in captured.err
+        assert "Traceback" not in captured.err and "passed" not in captured.out
+
     def test_exit_codes_and_report(self, tmp_path, capsys):
         report = tmp_path / "out.json"
         code = main(["--points", "2", "--dim", "2", "--suite", "two-group",
@@ -297,6 +314,18 @@ class TestCli:
     def test_loop_literal_errors(self):
         assert main(["--points", "4", "--dim", "2", "--loop", "[[0.0]]"]) == 2
         assert main(["--points", "4", "--dim", "2", "--loop", "not json"]) == 2
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["directory", "binary file"])
+    def test_unreadable_loop_file_exits_two(self, tmp_path, capsys, binary):
+        path = tmp_path
+        if binary:
+            path = tmp_path / "loop.bin"
+            path.write_bytes(b"\xff\xfe\x00[")
+        code = main(["--points", "2", "--dim", "2", "--loop", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("configuration error:") == 1 and str(path) in err
+        assert "Traceback" not in err
 
     def test_loop_does_not_build_the_representation_context(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
