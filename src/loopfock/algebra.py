@@ -28,9 +28,11 @@ from .linalg import (DEFAULT_TOL, AntilinearOperator, antilinear_polar,
 class OperatorAlgebra:
     """Unital star-closed linear span of Fock operators.
 
-    basis rows are orthonormal in the Hilbert-Schmidt inner product;
-    generators, when present, enable averaging-based commutant solves and
-    cheaper automorphism checks.
+    basis rows are orthonormal in the Hilbert-Schmidt inner product.
+    generators, when present, generate the algebra as a unital star-algebra.
+    They enable averaging-based commutant solves, and a conjugation or an
+    automorphism is checked on them alone: a star-homomorphism that is right
+    on the generators is right on the algebra they generate.
     """
 
     basis: np.ndarray
@@ -350,11 +352,26 @@ class InnerAutomorphism:
         return self._representative
 
 
+def _generator_images(alg, images):
+    """The generators (the basis when there are none) and their images under
+    the linear map that sends the basis to images, in one batched product."""
+    if alg.generators is None:
+        return alg.basis, images
+    gens = alg.generators
+    coords = gens.reshape(len(gens), -1) @ alg.basis.reshape(alg.dim, -1).conj().T
+    return gens, (coords @ images.reshape(alg.dim, -1)).reshape(gens.shape)
+
+
+def _conjugated_basis(W, alg, tol, what):
+    """Basis images W b W^*, once W is checked to normalize the algebra."""
+    if not normalizer_membership(W, alg, tol):
+        raise NotInNormalizer(f"{what} does not normalize the algebra")
+    return W @ alg.basis @ W.conj().T
+
+
 def inner_automorphism_from_unitary(alg, u, tol=DEFAULT_TOL):
     """Conjugation by a unitary, recorded on the algebra basis."""
-    images = u @ alg.basis @ u.conj().T
-    if span_residual(images, alg.basis) > tol.eq_tol:
-        raise NotInNormalizer("conjugation does not preserve the algebra")
+    images = _conjugated_basis(u, alg, tol, "unitary")
     rep = u if span_residual(u[None], alg.basis) <= tol.eq_tol else None
     return InnerAutomorphism(alg, images, rep)
 
@@ -409,58 +426,53 @@ def inner_unitary(alg, images, tol=DEFAULT_TOL):
     if dim > 1:
         raise NotInner(f"solution space has dimension {dim}; algebra is not a factor")
     u = polar_unitary(vh[0].reshape(N, N), tol)
-    if alg.generators is not None:
-        constraints = [(g, np.tensordot(alg.coordinates(g), images, axes=(0, 0)))
-                       for g in alg.generators]
-    else:
-        constraints = zip(alg.basis, images)
-    worst = max(maxabs(u @ a @ u.conj().T - theta_a) for a, theta_a in constraints)
+    gens, targets = _generator_images(alg, images)
+    worst = maxabs(u @ gens @ u.conj().T - targets)
     if worst > tol.eq_tol or span_residual(u[None], alg.basis) > tol.eq_tol:
         raise NotInner(f"candidate representative fails the action by {worst:.2e}")
     return u
 
 
 def normalizer_membership(U, alg, tol=DEFAULT_TOL):
-    """True iff conjugation by U maps the algebra span into itself."""
-    return span_residual(U @ alg.basis @ U.conj().T, alg.basis) <= tol.eq_tol
+    """True iff conjugation by U maps the algebra span into itself.
+
+    Decided on the generators (the basis when there are none): the algebra
+    is star-closed, so a conjugation that keeps its generators inside it
+    keeps the algebra they generate.
+    """
+    return span_residual(U @ alg.constraint_generators() @ U.conj().T, alg.basis) <= tol.eq_tol
 
 
 def conjugation_action(U, alg, tol=DEFAULT_TOL):
     """The automorphism a -> U a U^* of the algebra (t-side structure map)."""
-    images = U @ alg.basis @ U.conj().T
-    if span_residual(images, alg.basis) > tol.eq_tol:
-        raise NotInNormalizer("unitary does not normalize the algebra")
-    return InnerAutomorphism(alg, images)
+    return InnerAutomorphism(alg, _conjugated_basis(U, alg, tol, "unitary"))
 
 
 def reflected_action(U, alg, sfd, tol=DEFAULT_TOL):
     """The automorphism a -> (JUJ) a (JUJ)^* (s-side structure map)."""
-    W = sfd.reflect(U)
-    images = W @ alg.basis @ W.conj().T
-    if span_residual(images, alg.basis) > tol.eq_tol:
-        raise NotInNormalizer("reflected unitary does not normalize the algebra")
-    return InnerAutomorphism(alg, images)
+    return InnerAutomorphism(alg, _conjugated_basis(sfd.reflect(U), alg, tol, "reflected unitary"))
 
 
 class CanonicalImplementation(NamedTuple):
     """The unitary u J u J with the two residuals it was verified by."""
 
     unitary: np.ndarray
-    action_residual: float      # sup norm of U a U^* - theta(a) over the basis
+    action_residual: float      # sup norm of U g U^* - theta(g) over the generators
     j_residual: float           # sup norm of U J - J U
 
 
 def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
     """The unitary u J u J implementing theta on the algebra.
 
-    Phase independent in the representative u; verified to act as theta, to
+    Phase independent in the representative u; verified to act as theta
+    over the generators (over the basis when the algebra has none), to
     commute with J, and to preserve the positive cone on sampled elements.
     The first two residuals are returned with the unitary.
     """
     u = theta.representative(tol)
     U = u @ sfd.reflect(u)
-    images = U @ alg.basis @ U.conj().T
-    act = maxabs(images - theta.images)
+    gens, targets = _generator_images(alg, theta.images)
+    act = maxabs(U @ gens @ U.conj().T - targets)
     jcomm = maxabs(U @ sfd.conjugation.linear - sfd.conjugation.linear @ np.conj(U))
     if max(act, jcomm) > tol.eq_tol:
         raise NotInner(f"canonical implementation failed action/J checks ({act:.2e}, {jcomm:.2e})")

@@ -42,10 +42,12 @@ def _parse_args(argv):
 def _read_config_file(path):
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -128,7 +130,9 @@ def _describe_loop(config, literal):
     try:
         coords = _json.loads(text)
     except ValueError as exc:
-        raise ConfigError(f"loop literal is not valid JSON: {exc}")
+        raise ConfigError(f"loop literal is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("loop literal is nested too deeply") from None
     env = Environment(config)
     model, spin = env.model, env.spin
     if not isinstance(coords, list) or len(coords) != 2 * config.n:

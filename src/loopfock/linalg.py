@@ -118,8 +118,7 @@ def averaged_intertwiners(lefts, rights, num_probes, rng, tol=DEFAULT_TOL):
     for L, R in zip(lefts, rights):
         Z = 0.5 * (Z + L @ Z @ R.conj().T)
     s, vh = singular_rows(Z.reshape(num_probes, n * n))
-    scale = s[0] if len(s) and s[0] > 0 else 1.0
-    dim = int(np.sum(s > max(tol.rank_tol, 1e-7 * scale)))
+    dim = _rank_cut(s, tol)
     basis = vh[:dim].reshape(dim, n, n)
     for X in basis:
         worst = max(maxabs(L @ X - X @ R) for L, R in zip(lefts, rights))
@@ -215,14 +214,20 @@ def singular_rows(flat):
     return s, vh
 
 
+def _rank_cut(s, tol):
+    """Numerical rank of descending singular values s: those above
+    tol.rank_tol and above 1e-7 of the largest one."""
+    scale = s[0] if len(s) and s[0] > 0 else 1.0
+    return int(np.sum(s > max(tol.rank_tol, 1e-7 * scale)))
+
+
 def orthonormal_rows(stack, tol=DEFAULT_TOL):
     """Orthonormalize a stack of vectors/matrices along its first axis."""
     stack = np.asarray(stack, dtype=complex)
     if stack.shape[0] == 0:
         return stack
     s, vh = singular_rows(stack.reshape(stack.shape[0], -1))
-    scale = s[0] if len(s) and s[0] > 0 else 1.0
-    dim = int(np.sum(s > max(tol.rank_tol, 1e-7 * scale)))
+    dim = _rank_cut(s, tol)
     return vh[:dim].reshape((dim,) + stack.shape[1:])
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import loopfock.algebra
 import loopfock.linalg
-from loopfock.algebra import (algebra_from_span, automorphism_residual,
+from loopfock.algebra import (InnerAutomorphism, algebra_from_span,
+                              automorphism_residual,
                               canonical_implementation, commutant,
                               conjugation_action, cyclic_separating_check,
                               generated_star_algebra,
@@ -363,7 +365,10 @@ class TestCanonicalImplementation:
         for _ in range(20):
             theta = inner_automorphism_from_unitary(A, random_unitary_in(A, rng))
             U, act, jcomm = canonical_implementation(sfd, A, theta)
-            assert act == maxabs(U @ A.basis @ U.conj().T - theta.images) < 1e-9
+            targets = np.stack([theta.apply(g) for g in A.generators])
+            on_generators = maxabs(U @ A.generators @ U.conj().T - targets)
+            assert act == pytest.approx(on_generators, rel=0, abs=1e-15)
+            assert act < 1e-9
             assert jcomm == maxabs(U @ Mj - Mj @ np.conj(U)) < 1e-9
 
     def test_multiplicative(self, model22):
@@ -484,3 +489,102 @@ class TestTallRowSpaces:
     def test_context_bases_are_c_contiguous(self, context23):
         for alg in (context23.algebra, context23.algebra_comm, context23.algebra_perp):
             assert alg.basis.flags.c_contiguous
+
+
+@pytest.fixture(scope="module", params=[(1, 2), (2, 2), (2, 3), (3, 2)],
+                ids=lambda nd: f"{nd[0]}-{nd[1]}")
+def context(request):
+    return build_context(build_clifford_model(*request.param))
+
+
+class TestGeneratorChecks:
+    """Checks decided on the generators against the basis sweeps they
+    replaced: both forms pass, each far inside its gate (a tenth of it).
+    Each test draws from its own generator, so the margins do not depend on
+    which tests ran before it."""
+
+    @staticmethod
+    def both_forms(ctx, residual):
+        return residual(ctx.algebra.generators), residual(ctx.algebra.basis)
+
+    def test_normalizer(self, context):
+        rand = np.random.default_rng(5)
+        A = context.algebra
+        model = context.model
+        second = model.generators[generator_indices(model, half_space(model, "second"))[0]]
+        for W in (random_unitary_in(A, rand), second, context.sfd.reflect(second)):
+            forms = self.both_forms(context, lambda stack: span_residual(W @ stack @ W.conj().T, A.basis))
+            assert max(forms) < 1e-10
+
+    def test_canonical_action(self, context):
+        rand = np.random.default_rng(5)
+        A, sfd = context.algebra, context.sfd
+        for _ in range(3):
+            theta = inner_automorphism_from_unitary(A, random_unitary_in(A, rand))
+            U, act, _ = canonical_implementation(sfd, A, theta)
+            on_basis = maxabs(U @ A.basis @ U.conj().T - theta.images)
+            assert max(act, on_basis) < 1e-10
+
+    def test_double_commutant(self, context):
+        comm = context.algebra_comm
+        forms = self.both_forms(context, lambda stack: max(maxabs(a @ comm.basis - comm.basis @ a)
+                                                           for a in stack))
+        assert max(forms) < 1e-9
+
+    def test_action_kernels(self, context):
+        rand = np.random.default_rng(5)
+        W = context.sfd.reflect(random_unitary_in(context.algebra, rand))
+        forms = self.both_forms(context, lambda stack: maxabs(W @ stack @ W.conj().T - stack))
+        assert max(forms) < 1e-9
+
+    def test_representative_off_the_images_is_not_inner(self, model22):
+        # images from u1, representative u2: the action check must catch it
+        A = half_algebra(model22)
+        sfd = tomita_data(A, model22.vacuum)
+        u1, u2 = random_unitary_in(A, rng), random_unitary_in(A, rng)
+        theta = InnerAutomorphism(A, u1 @ A.basis @ u1.conj().T, u2)
+        with pytest.raises(NotInner, match="action/J"):
+            canonical_implementation(sfd, A, theta)
+
+    def test_normalizer_callers_agree(self, model22):
+        A = half_algebra(model22)
+        sfd = tomita_data(A, model22.vacuum)
+        U = random_unitary(rng, model22.fock_dim)
+        assert not normalizer_membership(U, A)
+        for refused in (lambda: inner_automorphism_from_unitary(A, U),
+                        lambda: conjugation_action(U, A), lambda: reflected_action(U, A, sfd)):
+            with pytest.raises(NotInNormalizer):
+                refused()
+        w = model22.generators[generator_indices(model22, half_space(model22, "second"))[0]]
+        assert normalizer_membership(w, A)
+        for theta in (inner_automorphism_from_unitary(A, w), conjugation_action(w, A),
+                      reflected_action(w, A, sfd)):
+            assert span_residual(theta.images, A.basis) < 1e-10
+
+    def test_every_generator_is_checked(self, model22):
+        # rotating generator 1 into the second half fixes generator 0, which
+        # anticommutes with both rotated generators
+        A = half_algebra(model22)
+        U = (np.cos(0.45) * np.eye(model22.fock_dim)
+             + np.sin(0.45) * model22.generators[1] @ model22.generators[5])
+        assert maxabs(U @ A.generators[0] @ U.conj().T - A.generators[0]) < 1e-12
+        assert not normalizer_membership(U, A)
+
+    def test_algebra_without_generators_checks_the_basis(self, model22, monkeypatch):
+        A = half_algebra(model22)
+        bare = algebra_from_span(A.basis)
+        assert bare.generators is None
+        sfd = tomita_data(bare, model22.vacuum)
+        theta = inner_automorphism_from_unitary(bare, random_unitary_in(bare, rng))
+        U, act, _ = canonical_implementation(sfd, bare, theta)
+        assert act == maxabs(U @ bare.basis @ U.conj().T - theta.images)
+        seen = []
+
+        def recording(stack, ortho):
+            seen.append(len(stack))
+            return span_residual(stack, ortho)
+
+        monkeypatch.setattr(loopfock.algebra, "span_residual", recording)
+        conjugation_action(U, bare)
+        conjugation_action(U, A)
+        assert seen == [bare.dim, len(A.generators)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -118,6 +119,35 @@ def test_reports_property_byte_identical_for_any_seed(seed):
     assert strip_timing(emit_report(cfg, r1, "json")) == strip_timing(emit_report(cfg, r2, "json"))
 
 
+CONFIG_KEYS = ("points", "dim", "seed", "suite", "samples", "tol", "report", "format",
+               "dump", "loop")
+config_values = st.one_of(
+    st.sampled_from(["4", "2", "6", "16", "0", "-2", "5", "1e-7", "nan", "inf", "1e400",
+                     "-0.0", "", "abc", "all", "tomita,string", ",", "json", "md", "xml",
+                     "0x10", "1_0", "\u0664", "9" * 5000, "r.json"]),
+    st.integers().map(str), st.floats().map(repr), st.text(max_size=12))
+config_lines = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(CONFIG_KEYS), config_values),
+    st.builds("{}={}".format, st.sampled_from(("config", "sead", "", "Points", " dim")) | st.text(max_size=6),
+              config_values),
+    st.sampled_from(["# comment", "", "   ", "points", "==", "dim 2"]),
+    st.text(max_size=16),
+).map(lambda line: line.encode("utf-8", "surrogatepass")) | st.binary(max_size=16)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(lines=st.lists(config_lines, max_size=8))
+def test_config_file_property_validates_or_raises_config_error(lines, tmp_path_factory):
+    """Any config file gives a validated RunConfig or a ConfigError."""
+    cfgfile = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfgfile.write_bytes(b"\n".join(lines))
+    try:
+        cfg, _ = build_config(["--config", str(cfgfile)])
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig) and cfg.validate() is cfg
+
+
 class TestDeterminism:
     def test_two_group_suite_reports_identical(self):
         cfg = RunConfig(n=1, d=2, suites=("two-group",))
@@ -189,8 +219,8 @@ class TestGatedRecords:
         A, comm = env.ctx.algebra, env.ctx.algebra_comm
 
         def all_pairs():
-            return maxabs(np.einsum("aij,bjk->abik", A.basis, comm.basis)
-                          - np.einsum("bij,ajk->abik", comm.basis, A.basis))
+            return maxabs(np.einsum("aij,bjk->abik", A.generators, comm.basis)
+                          - np.einsum("bij,ajk->abik", comm.basis, A.generators))
 
         untouched = record_named(tomita_checks(env), "double commutant")
         assert untouched.passed
@@ -200,6 +230,20 @@ class TestGatedRecords:
         planted = record_named(tomita_checks(env), "double commutant")
         assert not planted.passed
         assert planted.residual == pytest.approx(all_pairs(), rel=1e-12)
+
+    def test_action_kernels_record_fails_on_a_planted_reflection(self, monkeypatch):
+        env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
+        sfd = env.ctx.sfd
+        assert record_named(tomita_checks(env), "action kernels").passed
+        # J u J replaced by u, which does not commute with the algebra; the
+        # canonical implementations keep the true reflection
+        honest = dataclasses.replace(sfd)
+        canonical = loopfock.algebra.canonical_implementation
+        monkeypatch.setattr(loopfock.algebra, "canonical_implementation",
+                            lambda _, *args, **kwargs: canonical(honest, *args, **kwargs))
+        monkeypatch.setattr(sfd, "reflect", lambda U: U)
+        planted = record_named(tomita_checks(env), "action kernels")
+        assert planted.residual > 0.1 and not planted.passed
 
 
 class TestSampleCounts:
@@ -252,6 +296,14 @@ class TestCli:
             cfgfile.write_text(text)
         with pytest.raises(ConfigError, match=named):
             build_config(["--config", str(cfgfile)])
+
+    def test_non_utf8_config_file_exits_two(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"points=4\ndim=2\n\xff=1\n")
+        assert main(["--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("configuration error:") == 1 and "not UTF-8" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--report", "--dump"])
     def test_unwritable_output_path_exits_two(self, tmp_path, capsys, flag):
@@ -314,6 +366,14 @@ class TestCli:
     def test_loop_literal_errors(self):
         assert main(["--points", "4", "--dim", "2", "--loop", "[[0.0]]"]) == 2
         assert main(["--points", "4", "--dim", "2", "--loop", "not json"]) == 2
+
+    @pytest.mark.parametrize("literal", ["[" * 5000, "[" * 5000 + "]" * 5000],
+                             ids=["unclosed", "closed"])
+    def test_deeply_nested_loop_literal_exits_two(self, literal, capsys):
+        assert main(["--points", "4", "--dim", "2", "--loop", literal]) == 2
+        err = capsys.readouterr().err
+        assert err.count("configuration error:") == 1 and "nested too deeply" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("binary", [False, True], ids=["directory", "binary file"])
     def test_unreadable_loop_file_exits_two(self, tmp_path, capsys, binary):
