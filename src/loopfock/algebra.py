@@ -7,8 +7,11 @@ generators, which is the case for all Clifford half-circle algebras.
 
 Inner automorphisms are solved by averaging too: x -> sum_i theta(b_i) x b_i^*
 over an orthonormal basis b_i maps the algebra onto the implementers of
-theta times the centre, a single line on a factor.  inner_unitary checks
-that assumption on every solve and refuses algebras with a centre.
+theta times the centre, a single line on a factor.  With the same generators,
+composing the projections x -> (x + theta(g) x g^*)/2 over the generators g
+gives that map up to a positive factor at the cost of a few products.
+inner_unitary checks the factor assumption on every solve, refuses algebras
+with a centre, and verifies its result on every basis element.
 """
 
 from dataclasses import dataclass, field
@@ -18,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConeViolation, NotAutomorphism, NotCyclicSeparating,
-                     NotGraded, NotInNormalizer, NotInner)
-from .linalg import (DEFAULT_TOL, AntilinearOperator, antilinear_polar,
-                     averaged_intertwiners, joint_kernel, maxabs,
+                     NotGraded, NotInNormalizer, NotInner, SingularInput)
+from .linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners,
+                     antilinear_polar, averaged_intertwiners, joint_kernel, maxabs,
                      orthonormal_rows, polar_unitary, singular_rows, span_residual)
 
 
@@ -30,13 +33,15 @@ class OperatorAlgebra:
 
     basis rows are orthonormal in the Hilbert-Schmidt inner product.
     generators, when present, generate the algebra as a unital star-algebra.
-    They enable averaging-based commutant solves, and a conjugation or an
-    automorphism is checked on them alone: a star-homomorphism that is right
-    on the generators is right on the algebra they generate.
+    They enable averaging-based commutant and inner solves, and a
+    conjugation or an automorphism is checked on them alone: a
+    star-homomorphism that is right on the generators is right on the
+    algebra they generate.
     """
 
     basis: np.ndarray
     generators: np.ndarray | None = None
+    _ready: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -63,9 +68,22 @@ class OperatorAlgebra:
         transposed = np.transpose(self.basis, (0, 2, 1)).reshape(self.dim, -1)
         return np.conj(transposed @ self.basis.reshape(self.dim, -1).T)
 
+    @cached_property
+    def generator_coordinates(self):
+        """Row j holds the coordinates of generator j."""
+        gens = self.generators
+        return gens.reshape(len(gens), -1) @ self.basis.reshape(self.dim, -1).conj().T
+
     def constraint_generators(self):
         """Matrices whose commutation constraints cut out the commutant."""
         return self.generators if self.generators is not None else self.basis
+
+    def generators_ready(self, tol=DEFAULT_TOL):
+        """True iff the generators qualify for the averaging projections of
+        commutant and inner_unitary; decided once per tolerance policy."""
+        if tol not in self._ready:
+            self._ready[tol] = self.generators is not None and _averaging_ready(self.generators, tol)
+        return self._ready[tol]
 
 
 def algebra_from_span(stack, generators=None, tol=DEFAULT_TOL):
@@ -127,7 +145,10 @@ def generated_star_algebra(gens, tol=DEFAULT_TOL):
 
 
 def _averaging_ready(mats, tol):
-    """Unitaries with scalar square +-1 qualify for the averaging projection."""
+    """Unitaries with a common scalar square +-1 that pairwise commute or
+    anticommute qualify for the averaging projections: for them, and for
+    their images under a star-automorphism, the maps x -> (x + l x r^*)/2
+    are commuting projections."""
     eye = np.eye(mats[0].shape[0])
     sign = None
     for u in mats:
@@ -141,6 +162,11 @@ def _averaging_ready(mats, tol):
             sign = s
         elif abs(s - sign) > tol.eq_tol:
             return False
+    for a in range(len(mats)):
+        for b in range(a):
+            ab, ba = mats[a] @ mats[b], mats[b] @ mats[a]
+            if min(maxabs(ab - ba), maxabs(ab + ba)) > tol.eq_tol:
+                return False
     return True
 
 
@@ -182,7 +208,7 @@ def commutant(alg, tol=DEFAULT_TOL):
     """
     mats = list(alg.constraint_generators())
     N = alg.space_dim
-    if alg.generators is not None and _averaging_ready(mats, tol):
+    if alg.generators_ready(tol):
         basis = _averaged_commutant_basis(mats, tol, np.random.default_rng(1), expected=N * N // alg.dim)
     else:
         basis = _kernel_commutant_basis([(a, False) for a in mats], N, tol)
@@ -259,21 +285,34 @@ class StandardFormData:
         return self.conjugation.conjugate_matrix(U)
 
     def cone_defect(self, v):
-        """Distance data of v from the self-dual positive cone.
+        """Distance data of v from the self-dual positive cone; cone_defects
+        for one vector."""
+        return float(self.cone_defects(np.asarray(v)[None])[0])
+
+    def cone_defects(self, vectors):
+        """Distance data of each row of vectors from the self-dual positive cone.
 
         v lies in the cone iff <v, a J b J omega> assembles to a positive
         semidefinite Hermitian form on the algebra; the defect is the worst
-        of the negative-eigenvalue overshoot and the non-Hermitian part.
+        of the negative-eigenvalue overshoot and the non-Hermitian part.  All
+        forms come from one product.  One batched Cholesky factorization
+        decides positive definiteness, and a positive definite form has no
+        overshoot, so the eigenvalues are computed only when it fails.
         """
-        v = np.asarray(v, dtype=complex)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        M = np.tensordot(self._cone_tensor, np.conj(v) / nv, axes=(2, 0))
-        herm = 0.5 * (M + M.conj().T)
-        skew = maxabs(M - M.conj().T)
-        lam_min = float(np.linalg.eigvalsh(herm)[0])
-        return max(skew, -min(lam_min, 0.0))
+        V = np.asarray(vectors, dtype=complex)
+        norms = np.linalg.norm(V, axis=1)
+        V = np.conj(V) / np.where(norms == 0, 1.0, norms)[:, None]
+        k = self._cone_tensor.shape[0]
+        M = (self._cone_tensor.reshape(k * k, -1) @ V.T).T.reshape(-1, k, k)
+        Mh = np.conj(np.transpose(M, (0, 2, 1)))
+        skew = np.max(np.abs(M - Mh), axis=(1, 2))
+        herm = 0.5 * (M + Mh)
+        try:
+            np.linalg.cholesky(herm)
+            return skew
+        except np.linalg.LinAlgError:
+            lam_min = np.linalg.eigvalsh(herm)[:, 0]
+            return np.maximum(skew, -np.minimum(lam_min, 0.0))
 
 
 def tomita_data(alg, omega, tol=DEFAULT_TOL):
@@ -296,7 +335,7 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
     if worst > tol.eq_tol:
         raise NotCyclicSeparating(f"modular data failed vacuum identities: {checks}")
     # cone pairing tensor T[i, j] = vector a_i J a_j J omega, one BLAS product
-    # whose C-contiguous result cone_defect contracts without a copy
+    # whose C-contiguous result cone_defects contracts without a copy
     jbj_omega = np.stack([J.conjugate_matrix(b) @ omega for b in alg.basis])
     cone_tensor = np.matmul(jbj_omega, np.transpose(alg.basis, (0, 2, 1)))
     cone_frame = np.stack([cone_tensor[i, i] for i in range(alg.dim)])
@@ -333,18 +372,15 @@ class InnerAutomorphism:
     def apply(self, X):
         return np.tensordot(self.algebra.coordinates(X), self.images, axes=(0, 0))
 
-    def _from_coord(self, C):
-        images = np.tensordot(C, self.algebra.basis, axes=(1, 0))
-        out = InnerAutomorphism(self.algebra, images)
-        out._coord = C
-        return out
-
     def compose(self, other):
-        """self after other."""
-        return self._from_coord(other.coord_matrix() @ self.coord_matrix())
+        """self after other: other's coordinate matrix applied to self's images."""
+        return InnerAutomorphism(self.algebra, np.tensordot(other.coord_matrix(), self.images, axes=(1, 0)))
 
     def inverse(self):
-        return self._from_coord(np.linalg.inv(self.coord_matrix()))
+        C = np.linalg.inv(self.coord_matrix())
+        out = InnerAutomorphism(self.algebra, np.tensordot(C, self.algebra.basis, axes=(1, 0)))
+        out._coord = C
+        return out
 
     def representative(self, tol=DEFAULT_TOL):
         if self._representative is None:
@@ -358,8 +394,7 @@ def _generator_images(alg, images):
     if alg.generators is None:
         return alg.basis, images
     gens = alg.generators
-    coords = gens.reshape(len(gens), -1) @ alg.basis.reshape(alg.dim, -1).conj().T
-    return gens, (coords @ images.reshape(alg.dim, -1)).reshape(gens.shape)
+    return gens, (alg.generator_coordinates @ images.reshape(alg.dim, -1)).reshape(gens.shape)
 
 
 def _conjugated_basis(W, alg, tol, what):
@@ -396,38 +431,59 @@ INNER_PROBES = 2
 def inner_unitary(alg, images, tol=DEFAULT_TOL):
     """Unitary u in the algebra with u a u^* matching the given basis images.
 
-    Averages over the orthonormal basis b_i.  The map
-    x -> sum_i theta(b_i) x b_i^* sends every x to a solution y of
-    theta(a) y = y a, and for theta = Ad u it sends the algebra onto u Z(A),
-    Z(A) the centre.  The solve assumes a factor, where that is the line C u,
+    For theta = Ad u the map x -> sum_i theta(b_i) x b_i^* over the
+    orthonormal basis b_i sends every x to a solution y of theta(a) y = y a,
+    and sends the algebra onto u Z(A), Z(A) the centre.  When the generators
+    are ready for averaging (generators_ready), the same line comes from
+    composing the commuting projections x -> (x + theta(g) x g^*)/2 over the
+    generators g, which is that map up to a positive factor; otherwise the
+    basis sum is taken.  The solve assumes a factor, where the line is C u,
     and checks it: the images of two fixed-seed probes in the algebra must
     have rank one.  Rank zero means no implementer lies in the algebra, rank
     above one that the algebra has a centre.  The rank cutoff is relative
     to the largest image (the images may carry the conditioning error of
-    the modular data), and the returned unitary is re-verified against the
-    action, so a misjudged rank cannot slip through.
+    the modular data).
+
+    The returned u lies in the span and satisfies u b_i u^* = theta(b_i) to
+    eq_tol on every basis element, so the images are a star-automorphism.
+    Only when the solve fails is automorphism_residual computed: above
+    eq_tol the images are refused with NotAutomorphism, otherwise NotInner.
     """
-    if automorphism_residual(alg, images, tol) > tol.eq_tol:
-        raise NotAutomorphism("images do not define a star-automorphism of the span")
+    try:
+        return _solve_inner(alg, images, tol)
+    except (NotInner, SingularInput):
+        if automorphism_residual(alg, images, tol) > tol.eq_tol:
+            raise NotAutomorphism("images do not define a star-automorphism of the span") from None
+        raise
+
+
+def _solve_inner(alg, images, tol):
     k, N = alg.dim, alg.space_dim
     rng = np.random.default_rng(5)
     coords = rng.standard_normal((INNER_PROBES, k)) + 1j * rng.standard_normal((INNER_PROBES, k))
     probes = np.tensordot(coords, alg.basis, axes=(1, 0))
-    # theta(b_i) x for every basis element and probe in one product, then
-    # regrouped so that row a of probe p reads theta(b_i)[a, :] x over all i
-    left = images.reshape(k * N, N) @ probes.transpose(1, 0, 2).reshape(N, -1)
-    left = left.reshape(k, N, INNER_PROBES, N).transpose(2, 1, 0, 3).reshape(INNER_PROBES, N, k * N)
-    adjoints = np.conj(np.transpose(alg.basis, (0, 2, 1))).reshape(k * N, N)
-    averaged = (left @ adjoints).reshape(INNER_PROBES, N * N)
-    svals, vh = singular_rows(averaged)
+    if alg.generators_ready(tol):
+        gens, targets = _generator_images(alg, images)
+        solved = _project_intertwiners(probes, targets, gens)
+    else:
+        # theta(b_i) x for every basis element and probe in one product, then
+        # regrouped so that row a of probe p reads theta(b_i)[a, :] x over all i
+        left = images.reshape(k * N, N) @ probes.transpose(1, 0, 2).reshape(N, -1)
+        left = left.reshape(k, N, INNER_PROBES, N).transpose(2, 1, 0, 3).reshape(INNER_PROBES, N, k * N)
+        adjoints = np.conj(np.transpose(alg.basis, (0, 2, 1))).reshape(k * N, N)
+        solved = left @ adjoints
+    svals, vh = singular_rows(solved.reshape(INNER_PROBES, N * N))
     dim = int(np.sum(svals > max(tol.rank_tol, 1e-6 * svals[0])))
     if dim == 0:
         raise NotInner("no implementing element inside the algebra")
     if dim > 1:
         raise NotInner(f"solution space has dimension {dim}; algebra is not a factor")
     u = polar_unitary(vh[0].reshape(N, N), tol)
-    gens, targets = _generator_images(alg, images)
-    worst = maxabs(u @ gens @ u.conj().T - targets)
+    # u b_i u^* for every i as two wide products: the first against the basis
+    # side by side as one N x kN matrix, the second on its rows (a, i)
+    wide = np.ascontiguousarray(alg.basis.transpose(1, 0, 2)).reshape(N, k * N)
+    conjugated = ((u @ wide).reshape(N * k, N) @ u.conj().T).reshape(N, k, N)
+    worst = maxabs(conjugated - images.transpose(1, 0, 2))
     if worst > tol.eq_tol or span_residual(u[None], alg.basis) > tol.eq_tol:
         raise NotInner(f"candidate representative fails the action by {worst:.2e}")
     return u
@@ -483,7 +539,7 @@ def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
         c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         a = alg.from_coordinates(c)
         probes.append(a @ sfd.reflect(a) @ sfd.omega)
-    worst = max(sfd.cone_defect(U @ v) for v in probes)
+    worst = float(np.max(sfd.cone_defects(np.stack(probes) @ U.T)))
     if worst > tol.eq_tol:
         raise ConeViolation(f"cone moved by {worst:.2e}")
     return CanonicalImplementation(U, act, jcomm)

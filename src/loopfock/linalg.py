@@ -115,16 +115,21 @@ def averaged_intertwiners(lefts, rights, num_probes, rng, tol=DEFAULT_TOL):
             raise ValueError("right generator square does not match the left one")
 
     Z = rng.standard_normal((num_probes, n, n)) + 1j * rng.standard_normal((num_probes, n, n))
-    for L, R in zip(lefts, rights):
-        Z = 0.5 * (Z + L @ Z @ R.conj().T)
+    Z = _project_intertwiners(Z, lefts, rights)
     s, vh = singular_rows(Z.reshape(num_probes, n * n))
     dim = _rank_cut(s, tol)
     basis = vh[:dim].reshape(dim, n, n)
-    for X in basis:
-        worst = max(maxabs(L @ X - X @ R) for L, R in zip(lefts, rights))
-        if worst > tol.eq_tol:
-            raise ArithmeticError(f"averaged intertwiner violates constraints by {worst:.2e}")
+    worst = max(maxabs(L @ basis - basis @ R) for L, R in zip(lefts, rights))
+    if worst > tol.eq_tol:
+        raise ArithmeticError(f"averaged intertwiner violates constraints by {worst:.2e}")
     return basis
+
+
+def _project_intertwiners(Z, lefts, rights):
+    """The stack Z after X -> (X + L X R^*)/2 for each constraint pair in turn."""
+    for L, R in zip(lefts, rights):
+        Z = 0.5 * (Z + L @ Z @ R.conj().T)
+    return Z
 
 
 def polar_unitary(M, tol=DEFAULT_TOL):

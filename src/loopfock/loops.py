@@ -8,6 +8,7 @@ the vacuum overlap, lifts loops to pairs (loop, unitary) forming the
 extension group.
 """
 
+import reprlib
 from dataclasses import dataclass
 from functools import reduce
 from numbers import Real
@@ -401,15 +402,28 @@ def random_loop_algebra(model, rng):
     return out
 
 
+# abbreviates the malformed input quoted in bivector error messages
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxlist, _SHORT.maxdict, _SHORT.maxstring, _SHORT.maxother = 2, 4, 2, 24, 24
+
+
 def bivector_from_coordinates(coords, d):
-    """Antisymmetric d x d matrix from coordinates ordered (0,1), (0,2), ..."""
-    if not (isinstance(coords, list) and all(isinstance(c, Real) and not isinstance(c, bool)
-                                             for c in coords)):
-        raise ValueError(f"bivector coordinates must be a list of real numbers, got {coords!r}")
+    """Antisymmetric d x d matrix from coordinates ordered (0,1), (0,2), ...
+
+    Malformed coordinates raise ValueError; its message quotes them in a
+    bounded abbreviation, however large or deeply nested they are.
+    """
+    if not isinstance(coords, list):
+        raise ValueError("bivector coordinates must be a list of real numbers, "
+                         f"got {type(coords).__name__} {_SHORT.repr(coords)}")
+    for i, c in enumerate(coords):
+        if not isinstance(c, Real) or isinstance(c, bool):
+            raise ValueError("bivector coordinates must be a list of real numbers, "
+                             f"entry {i} is {type(c).__name__} {_SHORT.repr(c)}")
     if len(coords) != d * (d - 1) // 2:
         raise ValueError(f"expected {d * (d - 1) // 2} bivector coordinates, got {len(coords)}")
     if not np.all(np.isfinite(np.asarray(coords, dtype=float))):
-        raise ValueError(f"bivector coordinates {coords} are not finite")
+        raise ValueError(f"bivector coordinates {_SHORT.repr(coords)} are not finite")
     B = np.zeros((d, d))
     k = 0
     for a in range(d):
@@ -427,6 +441,11 @@ def loop_from_bivectors(spin, coords_per_point):
     plane order; the loop value at that vertex is the spin exponential.
     """
     d = spin.d
-    values = [spin_exp(bivector_from_coordinates(c, d), spin.gammas)
-              for c in coords_per_point]
+    values = []
+    for j, c in enumerate(coords_per_point):
+        try:
+            B = bivector_from_coordinates(c, d)
+        except ValueError as exc:
+            raise ValueError(f"vertex {j}: {exc}") from None
+        values.append(spin_exp(B, spin.gammas))
     return np.stack(values)

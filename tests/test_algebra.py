@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopfock.algebra
 import loopfock.linalg
-from loopfock.algebra import (InnerAutomorphism, algebra_from_span,
+from loopfock.algebra import (InnerAutomorphism, OperatorAlgebra, algebra_from_span,
                               automorphism_residual,
                               canonical_implementation, commutant,
                               conjugation_action, cyclic_separating_check,
@@ -588,3 +590,146 @@ class TestGeneratorChecks:
         conjugation_action(U, bare)
         conjugation_action(U, A)
         assert seen == [bare.dim, len(A.generators)]
+
+
+def same_line(u, v):
+    """|<u, v>| / N for unitaries u and v: 1 exactly when u is a phase times v."""
+    return abs(np.vdot(u, v)) / u.shape[0]
+
+
+def recording_projections(monkeypatch):
+    """Count the calls of the generator-projection route of inner_unitary."""
+    seen = []
+    project = loopfock.algebra._project_intertwiners
+
+    def recording(Z, lefts, rights):
+        seen.append(len(lefts))
+        return project(Z, lefts, rights)
+
+    monkeypatch.setattr(loopfock.algebra, "_project_intertwiners", recording)
+    return seen
+
+
+class TestGeneratorInnerSolve:
+    """inner_unitary by generator projections against the basis average it
+    replaced, which a twin algebra without generators still takes."""
+
+    def test_routes_agree(self, context, monkeypatch):
+        A = context.algebra
+        twin = OperatorAlgebra(A.basis)
+        assert A.generators_ready() and not twin.generators_ready()
+        seen = recording_projections(monkeypatch)
+        rand = np.random.default_rng(11)
+        for _ in range(3):
+            images = inner_automorphism_from_unitary(A, random_unitary_in(A, rand)).images
+            u_gen = inner_unitary(A, images)
+            assert seen[-1] == len(A.generators)
+            calls = len(seen)
+            u_basis = inner_unitary(twin, images)
+            assert len(seen) == calls
+            assert same_line(u_gen, u_basis) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    def test_composed_automorphism_at_fock64(self, context23):
+        A = context23.algebra
+        rand = np.random.default_rng(12)
+        t1, t2 = (inner_automorphism_from_unitary(A, random_unitary_in(A, rand)) for _ in range(2))
+        u = t1.compose(t2).representative()
+        assert same_line(u, t1._representative @ t2._representative) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    def test_generators_that_do_not_sign_commute_take_the_basis_route(self, monkeypatch):
+        # sigma_x and (sigma_x + sigma_z)/sqrt(2) are unitary involutions whose
+        # products neither commute nor anticommute; they generate M_2
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        A = generated_star_algebra(np.stack([sx, (sx + sz) / np.sqrt(2)]))
+        assert A.dim == 4 and not A.generators_ready()
+        seen = recording_projections(monkeypatch)
+        v = random_unitary_in(A, np.random.default_rng(13))
+        u = inner_unitary(A, inner_automorphism_from_unitary(A, v).images)
+        assert seen == []
+        assert same_line(u, v) == pytest.approx(1.0, rel=0, abs=1e-12)
+        # the commutant takes the kernel route too; the averaging route
+        # raised ArithmeticError on these generators
+        assert commutant(A).dim == 1
+
+    def test_refuses_images_wrong_off_the_generators(self, model22):
+        # monomial basis: generator g_a is sqrt(N) times one basis element, so
+        # doubling the image of b_5 = g_0 g_2 / sqrt(N) leaves every
+        # generator image that of Ad v
+        pts = half_space(model22, "first")
+        A = OperatorAlgebra(clifford_monomials(model22, pts) / np.sqrt(model22.fock_dim),
+                            model22.generators[generator_indices(model22, pts)])
+        assert gram_deviation(A) < 1e-12 and A.generators_ready()
+        v = random_unitary_in(A, np.random.default_rng(3))
+        images = v @ A.basis @ v.conj().T
+        images[5] = 2.0 * images[5]
+        assert maxabs(A.generator_coordinates @ images.reshape(A.dim, -1)
+                      - (v @ A.generators @ v.conj().T).reshape(len(A.generators), -1)) < 1e-12
+        with pytest.raises(NotInner, match="fails the action"):
+            inner_unitary(A, images)
+
+
+inner_algebras = {}
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2)])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inner_unitary_recovers_exponentials(n, d, data):
+    """For v = exp(i h), h Hermitian in the algebra, both routes return v up
+    to a phase from the images of Ad v."""
+    if (n, d) not in inner_algebras:
+        A = half_algebra(build_clifford_model(n, d))
+        inner_algebras[n, d] = A, OperatorAlgebra(A.basis)
+    A, twin = inner_algebras[n, d]
+    coords = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    c = np.array(data.draw(st.lists(coords, min_size=2 * A.dim, max_size=2 * A.dim)))
+    x = A.from_coordinates(c[:A.dim] + 1j * c[A.dim:])
+    w, V = np.linalg.eigh(0.5 * (x + x.conj().T))
+    v = (V * np.exp(1j * w)) @ V.conj().T
+    images = v @ A.basis @ v.conj().T
+    for alg in (A, twin):
+        assert same_line(inner_unitary(alg, images), v) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+class TestConeDefects:
+    @staticmethod
+    def eigvalsh_defect(sfd, v):
+        """The per-vector defect by a full eigenvalue decomposition."""
+        M = np.tensordot(sfd._cone_tensor, np.conj(v) / np.linalg.norm(v), axes=(2, 0))
+        lam_min = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0])
+        return max(maxabs(M - M.conj().T), -min(lam_min, 0.0))
+
+    def test_batch_matches_eigvalsh(self, context):
+        A, sfd = context.algebra, context.sfd
+        rand = np.random.default_rng(14)
+        U = canonical_implementation(
+            sfd, A, inner_automorphism_from_unitary(A, random_unitary_in(A, rand))).unitary
+        inside = [sfd.cone_frame[0], U @ sfd.cone_frame[1]]
+        for _ in range(3):
+            a = A.from_coordinates(rand.standard_normal(A.dim) + 1j * rand.standard_normal(A.dim))
+            inside.append(a @ sfd.reflect(a) @ sfd.omega)
+        outside = [-sfd.omega, rand.standard_normal(A.space_dim) + 1j * rand.standard_normal(A.space_dim)]
+        for batch in (inside, inside + outside):
+            got = sfd.cone_defects(np.stack(batch))
+            ref = [self.eigvalsh_defect(sfd, v) for v in batch]
+            assert maxabs(got - ref) <= 1e-15
+            assert [sfd.cone_defect(v) for v in batch] == pytest.approx(ref, rel=0, abs=1e-15)
+
+    def test_eigenvalues_only_when_cholesky_fails(self, context, monkeypatch):
+        sfd = context.sfd
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(M):
+            seen.append(len(M))
+            return eigvalsh(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        assert max(sfd.cone_defects(sfd.cone_frame[:4])) < 1e-12
+        assert seen == []
+        planted = np.stack([sfd.cone_frame[0], -sfd.omega])
+        defects = sfd.cone_defects(planted)
+        assert seen == [2]
+        assert defects[0] < 1e-12 and defects[1] > 1e-3
+        assert sfd.cone_defect(np.zeros(sfd.omega.shape)) == 0.0

@@ -421,6 +421,16 @@ class TestCli:
         assert code == 2
         assert "must be a list of real numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["[" + "[" * 900 + "0" + "]" * 900 + ", [0]]",
+                                     "[[" + ", ".join([f'"{"x" * 40}"'] * 200) + "], [0]]"],
+                             ids=["nested vertex", "strings"])
+    def test_loop_coordinate_errors_are_one_short_line(self, bad, capsys):
+        code = main(["--points", "2", "--dim", "2", "--loop", bad])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("configuration error: vertex 0:") and "entry 0" in err
+
     def test_dump(self, tmp_path):
         dump = tmp_path / "mats.txt"
         code = main(["--points", "2", "--dim", "2", "--suite", "two-group",
