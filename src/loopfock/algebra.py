@@ -11,7 +11,7 @@ theta times the centre, a single line on a factor.  With the same generators,
 composing the projections x -> (x + theta(g) x g^*)/2 over the generators g
 gives that map up to a positive factor at the cost of a few products.
 inner_unitary checks the factor assumption on every solve, refuses algebras
-with a centre, and verifies its result on every basis element.
+with a centre, and verifies its result on every basis element and generator.
 """
 
 from dataclasses import dataclass, field
@@ -41,7 +41,7 @@ class OperatorAlgebra:
 
     basis: np.ndarray
     generators: np.ndarray | None = None
-    _ready: dict = field(default_factory=dict, repr=False, compare=False)
+    _ready: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -78,7 +78,7 @@ class OperatorAlgebra:
         """Matrices whose commutation constraints cut out the commutant."""
         return self.generators if self.generators is not None else self.basis
 
-    def generators_ready(self, tol=DEFAULT_TOL):
+    def generators_ready(self, tol):
         """True iff the generators qualify for the averaging projections of
         commutant and inner_unitary; decided once per tolerance policy."""
         if tol not in self._ready:
@@ -445,7 +445,8 @@ def inner_unitary(alg, images, tol=DEFAULT_TOL):
     the modular data).
 
     The returned u lies in the span and satisfies u b_i u^* = theta(b_i) to
-    eq_tol on every basis element, so the images are a star-automorphism.
+    eq_tol on every basis element and u g u^* = theta(g) on every generator,
+    so the images are a star-automorphism.
     Only when the solve fails is automorphism_residual computed: above
     eq_tol the images are refused with NotAutomorphism, otherwise NotInner.
     """
@@ -462,8 +463,8 @@ def _solve_inner(alg, images, tol):
     rng = np.random.default_rng(5)
     coords = rng.standard_normal((INNER_PROBES, k)) + 1j * rng.standard_normal((INNER_PROBES, k))
     probes = np.tensordot(coords, alg.basis, axes=(1, 0))
+    gens, targets = _generator_images(alg, images)
     if alg.generators_ready(tol):
-        gens, targets = _generator_images(alg, images)
         solved = _project_intertwiners(probes, targets, gens)
     else:
         # theta(b_i) x for every basis element and probe in one product, then
@@ -479,11 +480,11 @@ def _solve_inner(alg, images, tol):
     if dim > 1:
         raise NotInner(f"solution space has dimension {dim}; algebra is not a factor")
     u = polar_unitary(vh[0].reshape(N, N), tol)
-    # u b_i u^* for every i as two wide products: the first against the basis
-    # side by side as one N x kN matrix, the second on its rows (a, i)
-    wide = np.ascontiguousarray(alg.basis.transpose(1, 0, 2)).reshape(N, k * N)
-    conjugated = ((u @ wide).reshape(N * k, N) @ u.conj().T).reshape(N, k, N)
-    worst = maxabs(conjugated - images.transpose(1, 0, 2))
+    worst = maxabs(u @ alg.basis @ u.conj().T - images)
+    if alg.generators is not None:
+        # basis elements have unit Hilbert-Schmidt norm, generators unit
+        # operator norm: the generator check bounds the action in that norm
+        worst = max(worst, maxabs(u @ gens @ u.conj().T - targets))
     if worst > tol.eq_tol or span_residual(u[None], alg.basis) > tol.eq_tol:
         raise NotInner(f"candidate representative fails the action by {worst:.2e}")
     return u

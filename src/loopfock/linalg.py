@@ -84,6 +84,9 @@ def stacked_kernel(constraints, dim, tol=DEFAULT_TOL):
     return null_space(np.vstack(rows), tol)
 
 
+CHECK_ROWS = 16
+
+
 def averaged_intertwiners(lefts, rights, num_probes, rng, tol=DEFAULT_TOL):
     """Orthonormal stack spanning {X : L_k X = X R_k for all k}.
 
@@ -94,8 +97,8 @@ def averaged_intertwiners(lefts, rights, num_probes, rng, tol=DEFAULT_TOL):
     space (an average over the finite group of signed ordered products), so
     applying it to generic probes spans that space with probability one.
 
-    Each returned element is re-verified against the constraints; residuals
-    above tol.eq_tol raise ArithmeticError.
+    Each returned element is re-verified against the constraints, CHECK_ROWS
+    elements per product; residuals above tol.eq_tol raise ArithmeticError.
     """
     lefts = [np.asarray(L, dtype=complex) for L in lefts]
     rights = [np.asarray(R, dtype=complex) for R in rights]
@@ -119,7 +122,10 @@ def averaged_intertwiners(lefts, rights, num_probes, rng, tol=DEFAULT_TOL):
     s, vh = singular_rows(Z.reshape(num_probes, n * n))
     dim = _rank_cut(s, tol)
     basis = vh[:dim].reshape(dim, n, n)
-    worst = max(maxabs(L @ basis - basis @ R) for L, R in zip(lefts, rights))
+    # stacked products over a few rows at a time keep the transients small
+    # next to the basis
+    chunks = [basis[i:i + CHECK_ROWS] for i in range(0, dim, CHECK_ROWS)]
+    worst = max((maxabs(L @ X - X @ R) for X in chunks for L, R in zip(lefts, rights)), default=0.0)
     if worst > tol.eq_tol:
         raise ArithmeticError(f"averaged intertwiner violates constraints by {worst:.2e}")
     return basis

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -617,7 +619,7 @@ class TestGeneratorInnerSolve:
     def test_routes_agree(self, context, monkeypatch):
         A = context.algebra
         twin = OperatorAlgebra(A.basis)
-        assert A.generators_ready() and not twin.generators_ready()
+        assert A.generators_ready(DEFAULT_TOL) and not twin.generators_ready(DEFAULT_TOL)
         seen = recording_projections(monkeypatch)
         rand = np.random.default_rng(11)
         for _ in range(3):
@@ -642,7 +644,7 @@ class TestGeneratorInnerSolve:
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sz = np.diag([1.0, -1.0]).astype(complex)
         A = generated_star_algebra(np.stack([sx, (sx + sz) / np.sqrt(2)]))
-        assert A.dim == 4 and not A.generators_ready()
+        assert A.dim == 4 and not A.generators_ready(DEFAULT_TOL)
         seen = recording_projections(monkeypatch)
         v = random_unitary_in(A, np.random.default_rng(13))
         u = inner_unitary(A, inner_automorphism_from_unitary(A, v).images)
@@ -659,7 +661,7 @@ class TestGeneratorInnerSolve:
         pts = half_space(model22, "first")
         A = OperatorAlgebra(clifford_monomials(model22, pts) / np.sqrt(model22.fock_dim),
                             model22.generators[generator_indices(model22, pts)])
-        assert gram_deviation(A) < 1e-12 and A.generators_ready()
+        assert gram_deviation(A) < 1e-12 and A.generators_ready(DEFAULT_TOL)
         v = random_unitary_in(A, np.random.default_rng(3))
         images = v @ A.basis @ v.conj().T
         images[5] = 2.0 * images[5]
@@ -667,6 +669,32 @@ class TestGeneratorInnerSolve:
                       - (v @ A.generators @ v.conj().T).reshape(len(A.generators), -1)) < 1e-12
         with pytest.raises(NotInner, match="fails the action"):
             inner_unitary(A, images)
+
+    def test_refuses_images_wrong_on_a_generator_within_the_basis_check(self, model22):
+        # b_j = g_0 / sqrt(N) has entries of size 1/sqrt(N): scaling its image
+        # by 1 + c moves it by eq_tol / 2, but the image of g_0 by 2 eq_tol
+        pts = half_space(model22, "first")
+        A = OperatorAlgebra(clifford_monomials(model22, pts) / np.sqrt(model22.fock_dim),
+                            model22.generators[generator_indices(model22, pts)])
+        v = random_unitary_in(A, np.random.default_rng(4))
+        images = v @ A.basis @ v.conj().T
+        j = int(np.argmax(np.abs(A.generator_coordinates[0])))
+        images[j] *= 1.0 + 0.5 * DEFAULT_TOL.eq_tol / maxabs(images[j])
+        assert maxabs(images - v @ A.basis @ v.conj().T) <= 0.5 * DEFAULT_TOL.eq_tol * (1 + 1e-6)
+        gen_error = maxabs(A.generator_coordinates[0] @ images.reshape(A.dim, -1)
+                           - (v @ A.generators[0] @ v.conj().T).ravel())
+        assert gen_error > 1.5 * DEFAULT_TOL.eq_tol
+        with pytest.raises(NotInner, match="fails the action"):
+            inner_unitary(A, images)
+
+    def test_readiness_cache_is_not_a_parameter(self, model22):
+        A = half_algebra(model22)
+        assert A.generators_ready(DEFAULT_TOL)
+        with pytest.raises(TypeError):
+            OperatorAlgebra(A.basis, A.generators, {DEFAULT_TOL: True})
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        bad = np.stack([np.kron(np.eye(A.space_dim // 2), m) for m in (sx, (sx + np.diag([1.0, -1.0])) / np.sqrt(2))])
+        assert not dataclasses.replace(A, generators=bad).generators_ready(DEFAULT_TOL)
 
 
 inner_algebras = {}
