@@ -5,23 +5,26 @@ super commutants have a generic kernel-solver route plus an exact averaging
 fast path available whenever the algebra comes with involution-type unitary
 generators, which is the case for all Clifford half-circle algebras.
 
-Inner automorphisms are solved by averaging too: x -> sum_i theta(b_i) x b_i^*
-over an orthonormal basis b_i maps the algebra onto the implementers of
-theta times the centre, a single line on a factor.  With the same generators,
-composing the projections x -> (x + theta(g) x g^*)/2 over the generators g
-gives that map up to a positive factor at the cost of a few products.
+An automorphism is carried as conjugation by a unitary W that normalizes
+the algebra, together with the images W g W^* of the generators (of the
+basis when there are none), which fix it as a star-automorphism.  Its
+representative, a unitary u inside the algebra with Ad u = Ad W on it, is
+solved by averaging: x -> sum_i theta(b_i) x b_i^* over an orthonormal
+basis b_i maps the algebra onto the implementers of theta times the
+centre, a single line on a factor.  With the same generators, composing
+the projections x -> (x + theta(g) x g^*)/2 over the generators g gives
+that map up to a positive factor at the cost of a few products.
 inner_unitary checks the factor assumption on every solve, refuses algebras
-with a centre, and verifies its result on every basis element and generator.
+with a centre, and verifies its result on every generator.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConeViolation, NotAutomorphism, NotCyclicSeparating,
-                     NotGraded, NotInNormalizer, NotInner, SingularInput)
+from .errors import (ConeViolation, NotCyclicSeparating, NotGraded,
+                     NotInNormalizer, NotInner)
 from .linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners,
                      antilinear_polar, averaged_intertwiners, joint_kernel, maxabs,
                      orthonormal_rows, polar_unitary, singular_rows, span_residual)
@@ -54,25 +57,8 @@ class OperatorAlgebra:
     def membership_residual(self, X):
         return span_residual(np.asarray(X)[None, :, :] if np.asarray(X).ndim == 2 else X, self.basis)
 
-    def coordinates(self, X):
-        flat = self.basis.reshape(self.dim, -1)
-        return np.conj(flat @ np.conj(np.asarray(X, dtype=complex).ravel()))
-
     def from_coordinates(self, c):
         return np.tensordot(np.asarray(c, dtype=complex), self.basis, axes=(0, 0))
-
-    @cached_property
-    def adjoint_coordinates(self):
-        """Row i holds the coordinates of the adjoint b_i^* of basis element i."""
-        # conj(b_i^*) is the transpose b_i^T, so one product gives every row
-        transposed = np.transpose(self.basis, (0, 2, 1)).reshape(self.dim, -1)
-        return np.conj(transposed @ self.basis.reshape(self.dim, -1).T)
-
-    @cached_property
-    def generator_coordinates(self):
-        """Row j holds the coordinates of generator j."""
-        gens = self.generators
-        return gens.reshape(len(gens), -1) @ self.basis.reshape(self.dim, -1).conj().T
 
     def constraint_generators(self):
         """Matrices whose commutation constraints cut out the commutant."""
@@ -344,132 +330,80 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
 
 @dataclass
 class InnerAutomorphism:
-    """Automorphism of an algebra recorded by its action on the basis.
+    """Star-automorphism a -> W a W^* of an algebra, W a unitary normalizing it.
 
-    Equality is action equality, so the phase of any implementing unitary is
-    irrelevant.  Composition and inversion work on the coordinate matrix of
-    the action; a representative unitary inside the algebra is attached
-    lazily when some construction needs one.
+    W need not lie in the algebra.  images holds W g W^* for the generators
+    (the basis when there are none); they fix the automorphism, so distance
+    and is_identity compare them, and the phase of W is irrelevant.
+    Composition and inversion act on W.  A representative unitary inside
+    the algebra is attached lazily when some construction needs one.
     """
 
     algebra: OperatorAlgebra
+    implementer: np.ndarray
     images: np.ndarray
     _representative: np.ndarray | None = field(default=None, repr=False)
-    _coord: np.ndarray | None = field(default=None, repr=False)
-
-    def coord_matrix(self):
-        if self._coord is None:
-            flat = self.algebra.basis.reshape(self.algebra.dim, -1)
-            self._coord = self.images.reshape(self.algebra.dim, -1) @ flat.conj().T
-        return self._coord
 
     def distance(self, other):
         return maxabs(self.images - other.images)
 
     def is_identity(self, tol=DEFAULT_TOL):
-        return maxabs(self.images - self.algebra.basis) <= tol.eq_tol
+        return maxabs(self.images - self.algebra.constraint_generators()) <= tol.eq_tol
 
     def apply(self, X):
-        return np.tensordot(self.algebra.coordinates(X), self.images, axes=(0, 0))
+        W = self.implementer
+        return W @ X @ W.conj().T
 
     def compose(self, other):
-        """self after other: other's coordinate matrix applied to self's images."""
-        return InnerAutomorphism(self.algebra, np.tensordot(other.coord_matrix(), self.images, axes=(1, 0)))
+        """self after other, implemented by the product of the implementers;
+        no representative is carried over."""
+        W = self.implementer
+        return InnerAutomorphism(self.algebra, W @ other.implementer, W @ other.images @ W.conj().T)
 
     def inverse(self):
-        C = np.linalg.inv(self.coord_matrix())
-        out = InnerAutomorphism(self.algebra, np.tensordot(C, self.algebra.basis, axes=(1, 0)))
-        out._coord = C
-        return out
+        W = self.implementer.conj().T
+        return InnerAutomorphism(self.algebra, W, W @ self.algebra.constraint_generators() @ W.conj().T)
 
     def representative(self, tol=DEFAULT_TOL):
         if self._representative is None:
-            self._representative = inner_unitary(self.algebra, self.images, tol)
+            self._representative = inner_unitary(self, tol)
         return self._representative
-
-
-def _generator_images(alg, images):
-    """The generators (the basis when there are none) and their images under
-    the linear map that sends the basis to images, in one batched product."""
-    if alg.generators is None:
-        return alg.basis, images
-    gens = alg.generators
-    return gens, (alg.generator_coordinates @ images.reshape(alg.dim, -1)).reshape(gens.shape)
-
-
-def _conjugated_basis(W, alg, tol, what):
-    """Basis images W b W^*, once W is checked to normalize the algebra."""
-    if not normalizer_membership(W, alg, tol):
-        raise NotInNormalizer(f"{what} does not normalize the algebra")
-    return W @ alg.basis @ W.conj().T
-
-
-def inner_automorphism_from_unitary(alg, u, tol=DEFAULT_TOL):
-    """Conjugation by a unitary, recorded on the algebra basis."""
-    images = _conjugated_basis(u, alg, tol, "unitary")
-    rep = u if span_residual(u[None], alg.basis) <= tol.eq_tol else None
-    return InnerAutomorphism(alg, images, rep)
-
-
-def automorphism_residual(alg, images, tol=DEFAULT_TOL):
-    """How far basis images are from defining a star-automorphism of the span."""
-    res = span_residual(images, alg.basis)
-    adj_out = np.conj(np.transpose(images, (0, 2, 1)))
-    res = max(res, maxabs(np.tensordot(alg.adjoint_coordinates, images, axes=(1, 0)) - adj_out))
-    rng = np.random.default_rng(3)
-    k = alg.dim
-    for _ in range(4):
-        i, j = rng.integers(0, k, size=2)
-        prod_im = np.tensordot(alg.coordinates(alg.basis[i] @ alg.basis[j]), images, axes=(0, 0))
-        res = max(res, maxabs(images[i] @ images[j] - prod_im))
-    return res
 
 
 INNER_PROBES = 2
 
 
-def inner_unitary(alg, images, tol=DEFAULT_TOL):
-    """Unitary u in the algebra with u a u^* matching the given basis images.
+def inner_unitary(theta, tol=DEFAULT_TOL):
+    """Unitary u in the algebra with u a u^* = theta(a) on the algebra.
 
     For theta = Ad u the map x -> sum_i theta(b_i) x b_i^* over the
     orthonormal basis b_i sends every x to a solution y of theta(a) y = y a,
     and sends the algebra onto u Z(A), Z(A) the centre.  When the generators
     are ready for averaging (generators_ready), the same line comes from
     composing the commuting projections x -> (x + theta(g) x g^*)/2 over the
-    generators g, which is that map up to a positive factor; otherwise the
-    basis sum is taken.  The solve assumes a factor, where the line is C u,
-    and checks it: the images of two fixed-seed probes in the algebra must
-    have rank one.  Rank zero means no implementer lies in the algebra, rank
-    above one that the algebra has a centre.  The rank cutoff is relative
-    to the largest image (the images may carry the conditioning error of
-    the modular data).
+    generators g, which is that map up to a positive factor and reads only
+    the generator images; otherwise the basis sum is taken over the images
+    theta(b_i) = W b_i W^*.  The solve assumes a factor, where the line is
+    C u, and checks it: the images of two fixed-seed probes in the algebra
+    must have rank one.  Rank zero means no implementer lies in the algebra,
+    rank above one that the algebra has a centre.  The rank cutoff is
+    relative to the largest image (the images may carry the conditioning
+    error of the modular data).
 
-    The returned u lies in the span and satisfies u b_i u^* = theta(b_i) to
-    eq_tol on every basis element and u g u^* = theta(g) on every generator,
-    so the images are a star-automorphism.
-    Only when the solve fails is automorphism_residual computed: above
-    eq_tol the images are refused with NotAutomorphism, otherwise NotInner.
+    The returned u lies in the span and satisfies u g u^* = theta(g) to
+    eq_tol on every generator (every basis element when there are none).
     """
-    try:
-        return _solve_inner(alg, images, tol)
-    except (NotInner, SingularInput):
-        if automorphism_residual(alg, images, tol) > tol.eq_tol:
-            raise NotAutomorphism("images do not define a star-automorphism of the span") from None
-        raise
-
-
-def _solve_inner(alg, images, tol):
+    alg = theta.algebra
     k, N = alg.dim, alg.space_dim
     rng = np.random.default_rng(5)
     coords = rng.standard_normal((INNER_PROBES, k)) + 1j * rng.standard_normal((INNER_PROBES, k))
     probes = np.tensordot(coords, alg.basis, axes=(1, 0))
-    gens, targets = _generator_images(alg, images)
     if alg.generators_ready(tol):
-        solved = _project_intertwiners(probes, targets, gens)
+        solved = _project_intertwiners(probes, theta.images, alg.generators)
     else:
         # theta(b_i) x for every basis element and probe in one product, then
         # regrouped so that row a of probe p reads theta(b_i)[a, :] x over all i
-        left = images.reshape(k * N, N) @ probes.transpose(1, 0, 2).reshape(N, -1)
+        left = theta.apply(alg.basis).reshape(k * N, N) @ probes.transpose(1, 0, 2).reshape(N, -1)
         left = left.reshape(k, N, INNER_PROBES, N).transpose(2, 1, 0, 3).reshape(INNER_PROBES, N, k * N)
         adjoints = np.conj(np.transpose(alg.basis, (0, 2, 1))).reshape(k * N, N)
         solved = left @ adjoints
@@ -480,12 +414,8 @@ def _solve_inner(alg, images, tol):
     if dim > 1:
         raise NotInner(f"solution space has dimension {dim}; algebra is not a factor")
     u = polar_unitary(vh[0].reshape(N, N), tol)
-    worst = maxabs(u @ alg.basis @ u.conj().T - images)
-    if alg.generators is not None:
-        # basis elements have unit Hilbert-Schmidt norm, generators unit
-        # operator norm: the generator check bounds the action in that norm
-        worst = max(worst, maxabs(u @ gens @ u.conj().T - targets))
-    if worst > tol.eq_tol or span_residual(u[None], alg.basis) > tol.eq_tol:
+    worst = maxabs(u @ alg.constraint_generators() @ u.conj().T - theta.images)
+    if worst > tol.eq_tol or alg.membership_residual(u) > tol.eq_tol:
         raise NotInner(f"candidate representative fails the action by {worst:.2e}")
     return u
 
@@ -501,13 +431,22 @@ def normalizer_membership(U, alg, tol=DEFAULT_TOL):
 
 
 def conjugation_action(U, alg, tol=DEFAULT_TOL):
-    """The automorphism a -> U a U^* of the algebra (t-side structure map)."""
-    return InnerAutomorphism(alg, _conjugated_basis(U, alg, tol, "unitary"))
+    """The automorphism a -> U a U^* of the algebra (t-side structure map).
+
+    U must normalize the algebra, decided as in normalizer_membership on the
+    generator images the automorphism keeps.  U is attached as the
+    representative when it lies in the span.
+    """
+    images = U @ alg.constraint_generators() @ U.conj().T
+    if span_residual(images, alg.basis) > tol.eq_tol:
+        raise NotInNormalizer("unitary does not normalize the algebra")
+    rep = U if alg.membership_residual(U) <= tol.eq_tol else None
+    return InnerAutomorphism(alg, U, images, rep)
 
 
 def reflected_action(U, alg, sfd, tol=DEFAULT_TOL):
     """The automorphism a -> (JUJ) a (JUJ)^* (s-side structure map)."""
-    return InnerAutomorphism(alg, _conjugated_basis(sfd.reflect(U), alg, tol, "reflected unitary"))
+    return conjugation_action(sfd.reflect(U), alg, tol)
 
 
 class CanonicalImplementation(NamedTuple):
@@ -528,8 +467,7 @@ def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
     """
     u = theta.representative(tol)
     U = u @ sfd.reflect(u)
-    gens, targets = _generator_images(alg, theta.images)
-    act = maxabs(U @ gens @ U.conj().T - targets)
+    act = maxabs(U @ alg.constraint_generators() @ U.conj().T - theta.images)
     jcomm = maxabs(U @ sfd.conjugation.linear - sfd.conjugation.linear @ np.conj(U))
     if max(act, jcomm) > tol.eq_tol:
         raise NotInner(f"canonical implementation failed action/J checks ({act:.2e}, {jcomm:.2e})")

@@ -269,6 +269,22 @@ def anticommutator_residual(model, v, w):
     return maxabs(pv @ pw + pw @ pv - target)
 
 
+def generator_relation_residuals(model):
+    """Worst deviations of {pi_i, pi_j} from -2 delta_ij over all generator
+    pairs and of pi_i^* from -pi_i over all generators.
+
+    Both relations are linear or antilinear in each argument, so together
+    they are the relations for every pair of vectors.
+    """
+    G = model.generators
+    anti = 0.0
+    for i, g in enumerate(G):
+        pairs = g @ G[i:] + G[i:] @ g
+        pairs[0] += 2.0 * np.eye(model.fock_dim)
+        anti = max(anti, maxabs(pairs))
+    return anti, maxabs(np.conj(np.transpose(G, (0, 2, 1))) + G)
+
+
 def star_residual(model, v):
     pv = pi_vector(model, v)
     return maxabs(pv.conj().T + pi_vector(model, np.conj(v)))

@@ -45,10 +45,6 @@ class NotCyclicSeparating(LoopfockError):
     pass
 
 
-class NotAutomorphism(LoopfockError):
-    pass
-
-
 class NotInner(LoopfockError):
     pass
 

@@ -14,9 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (InnerAutomorphism, OperatorAlgebra, algebra_from_span,
-                      canonical_implementation, commutant, conjugation_action,
-                      inner_automorphism_from_unitary, reflected_action,
+from .algebra import (OperatorAlgebra, algebra_from_span, canonical_implementation,
+                      commutant, conjugation_action, reflected_action,
                       super_commutant, tomita_data)
 from .bogoliubov import LINE_PROBES, Implementer, implementation_residual
 from .clifford import clifford_monomials, generator_indices, half_space
@@ -74,7 +73,8 @@ class UnitaryInAlgebraGroup(UnitaryGroup):
 
 
 class InnerAutomorphismGroup(ComputableGroup):
-    """Automorphisms of a finite factor, compared by their basis action."""
+    """Automorphisms of a finite factor, carried by implementing unitaries
+    and compared by their action on the generators."""
 
     def __init__(self, alg):
         self.alg = alg
@@ -82,8 +82,7 @@ class InnerAutomorphismGroup(ComputableGroup):
         self.name = "Aut(A)"
 
     def identity(self):
-        return InnerAutomorphism(self.alg, np.array(self.alg.basis),
-                                 np.eye(self.alg.space_dim, dtype=complex))
+        return conjugation_action(np.eye(self.alg.space_dim, dtype=complex), self.alg)
 
     def mul(self, a, b):
         return a.compose(b)
@@ -95,7 +94,7 @@ class InnerAutomorphismGroup(ComputableGroup):
         return a.distance(b)
 
     def sample(self, rng):
-        return inner_automorphism_from_unitary(self.alg, self.unitaries.sample(rng))
+        return conjugation_action(self.unitaries.sample(rng), self.alg)
 
 
 def unitary_automorphism_module(alg):
@@ -105,7 +104,7 @@ def unitary_automorphism_module(alg):
     return CrossedModule(
         base=base,
         fiber=fiber,
-        t=lambda u: inner_automorphism_from_unitary(alg, u),
+        t=lambda u: conjugation_action(u, alg),
         act=lambda theta, u: theta.apply(u),
         name="unitary automorphism module",
     )
@@ -385,7 +384,7 @@ class NormalizerGroup(UnitaryGroup):
     def sample(self, rng):
         u = self.unitaries.sample(rng)
         v = self.unitaries.sample(rng)
-        theta = inner_automorphism_from_unitary(self.ctx.algebra, self.unitaries.sample(rng))
+        theta = conjugation_action(self.unitaries.sample(rng), self.ctx.algebra)
         W = canonical_implementation(self.ctx.sfd, self.ctx.algebra, theta, self.ctx.tol).unitary
         return u @ self.ctx.sfd.reflect(v) @ W
 

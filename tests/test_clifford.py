@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from loopfock.clifford import (LatticeModel, anticommutator_residual,
                                build_clifford_model, clifford_monomials,
                                creation_operators,
                                default_lagrangian, flip_table, generator_indices,
-                               half_space, pi_vector, star_residual,
+                               generator_relation_residuals, half_space,
+                               pi_vector, star_residual,
                                validate_lagrangian)
 from loopfock.errors import ContractViolation, DimensionMismatch
 from loopfock.linalg import maxabs, orthonormal_rows
@@ -111,6 +114,20 @@ class TestFockOperators:
             w = rng.standard_normal(model.dim_h) + 1j * rng.standard_normal(model.dim_h)
             assert anticommutator_residual(model, v, w) < 1e-10
             assert star_residual(model, v) < 1e-10
+
+    @pytest.mark.parametrize("n,d", [(1, 2), (2, 2)])
+    def test_relations_on_the_generators(self, n, d):
+        model = build_clifford_model(n, d)
+        assert max(generator_relation_residuals(model)) < 1e-10
+        # (g_1 + g_2)/sqrt(2) is skew and squares to -1 but fails
+        # {., g_2} = 0 by sqrt(2); 1j g_0 fails the star relation by 2 |g_0|
+        G = np.array(model.generators)
+        G[1] = (G[1] + G[2]) / np.sqrt(2)
+        anti, star = generator_relation_residuals(dataclasses.replace(model, generators=G))
+        assert anti == pytest.approx(np.sqrt(2), rel=1e-12) and star < 1e-14
+        G[0] = 1j * G[0]
+        star = generator_relation_residuals(dataclasses.replace(model, generators=G))[1]
+        assert star == pytest.approx(2 * maxabs(model.generators[0]), rel=1e-12)
 
     def test_grading(self):
         model = build_clifford_model(2, 2)

@@ -251,7 +251,9 @@ class TestSampleCounts:
     FIXED = {"matrix automorphism module": 50, "fiber lands in the algebra": 50,
              "well definedness": 50, "strict intertwiner": 50, "t compatibility": 100,
              "action compatibility": 100, "string crossed module": 100,
-             "fusion factorization": 12, "unit comparison scalar": 20, "twisted duality": 1}
+             "fusion factorization": 12, "unit comparison scalar": 20, "twisted duality": 1,
+             # every generator pair, or every generator, plus one sampled pair
+             "anticommutation": 4 * 5 // 2 + 1, "star relation": 4 + 1}
     SCALED = ("finite crossed modules", "peiffer detects nonabelian", "inclusion intertwiner",
               "intertwiner detects defect")
 
