@@ -185,7 +185,11 @@ class ExtLoop:
 
 
 def lift(model, spin, loop, tol=DEFAULT_TOL):
-    """Pointwise unitary of the loop, phase fixed by its vacuum overlap; cached."""
+    """Pointwise unitary of the loop, phase fixed by its vacuum overlap.
+
+    Kept in model.lift_cache, which holds the 16 most recently used lifts;
+    a lift evicted from it is recomputed bit for bit on its next request.
+    """
     key = np.asarray(loop).tobytes()
     cached = model.lift_cache.get(key)
     if cached is not None:
@@ -195,7 +199,7 @@ def lift(model, spin, loop, tol=DEFAULT_TOL):
         raise NotSpecialOrthogonal("a loop value is odd: its rotation has det -1")
     imp = Implementer(pointwise_unitary(model, spin, loop), g, "even", "raw")
     out = ExtLoop(np.array(loop), normalize_phase(imp, "vacuum", tol))
-    model.lift_cache[key] = out
+    model.lift_cache.put(key, out)
     return out
 
 

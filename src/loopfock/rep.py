@@ -181,14 +181,20 @@ def check_t_compatibility(ctx, sample_count, rng):
 
 
 def check_alpha_compatibility(ctx, sample_count, rng):
-    """Fiber map intertwines the two actions, as elements and up to phase."""
+    """Fiber map intertwines the two actions, as elements and up to phase.
+
+    The string action conjugates by the lift of the doubled path; the
+    other side conjugates by the representative u in the algebra that is
+    solved for the path automorphism, so the two are computed apart.
+    """
     base, fiber = ctx.string_cm.base, ctx.string_cm.fiber
     res = {"exact": 0.0, "projective": 0.0}
     for _ in range(sample_count):
         p = base.sample(rng)
         ext = fiber.sample(rng)
         left = loop_unitary(ctx, ctx.string_cm.act(p, ext))
-        right = path_automorphism(ctx, p).apply(loop_unitary(ctx, ext))
+        u = path_automorphism(ctx, p).representative(ctx.tol)
+        right = u @ loop_unitary(ctx, ext) @ u.conj().T
         res["exact"] = max(res["exact"], maxabs(left - right))
         z = np.trace(right.conj().T @ left)
         z = z / abs(z) if abs(z) > 0 else 1.0

@@ -1,11 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from loopfock.clifford import (LatticeModel, anticommutator_residual,
                                build_clifford_model, clifford_monomials,
-                               creation_operators,
                                default_lagrangian, flip_table, generator_indices,
                                generator_relation_residuals, half_space,
                                pi_vector, star_residual,
@@ -14,6 +14,34 @@ from loopfock.errors import ContractViolation, DimensionMismatch
 from loopfock.linalg import maxabs, orthonormal_rows
 
 rng = np.random.default_rng(7)
+
+
+def creation_operators(modes):
+    """Dense wedge-insertion operators, little-endian bitmask basis.
+
+    Inserting mode mu into occupation mask S picks up the sign (-1)^(number
+    of set bits of S below mu).
+    """
+    N = 2 ** modes
+    ops = np.zeros((modes, N, N), dtype=complex)
+    for mu in range(modes):
+        for src in range(N):
+            if not src >> mu & 1:
+                ops[mu, src | 1 << mu, src] = (-1.0) ** bin(src & ((1 << mu) - 1)).count("1")
+    return ops
+
+
+def dense_generators(L):
+    """pi(e_i) = sqrt(2) (C_i - C_i^*), C_i = sum_mu conj(L_{i,mu}) a^dag_mu,
+    formed by one contraction over the modes: the reference for the build."""
+    C = np.tensordot(L.conj(), creation_operators(L.shape[1]), axes=(1, 0))
+    return np.sqrt(2.0) * (C - np.conj(np.transpose(C, (0, 2, 1))))
+
+
+def rotated_lagrangian(n, d, seed):
+    # a real orthogonal map of H carries a Lagrangian to a Lagrangian
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((2 * n * d, 2 * n * d)))
+    return Q @ default_lagrangian(LatticeModel(n, d))
 
 
 def micro_model():
@@ -100,6 +128,27 @@ class TestFockOperators:
             assert maxabs(pi_vector(model, v) - formula(v)) < 1e-13
         for i in range(model.dim_h):
             assert maxabs(model.generators[i] - formula(model.basis_vector(i))) < 1e-14
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2),
+                                     (4, 2), (1, 4), (2, 4)])
+    def test_generators_match_the_dense_contraction_bitwise(self, n, d):
+        model = build_clifford_model(n, d, allow_odd_modes=True)
+        assert model.generators.tobytes() == dense_generators(model.lagrangian).tobytes()
+
+    def test_generators_of_a_rotated_lagrangian_match_bitwise(self):
+        L = rotated_lagrangian(2, 3, 11)
+        model = build_clifford_model(2, 3, lagrangian=L)
+        assert model.generators.tobytes() == dense_generators(L).tobytes()
+
+    def test_build_allocates_little_beyond_the_stack(self):
+        # the stack is 16 MiB at (2,4); the dense contraction peaks at 48 MiB
+        tracemalloc.start()
+        try:
+            build_clifford_model(2, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20
 
     def test_dimension_guard(self):
         model = build_clifford_model(1, 2)

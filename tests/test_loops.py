@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopfock.clifford
+import loopfock.loops
 from loopfock.bogoliubov import implement_pin, implementation_residual, normalize_phase
-from loopfock.clifford import build_clifford_model, even_monomials
+from loopfock.clifford import LiftCache, build_clifford_model, even_monomials
 from loopfock.errors import EndpointMismatch, NotOrthogonal, NotSpecialOrthogonal
 from loopfock.linalg import maxabs, scalar_defect
 from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
@@ -16,6 +17,8 @@ from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
                             loop_identity, omega_matrix, pointwise_unitary,
                             random_loop_algebra, reflect_orthogonal, restrict_loop, reversed_loop,
                             spin_exp, string_crossed_module, vertex_reflection)
+from loopfock.report import RunConfig
+from loopfock.suites import run_suites
 from loopfock.twogroup import check_crossed_module
 
 rng = np.random.default_rng(53)
@@ -170,6 +173,62 @@ class TestLifts:
         first = lift(model22, spin, loop)
         again = lift(model22, spin, np.array(loop))
         assert first is again
+
+
+class TestLiftCache:
+    def test_evicts_the_least_recently_used_and_counts(self):
+        cache = LiftCache()
+        keys = [bytes([k]) for k in range(LiftCache.CAPACITY + 2)]
+        for k in keys[:LiftCache.CAPACITY]:
+            assert cache.get(k) is None
+            cache.put(k, k)
+        assert cache.get(keys[0]) == keys[0]    # keys[1] is now the oldest
+        cache.put(keys[-2], keys[-2])
+        assert len(cache) == LiftCache.CAPACITY
+        assert cache.get(keys[1]) is None
+        assert cache.get(keys[0]) == keys[0]
+        cache.put(keys[-1], keys[-1])           # evicts keys[2]
+        assert cache.get(keys[2]) is None
+        assert all(cache.get(k) == k for k in keys[3:])
+        assert (cache.hits, cache.misses, cache.evictions) == (2 + len(keys) - 3,
+                                                               LiftCache.CAPACITY + 2, 2)
+
+    def test_lift_recomputed_after_eviction_is_bitwise_equal(self):
+        model, spin = build_clifford_model(2, 2), SpinGroup(2)
+        local = np.random.default_rng(31)
+        samples = [np.stack([spin.sample(local) for _ in range(4)])
+                   for _ in range(LiftCache.CAPACITY + 1)]
+        first = lift(model, spin, samples[0])
+        for loop in samples[1:]:
+            lift(model, spin, loop)
+        assert model.lift_cache.evictions == 1
+        again = lift(model, spin, samples[0])
+        assert again is not first
+        assert again.unitary.tobytes() == first.unitary.tobytes()
+        assert again.implementer.implemented.tobytes() == first.implementer.implemented.tobytes()
+
+    def test_string_suite_lifts_each_loop_once(self, monkeypatch):
+        # a report reuses its lifts within the capacity, so no loop is lifted twice
+        lifted = []
+
+        def counting(model, spin, loop):
+            lifted.append(np.asarray(loop).tobytes())
+            return pointwise_unitary(model, spin, loop)
+
+        monkeypatch.setattr(loopfock.loops, "pointwise_unitary", counting)
+        code, _ = run_suites(RunConfig(n=2, d=2, suites=("string",)))
+        assert code == 0
+        assert len(lifted) > LiftCache.CAPACITY
+        assert len(set(lifted)) == len(lifted)
+
+    def test_holds_the_capacity_after_many_fresh_lifts(self):
+        model, spin = build_clifford_model(2, 4), SpinGroup(4)
+        local = np.random.default_rng(32)
+        for _ in range(40):
+            lift(model, spin, np.stack([spin.sample(local) for _ in range(4)]))
+        cache = model.lift_cache
+        assert len(cache) == LiftCache.CAPACITY
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 40, 40 - LiftCache.CAPACITY)
 
 
 def givens_lift(model, spin, loop):

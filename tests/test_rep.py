@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,18 @@ class TestCompatibilities:
     def test_alpha_compatibility(self, ctx22):
         res = check_alpha_compatibility(ctx22, 40, np.random.default_rng(3))
         assert max(res.values()) <= 1e-9, res
+        # the sides come from the doubled-path lift and from the solved
+        # representative, so they agree to rounding, not identically
+        assert res["exact"] > 0.0
+
+    def test_alpha_compatibility_fails_for_a_wrong_action(self, ctx22):
+        cm = ctx22.string_cm
+        # Spin(2) is abelian, so at d = 2 the true action fixes the unitary;
+        # the planted one also inverts it
+        wrong = dataclasses.replace(cm, act=lambda p, ext: cm.act(p, cm.fiber.inv(ext)))
+        planted = dataclasses.replace(ctx22, string_cm=wrong)
+        res = check_alpha_compatibility(planted, 5, np.random.default_rng(3))
+        assert res["exact"] > 1e-3, res
 
     def test_well_definedness(self, ctx22):
         res = check_well_definedness(ctx22, 25, np.random.default_rng(4))
