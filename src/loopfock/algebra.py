@@ -309,7 +309,7 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
         raise NotCyclicSeparating(f"cyclic={status.cyclic} separating={status.separating}")
     frame = (alg.basis @ omega).T             # columns a_i omega
     star_frame = (np.conj(np.transpose(alg.basis, (0, 2, 1))) @ omega).T
-    Ms = star_frame @ np.linalg.inv(np.conj(frame))
+    Ms = np.linalg.solve(np.conj(frame).T, star_frame.T).T   # Ms conj(frame) = star_frame
     S = AntilinearOperator(Ms)
     J, delta = antilinear_polar(S, tol)
     checks = {

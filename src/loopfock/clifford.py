@@ -283,8 +283,12 @@ def generator_indices(model, point_subset):
 def clifford_monomials(model, point_subset):
     """Ordered generator products over subsets of the selected vertices.
 
-    Returns 2^(|subset|*d) linearly independent matrices; the empty product
-    is the identity and factors appear in increasing flat-index order.
+    Returns a fresh stack of 2^(|subset|*d) matrices; the empty product is
+    the identity and factors appear in increasing flat-index order.  They
+    are Hilbert-Schmidt orthogonal with norm sqrt(N), N the Fock dimension:
+    the pi_i are unitary, anticommute pairwise and square to -1, so
+    M_S^* M_T = +-M_D for the symmetric difference D of S and T, traceless
+    unless D is empty.
     """
     mats = [np.eye(model.fock_dim, dtype=complex)]
     for i in generator_indices(model, point_subset):

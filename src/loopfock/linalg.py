@@ -139,9 +139,17 @@ def _project_intertwiners(Z, lefts, rights):
 
 
 def polar_unitary(M, tol=DEFAULT_TOL):
-    """Unitary factor U of M = U P with P positive definite."""
+    """Unitary factor U of M = U P with P positive definite.
+
+    LAPACK's divide-and-conquer SVD can fail to converge on a multiple of a
+    unitary, as implementer solves produce; the factors then come from the
+    SVD M^T = conj(V) s U^T."""
     M = np.asarray(M, dtype=complex)
-    u, s, vh = np.linalg.svd(M)
+    try:
+        u, s, vh = np.linalg.svd(M)
+    except np.linalg.LinAlgError:
+        vt, s, ut = np.linalg.svd(M.T)
+        u, vh = ut.T, vt.T
     if s[-1] < tol.rank_tol:
         raise SingularInput(f"smallest singular value {s[-1]:.2e} below rank cutoff")
     return u @ vh
@@ -160,54 +168,35 @@ class AntilinearOperator:
         """Composition with another antilinear operator; the result is linear."""
         return self.linear @ np.conj(other.linear)
 
-    def compose_linear(self, M):
-        """self after the linear map M, as an antilinear operator."""
-        return AntilinearOperator(self.linear @ np.conj(M))
-
-    def adjoint(self):
-        # <x, S y> = <y, S* x> for antilinear S forces the transpose, not the
-        # conjugate transpose.
-        return AntilinearOperator(self.linear.T)
-
     def conjugate_matrix(self, M):
         """S M S^{-1} for linear M (S must be involutive for this formula)."""
         return self.linear @ np.conj(M) @ np.conj(self.linear)
 
-    @staticmethod
-    def conjugation(dim):
-        return AntilinearOperator(np.eye(dim, dtype=complex))
 
+def antilinear_polar(S, tol=DEFAULT_TOL):
+    """Split an involutive antilinear S as J Delta^{1/2} with J antiunitary,
+    Delta > 0; S S = 1, J J = 1 and J Delta J = Delta^{-1} are checked.
 
-def antilinear_polar(S, tol=DEFAULT_TOL, require_involutive=True):
-    """Split an antilinear S as J Delta^{1/2} with J antiunitary, Delta > 0.
-
-    Delta = S*S always; J = S Delta^{-1/2} is antiunitary for any invertible
-    S.  The extra identities J J = 1 and J Delta J = Delta^{-1} need S S = 1,
-    which is checked unless require_involutive is disabled (handy for
-    decomposing non-involutive antilinear maps).
+    With S v = M conj(v) and the SVD M = U s V^*, J acts by U V^* and
+    Delta = S^* S = conj(V) s^2 V^T; unlike an eigendecomposition of
+    M^T conj(M), this does not square the condition number of M.
     """
     M = np.asarray(S.linear, dtype=complex)
     n = M.shape[0]
-    svals = np.linalg.svd(M, compute_uv=False)
+    u, svals, vh = np.linalg.svd(M)
     if svals[-1] < tol.rank_tol:
         raise SingularInput("antilinear operator is numerically singular")
-    if require_involutive and maxabs(M @ np.conj(M) - np.eye(n)) > tol.eq_tol:
+    if maxabs(M @ np.conj(M) - np.eye(n)) > tol.eq_tol:
         raise NotInvolutive("S composed with itself is not the identity")
-    delta = M.T @ np.conj(M)
-    delta = 0.5 * (delta + delta.conj().T)
-    w, V = np.linalg.eigh(delta)
-    if w[0] <= 0:
-        raise SingularInput("modulus operator not positive definite")
-    inv_half = (V * (w ** -0.5)) @ V.conj().T
-    J = AntilinearOperator(M @ np.conj(inv_half))
-    if require_involutive:
-        jj = maxabs(J.compose(J) - np.eye(n))
-        inv = (V * (1.0 / w)) @ V.conj().T
-        # relative residual: the inverse modulus can be large when S is badly
-        # conditioned, and only the relative deviation is meaningful then
-        jdj = maxabs(J.conjugate_matrix(delta) - inv) / max(1.0, maxabs(inv))
-        if max(jj, jdj) > tol.eq_tol:
-            raise NotInvolutive(f"polar factors violate involution identities ({jj:.2e}, {jdj:.2e})")
+    J = AntilinearOperator(u @ vh)
+    delta = vh.T @ (svals[:, None] ** 2 * np.conj(vh))
+    jj = maxabs(J.compose(J) - np.eye(n))
+    inv = vh.T @ (svals[:, None] ** -2 * np.conj(vh))
+    # relative residual: the inverse modulus can be large when S is badly
+    # conditioned, and only the relative deviation is meaningful then
+    jdj = maxabs(J.conjugate_matrix(delta) - inv) / max(1.0, maxabs(inv))
+    if max(jj, jdj) > tol.eq_tol:
+        raise NotInvolutive(f"polar factors violate involution identities ({jj:.2e}, {jdj:.2e})")
     return J, delta
 
 

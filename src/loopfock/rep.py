@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (OperatorAlgebra, algebra_from_span, canonical_implementation,
+from .algebra import (OperatorAlgebra, _checked_algebra, canonical_implementation,
                       commutant, conjugation_action, reflected_action,
                       super_commutant, tomita_data)
 from .bogoliubov import LINE_PROBES, Implementer, implementation_residual
@@ -110,13 +110,21 @@ def unitary_automorphism_module(alg):
     )
 
 
+def half_algebra(model, which, tol=DEFAULT_TOL):
+    """Algebra of one half circle ('first' or 'second') with that half's
+    generators, on its Clifford monomials divided by sqrt(N): they are
+    orthonormal as they come (clifford_monomials), so no SVD runs."""
+    points = half_space(model, which)
+    basis = clifford_monomials(model, points)
+    basis /= np.sqrt(model.fock_dim)
+    return _checked_algebra(basis, model.generators[generator_indices(model, points)], tol)
+
+
 def build_context(model, tol=DEFAULT_TOL):
     """Assemble algebra, modular and string data for one lattice model;
     the commutants wait for their first read."""
     spin = SpinGroup(model.d)
-    first = half_space(model, "first")
-    gens = model.generators[generator_indices(model, first)]
-    alg = algebra_from_span(clifford_monomials(model, first), generators=gens, tol=tol)
+    alg = half_algebra(model, "first", tol)
     sfd = tomita_data(alg, model.vacuum, tol)
     return RepresentationContext(
         model=model,
@@ -515,12 +523,8 @@ def irreducibility_dimension(model, rng, tol=DEFAULT_TOL):
 
 def check_twisted_duality(ctx):
     """The two half algebras are each other's super commutants."""
-    model = ctx.model
-    second = half_space(model, "second")
-    mon_perp = clifford_monomials(model, second)
-    alg_perp_direct = algebra_from_span(
-        mon_perp, generators=model.generators[generator_indices(model, second)], tol=ctx.tol)
-    sc_of_perp = super_commutant(alg_perp_direct, model.grading, ctx.tol)
+    alg_perp_direct = half_algebra(ctx.model, "second", ctx.tol)
+    sc_of_perp = super_commutant(alg_perp_direct, ctx.model.grading, ctx.tol)
     perp_res = max(span_residual(ctx.algebra_perp.basis, alg_perp_direct.basis),
                    span_residual(alg_perp_direct.basis, ctx.algebra_perp.basis))
     a_res = max(span_residual(sc_of_perp.basis, ctx.algebra.basis),

@@ -366,13 +366,14 @@ def string_checks(env):
     rng = env.rng("spin covering")
     res = maxabs(spin.covering(spin.identity()) - np.eye(d))
     res = max(res, maxabs(spin.covering(-spin.identity()) - np.eye(d)))
-    theta = 0.9
-    B = np.zeros((d, d))
-    B[1, 0], B[0, 1] = theta, -theta
-    R = np.eye(d)
-    R[0, 0] = R[1, 1] = np.cos(theta)
-    R[1, 0], R[0, 1] = np.sin(theta), -np.sin(theta)
-    res = max(res, maxabs(spin.covering(lp.spin_exp(B, spin.gammas)) - R))
+    if d >= 2:   # a fixed rotation in the (0, 1) plane
+        theta = 0.9
+        B = np.zeros((d, d))
+        B[1, 0], B[0, 1] = theta, -theta
+        R = np.eye(d)
+        R[0, 0] = R[1, 1] = np.cos(theta)
+        R[1, 0], R[0, 1] = np.sin(theta), -np.sin(theta)
+        res = max(res, maxabs(spin.covering(lp.spin_exp(B, spin.gammas)) - R))
     for _ in range(50):
         x, y = spin.sample(rng), spin.sample(rng)
         res = max(res, maxabs(spin.covering(x @ y) - spin.covering(x) @ spin.covering(y)))

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -235,6 +236,52 @@ class TestPin:
             recon = recon @ G
         recon = recon @ np.diag(diag)
         assert maxabs(recon - g) < 1e-12
+
+
+# Fock dimensions 4, 16, 16, 64 and 64
+PIN_CONFIGS = [(1, 2), (2, 2), (1, 4), (3, 2), (2, 3)]
+# pi rotations leave a paired -1 diagonal, quarter turns a signed permutation
+ANGLES = st.one_of(st.sampled_from([np.pi, -np.pi, np.pi / 2]), st.floats(-np.pi, np.pi))
+
+
+@functools.cache
+def pin_model(nd):
+    return build_clifford_model(*nd)
+
+
+@st.composite
+def special_orthogonal_maps(draw, D):
+    """Products of up to three factors: signed permutations, plane rotations
+    and generic rotations, each of determinant +1 by construction."""
+    g = np.eye(D)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["signed permutation", "plane rotation", "generic"]))
+        if kind == "signed permutation":
+            perm = draw(st.permutations(range(D)))
+            signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=D, max_size=D)))
+            factor = np.eye(D)[:, perm] * signs
+            if np.linalg.det(factor) < 0:
+                factor[:, 0] *= -1.0
+        elif kind == "plane rotation":
+            i = draw(st.integers(0, D - 1))
+            j = (i + draw(st.integers(1, D - 1))) % D
+            factor = plane_rotation(D, i, j, draw(ANGLES))
+        else:
+            factor = random_special_orthogonal(D, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+        g = g @ factor
+    return g
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(data=st.data())
+def test_pin_matches_oracle_property(data):
+    """The Givens product and the averaging kernel implement one map, up to
+    phase, on signed permutations, pi rotations and their products too."""
+    model = pin_model(data.draw(st.sampled_from(PIN_CONFIGS)))
+    g = data.draw(special_orthogonal_maps(model.dim_h))
+    pin = implement_pin(model, g)
+    oracle = implement_oracle(model, g, rng=np.random.default_rng(0))
+    assert projective_distance(pin.unitary, oracle.unitary) < 1e-10
 
 
 class TestNormalization:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import loopfock.rep
-from loopfock.algebra import commutant, conjugation_action
+from loopfock.algebra import algebra_from_span, commutant, conjugation_action
 from loopfock.bogoliubov import implementation_residual
 from loopfock.clifford import build_clifford_model, clifford_monomials, half_space
 from loopfock.errors import EndpointMismatch, NotInA
@@ -18,7 +18,7 @@ from loopfock.rep import (build_context, check_alpha_compatibility,
                           check_t_compatibility, check_twisted_duality,
                           check_two_group_compatibility,
                           check_well_definedness, fusion_factorization,
-                          irreducibility_dimension, loop_unitary,
+                          half_algebra, irreducibility_dimension, loop_unitary,
                           modular_vs_reflection, normalizer_two_group,
                           pair_two_group, path_automorphism,
                           representation_intertwiner, unit_sign_cocycle)
@@ -37,6 +37,34 @@ def ctx12():
 @pytest.fixture(scope="module")
 def ctx22():
     return build_context(build_clifford_model(2, 2))
+
+
+HALF_CONFIGS = [(1, 2), (2, 2), (2, 3), (3, 2)]
+
+
+@pytest.fixture(scope="module", params=HALF_CONFIGS, ids=lambda nd: f"{nd[0]}-{nd[1]}")
+def half_model(request):
+    return build_clifford_model(*request.param)
+
+
+class TestHalfAlgebra:
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_basis_is_orthonormal(self, half_model, which):
+        alg = half_algebra(half_model, which)
+        flat = alg.basis.reshape(alg.dim, -1)
+        assert maxabs(flat @ flat.conj().T - np.eye(alg.dim)) <= 1e-13
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_matches_the_orthonormalized_monomial_span(self, half_model, which):
+        alg = half_algebra(half_model, which)
+        reference = algebra_from_span(clifford_monomials(half_model, half_space(half_model, which)))
+        assert alg.dim == reference.dim
+        assert span_residual(alg.basis, reference.basis) <= 1e-12
+        assert span_residual(reference.basis, alg.basis) <= 1e-12
+
+    def test_context_carries_the_first_half(self, half_model):
+        basis = half_algebra(half_model, "first").basis
+        assert np.array_equal(build_context(half_model).algebra.basis, basis)
 
 
 class TestContext:

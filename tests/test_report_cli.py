@@ -343,6 +343,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "passed" in out
 
+    def test_one_dimensional_target_writes_a_report(self, tmp_path, capsys):
+        # d = 1 has no rotation plane; every suite must still end in a report
+        report = tmp_path / "out.json"
+        code = main(["--points", "4", "--dim", "1", "--report", str(report)])
+        assert code == 0
+        payload = json.loads(report.read_text())
+        assert payload["config"]["d"] == 1
+        assert payload["summary"]["failed"] == 0 and payload["summary"]["passed"] > 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_exit_one_on_failure(self, tmp_path):
         # an absurdly tight gate forces failures without heavy computation
         code = main(["--points", "2", "--dim", "2", "--suite", "two-group",
