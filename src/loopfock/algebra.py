@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (ConeViolation, NotCyclicSeparating, NotGraded,
                      NotInNormalizer, NotInner)
-from .linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners,
+from .linalg import (CHECK_ROWS, DEFAULT_TOL, AntilinearOperator, _project_intertwiners,
                      antilinear_polar, averaged_intertwiners, joint_kernel, maxabs,
                      orthonormal_rows, polar_unitary, singular_rows, span_residual)
 
@@ -90,8 +90,10 @@ def _checked_algebra(basis, generators=None, tol=DEFAULT_TOL):
     N = basis.shape[1]
     if span_residual(np.eye(N, dtype=complex)[None], basis) > tol.eq_tol:
         raise ValueError("span does not contain the identity")
-    adj = np.conj(np.transpose(basis, (0, 2, 1)))
-    if span_residual(adj, basis) > tol.eq_tol:
+    # CHECK_ROWS adjoints at a time, so the check holds no second basis-sized stack
+    adjoints = (np.conj(np.transpose(basis[i:i + CHECK_ROWS], (0, 2, 1)))
+                for i in range(0, basis.shape[0], CHECK_ROWS))
+    if max((span_residual(adj, basis) for adj in adjoints), default=0.0) > tol.eq_tol:
         raise ValueError("span is not closed under adjoints")
     gens = None if generators is None else np.asarray(generators, dtype=complex)
     return OperatorAlgebra(basis, gens)

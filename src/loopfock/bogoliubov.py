@@ -64,9 +64,15 @@ def implementation_residual(model, U, g):
     """max_i ||U pi_i - pi(g e_i) U||_F, the Frobenius commutator norm over the real basis.
 
     For unitary U it equals ||U pi_i U^* - pi(g e_i)||_F, never below that
-    matrix's largest entry.  Each pi is a sum of bit flips weighted by
-    model.flip_coefficients, so U pi_i gathers columns of U and pi(g e_i) U
-    gathers rows; every generator is taken at once, a block of rows at a time.
+    matrix's largest entry.  On model.parity_blocks U = [[A, B], [C, D]] and
+    every pi = [[0, p], [q, 0]], so the commutator has the blocks
+    A p_i - p'_i D, D q_i - q'_i A, B q_i - p'_i C and C p_i - q'_i B, with
+    p', q' the blocks of pi(g e_i); its squared norm is the sum of theirs.
+    A pair of blocks whose two U-blocks are exactly zero is exactly zero and
+    is skipped: the odd pair for even U, the even pair for odd U.  Each pi
+    is a sum of bit flips weighted by model.flip_coefficients, so U pi_i
+    gathers columns of a U-block and pi(g e_i) U gathers rows; every
+    generator is taken at once, a block of rows at a time.
     """
     N, D = model.fock_dim, model.dim_h
     U, g = np.asarray(U), np.asarray(g)
@@ -76,18 +82,35 @@ def implementation_residual(model, U, g):
         raise DimensionMismatch(f"orthogonal map has shape {g.shape}, expected ({D}, {D})")
     c = model.flip_coefficients
     flips = flip_table(model.lattice.modes)
-    # right[s, mu, i] = pi_i[s ^ 2^mu, s] and left[r, mu, i] = pi(g e_i)[r, r ^ 2^mu]
-    right = c[:, np.arange(c.shape[1]), flips].transpose(1, 2, 0)
-    left = np.tensordot(g, c, axes=(0, 0)).transpose(2, 1, 0)
-    rows = max(1, _BLOCK_ENTRIES // N)
+    blocks = model.parity_blocks
+    h = N // 2
+    # position[r]: the place of r in its parity block; a flip changes the parity
+    position = np.empty(N, dtype=np.intp)
+    position[blocks] = np.arange(h)
+    flipped = position[flips[blocks]]
+    # right[P][s, mu, i] = pi_i[s ^ 2^mu, s] and left[P][r, mu, i] = pi(g e_i)[r, r ^ 2^mu]
+    # over the indices r, s of parity P
+    right = c[:, np.arange(c.shape[1]), flips].transpose(1, 2, 0)[blocks]
+    left = np.tensordot(g, c, axes=(0, 0)).transpose(2, 1, 0)[blocks]
+    # quarter[X, Y] is the U-block from parity Y to parity X
+    quarter = U[blocks.reshape(-1, 1), blocks.reshape(-1)].reshape(2, h, 2, h).transpose(0, 2, 1, 3)
+    nonzero = [[np.any(quarter[X, Y]) for Y in range(2)] for X in range(2)]
+    rows = max(1, _BLOCK_ENTRIES // h)
     squares = np.zeros(2 * D)
-    for start in range(0, N, rows):
-        block = slice(start, start + rows)
-        # U pi_i as [s, r, i] and pi(g e_i) U as [r, s, i] on the block's rows r
-        u_pi = np.matmul(U[block].T[flips].transpose(0, 2, 1), right)
-        pi_u = np.matmul(U[flips[block]].transpose(0, 2, 1), left[block])
-        diff = (pi_u - u_pi.transpose(1, 0, 2)).view(float)
-        squares += np.einsum("rsk,rsk->k", diff, diff)
+    for X, Y in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        # the commutator block from parity Y to X reads U-blocks (X, 1 - Y) and (1 - X, Y)
+        if not (nonzero[X][1 - Y] or nonzero[1 - X][Y]):
+            continue
+        for start in range(0, h, rows):
+            block = slice(start, min(start + rows, h))
+            # U pi_i, written as [r, s, i] through its [s, r, i] view, and pi(g e_i) U
+            u_pi = np.empty((block.stop - start, h, D), dtype=complex)
+            np.matmul(quarter[X, 1 - Y, block].T[flipped[Y]].transpose(0, 2, 1), right[Y],
+                      out=u_pi.transpose(1, 0, 2))
+            diff = np.matmul(quarter[1 - X, Y][flipped[X, block]].transpose(0, 2, 1), left[X, block])
+            diff -= u_pi
+            diff = diff.view(float)
+            squares += np.einsum("rsk,rsk->k", diff, diff)
     return float(np.sqrt(squares.reshape(D, 2).sum(axis=1).max()))
 
 

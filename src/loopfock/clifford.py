@@ -105,12 +105,22 @@ def even_monomials(mats):
 
 
 def _compressed_rows(M):
-    """(cols, vals) with M[k, cols[k]] = vals[k]: each row's nonzero columns
-    first, padded with zero entries to the widest row.  Both arrays own their data."""
+    """(cols, vals) with M[..., k, cols[..., k, :]] = vals[..., k, :]: each row's
+    nonzero columns first, padded with zero entries to the widest row of the
+    stack.  Both arrays own their data."""
     nonzero = M != 0
-    width = int(nonzero.sum(axis=1).max())
-    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :width].copy()
-    return cols, np.take_along_axis(M, cols, axis=1)
+    width = int(nonzero.sum(axis=-1).max())
+    cols = np.argsort(~nonzero, axis=-1, kind="stable")[..., :width].copy()
+    return cols, np.take_along_axis(M, cols, axis=-1)
+
+
+def _compressed_parity_blocks(M, blocks):
+    """_compressed_rows of the stacked parity blocks M[b, b], b in blocks, of an
+    even M: (cols, vals), each (2, N/2, width)."""
+    stacked = M[blocks[:, :, None], blocks[:, None, :]]
+    if np.count_nonzero(stacked) != np.count_nonzero(M):
+        raise ContractViolation("an even monomial has entries off the parity blocks")
+    return _compressed_rows(stacked)
 
 
 class LiftCache:
@@ -191,12 +201,24 @@ class CliffordModel:
         return v
 
     @cached_property
+    def parity_blocks(self):
+        """(2, N/2) Fock indices of even, then of odd, parity, each ascending.
+
+        An even operator X is its two blocks X[b, b], b in parity_blocks; an
+        odd one maps each block's indices to the other's."""
+        s = self.grading.diagonal().real
+        return np.stack([np.flatnonzero(s > 0), np.flatnonzero(s < 0)])
+
+    @cached_property
     def vertex_monomials(self):
         """Per vertex j, the even monomials of i pi(e_{j,a}) keyed by bitmask,
-        row-compressed as in _compressed_rows; built on first read."""
-        d = self.d
-        return [{S: _compressed_rows(M) for S, M in
-                 even_monomials(1j * self.generators[j * d:(j + 1) * d]).items()}
+        each stored as its two parity blocks, row-compressed and stacked to
+        (cols, vals) of shape (2, N/2, width); built on first read."""
+        d, blocks = self.d, self.parity_blocks
+        # a product of 2k factors i pi(e_{j,a}) is (-1)^k times that of the
+        # pi(e_{j,a}), which are read in place
+        return [{S: _compressed_parity_blocks((-1) ** (S.bit_count() // 2) * M, blocks)
+                 for S, M in even_monomials(self.generators[j * d:(j + 1) * d]).items()}
                 for j in range(self.lattice.points)]
 
     @cached_property

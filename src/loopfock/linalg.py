@@ -242,7 +242,8 @@ def span_residual(stack, ortho):
         res = maxabs(flat)
     else:
         B = np.asarray(ortho, dtype=complex).reshape(ortho.shape[0], -1)
-        rec = (flat @ B.conj().T) @ B
+        # conj(conj(flat) B^T) is flat B^*, without a conjugated copy of the span
+        rec = np.conj(np.conj(flat) @ B.T) @ B
         res = maxabs(flat - rec)
     return res / max(1.0, maxabs(flat))
 

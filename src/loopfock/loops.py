@@ -209,22 +209,28 @@ def pointwise_unitary(model, spin, loop):
     At vertex j, gamma_a -> i pi(e_{j,a}) extends to a *-homomorphism rho_j
     of the Clifford algebra, and U = prod_j rho_j(x_j) with
     rho_j(x) = sum_{|S| even} tr(gamma_S^* x)/r M_{j,S}, M_{j,S} being the
-    ordered product of the i pi(e_{j,a}), a in S.  The M_{j,S} are read from
-    the model's row-compressed vertex_monomials table and scattered into one
-    dense rho_j per vertex, so a lift costs 2n - 1 dense products.
-    Even elements at different vertices commute, so loop -> U is an exact
-    group homomorphism implementing omega_matrix(loop); no phase is fixed.
+    ordered product of the i pi(e_{j,a}), a in S.  Every factor is even, so
+    it is two N/2 x N/2 blocks on model.parity_blocks: the blocks of the
+    M_{j,S} are read from the row-compressed vertex_monomials table and
+    scattered into one (2, N/2, N/2) stack per vertex, a lift multiplies
+    the 2n stacks blockwise, and the two blocks of the product are placed
+    into the N x N result.  Even elements at different vertices commute, so
+    loop -> U is an exact group homomorphism implementing omega_matrix(loop);
+    no phase is fixed.
     """
-    r, N = spin.dim, model.fock_dim
-    rows = np.arange(N)[:, None]
+    r, blocks = spin.dim, model.parity_blocks
+    h = blocks.shape[1]
+    parity, rows = np.arange(2)[:, None, None], np.arange(h)[:, None]
     U = None
     for x, table in zip(loop, model.vertex_monomials, strict=True):
-        rho = np.zeros((N, N), dtype=complex)
+        rho = np.zeros((2, h, h), dtype=complex)
         for S, gamma_S in spin.even_gammas.items():
             cols, vals = table[S]
-            rho[rows, cols] += np.vdot(gamma_S, x) / r * vals
+            rho[parity, rows, cols] += np.vdot(gamma_S, x) / r * vals
         U = rho if U is None else U @ rho
-    return U
+    out = np.zeros((model.fock_dim,) * 2, dtype=complex)
+    out[blocks[:, :, None], blocks[:, None, :]] = U
+    return out
 
 
 class ExtLoopGroup(ComputableGroup):

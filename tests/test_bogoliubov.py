@@ -20,7 +20,7 @@ from loopfock.clifford import build_clifford_model, pi_columns
 from loopfock.errors import (DimensionMismatch, NotOrthogonal,
                              NotSpecialOrthogonal, SingularInput)
 from loopfock.linalg import DEFAULT_TOL, maxabs, scalar_defect
-from loopfock.loops import SpinGroup, lift, omega_matrix
+from loopfock.loops import SpinGroup, lift, loop_identity, omega_matrix
 from loopfock.report import RunConfig
 
 rng = np.random.default_rng(23)
@@ -139,6 +139,24 @@ class TestFlipResidual:
         dense = max(np.linalg.norm(M @ P - Q @ M)
                     for P, Q in zip(model.generators, pi_columns(model, g)))
         assert abs(implementation_residual(model, M, g) - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (2, 4)])
+    def test_only_an_exactly_zero_parity_part_is_skipped(self, n, d):
+        # a lift plus 1e-13 times an odd matrix: a skip by tolerance would drop the odd part
+        model, spin = build_clifford_model(n, d), SpinGroup(d)
+        local, shape = np.random.default_rng(n + d), (model.fock_dim,) * 2
+        s = model.grading.diagonal().real
+        odd = (local.standard_normal(shape) + 1j * local.standard_normal(shape)) * (s[:, None] != s)
+        sampled = np.stack([spin.sample(local) for _ in range(2 * n)])
+        # the constant loop lifts to 1 exactly; a sampled lift carries its own
+        # residual of about 1e-14, which the two routes round differently
+        for loop, rel in [(loop_identity(n, spin), 1e-12), (sampled, 1e-6)]:
+            g = omega_matrix(model, spin, loop)
+            M = lift(model, spin, loop).unitary + 1e-13 * odd
+            dense = max(np.linalg.norm(M @ P - Q @ M)
+                        for P, Q in zip(model.generators, pi_columns(model, g)))
+            assert dense >= 1e-13
+            assert abs(implementation_residual(model, M, g) - dense) <= rel * dense
 
     def test_rejects_a_missized_unitary(self, model22):
         g = np.eye(model22.dim_h)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ import loopfock.clifford
 import loopfock.loops
 from loopfock.bogoliubov import implement_pin, implementation_residual, normalize_phase
 from loopfock.clifford import LiftCache, build_clifford_model, even_monomials
-from loopfock.errors import EndpointMismatch, NotOrthogonal, NotSpecialOrthogonal
+from loopfock.errors import (ContractViolation, EndpointMismatch, NotOrthogonal,
+                             NotSpecialOrthogonal)
 from loopfock.linalg import maxabs, scalar_defect
 from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
                             disjoint_support_pair, discrete_loop_cocycle,
@@ -299,7 +302,7 @@ class TestVertexTable:
         table = [dict(vertex) for vertex in model.vertex_monomials]
         cols, vals = table[1][3]
         vals = vals.copy()
-        vals[0, 0] = 0.0
+        vals[0, 0, 0] = 0.0
         table[1][3] = cols, vals
         model.vertex_monomials = table
         assert tabled_vs_dense(model, spin, 23) > 1e-3
@@ -329,8 +332,26 @@ class TestVertexTable:
         assert sum(a.nbytes for a in arrays) <= 2 * 2 ** 20
         # a view would pin the full N x N array it was cut from
         assert all(a.base is None for a in arrays)
-        widths = {S: cols.shape[1] for S, (cols, _) in model.vertex_monomials[0].items()}
+        assert {a.shape[:2] for a in arrays} == {(2, model.fock_dim // 2)}
+        widths = {S: cols.shape[2] for S, (cols, _) in model.vertex_monomials[0].items()}
         assert widths == {0: 1, 3: 4, 5: 4, 6: 4, 9: 4, 10: 4, 12: 4, 15: 16}
+
+    def test_table_build_memory_peak_at_fock_256(self):
+        model = build_clifford_model(2, 4)
+        tracemalloc.start()
+        try:
+            model.vertex_monomials
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the build of the dense row tables peaked at 12.73 MiB
+        assert peak <= 12.7 * 2 ** 20
+
+    def test_an_entry_off_the_parity_blocks_is_rejected(self):
+        model = build_clifford_model(1, 2)
+        model.generators[0, 0, 0] = 1.0
+        with pytest.raises(ContractViolation, match="parity blocks"):
+            model.vertex_monomials
 
 
 coordinate_lists = {

@@ -1,12 +1,15 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import loopfock.rep
-from loopfock.algebra import algebra_from_span, commutant, conjugation_action
+from loopfock.algebra import (_checked_algebra, algebra_from_span, commutant,
+                              conjugation_action)
 from loopfock.bogoliubov import implementation_residual
-from loopfock.clifford import build_clifford_model, clifford_monomials, half_space
+from loopfock.clifford import (build_clifford_model, clifford_monomials, generator_indices,
+                               half_space)
 from loopfock.errors import EndpointMismatch, NotInA
 from loopfock.linalg import TolerancePolicy, maxabs, span_residual
 from loopfock.loops import (concat_paths, double_path, lift, loop_identity,
@@ -61,6 +64,20 @@ class TestHalfAlgebra:
         assert alg.dim == reference.dim
         assert span_residual(alg.basis, reference.basis) <= 1e-12
         assert span_residual(reference.basis, alg.basis) <= 1e-12
+
+    def test_closure_checks_stay_below_twice_the_basis(self):
+        model = build_clifford_model(3, 2)
+        points = half_space(model, "first")
+        basis = clifford_monomials(model, points) / np.sqrt(model.fock_dim)
+        generators = model.generators[generator_indices(model, points)]
+        tracemalloc.start()
+        try:
+            _checked_algebra(basis, generators, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the adjoints of the whole basis, checked at once, peaked at 4.5 times it
+        assert peak <= 2 * basis.nbytes
 
     def test_context_carries_the_first_half(self, half_model):
         basis = half_algebra(half_model, "first").basis

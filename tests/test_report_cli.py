@@ -245,6 +245,11 @@ class TestGatedRecords:
         planted = record_named(tomita_checks(env), "action kernels")
         assert planted.residual > 0.1 and not planted.passed
 
+    def test_modular_identities_resolve_to_rounding_at_3_2(self):
+        # cond(Delta) is about 1.3e6 here; inverting Delta by eigh read 3.4e-10
+        env = Environment(RunConfig(n=3, d=2, suites=("tomita",)))
+        assert record_named(tomita_checks(env), "modular identities").residual <= 1e-12
+
 
 class TestSampleCounts:
     # checks whose sample count is fixed, whatever --samples says
