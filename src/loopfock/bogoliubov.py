@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clifford import flip_table, pi_columns
+from .clifford import pi_columns
 from .errors import (ContractViolation, DimensionMismatch, NonScalarDefect,
                      NonUniqueImplementer, NotOrthogonal, NotSpecialOrthogonal,
                      SingularInput)
@@ -23,7 +23,7 @@ from .linalg import (DEFAULT_TOL, averaged_intertwiners, joint_kernel, maxabs,
 # expected to be a line
 LINE_PROBES = 6
 # entries per generator in one row block of implementation_residual
-_BLOCK_ENTRIES = 2 ** 13
+_BLOCK_ENTRIES = 2 ** 11
 
 
 def check_orthogonal(g, tol=DEFAULT_TOL):
@@ -72,7 +72,9 @@ def implementation_residual(model, U, g):
     is skipped: the odd pair for even U, the even pair for odd U.  Each pi
     is a sum of bit flips weighted by model.flip_coefficients, so U pi_i
     gathers columns of a U-block and pi(g e_i) U gathers rows; every
-    generator is taken at once, a block of rows at a time.
+    generator is taken at once, a block of rows at a time.  The gathers and
+    the coefficients of U pi_i come from model.block_flips, built once per
+    model; only those of pi(g e_i) U are contracted with g per call.
     """
     N, D = model.fock_dim, model.dim_h
     U, g = np.asarray(U), np.asarray(g)
@@ -80,18 +82,13 @@ def implementation_residual(model, U, g):
         raise DimensionMismatch(f"unitary has shape {U.shape}, expected ({N}, {N})")
     if g.shape != (D, D):
         raise DimensionMismatch(f"orthogonal map has shape {g.shape}, expected ({D}, {D})")
-    c = model.flip_coefficients
-    flips = flip_table(model.lattice.modes)
     blocks = model.parity_blocks
     h = N // 2
-    # position[r]: the place of r in its parity block; a flip changes the parity
-    position = np.empty(N, dtype=np.intp)
-    position[blocks] = np.arange(h)
-    flipped = position[flips[blocks]]
-    # right[P][s, mu, i] = pi_i[s ^ 2^mu, s] and left[P][r, mu, i] = pi(g e_i)[r, r ^ 2^mu]
-    # over the indices r, s of parity P
-    right = c[:, np.arange(c.shape[1]), flips].transpose(1, 2, 0)[blocks]
-    left = np.tensordot(g, c, axes=(0, 0)).transpose(2, 1, 0)[blocks]
+    # flipped[P][r, mu]: the place of r ^ 2^mu in its block; right[P][s, mu, i] =
+    # pi_i[s ^ 2^mu, s] and left[P][r, mu, i] = pi(g e_i)[r, r ^ 2^mu] over the
+    # indices r, s of parity P
+    flipped, right = model.block_flips
+    left = np.tensordot(g, model.flip_coefficients, axes=(0, 0)).transpose(2, 1, 0)[blocks]
     # quarter[X, Y] is the U-block from parity Y to parity X
     quarter = U[blocks.reshape(-1, 1), blocks.reshape(-1)].reshape(2, h, 2, h).transpose(0, 2, 1, 3)
     nonzero = [[np.any(quarter[X, Y]) for Y in range(2)] for X in range(2)]

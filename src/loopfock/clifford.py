@@ -9,6 +9,12 @@ space of dimension 2^(nd); the generators pi(e_{j,a}) obey
     pi(v)^* = -pi(conj(v))
 
 with pi(f) = sqrt(2) a^dag(f) on Lagrangian vectors f.
+
+On the occupation basis (Jordan-Wigner form) every pi(e_i) is a sum of nd
+signed bit flips, one per mode, and the model stores pi as the table of
+their signs and amplitudes.  Each flip changes the parity of the occupation
+number, so every generator is odd and every even monomial is block
+diagonal on the two parity blocks.
 """
 
 from collections import OrderedDict
@@ -17,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation, DimensionMismatch
+from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, maxabs
 
 
@@ -89,18 +95,23 @@ def _popcount_below(indices, mode):
     return out
 
 
-def even_monomials(mats):
+def even_monomials(mats, partners=None):
     """Ordered products prod_{a in S} mats[a] over the even subsets S, keyed by bitmask.
 
     A product of four or more factors is its lowest pair times the rest, so
     2^(d-1) - 1 matrix products form the even monomials and no odd one.
+    partners[b] stands for mats[b] as the second factor of a pair (default
+    mats): odd block stacks pass the stack with its two blocks swapped.
     """
-    out = {0: np.eye(mats.shape[1], dtype=complex)}
+    partners = mats if partners is None else partners
+    identity = np.zeros(mats.shape[1:], dtype=complex)
+    identity[..., np.arange(mats.shape[-1]), np.arange(mats.shape[-1])] = 1.0
+    out = {0: identity}
     for S in range(3, 2 ** len(mats)):
         bits = [a for a in range(len(mats)) if S >> a & 1]
         if len(bits) % 2 == 0:
             pair = 1 << bits[0] | 1 << bits[1]
-            out[S] = mats[bits[0]] @ mats[bits[1]] if S == pair else out[pair] @ out[S ^ pair]
+            out[S] = mats[bits[0]] @ partners[bits[1]] if S == pair else out[pair] @ out[S ^ pair]
     return out
 
 
@@ -112,15 +123,6 @@ def _compressed_rows(M):
     width = int(nonzero.sum(axis=-1).max())
     cols = np.argsort(~nonzero, axis=-1, kind="stable")[..., :width].copy()
     return cols, np.take_along_axis(M, cols, axis=-1)
-
-
-def _compressed_parity_blocks(M, blocks):
-    """_compressed_rows of the stacked parity blocks M[b, b], b in blocks, of an
-    even M: (cols, vals), each (2, N/2, width)."""
-    stacked = M[blocks[:, :, None], blocks[:, None, :]]
-    if np.count_nonzero(stacked) != np.count_nonzero(M):
-        raise ContractViolation("an even monomial has entries off the parity blocks")
-    return _compressed_rows(stacked)
 
 
 class LiftCache:
@@ -161,15 +163,19 @@ class LiftCache:
 class CliffordModel:
     """Lattice, Lagrangian, Fock generators and grading, plus small caches.
 
-    generators stacks pi(e_i) over the real basis of H; it is the only
-    stored form of pi, and pi(v) is its contraction with v.  lift_cache
-    holds the 16 most recently used loop lifts (LiftCache), about 1 MiB
-    each at Fock dimension 256.
+    flip_coefficients is the stored form of pi: in Jordan-Wigner form every
+    generator is a sum of signed bit flips, pi_i = sum_mu diag(c[i, mu]) X_mu
+    with c[i, mu, r] = pi_i[r, r ^ 2^mu] and X_mu the flip of mode mu, so c
+    is (2nd, nd, N), N/(nd) times smaller than the dense stack.  generators,
+    that (2nd, N, N) stack, is scattered from c on first read; pi(v) is its
+    contraction with v.  The lift and implementation_residual read only c.
+    lift_cache holds the 16 most recently used loop lifts (LiftCache), about
+    1 MiB each at Fock dimension 256.
     """
 
     lattice: LatticeModel
     lagrangian: np.ndarray
-    generators: np.ndarray
+    flip_coefficients: np.ndarray
     grading: np.ndarray
     lift_cache: LiftCache = field(default_factory=LiftCache, repr=False)
 
@@ -201,6 +207,17 @@ class CliffordModel:
         return v
 
     @cached_property
+    def generators(self):
+        """The dense stack of pi(e_i) over the real basis of H, scattered from
+        flip_coefficients on first read."""
+        c, N = self.flip_coefficients, self.fock_dim
+        out = np.zeros((self.dim_h, N, N), dtype=complex)
+        rows = np.arange(N)
+        for mu, cols in enumerate(flip_table(self.lattice.modes).T):
+            out[:, rows, cols] = c[:, mu]
+        return out
+
+    @cached_property
     def parity_blocks(self):
         """(2, N/2) Fock indices of even, then of odd, parity, each ascending.
 
@@ -210,27 +227,42 @@ class CliffordModel:
         return np.stack([np.flatnonzero(s > 0), np.flatnonzero(s < 0)])
 
     @cached_property
+    def block_flips(self):
+        """(flipped, right) over the parity blocks; built on first read.
+
+        flipped[P, r, mu] is the place of r ^ 2^mu in its block for the r-th
+        index of parity P (a flip changes the parity), and right[P, s, mu, i]
+        = pi_i[s ^ 2^mu, s] for the s-th index of parity P."""
+        c, blocks = self.flip_coefficients, self.parity_blocks
+        flips = flip_table(self.lattice.modes)
+        position = np.empty(self.fock_dim, dtype=np.intp)
+        position[blocks] = np.arange(blocks.shape[1])
+        right = c[:, np.arange(c.shape[1]), flips].transpose(1, 2, 0)[blocks]
+        return position[flips[blocks]], right
+
+    @cached_property
     def vertex_monomials(self):
         """Per vertex j, the even monomials of i pi(e_{j,a}) keyed by bitmask,
         each stored as its two parity blocks, row-compressed and stacked to
-        (cols, vals) of shape (2, N/2, width); built on first read."""
-        d, blocks = self.d, self.parity_blocks
-        # a product of 2k factors i pi(e_{j,a}) is (-1)^k times that of the
-        # pi(e_{j,a}), which are read in place
-        return [{S: _compressed_parity_blocks((-1) ** (S.bit_count() // 2) * M, blocks)
-                 for S, M in even_monomials(self.generators[j * d:(j + 1) * d]).items()}
-                for j in range(self.lattice.points)]
+        (cols, vals) of shape (2, N/2, width); built on first read.
 
-    @cached_property
-    def flip_coefficients(self):
-        """c[i, mu, r] = pi_i[r, r ^ 2^mu], so pi_i = sum_mu diag(c[i, mu]) X_mu
-        with X_mu the bit flip of mode mu (Jordan-Wigner form); built on first read."""
-        c = self.generators[:, np.arange(self.fock_dim), flip_table(self.lattice.modes).T]
-        # the flip positions are distinct, so c rebuilds the stack exactly
-        # when no other entry of it is nonzero
-        if np.count_nonzero(c) != np.count_nonzero(self.generators):
-            raise ContractViolation("a generator has entries off the single bit flips")
-        return c
+        Each pi(e_{j,a}) is odd, so it is scattered from its flips into the
+        stack of its two off-diagonal blocks, and a product of two is that
+        stack times the other's with its blocks swapped; no N x N matrix is
+        formed."""
+        d, blocks = self.d, self.parity_blocks
+        flipped, h = self.block_flips[0], blocks.shape[1]
+        parity, rows = np.arange(2)[:, None, None], np.arange(h)[:, None]
+        out = []
+        for j in range(self.lattice.points):
+            # odd[a, P] is the block of pi(e_{j,a}) from parity 1 - P to P
+            coefficients = self.flip_coefficients[j * d:(j + 1) * d, :, blocks]
+            odd = np.zeros((d, 2, h, h), dtype=complex)
+            odd[:, parity, rows, flipped] = coefficients.transpose(0, 2, 3, 1)
+            # a product of 2k factors i pi(e_{j,a}) is (-1)^k times that of the pi(e_{j,a})
+            out.append({S: _compressed_rows((-1) ** (S.bit_count() // 2) * M)
+                        for S, M in even_monomials(odd, odd[:, ::-1]).items()})
+        return out
 
 
 def flip_table(modes):
@@ -245,11 +277,11 @@ def build_clifford_model(n, d, lagrangian=None, allow_odd_modes=False, tol=DEFAU
     modular and representation layers reject it; the flag exists for the
     tiny single-mode examples of the operator layer.
 
-    The generator stack is written in place, one mode at a time:
+    The flip table is written one mode at a time:
     pi(e_i) = sqrt(2) sum_mu (conj(L_{i,mu}) a^dag_mu - L_{i,mu} a_mu), and
     a^dag_mu maps the occupation mask S without mu to S + mu with the
     Jordan-Wigner sign (-1)^(set bits of S below mu), a_mu back with the
-    same sign.  Only the stack itself is N^2-sized.
+    same sign.  Nothing N^2-sized is formed but the grading.
     """
     lattice = LatticeModel(n, d)
     if lattice.modes % 2 == 1 and not allow_odd_modes:
@@ -262,17 +294,18 @@ def build_clifford_model(n, d, lagrangian=None, allow_odd_modes=False, tol=DEFAU
             raise ValueError("provided subspace is not Lagrangian")
     N = lattice.fock_dim
     idx = np.arange(N)
-    generators = np.zeros((lattice.dim_h, N, N), dtype=complex)
+    coefficients = np.empty((lattice.dim_h, lattice.modes, N), dtype=complex)
     for mu in range(lattice.modes):
         src = idx[(idx >> mu) & 1 == 0]
         dst = src | (1 << mu)
         amp = np.sqrt(2.0) * lagrangian[:, mu, None] * (1.0 - 2.0 * (_popcount_below(src, mu) & 1))
-        # + 0.0 turns signed zeros into +0.0, as the sum over modes would
-        generators[:, dst, src] = amp.conj() + 0.0
-        generators[:, src, dst] = -amp + 0.0
+        # pi_i[dst, src] and pi_i[src, dst]; + 0.0 turns signed zeros into
+        # +0.0, as a sum over modes would
+        coefficients[:, mu, dst] = amp.conj() + 0.0
+        coefficients[:, mu, src] = -amp + 0.0
     parity = np.array([bin(i).count("1") & 1 for i in range(N)])
-    grading = np.diag(1.0 - 2.0 * parity).astype(complex)
-    return CliffordModel(lattice, lagrangian, generators, grading)
+    grading = np.diag((1.0 - 2.0 * parity).astype(complex))
+    return CliffordModel(lattice, lagrangian, coefficients, grading)
 
 
 def pi_vector(model, v):
@@ -305,18 +338,20 @@ def generator_indices(model, point_subset):
 def clifford_monomials(model, point_subset):
     """Ordered generator products over subsets of the selected vertices.
 
-    Returns a fresh stack of 2^(|subset|*d) matrices; the empty product is
-    the identity and factors appear in increasing flat-index order.  They
-    are Hilbert-Schmidt orthogonal with norm sqrt(N), N the Fock dimension:
-    the pi_i are unitary, anticommute pairwise and square to -1, so
-    M_S^* M_T = +-M_D for the symmetric difference D of S and T, traceless
-    unless D is empty.
+    Returns a fresh stack of 2^(|subset|*d) matrices, each product written
+    into it in place; the empty product is the identity and factors appear
+    in increasing flat-index order.  They are Hilbert-Schmidt orthogonal
+    with norm sqrt(N), N the Fock dimension: the pi_i are unitary,
+    anticommute pairwise and square to -1, so M_S^* M_T = +-M_D for the
+    symmetric difference D of S and T, traceless unless D is empty.
     """
-    mats = [np.eye(model.fock_dim, dtype=complex)]
-    for i in generator_indices(model, point_subset):
-        g = model.generators[i]
-        mats.extend([m @ g for m in mats])
-    return np.stack(mats)
+    indices = generator_indices(model, point_subset)
+    out = np.empty((2 ** len(indices), model.fock_dim, model.fock_dim), dtype=complex)
+    out[0] = np.eye(model.fock_dim)
+    for k, i in enumerate(indices):
+        # the products with the new factor follow the 2^k already written
+        np.matmul(out[:2 ** k], model.generators[i], out=out[2 ** k:2 ** (k + 1)])
+    return out
 
 
 def anticommutator_residual(model, v, w):

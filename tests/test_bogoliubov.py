@@ -175,7 +175,7 @@ class TestFlipResidual:
 
     def test_first_residual_builds_the_table_and_the_second_reuses_it(self, monkeypatch):
         model = build_clifford_model(2, 2)
-        assert "flip_coefficients" not in vars(model)
+        assert "block_flips" not in vars(model)
         flip_table = loopfock.clifford.flip_table
         builds = []
 
@@ -186,22 +186,33 @@ class TestFlipResidual:
         monkeypatch.setattr(loopfock.clifford, "flip_table", counting)
         U, g = np.eye(model.fock_dim, dtype=complex), np.eye(model.dim_h)
         assert implementation_residual(model, U, g) == 0.0
-        table = vars(model)["flip_coefficients"]
+        table = vars(model)["block_flips"]
         assert implementation_residual(model, U, g) == 0.0
-        assert vars(model)["flip_coefficients"] is table
+        assert vars(model)["block_flips"] is table
         assert len(builds) == 1
+        assert "generators" not in vars(model)
 
     def test_memory_peak_at_fock_256(self):
         model, [(U, g), *_] = residual_cases(2, 4)
-        model.flip_coefficients  # built outside the traced call
+        model.block_flips  # built outside the traced call
         tracemalloc.start()
         try:
             implementation_residual(model, U, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 1.5 times the generator stack; the dense products peaked at 48 MiB
-        assert peak <= 24 * 2 ** 20
+        # 9.04 MiB while the flip gathers were rebuilt on every call
+        assert peak <= 4 * 2 ** 20
+
+    def test_a_lift_request_never_builds_the_dense_stack(self):
+        model, spin = build_clifford_model(2, 4), SpinGroup(4)
+        local = np.random.default_rng(31)
+        loop = np.stack([spin.sample(local) for _ in range(2 * model.n)])
+        U = lift(model, spin, loop).unitary
+        assert implementation_residual(model, U, omega_matrix(model, spin, loop)) <= 1e-12
+        s = model.grading.diagonal().real
+        assert maxabs(U * s - s[:, None] * U) <= 1e-12
+        assert "generators" not in vars(model)
 
 
 class TestParityFromGradingDiagonal:
