@@ -3,7 +3,11 @@
 Algebras are carried as linear bases (stacks of matrices).  Commutants and
 super commutants have a generic kernel-solver route plus an exact averaging
 fast path available whenever the algebra comes with involution-type unitary
-generators, which is the case for all Clifford half-circle algebras.
+generators, which is the case for all Clifford half-circle algebras.  The
+representation context reads the half-circle commutants in closed form
+(rep.first_half_commutant); super_commutant solves the one a twisted-duality
+check compares against, and the tests compare both routes with the closed
+forms.
 
 An automorphism is carried as conjugation by a unitary W that normalizes
 the algebra, together with the images W g W^* of the generators (of the
@@ -97,11 +101,6 @@ def _checked_algebra(basis, generators=None, tol=DEFAULT_TOL):
         raise ValueError("span is not closed under adjoints")
     gens = None if generators is None else np.asarray(generators, dtype=complex)
     return OperatorAlgebra(basis, gens)
-
-
-def product_closure_residual(alg):
-    """Residual of all basis products against the span."""
-    return max(span_residual(a @ alg.basis, alg.basis) for a in alg.basis)
 
 
 def generated_star_algebra(gens, tol=DEFAULT_TOL):

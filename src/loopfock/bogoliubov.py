@@ -16,8 +16,8 @@ from .clifford import pi_columns
 from .errors import (ContractViolation, DimensionMismatch, NonScalarDefect,
                      NonUniqueImplementer, NotOrthogonal, NotSpecialOrthogonal,
                      SingularInput)
-from .linalg import (DEFAULT_TOL, averaged_intertwiners, joint_kernel, maxabs,
-                     polar_unitary, scalar_defect)
+from .linalg import (DEFAULT_TOL, averaged_intertwiners, maxabs, polar_unitary,
+                     scalar_defect)
 
 # generic probes of the averaging projection onto an intertwiner space
 # expected to be a line
@@ -125,33 +125,6 @@ def implement_oracle(model, g, tol=DEFAULT_TOL, rng=None):
     if basis.shape[0] != 1:
         raise NonUniqueImplementer(f"intertwiner space has dimension {basis.shape[0]}")
     U = polar_unitary(basis[0], tol)
-    return Implementer(U, g, _classify_parity(model, U, tol), "raw")
-
-
-def implement_oracle_kernel(model, g, tol=DEFAULT_TOL):
-    """Slow cross-check route: iterative restriction on the matrix space.
-
-    Intended for small Fock dimensions; agrees with implement_oracle up to a
-    unit scalar.
-    """
-    g = check_orthogonal(g, tol)
-    N = model.fock_dim
-    lefts = pi_columns(model, g)
-
-    def constraint(i):
-        left, right = lefts[i], model.generators[i]
-
-        def apply(cols):
-            X = cols.T.reshape(-1, N, N)
-            vals = left @ X - X @ right
-            return vals.reshape(-1, N * N).T
-
-        return apply
-
-    basis = joint_kernel([constraint(i) for i in range(model.dim_h)], N * N, tol)
-    if basis.shape[1] != 1:
-        raise NonUniqueImplementer(f"kernel dimension {basis.shape[1]}")
-    U = polar_unitary(basis[:, 0].reshape(N, N), tol)
     return Implementer(U, g, _classify_parity(model, U, tol), "raw")
 
 

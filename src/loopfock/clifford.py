@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, maxabs
+from .linalg import CHECK_ROWS, DEFAULT_TOL, maxabs
 
 
 @dataclass(frozen=True)
@@ -201,11 +201,6 @@ class CliffordModel:
         v[0] = 1.0
         return v
 
-    def basis_vector(self, flat):
-        v = np.zeros(self.dim_h, dtype=complex)
-        v[flat] = 1.0
-        return v
-
     @cached_property
     def generators(self):
         """The dense stack of pi(e_i) over the real basis of H, scattered from
@@ -352,6 +347,40 @@ def clifford_monomials(model, point_subset):
         # the products with the new factor follow the 2^k already written
         np.matmul(out[:2 ** k], model.generators[i], out=out[2 ** k:2 ** (k + 1)])
     return out
+
+
+def monomial_closure_residual(model, point_subset, mono):
+    """Worst deviation of mono = clifford_monomials(model, point_subset) from
+    the relations that make its span the algebra its generators generate.
+
+    For the k-th selected generator pi_k and the monomial M_S,
+    pi_k M_S = s M_{S ^ 2^k}, with s = -1 to the number of factors of S
+    below k, and once more when k is in S, since pi_k squares to -1.
+    pi_k M_S is summed from the flip table, CHECK_ROWS monomials at a time:
+    its row r is sum_mu c[k, mu, r] M_S[r ^ 2^mu], and flipping bit mu of r
+    reverses one axis of the rows split over their bits, a view.  With
+    M_0 = 1, the span holds the identity and is closed under left
+    multiplication by the generators, so it is the algebra they generate
+    (star closed as pi^* = -pi).  The traces tr(M_S) / N of the nonempty S
+    must vanish too: M_S^* M_T = +-M_{S ^ T} then makes the monomials
+    orthogonal, so the span has dimension their count.
+    """
+    N = model.fock_dim
+    subsets = np.arange(mono.shape[0])
+    worst = max(maxabs(mono[0] - np.eye(N)), maxabs(np.trace(mono[1:], axis1=1, axis2=2)) / N)
+    for k, i in enumerate(generator_indices(model, point_subset)):
+        c = model.flip_coefficients[i]
+        exponent = np.array([(S & ((1 << k) - 1)).bit_count() + (S >> k & 1) for S in subsets])
+        sign = 1.0 - 2.0 * (exponent % 2)
+        for start in range(0, mono.shape[0], CHECK_ROWS):
+            block, S = mono[start:start + CHECK_ROWS], subsets[start:start + CHECK_ROWS]
+            diff = -sign[S, None, None] * mono[S ^ 1 << k]
+            for mu in range(c.shape[0]):
+                split = (-1, N >> mu + 1, 2, 1 << mu, N)
+                diff.reshape(split)[...] += (c[mu].reshape(split[1:4])[..., None]
+                                             * block.reshape(split)[:, :, ::-1])
+            worst = max(worst, maxabs(diff))
+    return worst
 
 
 def anticommutator_residual(model, v, w):

@@ -75,15 +75,6 @@ def joint_kernel(constraints, dim, tol=DEFAULT_TOL):
     return basis
 
 
-def stacked_kernel(constraints, dim, tol=DEFAULT_TOL):
-    """Single-shot cross-check for joint_kernel: null space of all constraints stacked."""
-    basis = np.eye(dim, dtype=complex)
-    rows = [c(basis) if callable(c) else np.asarray(c, dtype=complex) for c in constraints]
-    if not rows:
-        return basis
-    return null_space(np.vstack(rows), tol)
-
-
 CHECK_ROWS = 16
 
 

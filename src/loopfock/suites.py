@@ -97,9 +97,7 @@ def clifford_checks(env):
 
     first = cliff.half_space(model, "first")
     mono = cliff.clifford_monomials(model, first)
-    spanned = alg_mod.generated_star_algebra(model.generators[cliff.generator_indices(model, first)], tol)
-    res = 0.0 if spanned.dim == mono.shape[0] else float(abs(spanned.dim - mono.shape[0]))
-    res = max(res, span_residual(mono, spanned.basis))
+    res = cliff.monomial_closure_residual(model, first, mono)
     record("monomial span", "monomials span the generated algebra", res, cfg.gate, 1)
     return record.records
 

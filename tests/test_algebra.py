@@ -11,7 +11,7 @@ from loopfock.algebra import (InnerAutomorphism, OperatorAlgebra, algebra_from_s
                               canonical_implementation, commutant,
                               conjugation_action, cyclic_separating_check,
                               generated_star_algebra, inner_unitary,
-                              normalizer_membership, product_closure_residual,
+                              normalizer_membership,
                               reflected_action, super_commutant, tomita_data)
 from loopfock.clifford import (build_clifford_model, clifford_monomials,
                                generator_indices, half_space)
@@ -37,6 +37,11 @@ def half_algebra(model):
     pts = half_space(model, "first")
     return algebra_from_span(clifford_monomials(model, pts),
                              generators=model.generators[generator_indices(model, pts)])
+
+
+def product_closure_residual(alg):
+    """Residual of all basis products against the span."""
+    return max(span_residual(a @ alg.basis, alg.basis) for a in alg.basis)
 
 
 def gram_deviation(alg):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import loopfock.rep
-from loopfock.algebra import (_checked_algebra, algebra_from_span, commutant,
-                              conjugation_action)
+from loopfock.algebra import (OperatorAlgebra, _checked_algebra, algebra_from_span, commutant,
+                              conjugation_action, generated_star_algebra, super_commutant)
 from loopfock.bogoliubov import implementation_residual
 from loopfock.clifford import (build_clifford_model, clifford_monomials, generator_indices,
-                               half_space)
+                               half_space, monomial_closure_residual)
 from loopfock.errors import EndpointMismatch, NotInA
 from loopfock.linalg import TolerancePolicy, maxabs, span_residual
 from loopfock.loops import (concat_paths, double_path, lift, loop_identity,
@@ -20,8 +20,9 @@ from loopfock.rep import (build_context, check_alpha_compatibility,
                           check_membership_evenness, check_pi_levels,
                           check_t_compatibility, check_twisted_duality,
                           check_two_group_compatibility,
-                          check_well_definedness, fusion_factorization,
-                          half_algebra, irreducibility_dimension, loop_unitary,
+                          check_well_definedness, first_half_commutant,
+                          fusion_factorization, half_algebra,
+                          irreducibility_dimension, loop_unitary,
                           modular_vs_reflection, normalizer_two_group,
                           pair_two_group, path_automorphism,
                           representation_intertwiner, unit_sign_cocycle)
@@ -84,6 +85,40 @@ class TestHalfAlgebra:
         assert np.array_equal(build_context(half_model).algebra.basis, basis)
 
 
+def same_span(closed, reference):
+    return closed.dim == reference.dim and max(span_residual(closed.basis, reference.basis),
+                                               span_residual(reference.basis, closed.basis)) <= 1e-12
+
+
+class TestClosedForms:
+    """The context's closed forms against the solved references."""
+
+    def test_commutant_is_the_averaged_one(self, half_model):
+        A = half_algebra(half_model, "first")
+        assert same_span(first_half_commutant(half_model), commutant(A))
+
+    def test_super_commutant_is_the_averaged_one(self, half_model):
+        A = half_algebra(half_model, "first")
+        assert same_span(half_algebra(half_model, "second"), super_commutant(A, half_model.grading))
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2)])
+    def test_both_are_the_kernel_ones(self, n, d):
+        # without generators both solves take the kernel route; at Fock 64
+        # its first null space is of a 4096 x 4096 matrix, and one solve ran
+        # over four minutes on a 2-core machine
+        model = build_clifford_model(n, d)
+        bare = OperatorAlgebra(half_algebra(model, "first").basis)
+        assert same_span(first_half_commutant(model), commutant(bare))
+        assert same_span(half_algebra(model, "second"), super_commutant(bare, model.grading))
+
+    def test_flip_closure_has_the_generated_dimension(self, half_model):
+        points = half_space(half_model, "first")
+        mono = clifford_monomials(half_model, points)
+        assert monomial_closure_residual(half_model, points, mono) <= 1e-13
+        generated = generated_star_algebra(half_model.generators[generator_indices(half_model, points)])
+        assert generated.dim == mono.shape[0]
+
+
 class TestContext:
     def test_algebra_is_the_monomial_span(self, ctx22):
         mono = clifford_monomials(ctx22.model, half_space(ctx22.model, "first"))
@@ -102,21 +137,27 @@ class TestContext:
         def refuse(*args, **kwargs):
             raise AssertionError("a commutant was built before it was read")
 
+        def first_half_only(model, which, tol=TOL):
+            if which != "first":
+                refuse()
+            return half_algebra(model, which, tol)
+
         expected = rep_suite()
-        monkeypatch.setattr(loopfock.rep, "commutant", refuse)
+        monkeypatch.setattr(loopfock.rep, "first_half_commutant", refuse)
         monkeypatch.setattr(loopfock.rep, "super_commutant", refuse)
+        monkeypatch.setattr(loopfock.rep, "half_algebra", first_half_only)
         ctx = build_context(build_clifford_model(1, 2))
         # the same records, the structural red "unit comparison scalar" included
         assert rep_suite() == expected
         calls = []
 
-        def counted(alg, tol):
-            calls.append(alg)
-            return commutant(alg, tol)
+        def counted(model, tol):
+            calls.append(model)
+            return first_half_commutant(model, tol)
 
-        monkeypatch.setattr(loopfock.rep, "commutant", counted)
+        monkeypatch.setattr(loopfock.rep, "first_half_commutant", counted)
         first = ctx.algebra_comm
-        assert len(calls) == 1 and calls[0] is ctx.algebra
+        assert len(calls) == 1 and calls[0] is ctx.model
         assert ctx.algebra_comm is first
         assert len(calls) == 1
         assert first.dim * ctx.algebra.dim == ctx.model.fock_dim ** 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loopfock.algebra
+import loopfock.clifford
 import loopfock.rep
 import loopfock.suites
 import loopfock.twogroup
@@ -205,13 +206,15 @@ class TestGatedRecords:
     def test_monomial_span_fails_on_a_short_span(self, monkeypatch):
         cfg = RunConfig(n=2, d=2, suites=("clifford",))
         assert record_named(run_suites(cfg)[1], "monomial span").passed
-        generated = loopfock.algebra.generated_star_algebra
+        monomials = loopfock.clifford.clifford_monomials
 
-        def short(gens, tol):
-            alg = generated(gens, tol)
-            return loopfock.algebra.OperatorAlgebra(alg.basis[:-1], alg.generators)
+        def short(model, points):
+            # the last monomial repeats the one before: 15 of 16 left
+            stack = monomials(model, points)
+            stack[-1] = stack[-2]
+            return stack
 
-        monkeypatch.setattr(loopfock.algebra, "generated_star_algebra", short)
+        monkeypatch.setattr(loopfock.clifford, "clifford_monomials", short)
         assert not record_named(run_suites(cfg)[1], "monomial span").passed
 
     def test_double_commutant_record(self):
@@ -230,6 +233,34 @@ class TestGatedRecords:
         planted = record_named(tomita_checks(env), "double commutant")
         assert not planted.passed
         assert planted.residual == pytest.approx(all_pairs(), rel=1e-12)
+
+    def test_commutant_records_fail_without_the_grading_twist(self, monkeypatch):
+        cfg = RunConfig(n=2, d=2, suites=("tomita",))
+        names = ("conjugation onto commutant", "double commutant")
+        assert all(record_named(run_suites(cfg)[1], name).passed for name in names)
+        # the second-half algebra: its odd monomials anticommute with the first half
+        monkeypatch.setattr(loopfock.rep, "first_half_commutant",
+                            lambda model, tol: loopfock.rep.half_algebra(model, "second", tol))
+        records = run_suites(cfg)[1]
+        assert not any(record_named(records, name).passed for name in names)
+
+    @pytest.mark.parametrize("wrong", ["first half", "twisted second half"])
+    def test_twisted_duality_fails_on_a_wrong_second_half(self, wrong):
+        env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
+        ctx = env.ctx
+        assert record_named(tomita_checks(env), "twisted duality").passed
+        if wrong == "first half":
+            ctx.algebra_perp = loopfock.rep.half_algebra(ctx.model, "first", ctx.tol)
+        else:
+            ctx.algebra_perp = loopfock.rep.first_half_commutant(ctx.model, ctx.tol)
+        assert not record_named(tomita_checks(env), "twisted duality").passed
+        # each half of the record fails on its own: B inside A_perp, and A
+        # as the super commutant of B
+        res = loopfock.rep.check_twisted_duality(ctx)
+        assert res["graded commutator A_perp with A"] > 0.1
+        assert res["super commutant of A equals A_perp"] == 1.0
+        assert res["span residual A"] > 0.1
+        assert res["super commutant of A_perp equals A"] == 1.0
 
     def test_action_kernels_record_fails_on_a_planted_reflection(self, monkeypatch):
         env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
