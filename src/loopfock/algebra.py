@@ -5,9 +5,11 @@ super commutants have a generic kernel-solver route plus an exact averaging
 fast path available whenever the algebra comes with involution-type unitary
 generators, which is the case for all Clifford half-circle algebras.  The
 representation context reads the half-circle commutants in closed form
-(rep.first_half_commutant); super_commutant solves the one a twisted-duality
-check compares against, and the tests compare both routes with the closed
-forms.
+(rep.first_half_commutant), and the tests compare both routes with the
+closed forms.  The twisted-duality check solves for no commutant: it
+applies the fast path's projections to two Gaussian probes
+(super_commutant_probes), since a generic element of the super commutant of
+the second half lies in the first-half algebra only if the two are equal.
 
 An automorphism is carried as conjugation by a unitary W that normalizes
 the algebra, together with the images W g W^* of the generators (of the
@@ -27,11 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConeViolation, NotCyclicSeparating, NotGraded,
+from .errors import (ConeViolation, NotAveragingReady, NotCyclicSeparating, NotGraded,
                      NotInNormalizer, NotInner)
-from .linalg import (CHECK_ROWS, DEFAULT_TOL, AntilinearOperator, _project_intertwiners,
-                     antilinear_polar, averaged_intertwiners, joint_kernel, maxabs,
-                     orthonormal_rows, polar_unitary, singular_rows, span_residual)
+from .linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners, antilinear_polar,
+                     averaged_intertwiners, joint_kernel, maxabs, orthonormal_rows,
+                     polar_unitary, row_chunks, singular_rows, span_residual)
 
 
 @dataclass
@@ -95,8 +97,7 @@ def _checked_algebra(basis, generators=None, tol=DEFAULT_TOL):
     if span_residual(np.eye(N, dtype=complex)[None], basis) > tol.eq_tol:
         raise ValueError("span does not contain the identity")
     # CHECK_ROWS adjoints at a time, so the check holds no second basis-sized stack
-    adjoints = (np.conj(np.transpose(basis[i:i + CHECK_ROWS], (0, 2, 1)))
-                for i in range(0, basis.shape[0], CHECK_ROWS))
+    adjoints = (np.conj(np.transpose(rows, (0, 2, 1))) for rows in row_chunks(basis))
     if max((span_residual(adj, basis) for adj in adjoints), default=0.0) > tol.eq_tol:
         raise ValueError("span is not closed under adjoints")
     gens = None if generators is None else np.asarray(generators, dtype=complex)
@@ -218,6 +219,37 @@ def grading_parts(alg, grading, tol=DEFAULT_TOL):
     return parts
 
 
+def _dressed_generators(alg, grading, tol=DEFAULT_TOL):
+    """The generators u @ grading, or None unless every generator u is odd
+    and the dressed ones qualify for the averaging projections.
+
+    An element graded-commutes with an odd u exactly when it commutes with
+    u @ grading, so the super commutant is the plain commutant of the
+    dressed generators."""
+    gens = alg.generators
+    if gens is None or not all(maxabs(grading @ u @ grading + u) <= tol.eq_tol for u in gens):
+        return None
+    dressed = [u @ grading for u in gens]
+    return dressed if _averaging_ready(dressed, tol) else None
+
+
+def super_commutant_probes(alg, grading, count, tol=DEFAULT_TOL):
+    """count Gaussian probes from a fixed seed, projected onto the super
+    commutant, each scaled to largest entry one.
+
+    The projections are those of super_commutant's fast path; without
+    generators that qualify for them, NotAveragingReady is raised."""
+    dressed = _dressed_generators(alg, grading, tol)
+    if dressed is None:
+        raise NotAveragingReady("the algebra needs odd generators whose dressings "
+                                "qualify for the averaging projections")
+    N = alg.space_dim
+    rng = np.random.default_rng(2)
+    Z = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+    Z = _project_intertwiners(Z, dressed, dressed)
+    return Z / np.max(np.abs(Z), axis=(1, 2))[:, None, None]
+
+
 def super_commutant(alg, grading, tol=DEFAULT_TOL):
     """Graded commutant: commutes with even elements, odd parts anticommute
     with odd elements.
@@ -226,14 +258,11 @@ def super_commutant(alg, grading, tol=DEFAULT_TOL):
     u @ grading, turning the graded condition into a plain commutant solve.
     """
     N = alg.space_dim
-    gens = alg.generators
-    if gens is not None:
-        odd_ok = all(maxabs(grading @ u @ grading + u) <= tol.eq_tol for u in gens)
-        dressed = [u @ grading for u in gens]
-        if odd_ok and _averaging_ready(dressed, tol):
-            basis = _averaged_commutant_basis(dressed, tol, np.random.default_rng(2),
-                                              expected=N * N // alg.dim)
-            return _checked_algebra(basis, tol=tol)
+    dressed = _dressed_generators(alg, grading, tol)
+    if dressed is not None:
+        basis = _averaged_commutant_basis(dressed, tol, np.random.default_rng(2),
+                                          expected=N * N // alg.dim)
+        return _checked_algebra(basis, tol=tol)
     parts = grading_parts(alg, grading, tol)
     basis = _kernel_commutant_basis([(a, odd) for a, odd in parts], N, tol, grading_twist=grading)
     return _checked_algebra(basis, tol=tol)

@@ -41,6 +41,10 @@ class NotGraded(LoopfockError):
     pass
 
 
+class NotAveragingReady(LoopfockError):
+    pass
+
+
 class NotCyclicSeparating(LoopfockError):
     pass
 

@@ -78,6 +78,12 @@ def joint_kernel(constraints, dim, tol=DEFAULT_TOL):
 CHECK_ROWS = 16
 
 
+def row_chunks(stack):
+    """Views of CHECK_ROWS consecutive rows of a stack: checks that take
+    them one at a time keep their temporaries small next to the stack."""
+    return [stack[i:i + CHECK_ROWS] for i in range(0, stack.shape[0], CHECK_ROWS)]
+
+
 def averaged_intertwiners(lefts, rights, num_probes, rng, tol=DEFAULT_TOL):
     """Orthonormal stack spanning {X : L_k X = X R_k for all k}.
 
@@ -115,8 +121,8 @@ def averaged_intertwiners(lefts, rights, num_probes, rng, tol=DEFAULT_TOL):
     basis = vh[:dim].reshape(dim, n, n)
     # stacked products over a few rows at a time keep the transients small
     # next to the basis
-    chunks = [basis[i:i + CHECK_ROWS] for i in range(0, dim, CHECK_ROWS)]
-    worst = max((maxabs(L @ X - X @ R) for X in chunks for L, R in zip(lefts, rights)), default=0.0)
+    worst = max((maxabs(L @ X - X @ R) for X in row_chunks(basis) for L, R in zip(lefts, rights)),
+                default=0.0)
     if worst > tol.eq_tol:
         raise ArithmeticError(f"averaged intertwiner violates constraints by {worst:.2e}")
     return basis
@@ -224,19 +230,30 @@ def orthonormal_rows(stack, tol=DEFAULT_TOL):
 
 def span_residual(stack, ortho):
     """Sup-norm residual of stack elements against an orthonormal row span,
-    relative to the largest entry of the stack when that exceeds one."""
+    relative to the largest entry of the stack when that exceeds one.
+
+    The stack is worked through CHECK_ROWS rows at a time, so the
+    temporaries stay at about one chunk whatever the stack's length."""
     stack = np.atleast_2d(np.asarray(stack, dtype=complex))
     if stack.shape[0] == 0:
         return 0.0
     flat = stack.reshape(stack.shape[0], -1)
-    if ortho.shape[0] == 0:
-        res = maxabs(flat)
-    else:
-        B = np.asarray(ortho, dtype=complex).reshape(ortho.shape[0], -1)
-        # conj(conj(flat) B^T) is flat B^*, without a conjugated copy of the span
-        rec = np.conj(np.conj(flat) @ B.T) @ B
-        res = maxabs(flat - rec)
-    return res / max(1.0, maxabs(flat))
+    B = np.asarray(ortho, dtype=complex).reshape(ortho.shape[0], flat.shape[1])
+    chunks = row_chunks(flat)
+    res = max(_off_span(chunk, B) for chunk in chunks)
+    return res / max(1.0, max(maxabs(chunk) for chunk in chunks))
+
+
+def _off_span(chunk, B):
+    """Largest modulus of the rows of chunk minus their projections onto the
+    orthonormal rows of B."""
+    if B.shape[0] == 0:
+        return maxabs(chunk)
+    # conj(conj(chunk) B^T) is chunk B^*, without a conjugated copy of the span
+    rec = np.conj(np.conj(chunk) @ B.T) @ B
+    np.subtract(chunk, rec, out=rec)
+    # the moduli overwrite rec in place rather than fill a second array
+    return float(np.abs(rec, out=rec).real.max())
 
 
 def subspace_equal(B1, B2, tol=DEFAULT_TOL):

@@ -18,7 +18,8 @@ from . import loops as lp
 from . import rep
 from . import twogroup as tg
 from .errors import ConfigError
-from .linalg import TolerancePolicy, averaged_intertwiners, maxabs, scalar_defect, span_residual
+from .linalg import (TolerancePolicy, averaged_intertwiners, maxabs, row_chunks, scalar_defect,
+                     span_residual)
 from .report import CheckRecord, emit_report, summarize
 
 EXPLORATORY = float("inf")
@@ -225,19 +226,21 @@ def tomita_checks(env):
     )
     record("modular identities", "polar pieces of the star map", res, 1e-9, 1)
 
-    JAJ = np.stack([sfd.conjugation.conjugate_matrix(a) for a in A.basis])
-    # J is antiunitary and A.basis orthonormal, so JAJ is an orthonormal stack
-    res = max(span_residual(JAJ, ctx.algebra_comm.basis), span_residual(ctx.algebra_comm.basis, JAJ))
+    comm = ctx.algebra_comm
+    # J is antiunitary and A.basis orthonormal, so J A J has orthonormal rows,
+    # and inside the commutant with its dimension it is all of it
+    inside = max(span_residual(sfd.conjugation.conjugate_matrix(a), comm.basis)
+                 for a in row_chunks(A.basis))
+    res = max(inside, 0.0 if A.dim == comm.dim else 1.0)
     record("conjugation onto commutant", "J maps the algebra onto its commutant", res, 1e-9, 1)
 
     res = rep.check_twisted_duality(ctx)
     record("twisted duality", "half algebras are mutual super commutants",
            max(res.values()), cfg.gate, 1)
 
-    comm = ctx.algebra_comm
     # commuting with the generators is commuting with the algebra they generate
     gens = A.constraint_generators()
-    pairwise = max(maxabs(g @ comm.basis - comm.basis @ g) for g in gens)
+    pairwise = max(maxabs(g @ c - c @ g) for c in row_chunks(comm.basis) for g in gens)
     dim_defect = 0.0 if A.dim * comm.dim == N * N else 1.0
     record("double commutant", "commutant dimensions multiply to the full algebra",
            max(pairwise, dim_defect), cfg.gate, 1)

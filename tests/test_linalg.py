@@ -252,6 +252,38 @@ class TestSubspaces:
         assert span_residual(stack, basis) < 1e-12
 
 
+def whole_stack_residual(stack, ortho):
+    """span_residual's formula on the whole stack at once, as it was before
+    the stack was worked through in chunks."""
+    flat = stack.reshape(stack.shape[0], -1)
+    B = ortho.reshape(ortho.shape[0], -1)
+    rec = (flat @ B.conj().T) @ B
+    return maxabs(flat - rec) / max(1.0, maxabs(flat))
+
+
+class TestSpanResidual:
+    # 40 rows: two full chunks of CHECK_ROWS and a short one
+    @pytest.mark.parametrize("largest", [0.3, 7.0])
+    def test_matches_the_whole_stack_formula(self, largest):
+        local = np.random.default_rng(5)
+        ortho = orthonormal_rows(local.standard_normal((10, 8, 8)) + 1j * local.standard_normal((10, 8, 8)))
+        off = local.standard_normal((40, 8, 8)) + 1j * local.standard_normal((40, 8, 8))
+        inside = np.tensordot(local.standard_normal((40, 10)), ortho, axes=(1, 0))
+        for stack in (off, inside):
+            stack = stack * (largest / maxabs(stack))
+            assert span_residual(stack, ortho) == pytest.approx(whole_stack_residual(stack, ortho),
+                                                                rel=1e-12, abs=1e-15)
+        # the largest entry sits in the last chunk, so the denominator is the
+        # whole stack's and not the chunk's
+        stack = np.concatenate([0.01 * off[:39], off[39:]]) * (largest / maxabs(off[39:]))
+        assert span_residual(stack, ortho) == pytest.approx(whole_stack_residual(stack, ortho), rel=1e-12)
+
+    def test_empty_span_and_empty_stack(self):
+        stack = np.full((20, 2, 2), 3.0 + 0j)
+        assert span_residual(stack, np.zeros((0, 2, 2))) == 1.0
+        assert span_residual(np.zeros((0, 2, 2)), stack) == 0.0
+
+
 class TestDump:
     def test_format(self):
         buf = io.StringIO()

@@ -6,16 +6,17 @@ import pytest
 
 import loopfock.rep
 from loopfock.algebra import (OperatorAlgebra, _checked_algebra, algebra_from_span, commutant,
-                              conjugation_action, generated_star_algebra, super_commutant)
+                              conjugation_action, generated_star_algebra, super_commutant,
+                              super_commutant_probes)
 from loopfock.bogoliubov import implementation_residual
 from loopfock.clifford import (build_clifford_model, clifford_monomials, generator_indices,
                                half_space, monomial_closure_residual)
-from loopfock.errors import EndpointMismatch, NotInA
-from loopfock.linalg import TolerancePolicy, maxabs, span_residual
+from loopfock.errors import EndpointMismatch, NotAveragingReady, NotInA
+from loopfock.linalg import CHECK_ROWS, TolerancePolicy, maxabs, span_residual
 from loopfock.loops import (concat_paths, double_path, lift, loop_identity,
                             omega_matrix)
 from loopfock.report import RunConfig
-from loopfock.rep import (build_context, check_alpha_compatibility,
+from loopfock.rep import (TWISTED_PROBES, build_context, check_alpha_compatibility,
                           check_f_scalar, check_fusion_factorization,
                           check_membership_evenness, check_pi_levels,
                           check_t_compatibility, check_twisted_duality,
@@ -41,6 +42,11 @@ def ctx12():
 @pytest.fixture(scope="module")
 def ctx22():
     return build_context(build_clifford_model(2, 2))
+
+
+@pytest.fixture(scope="module")
+def ctx23():
+    return build_context(build_clifford_model(2, 3))
 
 
 HALF_CONFIGS = [(1, 2), (2, 2), (2, 3), (3, 2)]
@@ -111,6 +117,13 @@ class TestClosedForms:
         assert same_span(first_half_commutant(model), commutant(bare))
         assert same_span(half_algebra(model, "second"), super_commutant(bare, model.grading))
 
+    def test_probes_lie_in_the_averaged_super_commutant(self, half_model):
+        A, B = half_algebra(half_model, "first"), half_algebra(half_model, "second")
+        reference = super_commutant(B, half_model.grading)
+        probes = super_commutant_probes(B, half_model.grading, TWISTED_PROBES)
+        assert span_residual(probes, reference.basis) <= 1e-12
+        assert same_span(A, reference)
+
     def test_flip_closure_has_the_generated_dimension(self, half_model):
         points = half_space(half_model, "first")
         mono = clifford_monomials(half_model, points)
@@ -144,7 +157,7 @@ class TestContext:
 
         expected = rep_suite()
         monkeypatch.setattr(loopfock.rep, "first_half_commutant", refuse)
-        monkeypatch.setattr(loopfock.rep, "super_commutant", refuse)
+        monkeypatch.setattr(loopfock.algebra, "super_commutant", refuse)
         monkeypatch.setattr(loopfock.rep, "half_algebra", first_half_only)
         ctx = build_context(build_clifford_model(1, 2))
         # the same records, the structural red "unit comparison scalar" included
@@ -174,6 +187,82 @@ class TestContext:
                 W = J.conjugate_matrix(model.generators[j * d + a])
                 target = 1j * G @ model.generators[((2 * n - 1 - j) % (2 * n)) * d + a]
                 assert maxabs(W - target) < 1e-9
+
+
+def second_half_generators(model):
+    return model.generators[generator_indices(model, half_space(model, "second"))]
+
+
+class TestTwistedDuality:
+    @pytest.mark.parametrize("context", ["ctx22", "ctx23"])
+    def test_probes_fail_alone_on_a_short_second_half(self, request, context):
+        ctx = dataclasses.replace(request.getfixturevalue(context))
+        # all but two second-half generators: B graded-commutes with A but
+        # is too small, so its super commutant is larger than A
+        ctx.algebra_perp = generated_star_algebra(second_half_generators(ctx.model)[:-2])
+        res = check_twisted_duality(ctx)
+        assert res["graded commutator A_perp with A"] <= 1e-12
+        assert res["span residual A"] > 0.1
+        assert res["super commutant of A equals A_perp"] == 1.0
+        assert res["super commutant of A_perp equals A"] == 1.0
+
+    @pytest.mark.parametrize("generators", ["none", "even", "not averaging"])
+    def test_second_half_without_usable_generators_is_refused(self, ctx22, generators):
+        B = ctx22.algebra_perp
+        gens = second_half_generators(ctx22.model)
+        if generators == "none":
+            planted = OperatorAlgebra(B.basis)
+        elif generators == "even":
+            planted = OperatorAlgebra(B.basis, gens[:-1] @ gens[1:])
+        else:
+            # odd unitary involutions that neither commute nor anticommute
+            planted = OperatorAlgebra(B.basis, np.stack([gens[0], (gens[0] + gens[1]) / np.sqrt(2)]))
+        ctx = dataclasses.replace(ctx22)
+        ctx.algebra_perp = planted
+        with pytest.raises(NotAveragingReady):
+            check_twisted_duality(ctx)
+
+    def test_a_tomita_run_solves_no_super_commutant(self, monkeypatch):
+        cfg = RunConfig(n=2, d=2, suites=("tomita",))
+        expected = [(r.name, r.residual, r.passed) for r in run_suites(cfg)[1]]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("super_commutant was called")
+
+        monkeypatch.setattr(loopfock.algebra, "super_commutant", refuse)
+        code, records = run_suites(cfg)
+        assert code == 0 and [(r.name, r.residual, r.passed) for r in records] == expected
+
+
+class TestTomitaMemory:
+    def test_twisted_duality_peak_at_fock_64(self, ctx23):
+        ctx23.algebra_perp  # built outside the traced call
+        tracemalloc.start()
+        try:
+            res = check_twisted_duality(ctx23)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(res.values()) <= 1e-9, res
+        # 19.2 MiB while the super commutant of B was solved
+        assert peak <= 4 * 2 ** 20
+
+    def test_span_residual_holds_one_chunk(self):
+        model = build_clifford_model(2, 3)
+        A, B = half_algebra(model, "first"), half_algebra(model, "second")
+        tracemalloc.start()
+        try:
+            res = span_residual(A.basis, B.basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # only the identity is shared: the rest of each unit-norm element
+        # leaves the span
+        assert res > 0.1
+        # CHECK_ROWS rows, plus the coefficient block and the casting buffer
+        # of the in-place modulus; the whole 64-row stack at once peaked at
+        # 160 rows
+        assert peak <= (CHECK_ROWS + 2) * A.basis[0].nbytes
 
 
 class TestFiberAndBase:

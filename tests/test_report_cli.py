@@ -252,7 +252,13 @@ class TestGatedRecords:
         if wrong == "first half":
             ctx.algebra_perp = loopfock.rep.half_algebra(ctx.model, "first", ctx.tol)
         else:
-            ctx.algebra_perp = loopfock.rep.first_half_commutant(ctx.model, ctx.tol)
+            # Gamma g for the second-half generators g: odd, and dressed with
+            # Gamma they are -g, so the probes land in the commutant of B
+            model = ctx.model
+            points = loopfock.clifford.half_space(model, "second")
+            twisted = model.grading @ model.generators[loopfock.clifford.generator_indices(model, points)]
+            ctx.algebra_perp = dataclasses.replace(
+                loopfock.rep.first_half_commutant(model, ctx.tol), generators=twisted)
         assert not record_named(tomita_checks(env), "twisted duality").passed
         # each half of the record fails on its own: B inside A_perp, and A
         # as the super commutant of B
