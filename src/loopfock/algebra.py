@@ -338,7 +338,7 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
     if not status:
         raise NotCyclicSeparating(f"cyclic={status.cyclic} separating={status.separating}")
     frame = (alg.basis @ omega).T             # columns a_i omega
-    star_frame = (np.conj(np.transpose(alg.basis, (0, 2, 1))) @ omega).T
+    star_frame = np.conj(np.conj(omega) @ alg.basis).T   # columns a_i^* omega
     Ms = np.linalg.solve(np.conj(frame).T, star_frame.T).T   # Ms conj(frame) = star_frame
     S = AntilinearOperator(Ms)
     J, delta = antilinear_polar(S, tol)
@@ -351,8 +351,9 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
     if worst > tol.eq_tol:
         raise NotCyclicSeparating(f"modular data failed vacuum identities: {checks}")
     # cone pairing tensor T[i, j] = vector a_i J a_j J omega, one BLAS product
-    # whose C-contiguous result cone_defects contracts without a copy
-    jbj_omega = np.stack([J.conjugate_matrix(b) @ omega for b in alg.basis])
+    # whose C-contiguous result cone_defects contracts without a copy; since
+    # J omega = omega, the vectors J a_j J omega are J (a_j omega)
+    jbj_omega = J(frame).T
     cone_tensor = np.matmul(jbj_omega, np.transpose(alg.basis, (0, 2, 1)))
     cone_frame = np.stack([cone_tensor[i, i] for i in range(alg.dim)])
     return StandardFormData(np.asarray(omega, dtype=complex), S, J, delta, cone_frame, cone_tensor)
@@ -364,7 +365,7 @@ class InnerAutomorphism:
 
     W need not lie in the algebra.  images holds W g W^* for the generators
     (the basis when there are none); they fix the automorphism, so distance
-    and is_identity compare them, and the phase of W is irrelevant.
+    compares them, and the phase of W is irrelevant.
     Composition and inversion act on W.  A representative unitary inside
     the algebra is attached lazily when some construction needs one.
     """
@@ -376,9 +377,6 @@ class InnerAutomorphism:
 
     def distance(self, other):
         return maxabs(self.images - other.images)
-
-    def is_identity(self, tol=DEFAULT_TOL):
-        return maxabs(self.images - self.algebra.constraint_generators()) <= tol.eq_tol
 
     def apply(self, X):
         W = self.implementer
@@ -450,21 +448,13 @@ def inner_unitary(theta, tol=DEFAULT_TOL):
     return u
 
 
-def normalizer_membership(U, alg, tol=DEFAULT_TOL):
-    """True iff conjugation by U maps the algebra span into itself.
-
-    Decided on the generators (the basis when there are none): the algebra
-    is star-closed, so a conjugation that keeps its generators inside it
-    keeps the algebra they generate.
-    """
-    return span_residual(U @ alg.constraint_generators() @ U.conj().T, alg.basis) <= tol.eq_tol
-
-
 def conjugation_action(U, alg, tol=DEFAULT_TOL):
     """The automorphism a -> U a U^* of the algebra (t-side structure map).
 
-    U must normalize the algebra, decided as in normalizer_membership on the
-    generator images the automorphism keeps.  U is attached as the
+    U must normalize the algebra.  That is decided on the generator images
+    the automorphism keeps (the basis when there are no generators): the
+    algebra is star-closed, so a conjugation that keeps its generators
+    inside it keeps the algebra they generate.  U is attached as the
     representative when it lies in the span.
     """
     images = U @ alg.constraint_generators() @ U.conj().T

@@ -1,11 +1,14 @@
 """Discrete spin loops and paths, their orthogonal action, and lifted loops.
 
 Spin(d) lives inside a fixed gamma-matrix representation; loops are arrays
-of 2n spin elements (one per lattice vertex), based paths have n+1 entries
-starting at the identity.  Pointwise conjugation on vectors gives the
-orthogonal action on H; the pointwise spin representation, phase-fixed by
-the vacuum overlap, lifts loops to pairs (loop, unitary) forming the
-extension group.
+(2n, r, r) of spin elements (one per lattice vertex), based paths arrays
+(n+1, r, r) starting at the identity.  The per-vertex maps take the array
+whole: spin_exp and covering act on stacks, the block-diagonal embedding
+places every vertex block at once, and SpinGroup draws k values in one
+(k, d, d) normal draw, the same numbers as k single draws.  Pointwise
+conjugation on vectors gives the orthogonal action on H; the pointwise spin
+representation, phase-fixed by the vacuum overlap, lifts loops to pairs
+(loop, unitary) forming the extension group.
 """
 
 import reprlib
@@ -40,36 +43,34 @@ def gamma_matrices(d):
 
 
 def spin_exp(B, gammas):
-    """Exponential of the bivector with coefficient matrix B (antisymmetric d x d).
+    """Exponentials of bivectors: B is an antisymmetric d x d coefficient
+    matrix or a stack (..., d, d) of them.
 
-    Normalized so that the covering map sends the result to expm(B).
+    Normalized so that the covering map sends each result to expm(B).
     """
-    d = B.shape[0]
-    K = np.zeros_like(gammas[0])
-    for a in range(d):
-        for b in range(d):
-            if B[a, b] != 0.0:
-                K += 0.25 * B[a, b] * (gammas[a] @ gammas[b])
+    # einsum adds the planes one by one in (a, b) order, so each value is
+    # bitwise that of a sum over one bivector; a BLAS contraction may reorder
+    K = 0.25 * np.einsum("...ab,abij->...ij", B, gammas[:, None] @ gammas[None])
     w, V = np.linalg.eigh(1j * K)
-    return (V * np.exp(-1j * w)) @ V.conj().T
+    return (V * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
 
 
 def covering(x, gammas):
-    """The rotation lambda(x) with x gamma_a x^* = sum_b lambda_{ba} gamma_b."""
-    gdim = gammas.shape[1]
-    conj = x @ gammas @ np.asarray(x).conj().T
-    lam = np.real(np.einsum("bij,aji->ba", gammas, conj)) / gdim
-    return lam
+    """The rotation lambda(x) with x gamma_a x^* = sum_b lambda_{ba} gamma_b,
+    for one spin element or a stack (..., r, r) of them."""
+    x = np.asarray(x)[..., None, :, :]
+    conj = x @ gammas @ np.conj(np.swapaxes(x, -1, -2))
+    return np.real(np.einsum("bij,...aji->...ba", gammas, conj)) / gammas.shape[1]
 
 
 # spread of the sampled so(d) coefficients, for spin elements and loop algebra values
 SAMPLE_SCALE = 0.7
 
 
-def spin_sample(gammas, rng):
-    d = gammas.shape[0]
-    B = rng.standard_normal((d, d)) * SAMPLE_SCALE
-    return spin_exp(B - B.T, gammas)
+def random_bivectors(rng, k, d):
+    """k antisymmetric d x d matrices from one (k, d, d) normal draw."""
+    B = rng.standard_normal((k, d, d)) * SAMPLE_SCALE
+    return B - np.swapaxes(B, -1, -2)
 
 
 class SpinGroup(UnitaryGroup):
@@ -82,8 +83,12 @@ class SpinGroup(UnitaryGroup):
         self.gammas = gammas
         self.even_gammas = even_monomials(gammas)
 
+    def samples(self, rng, k):
+        """k values (k, r, r) from one (k, d, d) normal draw, equal to k calls of sample."""
+        return spin_exp(random_bivectors(rng, k, self.d), self.gammas)
+
     def sample(self, rng):
-        return spin_sample(self.gammas, rng)
+        return self.samples(rng, 1)[0]
 
     def covering(self, x):
         return covering(x, self.gammas)
@@ -100,11 +105,19 @@ class PathGroup(UnitaryGroup):
         return np.stack([self.spin.identity()] * (self.n + 1))
 
     def sample(self, rng, end_identity=False):
-        vals = [self.spin.identity()]
-        for _ in range(self.n - 1):
-            vals.append(self.spin.sample(rng))
-        vals.append(self.spin.identity() if end_identity else self.spin.sample(rng))
-        return np.stack(vals)
+        return self.sample_common_end(rng, 1, end_identity)[0]
+
+    def sample_common_end(self, rng, count, end_identity=False):
+        """count paths (count, n+1, r, r) ending where the first one ends.
+
+        They are drawn one after another as by sample, from one draw; the
+        drawn endpoints of all but the first are then replaced by its own.
+        """
+        drawn = self.n - 1 if end_identity else self.n
+        paths = np.stack([self.identity()] * count)
+        paths[:, 1:drawn + 1] = self.spin.samples(rng, count * drawn).reshape(count, drawn, self.dim, self.dim)
+        paths[1:, -1] = paths[0, -1]
+        return paths
 
 
 def loop_identity(n, spin):
@@ -114,8 +127,7 @@ def loop_identity(n, spin):
 def half_supported_loop(n, spin, rng):
     """Loop with sampled values at vertices 1..n-1 and the identity elsewhere."""
     loop = loop_identity(n, spin)
-    for j in range(1, n):
-        loop[j] = spin.sample(rng)
+    loop[1:n] = spin.samples(rng, n - 1)
     return loop
 
 
@@ -163,13 +175,17 @@ def edge_double_path(p):
     return np.stack(vals)
 
 
+def vertex_blocks(model, blocks):
+    """The dim_h x dim_h matrix with the d x d block blocks[j] at vertex j."""
+    n2, d = 2 * model.n, model.d
+    out = np.zeros((n2, d, n2, d))
+    np.einsum("jajb->jab", out)[...] = blocks
+    return out.reshape(model.dim_h, model.dim_h)
+
+
 def omega_matrix(model, spin, loop):
     """Block-diagonal orthogonal action: block lambda(loop_j) at vertex j."""
-    D, d = model.dim_h, model.d
-    out = np.zeros((D, D))
-    for j in range(2 * model.n):
-        out[j * d:(j + 1) * d, j * d:(j + 1) * d] = spin.covering(loop[j])
-    return out
+    return vertex_blocks(model, spin.covering(loop))
 
 
 @dataclass(frozen=True)
@@ -307,8 +323,7 @@ def disjoint_support_pair(model, spin, rng):
     n = model.n
     first = half_supported_loop(n, spin, rng)
     second = loop_identity(n, spin)
-    for j in range(n + 1, 2 * n):
-        second[j] = spin.sample(rng)
+    second[n + 1:] = spin.samples(rng, n - 1)
     return first, second
 
 
@@ -357,11 +372,7 @@ def reversed_loop(loop, shift=0):
 
 def skew_from_loop_algebra(model, xi):
     """Block-diagonal antisymmetric generator from per-vertex so(d) values."""
-    D, d = model.dim_h, model.d
-    X = np.zeros((D, D))
-    for j in range(2 * model.n):
-        X[j * d:(j + 1) * d, j * d:(j + 1) * d] = xi[j]
-    return X
+    return vertex_blocks(model, xi)
 
 
 def discrete_loop_cocycle(xi, eta):
@@ -404,12 +415,8 @@ def loop_cocycle_compare(model, xi, eta, tol=DEFAULT_TOL):
 
 
 def random_loop_algebra(model, rng):
-    d = model.d
-    out = []
-    for _ in range(2 * model.n):
-        B = rng.standard_normal((d, d)) * SAMPLE_SCALE
-        out.append(B - B.T)
-    return out
+    """Loop algebra values (2n, d, d), one so(d) element per vertex."""
+    return random_bivectors(rng, 2 * model.n, model.d)
 
 
 # abbreviates the malformed input quoted in bivector error messages
@@ -417,8 +424,9 @@ _SHORT = reprlib.Repr()
 _SHORT.maxlevel, _SHORT.maxlist, _SHORT.maxdict, _SHORT.maxstring, _SHORT.maxother = 2, 4, 2, 24, 24
 
 
-def bivector_from_coordinates(coords, d):
-    """Antisymmetric d x d matrix from coordinates ordered (0,1), (0,2), ...
+def bivector_coordinates(coords, d):
+    """The d*(d-1)/2 coordinates of one bivector, planes ordered (0,1),
+    (0,2), ..., as floats.
 
     Malformed coordinates raise ValueError; its message quotes them in a
     bounded abbreviation, however large or deeply nested they are.
@@ -432,30 +440,28 @@ def bivector_from_coordinates(coords, d):
                              f"entry {i} is {type(c).__name__} {_SHORT.repr(c)}")
     if len(coords) != d * (d - 1) // 2:
         raise ValueError(f"expected {d * (d - 1) // 2} bivector coordinates, got {len(coords)}")
-    if not np.all(np.isfinite(np.asarray(coords, dtype=float))):
+    values = np.asarray(coords, dtype=float)
+    if not np.all(np.isfinite(values)):
         raise ValueError(f"bivector coordinates {_SHORT.repr(coords)} are not finite")
-    B = np.zeros((d, d))
-    k = 0
-    for a in range(d):
-        for b in range(a + 1, d):
-            B[a, b] = coords[k]
-            B[b, a] = -coords[k]
-            k += 1
-    return B
+    return values
 
 
 def loop_from_bivectors(spin, coords_per_point):
     """Loop literal: one coordinate list per lattice vertex, exponentiated.
 
     Each entry holds the d*(d-1)/2 bivector coordinates in lexicographic
-    plane order; the loop value at that vertex is the spin exponential.
+    plane order; the loop values are the spin exponentials of the
+    antisymmetric matrices they fill.
     """
-    d = spin.d
     values = []
     for j, c in enumerate(coords_per_point):
         try:
-            B = bivector_from_coordinates(c, d)
+            values.append(bivector_coordinates(c, spin.d))
         except ValueError as exc:
             raise ValueError(f"vertex {j}: {exc}") from None
-        values.append(spin_exp(B, spin.gammas))
-    return np.stack(values)
+    values = np.array(values)
+    B = np.zeros((len(values), spin.d, spin.d))
+    rows, cols = np.triu_indices(spin.d, 1)
+    B[:, rows, cols] = values
+    B[:, cols, rows] = -values
+    return spin_exp(B, spin.gammas)

@@ -238,11 +238,7 @@ def check_well_definedness(ctx, sample_count, rng):
     base = ctx.string_cm.base
     worst = 0.0
     for _ in range(sample_count):
-        p = base.sample(rng)
-        q = base.sample(rng)
-        q2 = base.sample(rng)
-        q[-1] = p[-1]
-        q2[-1] = p[-1]
+        p, q, q2 = base.sample_common_end(rng, 3)
         U1 = lift(ctx.model, ctx.spin, concat_paths(p, q, ctx.tol), ctx.tol).unitary
         U2 = lift(ctx.model, ctx.spin, concat_paths(p, q2, ctx.tol), ctx.tol).unitary
         a1 = conjugation_action(U1, ctx.algebra, ctx.tol)
@@ -336,18 +332,9 @@ class PairLiftGroup(ComputableGroup):
     def dist(self, a, b):
         return max(maxabs(a[0] - b[0]), maxabs(a[1] - b[1]), maxabs(a[2] - b[2]))
 
-    def sample(self, rng):
-        p = self.paths.sample(rng)
-        q = self.paths.sample(rng)
-        q[-1] = p[-1]
-        U = lift(self.ctx.model, self.ctx.spin, concat_paths(p, q, self.ctx.tol), self.ctx.tol).unitary
-        z = np.exp(2j * np.pi * rng.random())
-        return (p, q, z * U)
-
-    def sample_interior(self, rng):
-        """Pairs whose loops vanish at both reflection-fixed vertices."""
-        p = self.paths.sample(rng, end_identity=True)
-        q = self.paths.sample(rng, end_identity=True)
+    def sample(self, rng, interior=False):
+        """interior: pairs whose loops vanish at both reflection-fixed vertices."""
+        p, q = self.paths.sample_common_end(rng, 2, end_identity=interior)
         U = lift(self.ctx.model, self.ctx.spin, concat_paths(p, q, self.ctx.tol), self.ctx.tol).unitary
         z = np.exp(2j * np.pi * rng.random())
         return (p, q, z * U)
@@ -460,7 +447,7 @@ def check_two_group_compatibility(ctx, sample_count, rng):
         t_rep = conjugation_action(U, ctx.algebra, ctx.tol)
         res["target"] = max(res["target"], t_rep.distance(path_automorphism(ctx, p)))
 
-        pi_, qi_, Ui = pairs.sample_interior(rng)
+        pi_, qi_, Ui = pairs.sample(rng, interior=True)
         s_rep = reflected_action(Ui, ctx.algebra, ctx.sfd, ctx.tol)
         res["source (interior class)"] = max(res["source (interior class)"],
                                              s_rep.distance(path_automorphism(ctx, qi_)))
@@ -494,7 +481,7 @@ def modular_vs_reflection(ctx, sample_count, rng):
     fixed_cols = [0 * d + a for a in range(d)] + [model.n * d + a for a in range(d)]
     moved_cols = [c for c in range(model.dim_h) if c not in fixed_cols]
     for _ in range(sample_count):
-        loop = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
+        loop = spin.samples(rng, 2 * model.n)
         g = omega_matrix(model, spin, loop)
         U = lift(model, spin, loop, ctx.tol).unitary
         W = ctx.sfd.reflect(U)
@@ -523,11 +510,9 @@ def check_pi_levels(ctx, sample_count, rng):
         central = fiber.central(z)
         res["central identity"] = max(res["central identity"],
                                       maxabs(loop_unitary(ctx, central) - z * np.eye(N)))
-        p = base.sample(rng)
+        p, q = base.sample_common_end(rng, 2)
         res["centrality"] = max(res["centrality"], fiber.dist(ctx.string_cm.act(p, central), central))
 
-        q = base.sample(rng)
-        q[-1] = p[-1]
         h = base.mul(base.inv(p), q)      # based, endpoint identity
         u = lift(ctx.model, ctx.spin, concat_paths(h, base.identity(), ctx.tol), ctx.tol).unitary
         member = ctx.algebra.membership_residual(u)

@@ -388,8 +388,8 @@ def string_checks(env):
     paths = lp.PathGroup(model.n, spin)
     res = 0.0
     for _ in range(50):
-        a = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
-        b = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
+        a = spin.samples(rng, 2 * model.n)
+        b = spin.samples(rng, 2 * model.n)
         res = max(res, maxabs(lp.omega_matrix(model, spin, a @ b)
                               - lp.omega_matrix(model, spin, a) @ lp.omega_matrix(model, spin, b)))
     record("orthogonal action", "pointwise rotations form a homomorphism", res, cfg.gate, 50)
@@ -397,9 +397,7 @@ def string_checks(env):
     rng = env.rng("paths and doubling")
     res = maxabs(lp.double_path(paths.identity(), tol) - lp.loop_identity(model.n, spin))
     for _ in range(20):
-        p = paths.sample(rng)
-        q = paths.sample(rng)
-        q[-1] = p[-1]
+        p, q = paths.sample_common_end(rng, 2)
         loop = lp.concat_paths(p, q, tol)
         res = max(res, maxabs(loop[model.n] - p[model.n]))
         res = max(res, maxabs(loop[0] - spin.identity()))
@@ -412,8 +410,8 @@ def string_checks(env):
     res_proj = 0.0
     res_scan = 0.0
     for _ in range(20):
-        a = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
-        b = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
+        a = spin.samples(rng, 2 * model.n)
+        b = spin.samples(rng, 2 * model.n)
         ext_a = lp.lift(model, spin, a, tol)
         Ua = ext_a.unitary
         Ub = lp.lift(model, spin, b, tol).unitary
@@ -439,8 +437,8 @@ def string_checks(env):
         U2 = lp.lift(model, spin, second, tol).unitary
         res = max(res, maxabs(U1 @ U2 - U2 @ U1))
     for _ in range(5):
-        a = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
-        b = np.stack([spin.sample(rng) for _ in range(2 * model.n)])
+        a = spin.samples(rng, 2 * model.n)
+        b = spin.samples(rng, 2 * model.n)
         Ua, Ub = lp.lift(model, spin, a, tol).unitary, lp.lift(model, spin, b, tol).unitary
         overlap = max(overlap, maxabs(Ua @ Ub - Ub @ Ua))
     record("disjoint commutativity", "separated half loops commute", res, cfg.gate, 50)
@@ -451,9 +449,7 @@ def string_checks(env):
     res = maxabs(tau @ tau - np.eye(model.dim_h))
     res = max(res, maxabs(tau @ model.lagrangian + np.conj(model.lagrangian)))
     for _ in range(10):
-        p = paths.sample(rng)
-        q = paths.sample(rng)
-        q[-1] = p[-1]
+        p, q = paths.sample_common_end(rng, 2)
         gpq = lp.omega_matrix(model, spin, lp.concat_paths(p, q, tol))
         gqp = lp.omega_matrix(model, spin, lp.concat_paths(q, p, tol))
         res = max(res, maxabs(lp.reflect_orthogonal(tau, gpq) - gqp))

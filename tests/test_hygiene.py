@@ -1,7 +1,8 @@
 """Static hygiene of the package and its tests, checked with the stdlib ast
 module: no unused imports, no function-local name that is assigned but
-never read, and no module-level definition of the package, nor method of
-one of its classes, that nothing refers to."""
+never read, no module-level definition of the package, nor method of one
+of its classes, that nothing refers to, and none that the program's entry
+points cannot reach unless a test compares against it."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "loopfock").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -90,6 +92,57 @@ def dead_definitions(tree, referencing_trees):
     return [(line, label) for line, label, name in defined_names(tree) if name not in used]
 
 
+def module_bindings(trees):
+    """Name -> the module-level statements of trees that bind it: function
+    and class definitions and assignments."""
+    bound = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                bound.setdefault(name, []).append(node)
+    return bound
+
+
+def reachable(trees, seeds):
+    """The module-level names of trees that a walk over name references
+    reaches from seeds.  As in dead_definitions a name stands for every
+    binding of it, and a class is reached with all its methods."""
+    bound = module_bindings(trees)
+    seen, todo = set(), list(seeds)
+    while todo:
+        name = todo.pop()
+        if name in bound and name not in seen:
+            seen.add(name)
+            todo += [ref for node in bound[name] for ref in referenced_names(node)]
+    return seen
+
+
+# cli.main and suites.run; perfbench adds the names it refers to
+ENTRY_POINTS = {"main", "run"}
+# package definitions that only tests reach, each with the test comparing it
+TEST_REFERENCES = {
+    "commutant": "test_rep.py::TestClosedForms::test_commutant_is_the_averaged_one",
+    "_averaged_commutant_basis": "test_algebra.py::TestCommutant::test_fast_and_generic_routes_agree",
+    "_kernel_commutant_basis": "test_rep.py::TestClosedForms::test_both_are_the_kernel_ones",
+    "super_commutant": "test_rep.py::TestClosedForms::test_probes_lie_in_the_averaged_super_commutant",
+    "grading_parts": "test_algebra.py::TestSuperCommutant::test_involution_generic_route",
+    "NotGraded": "test_algebra.py::TestSuperCommutant::test_rejects_ungraded_span",
+    "generated_star_algebra": "test_algebra.py::TestGeneratedAlgebra::test_frontier_growth_matches_restacking",
+    "algebra_from_span": "test_algebra.py::TestCommutant::test_fast_and_generic_routes_agree",
+    "orthonormal_rows": "test_rep.py::TestHalfAlgebra::test_matches_the_orthonormalized_monomial_span",
+    "null_space": "test_linalg.py::TestNullSpace::test_rank_one_drop_matches_row_reduction",
+    "joint_kernel": "test_linalg.py::TestJointKernel::test_permutation_invariance_and_stacked_agreement",
+    "subspace_equal": "test_algebra.py::TestCommutant::test_double_commutant_returns_original",
+}
+
+
 def offenders(paths, finder):
     return [f"{path.relative_to(ROOT)}:{line} {what}"
             for path in paths for line, what in sorted(finder(parse(path)))]
@@ -112,6 +165,25 @@ def test_no_dead_definitions():
     assert found == []
 
 
+def test_package_is_reached_from_its_entry_points():
+    trees = [parse(path) for path in PACKAGE]
+    seeds = ENTRY_POINTS.union(*(referenced_names(parse(path)) for path in PERFBENCH))
+    reached = reachable(trees, seeds)
+    unreached = {node.name for tree in trees for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and node.name not in reached}
+    assert sorted(unreached) == sorted(TEST_REFERENCES)
+
+
+def test_test_references_name_existing_tests():
+    for reference in TEST_REFERENCES.values():
+        path, *scopes = reference.split("::")
+        node = parse(ROOT / "tests" / path)
+        for scope in scopes:
+            node = next((item for item in node.body if getattr(item, "name", None) == scope), None)
+            assert node is not None, reference
+
+
 def test_finders_flag_what_they_name():
     tree = ast.parse("import os\nimport a.b as c\n"
                      "def f(x):\n    y = 1\n    _z = 2\n    w = x\n"
@@ -126,3 +198,9 @@ def test_finders_flag_what_they_name():
     assert dead_definitions(module, [module]) == [(4, "unused"), (7, "Called"), (11, "Called.method"),
                                                   (14, "Called.stale"), (17, "Dead")]
     assert dead_definitions(module, [module, caller]) == [(14, "Called.stale"), (17, "Dead")]
+    graph = ast.parse("def a():\n    return b()\n\ndef b():\n    pass\n\ndef c():\n    pass\n\n"
+                      "TABLE = [c]\n\ndef d():\n    return TABLE\n\nclass K:\n    def m(self):\n"
+                      "        return a()\n")
+    assert reachable([graph], {"a"}) == {"a", "b"}
+    assert reachable([graph], {"d"}) == {"d", "TABLE", "c"}
+    assert reachable([graph], {"K", "gone"}) == {"K", "a", "b"}

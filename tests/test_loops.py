@@ -18,7 +18,8 @@ from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
                             lift, loop_cocycle_compare, loop_from_bivectors,
                             loop_identity, omega_matrix, pointwise_unitary,
                             random_loop_algebra, reflect_orthogonal, restrict_loop, reversed_loop,
-                            spin_exp, string_crossed_module, vertex_reflection)
+                            skew_from_loop_algebra, spin_exp, string_crossed_module,
+                            vertex_reflection)
 from loopfock.report import RunConfig
 from loopfock.suites import run_suites
 from loopfock.twogroup import check_crossed_module
@@ -128,6 +129,128 @@ class TestOmega:
         g = omega_matrix(model22, spin, H.sample(rng).loop)
         assert maxabs(g[4:, 4:] - np.eye(4)) < 1e-13
         assert maxabs(g[:2, :2] - np.eye(2)) < 1e-13  # vertex 0 fixed as well
+
+
+def vertexwise_spin_exp(B, gammas):
+    """Reference: the spin exponential of one bivector, summed plane by plane."""
+    d = B.shape[0]
+    K = np.zeros_like(gammas[0])
+    for a in range(d):
+        for b in range(d):
+            if B[a, b] != 0.0:
+                K += 0.25 * B[a, b] * (gammas[a] @ gammas[b])
+    w, V = np.linalg.eigh(1j * K)
+    return (V * np.exp(-1j * w)) @ V.conj().T
+
+
+def vertexwise_spin_sample(spin, rng):
+    """Reference: one spin value from its own (d, d) draw."""
+    B = rng.standard_normal((spin.d, spin.d)) * loopfock.loops.SAMPLE_SCALE
+    return vertexwise_spin_exp(B - B.T, spin.gammas)
+
+
+def vertexwise_blocks(model, blocks):
+    """Reference: the block-diagonal matrix assembled one vertex at a time."""
+    d = model.d
+    out = np.zeros((model.dim_h, model.dim_h))
+    for j in range(2 * model.n):
+        out[j * d:(j + 1) * d, j * d:(j + 1) * d] = blocks[j]
+    return out
+
+
+def vertexwise_path(spin, n, rng, end_identity=False):
+    """Reference: a based path drawn one vertex at a time."""
+    values = [spin.identity()] + [vertexwise_spin_sample(spin, rng) for _ in range(n - 1)]
+    values.append(spin.identity() if end_identity else vertexwise_spin_sample(spin, rng))
+    return np.stack(values)
+
+
+class TestLoopArrays:
+    """The loop layer computes on whole loop arrays; each map equals its
+    per-vertex reference bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stacked_spin_maps_match_per_element_calls(self, d):
+        spin = SpinGroup(d)
+        local = np.random.default_rng(d)
+        B = local.standard_normal((6, d, d))
+        B = B - np.swapaxes(B, 1, 2)
+        B[0] = 0.0
+        if d >= 3:   # a zero plane, which the per-vertex sum skips
+            B[1, 0, 2] = B[1, 2, 0] = 0.0
+        x = spin_exp(B, spin.gammas)
+        assert np.array_equal(x, np.stack([spin_exp(b, spin.gammas) for b in B]))
+        assert np.array_equal(x, np.stack([vertexwise_spin_exp(b, spin.gammas) for b in B]))
+        lam = spin.covering(x.reshape(2, 3, spin.dim, spin.dim))
+        assert lam.shape == (2, 3, d, d)
+        assert np.array_equal(lam.reshape(6, d, d), np.stack([spin.covering(v) for v in x]))
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_k_value_draw_matches_single_draws(self, k):
+        spin = SpinGroup(3)
+        stacked_rng, single_rng = np.random.default_rng(8), np.random.default_rng(8)
+        stacked = spin.samples(stacked_rng, k)
+        single = np.array([vertexwise_spin_sample(spin, single_rng) for _ in range(k)])
+        assert stacked.shape == (k, spin.dim, spin.dim)
+        assert np.array_equal(stacked, single.reshape(stacked.shape))
+        # both generators have drawn the same numbers
+        assert stacked_rng.random() == single_rng.random()
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (2, 4)])
+    def test_block_embeddings_match_vertex_assembly(self, n, d):
+        model, spin = build_clifford_model(n, d), SpinGroup(d)
+        local = np.random.default_rng(5)
+        loop = spin.samples(local, 2 * n)
+        assert np.array_equal(omega_matrix(model, spin, loop),
+                              vertexwise_blocks(model, [spin.covering(x) for x in loop]))
+        xi = random_loop_algebra(model, local)
+        assert np.array_equal(skew_from_loop_algebra(model, xi), vertexwise_blocks(model, xi))
+
+    @pytest.mark.parametrize("end_identity", [False, True])
+    def test_common_end_paths_match_the_inline_idiom(self, end_identity):
+        spin = SpinGroup(3)
+        paths = PathGroup(3, spin)
+        p, q, q2 = paths.sample_common_end(np.random.default_rng(4), 3, end_identity)
+        local = np.random.default_rng(4)
+        rp, rq, rq2 = (vertexwise_path(spin, 3, local, end_identity) for _ in range(3))
+        rq[-1] = rp[-1]
+        rq2[-1] = rp[-1]
+        assert np.array_equal(p, rp) and np.array_equal(q, rq) and np.array_equal(q2, rq2)
+        assert np.array_equal(paths.sample(np.random.default_rng(4), end_identity),
+                              vertexwise_path(spin, 3, np.random.default_rng(4), end_identity))
+
+    def test_half_and_disjoint_loops_match_vertex_draws(self, model22):
+        spin = SpinGroup(2)
+        first, second = disjoint_support_pair(model22, spin, np.random.default_rng(6))
+        local = np.random.default_rng(6)
+        ref_first, ref_second = loop_identity(2, spin), loop_identity(2, spin)
+        ref_first[1] = vertexwise_spin_sample(spin, local)
+        ref_second[3] = vertexwise_spin_sample(spin, local)
+        assert np.array_equal(first, ref_first) and np.array_equal(second, ref_second)
+
+    def test_loop_literal_matches_vertex_exponentials(self):
+        spin = SpinGroup(3)
+        coords = [[0.1, -0.2, 0.3], [0, 0, 0], [1, 0.0, -2], [0.5, 0.25, 0.0]]
+        ref = []
+        for c in coords:
+            B = np.zeros((3, 3))
+            for k, (a, b) in enumerate([(0, 1), (0, 2), (1, 2)]):
+                B[a, b], B[b, a] = c[k], -c[k]
+            ref.append(vertexwise_spin_exp(B, spin.gammas))
+        assert np.array_equal(loop_from_bivectors(spin, coords), np.stack(ref))
+
+    @pytest.mark.parametrize("coords, message", [
+        ([[0.1, 0.2, 0.3], [0.0, 1.0], [0, 0, 0], [0, 0, 0]],
+         "vertex 1: expected 3 bivector coordinates, got 2"),
+        ([[0, 0, 0], [0, 0, 0], [0, "x", 0], [0, 0, 0]],
+         "vertex 2: bivector coordinates must be a list of real numbers, entry 1 is str 'x'"),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, float("nan"), 0]],
+         "vertex 3: bivector coordinates [0, nan, 0] are not finite"),
+    ])
+    def test_loop_literal_errors_name_the_vertex(self, coords, message):
+        with pytest.raises(ValueError) as err:
+            loop_from_bivectors(SpinGroup(3), coords)
+        assert str(err.value) == message
 
 
 class TestLifts:

@@ -12,11 +12,11 @@ from loopfock.bogoliubov import implementation_residual
 from loopfock.clifford import (build_clifford_model, clifford_monomials, generator_indices,
                                half_space, monomial_closure_residual)
 from loopfock.errors import EndpointMismatch, NotAveragingReady, NotInA
-from loopfock.linalg import CHECK_ROWS, TolerancePolicy, maxabs, span_residual
+from loopfock.linalg import CHECK_ROWS, DEFAULT_TOL, TolerancePolicy, maxabs, span_residual
 from loopfock.loops import (concat_paths, double_path, lift, loop_identity,
                             omega_matrix)
 from loopfock.report import RunConfig
-from loopfock.rep import (TWISTED_PROBES, build_context, check_alpha_compatibility,
+from loopfock.rep import (TWISTED_PROBES, PairLiftGroup, build_context, check_alpha_compatibility,
                           check_f_scalar, check_fusion_factorization,
                           check_membership_evenness, check_pi_levels,
                           check_t_compatibility, check_twisted_duality,
@@ -270,7 +270,8 @@ class TestFiberAndBase:
         fiber = ctx22.string_cm.fiber
         assert maxabs(loop_unitary(ctx22, fiber.identity()) - np.eye(16)) == 0.0
         ident = path_automorphism(ctx22, ctx22.string_cm.base.identity())
-        assert ident.is_identity()
+        identity = conjugation_action(np.eye(16), ctx22.algebra)
+        assert ident.distance(identity) <= DEFAULT_TOL.eq_tol
 
     def test_central_scalars_pass_through(self, ctx22):
         z = np.exp(1.1j)
@@ -336,6 +337,19 @@ class TestCompatibilities:
         res = check_intertwiner(R, ctx22.string_cm, ctx22.unitary_cm, 30,
                                 np.random.default_rng(5))
         assert max(res.values()) <= 1e-9, res
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_pair_sampler_matches_the_inline_idiom(self, ctx22, interior):
+        p, q, U = PairLiftGroup(ctx22).sample(np.random.default_rng(12), interior)
+        local = np.random.default_rng(12)
+        paths = ctx22.string_cm.base
+        ref_p, ref_q = paths.sample(local, interior), paths.sample(local, interior)
+        ref_q[-1] = ref_p[-1]
+        V = lift(ctx22.model, ctx22.spin, concat_paths(ref_p, ref_q)).unitary
+        ref_U = np.exp(2j * np.pi * local.random()) * V
+        assert np.array_equal(p, ref_p) and np.array_equal(q, ref_q) and np.array_equal(U, ref_U)
+        if interior:
+            assert np.array_equal(p[-1], np.eye(2)) and np.array_equal(q[-1], np.eye(2))
 
     def test_mismatched_endpoints_surface(self, ctx22):
         paths = ctx22.string_cm.base
