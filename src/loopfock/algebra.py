@@ -33,7 +33,7 @@ from .errors import (ConeViolation, NotAveragingReady, NotCyclicSeparating, NotG
                      NotInNormalizer, NotInner)
 from .linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners, antilinear_polar,
                      averaged_intertwiners, joint_kernel, maxabs, orthonormal_rows,
-                     polar_unitary, row_chunks, singular_rows, span_residual)
+                     polar_unitary, row_chunks, singular_rows, span_residual, sup)
 
 
 @dataclass
@@ -91,14 +91,15 @@ def _checked_algebra(basis, generators=None, tol=DEFAULT_TOL):
     """OperatorAlgebra on rows that are already orthonormal in the
     Hilbert-Schmidt inner product; they are not orthonormalized again.
 
-    Checks that their span contains the identity and is closed under adjoints.
+    Checks that their span contains the identity and is closed under
+    adjoints; a NaN adjoint residual fails the check.
     """
     N = basis.shape[1]
     if span_residual(np.eye(N, dtype=complex)[None], basis) > tol.eq_tol:
         raise ValueError("span does not contain the identity")
     # CHECK_ROWS adjoints at a time, so the check holds no second basis-sized stack
     adjoints = (np.conj(np.transpose(rows, (0, 2, 1))) for rows in row_chunks(basis))
-    if max((span_residual(adj, basis) for adj in adjoints), default=0.0) > tol.eq_tol:
+    if not sup(span_residual(adj, basis) for adj in adjoints) <= tol.eq_tol:
         raise ValueError("span is not closed under adjoints")
     gens = None if generators is None else np.asarray(generators, dtype=complex)
     return OperatorAlgebra(basis, gens)

@@ -50,7 +50,7 @@ class Implementer:
 
 
 def _classify_parity(model, U, tol):
-    s = model.grading.diagonal().real
+    s = model.grading_signs
     comm = maxabs(U * s - s[:, None] * U)
     anti = maxabs(U * s + s[:, None] * U)
     if comm <= tol.eq_tol:

@@ -29,7 +29,6 @@ def _parse_args(argv):
     ap.add_argument("--seed", type=int, help="64-bit seed for all sampled checks")
     ap.add_argument("--suite", action="append", choices=SUITE_NAMES + ("all",),
                     help="suite to run (repeatable; default: all)")
-    ap.add_argument("--samples", type=int, help="sample count for scalable checks")
     ap.add_argument("--tol", type=float, help="pass gate for checks without a stricter stated bound")
     ap.add_argument("--report", help="report file path")
     ap.add_argument("--format", choices=("json", "md"), help="report format")
@@ -59,10 +58,10 @@ def _read_config_file(path):
     return values
 
 
-_NUMBER_KEYS = {"points": int, "dim": int, "seed": int, "samples": int, "tol": float}
+_NUMBER_KEYS = {"points": int, "dim": int, "seed": int, "tol": float}
 # RunConfig field of each key whose value passes through as it is
-_FIELDS = {"dim": "d", "seed": "seed", "samples": "samples", "tol": "gate",
-           "report": "report_path", "format": "report_format", "dump": "dump_path"}
+_FIELDS = {"dim": "d", "seed": "seed", "tol": "gate", "report": "report_path",
+           "format": "report_format", "dump": "dump_path"}
 
 
 def build_config(argv):
@@ -142,7 +141,7 @@ def _describe_loop(config, literal):
         ext = lift(model, spin, loop, env.tol)
     except (LoopfockError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    U, g, s = ext.unitary, ext.implementer.implemented, model.grading.diagonal().real
+    U, g, s = ext.unitary, ext.implementer.implemented, model.grading_signs
     print(f"loop lift: implementer residual {implementation_residual(model, U, g):.3e}, "
           f"parity {ext.implementer.parity}, "
           f"vacuum overlap {U[0, 0]:.6f}, "
@@ -167,7 +166,8 @@ def main(argv=None):
         return 2
     for r in records:
         status = "info" if r.exploratory else ("pass" if r.passed else "FAIL")
-        print(f"[{status:4s}] {r.suite:10s} {r.name:38s} residual {r.residual:.3e}")
+        error = f" error {r.error}" if r.error else ""
+        print(f"[{status:4s}] {r.suite:10s} {r.name:38s} residual {r.residual:.3e}{error}")
     print(f"{summary['passed']} passed, {summary['failed']} failed, "
           f"{summary['exploratory']} exploratory.")
     if config.report_path:

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import CHECK_ROWS, DEFAULT_TOL, maxabs
+from .linalg import CHECK_ROWS, DEFAULT_TOL, maxabs, sup
 
 
 @dataclass(frozen=True)
@@ -169,14 +169,16 @@ class CliffordModel:
     is (2nd, nd, N), N/(nd) times smaller than the dense stack.  generators,
     that (2nd, N, N) stack, is scattered from c on first read; pi(v) is its
     contraction with v.  The lift and implementation_residual read only c.
-    lift_cache holds the 16 most recently used loop lifts (LiftCache), about
-    1 MiB each at Fock dimension 256.
+    grading_signs is the +-1 diagonal of the grading, (-1) to the occupation
+    number; the dense grading is formed from it on first read.  lift_cache
+    holds the 16 most recently used loop lifts (LiftCache), about 1 MiB each
+    at Fock dimension 256.
     """
 
     lattice: LatticeModel
     lagrangian: np.ndarray
     flip_coefficients: np.ndarray
-    grading: np.ndarray
+    grading_signs: np.ndarray
     lift_cache: LiftCache = field(default_factory=LiftCache, repr=False)
 
     @property
@@ -213,12 +215,17 @@ class CliffordModel:
         return out
 
     @cached_property
+    def grading(self):
+        """The dense N x N grading, formed from grading_signs on first read."""
+        return np.diag(self.grading_signs.astype(complex))
+
+    @cached_property
     def parity_blocks(self):
         """(2, N/2) Fock indices of even, then of odd, parity, each ascending.
 
         An even operator X is its two blocks X[b, b], b in parity_blocks; an
         odd one maps each block's indices to the other's."""
-        s = self.grading.diagonal().real
+        s = self.grading_signs
         return np.stack([np.flatnonzero(s > 0), np.flatnonzero(s < 0)])
 
     @cached_property
@@ -276,7 +283,7 @@ def build_clifford_model(n, d, lagrangian=None, allow_odd_modes=False, tol=DEFAU
     pi(e_i) = sqrt(2) sum_mu (conj(L_{i,mu}) a^dag_mu - L_{i,mu} a_mu), and
     a^dag_mu maps the occupation mask S without mu to S + mu with the
     Jordan-Wigner sign (-1)^(set bits of S below mu), a_mu back with the
-    same sign.  Nothing N^2-sized is formed but the grading.
+    same sign.  Nothing N^2-sized is formed.
     """
     lattice = LatticeModel(n, d)
     if lattice.modes % 2 == 1 and not allow_odd_modes:
@@ -299,8 +306,7 @@ def build_clifford_model(n, d, lagrangian=None, allow_odd_modes=False, tol=DEFAU
         coefficients[:, mu, dst] = amp.conj() + 0.0
         coefficients[:, mu, src] = -amp + 0.0
     parity = np.array([bin(i).count("1") & 1 for i in range(N)])
-    grading = np.diag((1.0 - 2.0 * parity).astype(complex))
-    return CliffordModel(lattice, lagrangian, coefficients, grading)
+    return CliffordModel(lattice, lagrangian, coefficients, 1.0 - 2.0 * parity)
 
 
 def pi_vector(model, v):
@@ -367,7 +373,7 @@ def monomial_closure_residual(model, point_subset, mono):
     """
     N = model.fock_dim
     subsets = np.arange(mono.shape[0])
-    worst = max(maxabs(mono[0] - np.eye(N)), maxabs(np.trace(mono[1:], axis1=1, axis2=2)) / N)
+    residuals = [maxabs(mono[0] - np.eye(N)), maxabs(np.trace(mono[1:], axis1=1, axis2=2)) / N]
     for k, i in enumerate(generator_indices(model, point_subset)):
         c = model.flip_coefficients[i]
         exponent = np.array([(S & ((1 << k) - 1)).bit_count() + (S >> k & 1) for S in subsets])
@@ -379,8 +385,8 @@ def monomial_closure_residual(model, point_subset, mono):
                 split = (-1, N >> mu + 1, 2, 1 << mu, N)
                 diff.reshape(split)[...] += (c[mu].reshape(split[1:4])[..., None]
                                              * block.reshape(split)[:, :, ::-1])
-            worst = max(worst, maxabs(diff))
-    return worst
+            residuals.append(maxabs(diff))
+    return sup(residuals)
 
 
 def anticommutator_residual(model, v, w):
@@ -398,12 +404,12 @@ def generator_relation_residuals(model):
     they are the relations for every pair of vectors.
     """
     G = model.generators
-    anti = 0.0
+    anti = []
     for i, g in enumerate(G):
         pairs = g @ G[i:] + G[i:] @ g
         pairs[0] += 2.0 * np.eye(model.fock_dim)
-        anti = max(anti, maxabs(pairs))
-    return anti, maxabs(np.conj(np.transpose(G, (0, 2, 1))) + G)
+        anti.append(maxabs(pairs))
+    return sup(anti), maxabs(np.conj(np.transpose(G, (0, 2, 1))) + G)
 
 
 def star_residual(model, v):

@@ -42,6 +42,31 @@ def maxabs(M):
     return float(np.max(np.abs(M))) if np.size(M) else 0.0
 
 
+def sup(values, default=0.0):
+    """The largest of default and values; NaN when any value is NaN, wherever
+    it comes (the builtin max keeps a number that comes before a NaN)."""
+    res = default
+    for value in values:
+        if value > res or value != value:
+            res = value
+    return res
+
+
+class Worst(dict):
+    """Worst residual of each name over a check's draws; draws counts them."""
+    draws = 0
+
+
+def worst(draws):
+    """Each name's sup from 0.0 over draws, dicts from residual name to value."""
+    res = Worst()
+    for draw in draws:
+        res.draws += 1
+        for name, value in draw.items():
+            res[name] = sup((value,), res.get(name, 0.0))
+    return res
+
+
 def null_space(M, tol=DEFAULT_TOL):
     """Orthonormal basis of ker(M), as columns.
 
@@ -95,7 +120,7 @@ def averaged_intertwiners(lefts, rights, num_probes, rng, tol=DEFAULT_TOL):
     applying it to generic probes spans that space with probability one.
 
     Each returned element is re-verified against the constraints, CHECK_ROWS
-    elements per product; residuals above tol.eq_tol raise ArithmeticError.
+    elements per product; a residual above tol.eq_tol or NaN raises ArithmeticError.
     """
     lefts = [np.asarray(L, dtype=complex) for L in lefts]
     rights = [np.asarray(R, dtype=complex) for R in rights]
@@ -121,10 +146,9 @@ def averaged_intertwiners(lefts, rights, num_probes, rng, tol=DEFAULT_TOL):
     basis = vh[:dim].reshape(dim, n, n)
     # stacked products over a few rows at a time keep the transients small
     # next to the basis
-    worst = max((maxabs(L @ X - X @ R) for X in row_chunks(basis) for L, R in zip(lefts, rights)),
-                default=0.0)
-    if worst > tol.eq_tol:
-        raise ArithmeticError(f"averaged intertwiner violates constraints by {worst:.2e}")
+    res = sup(maxabs(L @ X - X @ R) for X in row_chunks(basis) for L, R in zip(lefts, rights))
+    if not res <= tol.eq_tol:
+        raise ArithmeticError(f"averaged intertwiner violates constraints by {res:.2e}")
     return basis
 
 
@@ -240,8 +264,7 @@ def span_residual(stack, ortho):
     flat = stack.reshape(stack.shape[0], -1)
     B = np.asarray(ortho, dtype=complex).reshape(ortho.shape[0], flat.shape[1])
     chunks = row_chunks(flat)
-    res = max(_off_span(chunk, B) for chunk in chunks)
-    return res / max(1.0, max(maxabs(chunk) for chunk in chunks))
+    return sup(_off_span(chunk, B) for chunk in chunks) / sup((maxabs(chunk) for chunk in chunks), 1.0)
 
 
 def _off_span(chunk, B):

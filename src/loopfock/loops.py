@@ -3,7 +3,7 @@
 Spin(d) lives inside a fixed gamma-matrix representation; loops are arrays
 (2n, r, r) of spin elements (one per lattice vertex), based paths arrays
 (n+1, r, r) starting at the identity.  The per-vertex maps take the array
-whole: spin_exp and covering act on stacks, the block-diagonal embedding
+whole: SpinGroup.exp and covering act on stacks, the block-diagonal embedding
 places every vertex block at once, and SpinGroup draws k values in one
 (k, d, d) normal draw, the same numbers as k single draws.  Pointwise
 conjugation on vectors gives the orthogonal action on H; the pointwise spin
@@ -42,19 +42,6 @@ def gamma_matrices(d):
     return np.stack(out)
 
 
-def spin_exp(B, gammas):
-    """Exponentials of bivectors: B is an antisymmetric d x d coefficient
-    matrix or a stack (..., d, d) of them.
-
-    Normalized so that the covering map sends each result to expm(B).
-    """
-    # einsum adds the planes one by one in (a, b) order, so each value is
-    # bitwise that of a sum over one bivector; a BLAS contraction may reorder
-    K = 0.25 * np.einsum("...ab,abij->...ij", B, gammas[:, None] @ gammas[None])
-    w, V = np.linalg.eigh(1j * K)
-    return (V * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
-
-
 def covering(x, gammas):
     """The rotation lambda(x) with x gamma_a x^* = sum_b lambda_{ba} gamma_b,
     for one spin element or a stack (..., r, r) of them."""
@@ -82,10 +69,23 @@ class SpinGroup(UnitaryGroup):
         self.d = d
         self.gammas = gammas
         self.even_gammas = even_monomials(gammas)
+        self.gamma_products = gammas[:, None] @ gammas[None]    # gamma_a gamma_b at [a, b]
+
+    def exp(self, B):
+        """Exponentials of bivectors: B is an antisymmetric d x d coefficient
+        matrix or a stack (..., d, d) of them.
+
+        Normalized so that the covering map sends each result to expm(B).
+        """
+        # einsum adds the planes one by one in (a, b) order, so each value is
+        # bitwise that of a sum over one bivector; a BLAS contraction may reorder
+        K = 0.25 * np.einsum("...ab,abij->...ij", B, self.gamma_products)
+        w, V = np.linalg.eigh(1j * K)
+        return (V * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
 
     def samples(self, rng, k):
         """k values (k, r, r) from one (k, d, d) normal draw, equal to k calls of sample."""
-        return spin_exp(random_bivectors(rng, k, self.d), self.gammas)
+        return self.exp(random_bivectors(rng, k, self.d))
 
     def sample(self, rng):
         return self.samples(rng, 1)[0]
@@ -464,4 +464,4 @@ def loop_from_bivectors(spin, coords_per_point):
     rows, cols = np.triu_indices(spin.d, 1)
     B[:, rows, cols] = values
     B[:, cols, rows] = -values
-    return spin_exp(B, spin.gammas)
+    return spin.exp(B)

@@ -2,11 +2,12 @@
 automorphisms, and the strict 2-group round trip.
 
 The context bundles the half-circle algebra, its modular data and the
-string crossed module.  Verification helpers return a dict from check name
-to its worst residual and gate nothing; the suite layer decides which
-entries gate and which are merely recorded.  Checks that the lattice model
-provably cannot satisfy (the reflection shift, see edge_reflection) are
-still computed faithfully and reported with their true residuals.
+string crossed module.  The sampled verification helpers return
+linalg.worst of their draws, a dict from check name to its worst residual
+whose .draws counts the draws, and gate nothing; the suite layer decides
+which entries gate and which are merely recorded.  Checks that the lattice
+model provably cannot satisfy (the reflection shift, see edge_reflection)
+are still computed faithfully and reported with their true residuals.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .bogoliubov import LINE_PROBES, Implementer, implementation_residual
 from .clifford import clifford_monomials, generator_indices, half_space
 from .errors import NotInA
 from .linalg import (DEFAULT_TOL, averaged_intertwiners, maxabs, row_chunks, scalar_defect,
-                     span_residual)
+                     span_residual, sup, worst)
 from .loops import (ExtLoop, SpinGroup, concat_paths, double_path,
                     edge_double_path, edge_reflection, lift, omega_matrix,
                     pointwise_unitary, reflect_orthogonal, restrict_loop,
@@ -138,7 +139,7 @@ def first_half_commutant(model, tol=DEFAULT_TOL):
     (twisted duality for the CAR algebra)."""
     basis = clifford_monomials(model, half_space(model, "second"))
     odd = np.array([S.bit_count() % 2 == 1 for S in range(basis.shape[0])])
-    np.multiply(basis, model.grading.diagonal()[:, None], out=basis, where=odd[:, None, None])
+    np.multiply(basis, model.grading_signs[:, None], out=basis, where=odd[:, None, None])
     basis /= np.sqrt(model.fock_dim)
     return _checked_algebra(basis, tol=tol)
 
@@ -167,7 +168,7 @@ def loop_unitary(ctx, ext):
     before it is returned.
     """
     U = ext.unitary
-    s = ctx.model.grading.diagonal().real
+    s = ctx.model.grading_signs
     even = maxabs(U * s - s[:, None] * U)
     member = ctx.algebra.membership_residual(U)
     if max(even, member) > ctx.tol.eq_tol:
@@ -190,25 +191,21 @@ def representation_intertwiner(ctx):
 
 
 def check_membership_evenness(ctx, sample_count, rng):
-    H = ctx.string_cm.fiber
-    s = ctx.model.grading.diagonal().real
-    res = {"algebra membership": 0.0, "evenness": 0.0}
-    for _ in range(sample_count):
-        U = H.sample(rng).unitary
-        res["algebra membership"] = max(res["algebra membership"], ctx.algebra.membership_residual(U))
-        res["evenness"] = max(res["evenness"], maxabs(U * s - s[:, None] * U))
-    return res
+    def draw():
+        U, s = ctx.string_cm.fiber.sample(rng).unitary, ctx.model.grading_signs
+        return {"algebra membership": ctx.algebra.membership_residual(U),
+                "evenness": maxabs(U * s - s[:, None] * U)}
+    return worst(draw() for _ in range(sample_count))
 
 
 def check_t_compatibility(ctx, sample_count, rng):
     """Conjugation by the half-loop unitary matches the restricted-path automorphism."""
-    worst = 0.0
-    for _ in range(sample_count):
+    def draw():
         ext = ctx.string_cm.fiber.sample(rng)
         left = path_automorphism(ctx, restrict_loop(ext.loop, ctx.tol))
         right = conjugation_action(loop_unitary(ctx, ext), ctx.algebra, ctx.tol)
-        worst = max(worst, left.distance(right))
-    return {"action residual": worst}
+        return {"action residual": left.distance(right)}
+    return worst(draw() for _ in range(sample_count))
 
 
 def check_alpha_compatibility(ctx, sample_count, rng):
@@ -218,33 +215,28 @@ def check_alpha_compatibility(ctx, sample_count, rng):
     other side conjugates by the representative u in the algebra that is
     solved for the path automorphism, so the two are computed apart.
     """
-    base, fiber = ctx.string_cm.base, ctx.string_cm.fiber
-    res = {"exact": 0.0, "projective": 0.0}
-    for _ in range(sample_count):
-        p = base.sample(rng)
-        ext = fiber.sample(rng)
+    def draw():
+        p = ctx.string_cm.base.sample(rng)
+        ext = ctx.string_cm.fiber.sample(rng)
         left = loop_unitary(ctx, ctx.string_cm.act(p, ext))
         u = path_automorphism(ctx, p).representative(ctx.tol)
         right = u @ loop_unitary(ctx, ext) @ u.conj().T
-        res["exact"] = max(res["exact"], maxabs(left - right))
         z = np.trace(right.conj().T @ left)
         z = z / abs(z) if abs(z) > 0 else 1.0
-        res["projective"] = max(res["projective"], maxabs(left - z * right))
-    return res
+        return {"exact": maxabs(left - right), "projective": maxabs(left - z * right)}
+    return worst(draw() for _ in range(sample_count))
 
 
 def check_well_definedness(ctx, sample_count, rng):
     """The induced automorphism depends only on the first half of the loop."""
-    base = ctx.string_cm.base
-    worst = 0.0
-    for _ in range(sample_count):
-        p, q, q2 = base.sample_common_end(rng, 3)
+    def draw():
+        p, q, q2 = ctx.string_cm.base.sample_common_end(rng, 3)
         U1 = lift(ctx.model, ctx.spin, concat_paths(p, q, ctx.tol), ctx.tol).unitary
         U2 = lift(ctx.model, ctx.spin, concat_paths(p, q2, ctx.tol), ctx.tol).unitary
         a1 = conjugation_action(U1, ctx.algebra, ctx.tol)
         a2 = conjugation_action(U2, ctx.algebra, ctx.tol)
-        worst = max(worst, a1.distance(a2))
-    return {"action residual": worst}
+        return {"action residual": a1.distance(a2)}
+    return worst(draw() for _ in range(sample_count))
 
 
 def fusion_factorization(ctx, p):
@@ -267,25 +259,19 @@ def check_fusion_factorization(ctx, sample_count, rng):
     implementer residuals of the canonical unitary: against the
     vertex-doubled rotation (structurally order one here) and against the
     edge-doubled one (which it matches)."""
-    base = ctx.string_cm.base
-    J = ctx.sfd.conjugation.linear
-    res = {"loop component exact": 0.0, "homomorphism": 0.0, "J commutation": 0.0,
-           "vertex doubled": 0.0, "edge doubled": 0.0}
-    for _ in range(sample_count):
+    def draw():
+        base, J = ctx.string_cm.base, ctx.sfd.conjugation.linear
         p, q = base.sample(rng), base.sample(rng)
         fp, fq = fusion_factorization(ctx, p), fusion_factorization(ctx, q)
         fpq = fusion_factorization(ctx, base.mul(p, q))
-        res["loop component exact"] = max(res["loop component exact"],
-                                          maxabs(fp.loop - double_path(p, ctx.tol)))
-        res["homomorphism"] = max(res["homomorphism"], maxabs(fp.unitary @ fq.unitary - fpq.unitary))
-        res["J commutation"] = max(res["J commutation"], maxabs(fp.unitary @ J - J @ np.conj(fp.unitary)))
-        res["vertex doubled"] = max(res["vertex doubled"],
-                                    implementation_residual(ctx.model, fp.unitary,
-                                                            fp.implementer.implemented))
         g_edge = omega_matrix(ctx.model, ctx.spin, edge_double_path(p))
-        res["edge doubled"] = max(res["edge doubled"],
-                                  implementation_residual(ctx.model, fp.unitary, g_edge))
-    return res
+        return {"loop component exact": maxabs(fp.loop - double_path(p, ctx.tol)),
+                "homomorphism": maxabs(fp.unitary @ fq.unitary - fpq.unitary),
+                "J commutation": maxabs(fp.unitary @ J - J @ np.conj(fp.unitary)),
+                "vertex doubled": implementation_residual(ctx.model, fp.unitary,
+                                                          fp.implementer.implemented),
+                "edge doubled": implementation_residual(ctx.model, fp.unitary, g_edge)}
+    return worst(draw() for _ in range(sample_count))
 
 
 def check_f_scalar(ctx, sample_count, rng):
@@ -298,16 +284,13 @@ def check_f_scalar(ctx, sample_count, rng):
     reflection is shifted by half a spacing, so the canonical unitary
     implements the edge-reversed loop instead of the doubled loop itself.
     """
-    base = ctx.string_cm.base
-    res = {"scalar defect": 0.0, "scalar minus one": 0.0}
-    for _ in range(sample_count):
-        p = base.sample(rng)
+    def draw():
+        p = ctx.string_cm.base.sample(rng)
         W = fusion_factorization(ctx, p).unitary
         V = lift(ctx.model, ctx.spin, double_path(p, ctx.tol), ctx.tol).unitary
         defect, lam = scalar_defect(W @ V.conj().T)
-        res["scalar defect"] = max(res["scalar defect"], defect)
-        res["scalar minus one"] = max(res["scalar minus one"], abs(lam / max(abs(lam), 1e-300) - 1.0))
-    return res
+        return {"scalar defect": defect, "scalar minus one": abs(lam / max(abs(lam), 1e-300) - 1.0)}
+    return worst(draw() for _ in range(sample_count))
 
 
 class PairLiftGroup(ComputableGroup):
@@ -383,18 +366,19 @@ def unit_sign_cocycle(ctx, sample_count, rng):
     carries none of them.
     """
     base = ctx.string_cm.base
-    dist_signs = 0.0
-    negatives = 0
-    for _ in range(sample_count):
+    negative = []
+
+    def draw():
         p, q = base.sample(rng), base.sample(rng)
         Up = lift(ctx.model, ctx.spin, double_path(p, ctx.tol), ctx.tol).unitary
         Uq = lift(ctx.model, ctx.spin, double_path(q, ctx.tol), ctx.tol).unitary
         Upq = lift(ctx.model, ctx.spin, double_path(base.mul(p, q), ctx.tol), ctx.tol).unitary
         defect, lam = scalar_defect(Up @ Uq @ Upq.conj().T)
-        dist_signs = max(dist_signs, defect, min(abs(lam - 1.0), abs(lam + 1.0)))
-        if abs(lam + 1.0) < 0.5:
-            negatives += 1
-    return {"distance from signs": dist_signs, "negative fraction": negatives / sample_count}
+        negative.append(abs(lam + 1.0) < 0.5)
+        return {"distance from signs": sup((defect, min(abs(lam - 1.0), abs(lam + 1.0))))}
+    res = worst(draw() for _ in range(sample_count))
+    res["negative fraction"] = sum(negative) / sample_count
+    return res
 
 
 class NormalizerGroup(UnitaryGroup):
@@ -441,25 +425,24 @@ def check_two_group_compatibility(ctx, sample_count, rng):
     alongside, which is the identity this lattice actually satisfies.
     """
     pairs = PairLiftGroup(ctx)
-    res = {"target": 0.0, "source (interior class)": 0.0, "source vs edge-reversed loop": 0.0}
-    for _ in range(sample_count):
+
+    def draw():
         p, _, U = pairs.sample(rng)
         t_rep = conjugation_action(U, ctx.algebra, ctx.tol)
-        res["target"] = max(res["target"], t_rep.distance(path_automorphism(ctx, p)))
+        target = t_rep.distance(path_automorphism(ctx, p))
 
         pi_, qi_, Ui = pairs.sample(rng, interior=True)
         s_rep = reflected_action(Ui, ctx.algebra, ctx.sfd, ctx.tol)
-        res["source (interior class)"] = max(res["source (interior class)"],
-                                             s_rep.distance(path_automorphism(ctx, qi_)))
+        source = s_rep.distance(path_automorphism(ctx, qi_))
         # identity satisfied exactly: source equals conjugation by a lift of
         # the edge-reversed concatenated loop
         loop = concat_paths(pi_, qi_, ctx.tol)
         shifted = reversed_loop(loop, shift=1)
         Vs = lift(ctx.model, ctx.spin, shifted, ctx.tol)
         s_exact = conjugation_action(Vs.unitary, ctx.algebra, ctx.tol)
-        res["source vs edge-reversed loop"] = max(res["source vs edge-reversed loop"],
-                                                  s_rep.distance(s_exact))
-    return res
+        return {"target": target, "source (interior class)": source,
+                "source vs edge-reversed loop": s_rep.distance(s_exact)}
+    return worst(draw() for _ in range(sample_count))
 
 
 def modular_vs_reflection(ctx, sample_count, rng):
@@ -476,11 +459,11 @@ def modular_vs_reflection(ctx, sample_count, rng):
     tau_v = vertex_reflection(model)
     tau_e = edge_reflection(model)
     N = model.fock_dim
-    out = {"bogoliubov defect": 0.0, "vertex moved": 0.0, "vertex fixed": 0.0, "edge": 0.0}
     d = model.d
     fixed_cols = [0 * d + a for a in range(d)] + [model.n * d + a for a in range(d)]
     moved_cols = [c for c in range(model.dim_h) if c not in fixed_cols]
-    for _ in range(sample_count):
+
+    def draw():
         loop = spin.samples(rng, 2 * model.n)
         g = omega_matrix(model, spin, loop)
         U = lift(model, spin, loop, ctx.tol).unitary
@@ -488,39 +471,33 @@ def modular_vs_reflection(ctx, sample_count, rng):
         conj = W @ model.generators @ W.conj().T
         coeff = -np.einsum("kab,iba->ki", model.generators, conj) / N
         recon = np.tensordot(coeff.T, model.generators, axes=(1, 0))
-        out["bogoliubov defect"] = max(out["bogoliubov defect"], maxabs(conj - recon))
         gtilde = np.real(coeff)
-        out["vertex moved"] = max(out["vertex moved"],
-                                  maxabs((gtilde - reflect_orthogonal(tau_v, g))[:, moved_cols]))
-        out["vertex fixed"] = max(out["vertex fixed"],
-                                  maxabs((gtilde - reflect_orthogonal(tau_v, g))[:, fixed_cols]))
-        out["edge"] = max(out["edge"], maxabs(gtilde - reflect_orthogonal(tau_e, g)))
-    return out
+        return {"bogoliubov defect": maxabs(conj - recon),
+                "vertex moved": maxabs((gtilde - reflect_orthogonal(tau_v, g))[:, moved_cols]),
+                "vertex fixed": maxabs((gtilde - reflect_orthogonal(tau_v, g))[:, fixed_cols]),
+                "edge": maxabs(gtilde - reflect_orthogonal(tau_e, g))}
+    return worst(draw() for _ in range(sample_count))
 
 
 def check_pi_levels(ctx, sample_count, rng):
     """Central fiber elements map to their phase; endpoint-equal paths give
     automorphisms differing by conjugation inside the algebra."""
-    fiber = ctx.string_cm.fiber
-    base = ctx.string_cm.base
-    res = {"central identity": 0.0, "centrality": 0.0, "endpoint inner difference": 0.0}
-    N = ctx.model.fock_dim
-    for _ in range(sample_count):
+    def draw():
+        fiber, base, N = ctx.string_cm.fiber, ctx.string_cm.base, ctx.model.fock_dim
         z = np.exp(2j * np.pi * rng.random())
         central = fiber.central(z)
-        res["central identity"] = max(res["central identity"],
-                                      maxabs(loop_unitary(ctx, central) - z * np.eye(N)))
+        identity = maxabs(loop_unitary(ctx, central) - z * np.eye(N))
         p, q = base.sample_common_end(rng, 2)
-        res["centrality"] = max(res["centrality"], fiber.dist(ctx.string_cm.act(p, central), central))
+        centrality = fiber.dist(ctx.string_cm.act(p, central), central)
 
         h = base.mul(base.inv(p), q)      # based, endpoint identity
         u = lift(ctx.model, ctx.spin, concat_paths(h, base.identity(), ctx.tol), ctx.tol).unitary
         member = ctx.algebra.membership_residual(u)
         diff = path_automorphism(ctx, p).inverse().compose(path_automorphism(ctx, q))
         inner = conjugation_action(u, ctx.algebra, ctx.tol)
-        res["endpoint inner difference"] = max(res["endpoint inner difference"],
-                                               max(member, diff.distance(inner)))
-    return res
+        return {"central identity": identity, "centrality": centrality,
+                "endpoint inner difference": sup((member, diff.distance(inner)))}
+    return worst(draw() for _ in range(sample_count))
 
 
 def irreducibility_dimension(model, rng, tol=DEFAULT_TOL):
@@ -545,8 +522,8 @@ def check_twisted_duality(ctx):
     span residual against A: a generic element of B^perp lies in A only if
     B^perp = A, so no basis of B^perp is solved for."""
     A, B, N = ctx.algebra, ctx.algebra_perp, ctx.model.fock_dim
-    s = ctx.model.grading.diagonal()
-    graded = max(maxabs(g @ x - (s[:, None] * x * s) @ g)
+    s = ctx.model.grading_signs
+    graded = sup(maxabs(g @ x - (s[:, None] * x * s) @ g)
                  for x in row_chunks(B.basis) for g in A.generators)
     probes = super_commutant_probes(B, ctx.model.grading, TWISTED_PROBES, ctx.tol)
     a_res = span_residual(probes, A.basis)

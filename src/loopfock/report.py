@@ -22,7 +22,6 @@ class RunConfig:
     gate: float = 1e-8
     seed: int = 2024
     suites: tuple = SUITE_NAMES
-    samples: int = 100
     report_path: str | None = None
     report_format: str = "json"
     dump_path: str | None = None
@@ -49,8 +48,6 @@ class RunConfig:
             raise ConfigError("need 0 <= rank_tol <= eq_tol")
         if not (math.isfinite(self.gate) and self.gate > 0):
             raise ConfigError(f"gate (--tol) {self.gate} is not a positive finite number")
-        if self.samples < 1:
-            raise ConfigError("samples must be positive")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed {self.seed} is not a 64-bit unsigned integer")
         return self
@@ -70,6 +67,7 @@ class CheckRecord:
     tolerance: float       # +inf marks exploratory, never-gating records
     wall_time: float       # seconds since the previous record of the suite
     sample_count: int
+    error: str | None = None   # what the suite raised, on its "<suite> aborted" record
 
     @property
     def exploratory(self):
@@ -80,16 +78,19 @@ class CheckRecord:
         return bool(self.residual <= self.tolerance)
 
     def to_dict(self):
-        return {
+        out = {
             "suite": self.suite,
             "name": self.name,
             "anchor": self.anchor,
-            "residual": self.residual,
+            "residual": None if math.isnan(self.residual) else self.residual,   # NaN: not computed
             "tolerance": None if self.exploratory else self.tolerance,
             "passed": self.passed,
             "wall_time": self.wall_time,
             "sample_count": self.sample_count,
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 def summarize(records):
@@ -113,7 +114,6 @@ def config_dict(config):
         "gate": config.gate,
         "seed": config.seed,
         "suites": list(config.ordered_suites()),
-        "samples": config.samples,
     }
 
 
@@ -145,10 +145,9 @@ def _markdown_report(config, records):
                   "|---|---|---|---|---|---|"]
         for r in by_suite[suite]:
             tol = "reported" if r.exploratory else f"{r.tolerance:.1e}"
-            status = "pass" if r.passed else "FAIL"
-            if r.exploratory:
-                status = "info"
-            lines.append(f"| {r.name} | {r.anchor} | {r.residual:.3e} | {tol} | {status} | {r.sample_count} |")
+            status = "info" if r.exploratory else ("pass" if r.passed else "FAIL")
+            residual = r.error or f"{r.residual:.3e}"
+            lines.append(f"| {r.name} | {r.anchor} | {residual} | {tol} | {status} | {r.sample_count} |")
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,10 @@
 """Generic crossed modules and strict 2-groups over pluggable groups.
 
 Groups are value objects with tolerance-aware equality and seeded random
-sampling.  Each axiom checker returns a dict from identity name to its worst
-residual, exhaustive for small finite groups and over sample_count draws
-from the caller's rng otherwise; the caller decides what to gate.
+sampling.  Each axiom checker returns linalg.worst of its draws: a dict from
+identity name to its worst residual, whose .draws counts the tuples
+checked, every tuple of small finite groups and sample_count draws from the
+caller's rng otherwise; the caller decides what to gate.
 """
 
 import itertools
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotComposable
-from .linalg import DEFAULT_TOL, maxabs
+from .linalg import DEFAULT_TOL, maxabs, worst
 
 
 class ComputableGroup:
@@ -197,38 +198,26 @@ def _tuples(groups, sample_count, rng, cap=300_000):
 def check_crossed_module(cm, sample_count, rng):
     """Homomorphism, action, equivariance and Peiffer residuals."""
     G, H = cm.base, cm.fiber
-    res = {"t homomorphism": 0.0, "action homomorphism": 0.0, "action composition": 0.0,
-           "action unit": 0.0, "equivariance": 0.0, "peiffer": 0.0}
-    for g, g2, h, k in _tuples([G, G, H, H], sample_count, rng):
-        res["t homomorphism"] = max(res["t homomorphism"],
-                                    G.dist(cm.t(H.mul(h, k)), G.mul(cm.t(h), cm.t(k))))
-        res["action homomorphism"] = max(res["action homomorphism"],
-                                         H.dist(cm.act(g, H.mul(h, k)), H.mul(cm.act(g, h), cm.act(g, k))))
-        res["action composition"] = max(res["action composition"],
-                                        H.dist(cm.act(G.mul(g, g2), h), cm.act(g, cm.act(g2, h))))
-        res["action unit"] = max(res["action unit"], H.dist(cm.act(G.identity(), h), h))
-        res["equivariance"] = max(res["equivariance"],
-                                  G.dist(cm.t(cm.act(g, h)), G.conj(g, cm.t(h))))
-        res["peiffer"] = max(res["peiffer"], H.dist(cm.act(cm.t(h), k), H.conj(h, k)))
-    return res
+    return worst({"t homomorphism": G.dist(cm.t(H.mul(h, k)), G.mul(cm.t(h), cm.t(k))),
+                  "action homomorphism": H.dist(cm.act(g, H.mul(h, k)), H.mul(cm.act(g, h), cm.act(g, k))),
+                  "action composition": H.dist(cm.act(G.mul(g, g2), h), cm.act(g, cm.act(g2, h))),
+                  "action unit": H.dist(cm.act(G.identity(), h), h),
+                  "equivariance": G.dist(cm.t(cm.act(g, h)), G.conj(g, cm.t(h))),
+                  "peiffer": H.dist(cm.act(cm.t(h), k), H.conj(h, k))}
+                 for g, g2, h, k in _tuples([G, G, H, H], sample_count, rng))
 
 
 def check_intertwiner(R, cm, cm2, sample_count, rng):
     """Homomorphism laws for both components plus the two compatibilities."""
-    res = {"base homomorphism": 0.0, "fiber homomorphism": 0.0,
-           "t compatibility": 0.0, "action compatibility": 0.0}
     G, H = cm.base, cm.fiber
     G2, H2 = cm2.base, cm2.fiber
-    for g, gb, h, hb in _tuples([G, G, H, H], sample_count, rng):
-        res["base homomorphism"] = max(res["base homomorphism"],
-                                       G2.dist(R.on_base(G.mul(g, gb)), G2.mul(R.on_base(g), R.on_base(gb))))
-        res["fiber homomorphism"] = max(res["fiber homomorphism"],
-                                        H2.dist(R.on_fiber(H.mul(h, hb)), H2.mul(R.on_fiber(h), R.on_fiber(hb))))
-        res["t compatibility"] = max(res["t compatibility"],
-                                     G2.dist(R.on_base(cm.t(h)), cm2.t(R.on_fiber(h))))
-        res["action compatibility"] = max(res["action compatibility"],
-                                          H2.dist(R.on_fiber(cm.act(g, h)), cm2.act(R.on_base(g), R.on_fiber(h))))
-    return res
+    return worst({"base homomorphism": G2.dist(R.on_base(G.mul(g, gb)), G2.mul(R.on_base(g), R.on_base(gb))),
+                  "fiber homomorphism": H2.dist(R.on_fiber(H.mul(h, hb)),
+                                                H2.mul(R.on_fiber(h), R.on_fiber(hb))),
+                  "t compatibility": G2.dist(R.on_base(cm.t(h)), cm2.t(R.on_fiber(h))),
+                  "action compatibility": H2.dist(R.on_fiber(cm.act(g, h)),
+                                                  cm2.act(R.on_base(g), R.on_fiber(h)))}
+                 for g, gb, h, hb in _tuples([G, G, H, H], sample_count, rng))
 
 
 class SemidirectGroup(ComputableGroup):
@@ -338,22 +327,17 @@ def invert_morphism(tg, x):
 def check_minimal_data(tg, sample_count, rng):
     """Section and homomorphism laws plus commutation of the two kernels."""
     O, M = tg.objects, tg.morphisms
-    res = {"s o i": 0.0, "t o i": 0.0, "s homomorphism": 0.0, "t homomorphism": 0.0,
-           "i homomorphism": 0.0, "kernel commutation": 0.0}
-    for g, g2, x, y in _tuples([O, O, M, M], sample_count, rng):
-        res["s o i"] = max(res["s o i"], O.dist(tg.source(tg.unit(g)), g))
-        res["t o i"] = max(res["t o i"], O.dist(tg.target(tg.unit(g)), g))
-        res["s homomorphism"] = max(res["s homomorphism"],
-                                    O.dist(tg.source(M.mul(x, y)), O.mul(tg.source(x), tg.source(y))))
-        res["t homomorphism"] = max(res["t homomorphism"],
-                                    O.dist(tg.target(M.mul(x, y)), O.mul(tg.target(x), tg.target(y))))
-        res["i homomorphism"] = max(res["i homomorphism"],
-                                    M.dist(tg.unit(O.mul(g, g2)), M.mul(tg.unit(g), tg.unit(g2))))
+
+    def draw(g, g2, x, y):
         ker_s = M.mul(x, M.inv(tg.unit(tg.source(x))))
         ker_t = M.mul(y, M.inv(tg.unit(tg.target(y))))
-        res["kernel commutation"] = max(res["kernel commutation"],
-                                        M.dist(M.mul(ker_s, ker_t), M.mul(ker_t, ker_s)))
-    return res
+        return {"s o i": O.dist(tg.source(tg.unit(g)), g),
+                "t o i": O.dist(tg.target(tg.unit(g)), g),
+                "s homomorphism": O.dist(tg.source(M.mul(x, y)), O.mul(tg.source(x), tg.source(y))),
+                "t homomorphism": O.dist(tg.target(M.mul(x, y)), O.mul(tg.target(x), tg.target(y))),
+                "i homomorphism": M.dist(tg.unit(O.mul(g, g2)), M.mul(tg.unit(g), tg.unit(g2))),
+                "kernel commutation": M.dist(M.mul(ker_s, ker_t), M.mul(ker_t, ker_s))}
+    return worst(draw(*tup) for tup in _tuples([O, O, M, M], sample_count, rng))
 
 
 def check_interchange(tg, sample_count, rng, tol=DEFAULT_TOL):
@@ -363,18 +347,17 @@ def check_interchange(tg, sample_count, rng, tol=DEFAULT_TOL):
     morphism so that s(x) = t(y) holds exactly.
     """
     M = tg.morphisms
-    res = {"interchange": 0.0, "composition forms agree": 0.0}
-    for _ in range(sample_count):
+
+    def draw():
         y, yb = M.sample(rng), M.sample(rng)
         x = _force_composable(tg, M.sample(rng), y)
         xb = _force_composable(tg, M.sample(rng), yb)
         lhs = M.mul(compose_morphisms(tg, x, y, tol), compose_morphisms(tg, xb, yb, tol))
         rhs = compose_morphisms(tg, M.mul(x, xb), M.mul(y, yb), tol)
-        res["interchange"] = max(res["interchange"], M.dist(lhs, rhs))
-        res["composition forms agree"] = max(
-            res["composition forms agree"],
-            M.dist(compose_morphisms(tg, x, y, tol), compose_morphisms_target_form(tg, x, y, tol)))
-    return res
+        return {"interchange": M.dist(lhs, rhs),
+                "composition forms agree": M.dist(compose_morphisms(tg, x, y, tol),
+                                                  compose_morphisms_target_form(tg, x, y, tol))}
+    return worst(draw() for _ in range(sample_count))
 
 
 def _force_composable(tg, x, y):
@@ -414,14 +397,11 @@ def pi0_pi1(cm, rng, sample_count, tol=DEFAULT_TOL):
                 return True
         return False
 
-    worst = 0.0
-    for _ in range(sample_count):
+    def centrality():
         h = H.sample(rng)
-        if not pi1_contains(h):
-            continue
-        g = G.sample(rng)
-        worst = max(worst, H.dist(cm.act(g, h), h))
-    return PiReport(pi1_contains, pi0_equal, worst)
+        return {"centrality": H.dist(cm.act(G.sample(rng), h), h)} if pi1_contains(h) else {}
+    central = worst(centrality() for _ in range(sample_count))
+    return PiReport(pi1_contains, pi0_equal, central.get("centrality", 0.0))
 
 
 def delooping(abelian_group):

@@ -139,6 +139,16 @@ class TestGeneratedAlgebra:
         assert alg.dim == mono.shape[0] == 16
         assert span_residual(mono, alg.basis) < 1e-12
 
+    def test_a_nan_adjoint_residual_in_the_last_chunk_fails_the_check(self, monkeypatch, model12):
+        basis = orthonormal_rows(model12.generators[:1] @ model12.generators[1:2])
+        basis = orthonormal_rows(np.concatenate([np.eye(4)[None], basis]))
+        assert algebra_from_span(basis).dim == 2
+        chunks = loopfock.linalg.row_chunks
+        monkeypatch.setattr(loopfock.algebra, "row_chunks",
+                            lambda stack: chunks(stack) + [np.full((1,) + stack.shape[1:], np.nan)])
+        with pytest.raises(ValueError, match="adjoints"):
+            algebra_from_span(basis)
+
     def test_all_generators_fill_everything(self, model12):
         alg = generated_star_algebra(model12.generators)
         assert alg.dim == model12.fock_dim ** 2

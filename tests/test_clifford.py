@@ -172,15 +172,15 @@ class TestFockOperators:
         assert model.generators.tobytes() == in_place_generators(L).tobytes()
 
     def test_build_allocates_little_beyond_the_stack(self):
-        # at (2,4) the flip table is 0.5 MiB and the grading 1 MiB; the dense
-        # generator stack, built on first read only, is 16 MiB
+        # at (2,4) the flip table is 0.5 MiB and the grading signs 2 KiB; the
+        # dense generator stack (16 MiB) and grading (1 MiB) wait for their first read
         tracemalloc.start()
         try:
             model = build_clifford_model(2, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "generators" not in vars(model)
+        assert "generators" not in vars(model) and "grading" not in vars(model)
         assert peak <= 2 * 2 ** 20
 
     def test_dimension_guard(self):
@@ -218,6 +218,9 @@ class TestFockOperators:
         assert maxabs(G @ model.generators @ G + model.generators) < 1e-14
         # diagonal signs follow the number of occupied modes
         assert G[0, 0] == 1.0 and G[1, 1] == -1.0 and G[3, 3] == 1.0
+        assert np.array_equal(G, np.diag(model.grading_signs)) and model.grading_signs.dtype == float
+        parity = [bin(r).count("1") % 2 for r in range(model.fock_dim)]
+        assert model.grading_signs.tolist() == [1.0 - 2.0 * p for p in parity]
 
 
 def rebuilt_from_flips(model):

@@ -1,8 +1,9 @@
 """Static hygiene of the package and its tests, checked with the stdlib ast
 module: no unused imports, no function-local name that is assigned but
 never read, no module-level definition of the package, nor method of one
-of its classes, that nothing refers to, and none that the program's entry
-points cannot reach unless a test compares against it."""
+of its classes, that nothing refers to, none that the program's entry
+points cannot reach unless a test compares against it, and no worst
+residual kept by hand in a loop: linalg.worst and linalg.sup take them."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,23 @@ def unread_locals(tree):
                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
         found += [(line, f"{fn.name}: {name}") for name, line in stored.items()
                   if name not in read and name not in declared and not name.startswith("_")]
+    return found
+
+
+def sup_accumulators(tree):
+    """Assignments x = max(x, ...), x a name or a subscript, anywhere in the
+    body of a for loop: a running maximum kept by hand."""
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.AsyncFor)):
+            continue
+        for node in (node for stmt in loop.body for node in ast.walk(stmt)):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], (ast.Name, ast.Subscript))
+                    and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "max"
+                    and node.value.args
+                    and ast.unparse(node.value.args[0]) == ast.unparse(node.targets[0])):
+                found.add((node.lineno, ast.unparse(node.targets[0])))
     return found
 
 
@@ -158,6 +176,10 @@ def test_no_locals_assigned_but_never_read():
     assert offenders(PACKAGE + TESTS, unread_locals) == []
 
 
+def test_no_running_maximum_is_kept_by_hand():
+    assert offenders(PACKAGE, sup_accumulators) == []
+
+
 def test_no_dead_definitions():
     trees = [parse(path) for path in PACKAGE + TESTS]
     found = [f"{path.relative_to(ROOT)}:{line} {name}"
@@ -190,6 +212,10 @@ def test_finders_flag_what_they_name():
                      "    def g():\n        return w\n    return g\n")
     assert sorted(unused_imports(tree)) == [(1, "os"), (2, "c")]
     assert unread_locals(tree) == [(4, "f: y")]
+    loops = ast.parse("for _ in range(3):\n    w = max(w, f())\n    r['a'] = max(r['a'], 1)\n"
+                      "    y = max(0, w)\n    for i in x:\n        if i:\n            w = max(w, i)\n"
+                      "while w:\n    w = max(w, 2)\nw = max(w, 3)\n")
+    assert sorted(sup_accumulators(loops)) == [(2, "w"), (3, "r['a']"), (7, "w")]
     module = ast.parse("def used():\n    pass\n\ndef unused():\n    return used()\n\n"
                        "class Called:\n    def __init__(self):\n        pass\n\n"
                        "    def method(self):\n        pass\n\n    def stale(self):\n        pass\n\n"

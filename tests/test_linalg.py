@@ -3,12 +3,13 @@ import io
 import numpy as np
 import pytest
 
+import loopfock.linalg
 from loopfock.errors import NotInvolutive, SingularInput
 from loopfock.linalg import (DEFAULT_TOL, AntilinearOperator, TolerancePolicy,
                              antilinear_polar, averaged_intertwiners,
                              dump_matrix, joint_kernel, maxabs, null_space,
-                             orthonormal_rows, polar_unitary, scalar_defect,
-                             span_residual, subspace_equal)
+                             orthonormal_rows, polar_unitary, row_chunks, scalar_defect,
+                             span_residual, subspace_equal, sup, worst)
 
 rng = np.random.default_rng(101)
 
@@ -233,6 +234,15 @@ class TestAveragedIntertwiners:
             averaged_intertwiners([np.diag([1.0, 2.0])], [np.diag([1.0, 2.0])], 4,
                                   np.random.default_rng(0))
 
+    def test_a_nan_in_the_last_checked_chunk_raises(self, monkeypatch):
+        def with_nan_chunk(stack):
+            return row_chunks(stack) + [np.full((1,) + stack.shape[1:], np.nan)]
+
+        monkeypatch.setattr(loopfock.linalg, "row_chunks", with_nan_chunk)
+        X = np.array([[0, 1], [1, 0]], dtype=complex)
+        with pytest.raises(ArithmeticError, match="nan"):
+            averaged_intertwiners([X], [X], 4, np.random.default_rng(0))
+
 
 class TestSubspaces:
     def test_same_and_scaled(self):
@@ -278,6 +288,15 @@ class TestSpanResidual:
         stack = np.concatenate([0.01 * off[:39], off[39:]]) * (largest / maxabs(off[39:]))
         assert span_residual(stack, ortho) == pytest.approx(whole_stack_residual(stack, ortho), rel=1e-12)
 
+    def test_nan_in_any_chunk_is_the_residual(self):
+        ortho = orthonormal_rows(np.eye(4)[None] + np.zeros((1, 4, 4)))
+        stack = np.repeat(ortho, 40, axis=0)
+        assert span_residual(stack, ortho) == 0.0
+        for row in (0, 39):   # in the first chunk and in the last
+            planted = stack.copy()
+            planted[row, 1, 2] = np.nan
+            assert np.isnan(span_residual(planted, ortho))
+
     def test_empty_span_and_empty_stack(self):
         stack = np.full((20, 2, 2), 3.0 + 0j)
         assert span_residual(stack, np.zeros((0, 2, 2))) == 1.0
@@ -293,3 +312,26 @@ class TestDump:
         row = text.splitlines()[1].split("\t")
         assert row[0] == "1+2i"
         assert row[1] == "-0.5+0i"
+
+
+class TestWorst:
+    def test_no_draws(self):
+        res = worst(iter([]))
+        assert res == {} and res.draws == 0
+
+    def test_keywise_max_from_zero_over_the_draws(self):
+        draws = [{"a": -1.0, "b": 0.5}, {}, {"a": -2.0, "b": 0.25, "c": 3.0}, {"b": 0.75}]
+        res = worst(iter(draws))
+        assert isinstance(res, dict)
+        assert res == {"a": 0.0, "b": 0.75, "c": 3.0}
+        assert res.draws == 4
+
+    def test_nan_wins_in_either_order(self):
+        draws = [{"r": 1e-3}, {"r": float("nan")}]
+        assert np.isnan(worst(draws)["r"]) and np.isnan(worst(draws[::-1])["r"])
+
+    def test_scalar_sup(self):
+        assert sup([]) == 0.0 and sup([], default=-1.0) == -1.0
+        assert sup([0.25, 2, 1.5]) == 2 and sup([0.5], default=1.0) == 1.0
+        for values in ([np.nan, 1.0, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0, np.nan]):
+            assert np.isnan(sup(values)) and np.isnan(sup(iter(values)))

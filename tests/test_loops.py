@@ -18,7 +18,7 @@ from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
                             lift, loop_cocycle_compare, loop_from_bivectors,
                             loop_identity, omega_matrix, pointwise_unitary,
                             random_loop_algebra, reflect_orthogonal, restrict_loop, reversed_loop,
-                            skew_from_loop_algebra, spin_exp, string_crossed_module,
+                            skew_from_loop_algebra, string_crossed_module,
                             vertex_reflection)
 from loopfock.report import RunConfig
 from loopfock.suites import run_suites
@@ -58,7 +58,7 @@ class TestSpinGroup:
         theta = 1.3
         B = np.zeros((3, 3))
         B[1, 0], B[0, 1] = theta, -theta
-        x = spin_exp(B, spin3.gammas)
+        x = spin3.exp(B)
         R = np.eye(3)
         R[0, 0] = R[1, 1] = np.cos(theta)
         R[1, 0], R[0, 1] = np.sin(theta), -np.sin(theta)
@@ -178,8 +178,8 @@ class TestLoopArrays:
         B[0] = 0.0
         if d >= 3:   # a zero plane, which the per-vertex sum skips
             B[1, 0, 2] = B[1, 2, 0] = 0.0
-        x = spin_exp(B, spin.gammas)
-        assert np.array_equal(x, np.stack([spin_exp(b, spin.gammas) for b in B]))
+        x = spin.exp(B)
+        assert np.array_equal(x, np.stack([spin.exp(b) for b in B]))
         assert np.array_equal(x, np.stack([vertexwise_spin_exp(b, spin.gammas) for b in B]))
         lam = spin.covering(x.reshape(2, 3, spin.dim, spin.dim))
         assert lam.shape == (2, 3, d, d)

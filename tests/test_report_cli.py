@@ -13,7 +13,7 @@ import loopfock.rep
 import loopfock.suites
 import loopfock.twogroup
 from loopfock.cli import build_config, main
-from loopfock.errors import ConfigError
+from loopfock.errors import ConfigError, NotInner
 from loopfock.linalg import maxabs
 from loopfock.report import (SUITE_NAMES, CheckRecord, RunConfig, emit_report,
                              strip_timing, summarize)
@@ -83,6 +83,20 @@ class TestReports:
         assert "| b | identity b |" in text
         assert "FAIL" in text and "info" in text
 
+    def test_nan_residual_is_null_and_error_is_set_only_on_aborts(self):
+        nan = CheckRecord("string", "d", "identity d", float("nan"), 1e-8, 0.4, 1)
+        aborted = CheckRecord("tomita", "tomita aborted", "the suite ran to its end", float("nan"), 1e-8,
+                              0.5, 0, error="NotInner: planted")
+        assert not nan.passed and not aborted.passed and not aborted.exploratory
+        payload = json.loads(emit_report(RunConfig(), sample_records() + [nan, aborted], "json").decode())
+        assert [(r["residual"], r.get("error")) for r in payload["records"][3:]] == \
+            [(None, None), (None, "NotInner: planted")]
+        assert ["error" in r for r in payload["records"]] == [False] * 4 + [True]
+        assert payload["summary"]["failed"] == 3
+        text = emit_report(RunConfig(), [nan, aborted], "md").decode()
+        assert "| d | identity d | nan |" in text
+        assert "| tomita aborted | the suite ran to its end | NotInner: planted |" in text
+
     def test_strip_timing_normalizes(self):
         recs = sample_records()
         a = emit_report(RunConfig(), recs, "json")
@@ -120,8 +134,7 @@ def test_reports_property_byte_identical_for_any_seed(seed):
     assert strip_timing(emit_report(cfg, r1, "json")) == strip_timing(emit_report(cfg, r2, "json"))
 
 
-CONFIG_KEYS = ("points", "dim", "seed", "suite", "samples", "tol", "report", "format",
-               "dump", "loop")
+CONFIG_KEYS = ("points", "dim", "seed", "suite", "tol", "report", "format", "dump", "loop")
 config_values = st.one_of(
     st.sampled_from(["4", "2", "6", "16", "0", "-2", "5", "1e-7", "nan", "inf", "1e400",
                      "-0.0", "", "abc", "all", "tomita,string", ",", "json", "md", "xml",
@@ -289,22 +302,74 @@ class TestGatedRecords:
 
 
 class TestSampleCounts:
-    # checks whose sample count is fixed, whatever --samples says
+    # each record counts the draws its check took
     FIXED = {"matrix automorphism module": 50, "fiber lands in the algebra": 50,
              "well definedness": 50, "strict intertwiner": 50, "t compatibility": 100,
              "action compatibility": 100, "string crossed module": 100,
              "fusion factorization": 12, "unit comparison scalar": 20, "twisted duality": 1,
              # every generator pair, or every generator, plus one sampled pair
              "anticommutation": 4 * 5 // 2 + 1, "star relation": 4 + 1}
-    SCALED = ("finite crossed modules", "peiffer detects nonabelian", "inclusion intertwiner",
-              "intertwiner detects defect")
+    # small finite groups are enumerated whole, every tuple of G x G x H x H:
+    # B(Z4), S3, B(Z2) and Z6 give 4^2 + 6^2 + 2^2 + 6^2, B(S3) 6^2, and both
+    # intertwiners out of B(Z2) 2^2
+    ENUMERATED = {"finite crossed modules": 92, "peiffer detects nonabelian": 36,
+                  "inclusion intertwiner": 4, "intertwiner detects defect": 4}
 
     def test_records_count_the_samples_their_checks_draw(self):
-        cfg, _ = build_config(["--points", "2", "--dim", "2", "--samples", "7"])
+        cfg, _ = build_config(["--points", "2", "--dim", "2"])
         _, records = run_suites(cfg)
         counts = {r.name: r.sample_count for r in records}
         assert {name: counts[name] for name in self.FIXED} == self.FIXED
-        assert {counts[name] for name in self.SCALED} == {7}
+        assert {name: counts[name] for name in self.ENUMERATED} == self.ENUMERATED
+
+    def test_samples_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--points", "2", "--dim", "2", "--samples", "7"])
+        assert exc.value.code == 2
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("samples=7\n")
+        assert main(["--config", str(cfgfile)]) == 2
+        assert "unknown key samples" in capsys.readouterr().err
+        assert "samples" not in {field.name for field in dataclasses.fields(RunConfig)}
+        assert "samples" not in json.loads(emit_report(RunConfig(), [], "json"))["config"]
+
+
+class TestAbortedSuite:
+    """A check that raises fails its suite, not the run."""
+
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        def raising(ctx):
+            raise NotInner("planted")
+        monkeypatch.setattr(loopfock.rep, "check_twisted_duality", raising)
+
+    def test_run_keeps_the_records_and_goes_on(self, planted, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["--points", "2", "--dim", "2", "--report", str(path)]) == 1
+        records = json.loads(path.read_text())["records"]
+        assert [r["name"] for r in records if r["suite"] == "tomita"] == \
+            ["cyclic separating", "modular identities", "conjugation onto commutant", "tomita aborted"]
+        aborted = next(r for r in records if r["name"] == "tomita aborted")
+        assert aborted["error"] == "NotInner: planted" and aborted["residual"] is None
+        assert aborted["passed"] is False and aborted["tolerance"] == RunConfig().gate
+        assert [r for r in records if "error" in r] == [aborted]
+        after = [r["suite"] for r in records[records.index(aborted) + 1:]]
+        assert list(dict.fromkeys(after)) == ["two-group", "string", "rep"]
+        out, err = capsys.readouterr()
+        assert "tomita aborted" in out.split("error NotInner: planted")[0]
+        assert "Traceback" in err and "NotInner: planted" in err
+
+    def test_a_suite_called_directly_still_raises(self, planted):
+        with pytest.raises(NotInner, match="planted"):
+            tomita_checks(Environment(RunConfig(n=1, d=2, suites=("tomita",))))
+
+
+class TestNanResiduals:
+    def test_nan_schwinger_term_fails_loop_cocycle_antisymmetry(self, monkeypatch):
+        monkeypatch.setattr(loopfock.bogoliubov, "schwinger_term", lambda *args: float("nan"))
+        _, records = run_suites(RunConfig(n=1, d=2, suites=("string",)))
+        rec = record_named(records, "loop cocycle antisymmetry")
+        assert np.isnan(rec.residual) and not rec.passed
 
 
 class TestCli:
