@@ -4,12 +4,13 @@ Algebras are carried as linear bases (stacks of matrices).  Commutants and
 super commutants have a generic kernel-solver route plus an exact averaging
 fast path available whenever the algebra comes with involution-type unitary
 generators, which is the case for all Clifford half-circle algebras.  The
-representation context reads the half-circle commutants in closed form
-(rep.first_half_commutant), and the tests compare both routes with the
-closed forms.  The twisted-duality check solves for no commutant: it
-applies the fast path's projections to two Gaussian probes
-(super_commutant_probes), since a generic element of the super commutant of
-the second half lies in the first-half algebra only if the two are equal.
+program solves for neither: the tomita checks read the half-circle
+commutants on their generators (rep.half_generators), and the tests compare
+both routes with the algebras those generators generate.  The
+twisted-duality check applies the fast path's projections to two Gaussian
+probes (super_commutant_probes), since a generic element of the super
+commutant of the second half lies in the first-half algebra only if the two
+are equal.
 
 An automorphism is carried as conjugation by a unitary W that normalizes
 the algebra, together with the images W g W^* of the generators (of the
@@ -22,6 +23,8 @@ the projections x -> (x + theta(g) x g^*)/2 over the generators g gives
 that map up to a positive factor at the cost of a few products.
 inner_unitary checks the factor assumption on every solve, refuses algebras
 with a centre, and verifies its result on every generator.
+
+Every guard here is written so that a NaN residual fails it.
 """
 
 from dataclasses import dataclass, field
@@ -95,7 +98,7 @@ def _checked_algebra(basis, generators=None, tol=DEFAULT_TOL):
     adjoints; a NaN adjoint residual fails the check.
     """
     N = basis.shape[1]
-    if span_residual(np.eye(N, dtype=complex)[None], basis) > tol.eq_tol:
+    if not span_residual(np.eye(N, dtype=complex)[None], basis) <= tol.eq_tol:
         raise ValueError("span does not contain the identity")
     # CHECK_ROWS adjoints at a time, so the check holds no second basis-sized stack
     adjoints = (np.conj(np.transpose(rows, (0, 2, 1))) for rows in row_chunks(basis))
@@ -141,20 +144,18 @@ def _averaging_ready(mats, tol):
     eye = np.eye(mats[0].shape[0])
     sign = None
     for u in mats:
-        if maxabs(u @ u.conj().T - eye) > tol.eq_tol:
-            return False
         sq = u @ u
         s = sq[0, 0].real
-        if abs(abs(s) - 1.0) > tol.eq_tol or maxabs(sq - s * eye) > tol.eq_tol:
+        if not sup((maxabs(u @ u.conj().T - eye), abs(abs(s) - 1.0), maxabs(sq - s * eye))) <= tol.eq_tol:
             return False
         if sign is None:
             sign = s
-        elif abs(s - sign) > tol.eq_tol:
+        elif not abs(s - sign) <= tol.eq_tol:
             return False
     for a in range(len(mats)):
         for b in range(a):
             ab, ba = mats[a] @ mats[b], mats[b] @ mats[a]
-            if min(maxabs(ab - ba), maxabs(ab + ba)) > tol.eq_tol:
+            if not (maxabs(ab - ba) <= tol.eq_tol or maxabs(ab + ba) <= tol.eq_tol):
                 return False
     return True
 
@@ -207,7 +208,7 @@ def commutant(alg, tol=DEFAULT_TOL):
 def grading_parts(alg, grading, tol=DEFAULT_TOL):
     """Homogeneous spanning elements (matrix, is_odd); fails if not graded."""
     twisted = grading @ alg.basis @ grading
-    if span_residual(twisted, alg.basis) > tol.eq_tol:
+    if not span_residual(twisted, alg.basis) <= tol.eq_tol:
         raise NotGraded("algebra span is not invariant under the grading")
     parts = []
     for a, t in zip(alg.basis, twisted):
@@ -220,31 +221,31 @@ def grading_parts(alg, grading, tol=DEFAULT_TOL):
     return parts
 
 
-def _dressed_generators(alg, grading, tol=DEFAULT_TOL):
+def _dressed_generators(gens, grading, tol=DEFAULT_TOL):
     """The generators u @ grading, or None unless every generator u is odd
     and the dressed ones qualify for the averaging projections.
 
     An element graded-commutes with an odd u exactly when it commutes with
     u @ grading, so the super commutant is the plain commutant of the
     dressed generators."""
-    gens = alg.generators
     if gens is None or not all(maxabs(grading @ u @ grading + u) <= tol.eq_tol for u in gens):
         return None
     dressed = [u @ grading for u in gens]
     return dressed if _averaging_ready(dressed, tol) else None
 
 
-def super_commutant_probes(alg, grading, count, tol=DEFAULT_TOL):
+def super_commutant_probes(gens, grading, count, tol=DEFAULT_TOL):
     """count Gaussian probes from a fixed seed, projected onto the super
-    commutant, each scaled to largest entry one.
+    commutant of the algebra the stack gens generates, each scaled to
+    largest entry one.
 
     The projections are those of super_commutant's fast path; without
     generators that qualify for them, NotAveragingReady is raised."""
-    dressed = _dressed_generators(alg, grading, tol)
+    dressed = _dressed_generators(gens, grading, tol)
     if dressed is None:
         raise NotAveragingReady("the algebra needs odd generators whose dressings "
                                 "qualify for the averaging projections")
-    N = alg.space_dim
+    N = grading.shape[0]
     rng = np.random.default_rng(2)
     Z = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
     Z = _project_intertwiners(Z, dressed, dressed)
@@ -259,7 +260,7 @@ def super_commutant(alg, grading, tol=DEFAULT_TOL):
     u @ grading, turning the graded condition into a plain commutant solve.
     """
     N = alg.space_dim
-    dressed = _dressed_generators(alg, grading, tol)
+    dressed = _dressed_generators(alg.generators, grading, tol)
     if dressed is not None:
         basis = _averaged_commutant_basis(dressed, tol, np.random.default_rng(2),
                                           expected=N * N // alg.dim)
@@ -348,8 +349,7 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
         "J omega": maxabs(J(omega) - omega),
         "delta omega": maxabs(delta @ omega - omega),
     }
-    worst = max(checks.values())
-    if worst > tol.eq_tol:
+    if not sup(checks.values()) <= tol.eq_tol:
         raise NotCyclicSeparating(f"modular data failed vacuum identities: {checks}")
     # cone pairing tensor T[i, j] = vector a_i J a_j J omega, one BLAS product
     # whose C-contiguous result cone_defects contracts without a copy; since
@@ -444,7 +444,7 @@ def inner_unitary(theta, tol=DEFAULT_TOL):
         raise NotInner(f"solution space has dimension {dim}; algebra is not a factor")
     u = polar_unitary(vh[0].reshape(N, N), tol)
     worst = maxabs(u @ alg.constraint_generators() @ u.conj().T - theta.images)
-    if worst > tol.eq_tol or alg.membership_residual(u) > tol.eq_tol:
+    if not sup((worst, alg.membership_residual(u))) <= tol.eq_tol:
         raise NotInner(f"candidate representative fails the action by {worst:.2e}")
     return u
 
@@ -459,7 +459,7 @@ def conjugation_action(U, alg, tol=DEFAULT_TOL):
     representative when it lies in the span.
     """
     images = U @ alg.constraint_generators() @ U.conj().T
-    if span_residual(images, alg.basis) > tol.eq_tol:
+    if not span_residual(images, alg.basis) <= tol.eq_tol:
         raise NotInNormalizer("unitary does not normalize the algebra")
     rep = U if alg.membership_residual(U) <= tol.eq_tol else None
     return InnerAutomorphism(alg, U, images, rep)
@@ -490,7 +490,7 @@ def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
     U = u @ sfd.reflect(u)
     act = maxabs(U @ alg.constraint_generators() @ U.conj().T - theta.images)
     jcomm = maxabs(U @ sfd.conjugation.linear - sfd.conjugation.linear @ np.conj(U))
-    if max(act, jcomm) > tol.eq_tol:
+    if not sup((act, jcomm)) <= tol.eq_tol:
         raise NotInner(f"canonical implementation failed action/J checks ({act:.2e}, {jcomm:.2e})")
     if rng is None:
         rng = np.random.default_rng(4)
@@ -500,6 +500,6 @@ def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
         a = alg.from_coordinates(c)
         probes.append(a @ sfd.reflect(a) @ sfd.omega)
     worst = float(np.max(sfd.cone_defects(np.stack(probes) @ U.T)))
-    if worst > tol.eq_tol:
+    if not worst <= tol.eq_tol:
         raise ConeViolation(f"cone moved by {worst:.2e}")
     return CanonicalImplementation(U, act, jcomm)

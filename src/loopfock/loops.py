@@ -22,7 +22,7 @@ from .bogoliubov import (Implementer, check_orthogonal, is_special, normalize_ph
                          schwinger_term)
 from .clifford import even_monomials
 from .errors import EndpointMismatch, NotSpecialOrthogonal
-from .linalg import DEFAULT_TOL, maxabs
+from .linalg import DEFAULT_TOL, maxabs, sup
 from .twogroup import ComputableGroup, CrossedModule, UnitaryGroup
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -280,7 +280,7 @@ class ExtLoopGroup(ComputableGroup):
                                    a.implementer.parity, "raw"))
 
     def dist(self, a, b):
-        return max(maxabs(a.loop - b.loop), maxabs(a.unitary - b.unitary))
+        return sup((maxabs(a.loop - b.loop), maxabs(a.unitary - b.unitary)))
 
     def sample(self, rng):
         ext = lift(self.model, self.spin, half_supported_loop(self.model.n, self.spin, rng), self.tol)

@@ -11,7 +11,6 @@ are still computed faithfully and reported with their true residuals.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,8 +20,8 @@ from .algebra import (OperatorAlgebra, _checked_algebra, canonical_implementatio
 from .bogoliubov import LINE_PROBES, Implementer, implementation_residual
 from .clifford import clifford_monomials, generator_indices, half_space
 from .errors import NotInA
-from .linalg import (DEFAULT_TOL, averaged_intertwiners, maxabs, row_chunks, scalar_defect,
-                     span_residual, sup, worst)
+from .linalg import (DEFAULT_TOL, averaged_intertwiners, maxabs, scalar_defect, span_residual,
+                     sup, worst)
 from .loops import (ExtLoop, SpinGroup, concat_paths, double_path,
                     edge_double_path, edge_reflection, lift, omega_matrix,
                     pointwise_unitary, reflect_orthogonal, restrict_loop,
@@ -35,13 +34,10 @@ from .twogroup import (ComputableGroup, CrossedModule, StrictIntertwiner,
 class RepresentationContext:
     """Half-circle algebra, its modular data and the string crossed module.
 
-    algebra_perp (the super commutant A^perp) and algebra_comm (the plain
-    commutant A') of the first-half algebra A are built on first read and
-    then kept, since only the tomita checks read them.  Both come in closed
-    form from the second-half monomials, and no solve runs: A^perp is the
-    second-half algebra itself (half_algebra), and A' is that algebra with
-    each odd monomial b replaced by Gamma b (first_half_commutant).  Every
-    algebra basis here has orthonormal rows.
+    The algebra's basis has orthonormal rows.  Its super commutant and its
+    commutant are not held: the tomita checks read them on their
+    generators, the second-half generators b_i (half_generators) and their
+    twists Gamma b_i.
     """
 
     model: object
@@ -51,16 +47,6 @@ class RepresentationContext:
     string_cm: CrossedModule
     unitary_cm: CrossedModule           # U(A) -> inner automorphisms
     tol: object
-
-    @cached_property
-    def algebra_perp(self):
-        """Super commutant of the algebra."""
-        return half_algebra(self.model, "second", self.tol)
-
-    @cached_property
-    def algebra_comm(self):
-        """Plain commutant of the algebra."""
-        return first_half_commutant(self.model, self.tol)
 
 
 class UnitaryInAlgebraGroup(UnitaryGroup):
@@ -116,37 +102,22 @@ def unitary_automorphism_module(alg):
     )
 
 
+def half_generators(model, which):
+    """The generators pi(e_{j,a}) of one half circle ('first' or 'second')."""
+    return model.generators[generator_indices(model, half_space(model, which))]
+
+
 def half_algebra(model, which, tol=DEFAULT_TOL):
     """Algebra of one half circle ('first' or 'second') with that half's
     generators, on its Clifford monomials divided by sqrt(N): they are
     orthonormal as they come (clifford_monomials), so no SVD runs."""
-    points = half_space(model, which)
-    basis = clifford_monomials(model, points)
+    basis = clifford_monomials(model, half_space(model, which))
     basis /= np.sqrt(model.fock_dim)
-    return _checked_algebra(basis, model.generators[generator_indices(model, points)], tol)
-
-
-def first_half_commutant(model, tol=DEFAULT_TOL):
-    """Commutant of the first-half algebra in closed form: the second-half
-    monomials with each odd one b replaced by Gamma b, divided by sqrt(N).
-
-    An even b commutes with every first-half generator; an odd b
-    anticommutes with each, as the grading Gamma does, so Gamma b commutes.
-    Gamma is unitary, so the twisted monomials keep their inner products,
-    and an even monomial against a twisted odd one is the trace of an odd
-    operator, zero: the rows stay orthonormal.  There are N^2 / dim A of
-    them, the dimension of the commutant of a factor, so they fill it
-    (twisted duality for the CAR algebra)."""
-    basis = clifford_monomials(model, half_space(model, "second"))
-    odd = np.array([S.bit_count() % 2 == 1 for S in range(basis.shape[0])])
-    np.multiply(basis, model.grading_signs[:, None], out=basis, where=odd[:, None, None])
-    basis /= np.sqrt(model.fock_dim)
-    return _checked_algebra(basis, tol=tol)
+    return _checked_algebra(basis, half_generators(model, which), tol)
 
 
 def build_context(model, tol=DEFAULT_TOL):
-    """Assemble algebra, modular and string data for one lattice model;
-    the commutants wait for their first read."""
+    """Assemble algebra, modular and string data for one lattice model."""
     spin = SpinGroup(model.d)
     alg = half_algebra(model, "first", tol)
     sfd = tomita_data(alg, model.vacuum, tol)
@@ -171,7 +142,7 @@ def loop_unitary(ctx, ext):
     s = ctx.model.grading_signs
     even = maxabs(U * s - s[:, None] * U)
     member = ctx.algebra.membership_residual(U)
-    if max(even, member) > ctx.tol.eq_tol:
+    if not sup((even, member)) <= ctx.tol.eq_tol:
         raise NotInA(f"half-loop unitary failed evenness/membership ({even:.2e}, {member:.2e})")
     return U
 
@@ -313,7 +284,7 @@ class PairLiftGroup(ComputableGroup):
         return (self.paths.inv(a[0]), self.paths.inv(a[1]), a[2].conj().T)
 
     def dist(self, a, b):
-        return max(maxabs(a[0] - b[0]), maxabs(a[1] - b[1]), maxabs(a[2] - b[2]))
+        return sup(maxabs(x - y) for x, y in zip(a, b))
 
     def sample(self, rng, interior=False):
         """interior: pairs whose loops vanish at both reflection-fixed vertices."""
@@ -512,23 +483,23 @@ TWISTED_PROBES = 2
 def check_twisted_duality(ctx):
     """The two half algebras are each other's super commutants.
 
-    The context's A^perp is the second-half algebra B by construction, so
-    that side is checked on B directly: every basis element x of B
-    graded-commutes with A's generators g, which are odd, so g x = Gamma x
-    Gamma g; with dim A * dim B = N^2, the dimension of A^perp on a factor,
-    B is all of A^perp.  The same commutator puts A inside B^perp.  The
-    other side projects two Gaussian probes onto B^perp, by the averaging
-    projections over B's generators dressed with Gamma, and gates their
-    span residual against A: a generic element of B^perp lies in A only if
-    B^perp = A, so no basis of B^perp is solved for."""
-    A, B, N = ctx.algebra, ctx.algebra_perp, ctx.model.fock_dim
-    s = ctx.model.grading_signs
-    graded = sup(maxabs(g @ x - (s[:, None] * x * s) @ g)
-                 for x in row_chunks(B.basis) for g in A.generators)
+    B, the second-half algebra, is generated by the second-half generators
+    b, and A by its generators g; all of them are odd.  So B lies in A's
+    super commutant A^perp, and A in B's, when every b graded-commutes with
+    every g: g b = Gamma b Gamma g.  The 2^k monomials of B's k generators
+    are orthogonal, so with dim A * 2^k = N^2, the dimension of A^perp on a
+    factor, B is all of A^perp.  The other side projects two Gaussian probes
+    onto B^perp, by the averaging projections over B's generators dressed
+    with Gamma, and gates their span residual against A: a generic element
+    of B^perp lies in A only if B^perp = A.  No basis of B or of B^perp is
+    built."""
+    A, N, s = ctx.algebra, ctx.model.fock_dim, ctx.model.grading_signs
+    B = half_generators(ctx.model, "second")
     probes = super_commutant_probes(B, ctx.model.grading, TWISTED_PROBES, ctx.tol)
     a_res = span_residual(probes, A.basis)
-    # the bases have orthonormal rows, so dim is the dimension of each span
-    same_perp = A.dim * B.dim == N * N and graded <= ctx.tol.eq_tol
+    gamma_b_gamma = s[:, None] * B * s
+    graded = sup(maxabs(g @ B - gamma_b_gamma @ g) for g in A.generators)
+    same_perp = A.dim * 2 ** len(B) == N * N and graded <= ctx.tol.eq_tol
     same_a = graded <= ctx.tol.eq_tol and a_res <= ctx.tol.eq_tol
     return {
         "super commutant of A equals A_perp": 0.0 if same_perp else 1.0,

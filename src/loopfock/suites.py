@@ -21,8 +21,7 @@ from . import loops as lp
 from . import rep
 from . import twogroup as tg
 from .errors import ConfigError
-from .linalg import (TolerancePolicy, averaged_intertwiners, maxabs, row_chunks, scalar_defect,
-                     span_residual, sup, worst)
+from .linalg import TolerancePolicy, averaged_intertwiners, maxabs, scalar_defect, sup, worst
 from .report import CheckRecord, emit_report, summarize
 
 EXPLORATORY = float("inf")
@@ -227,22 +226,24 @@ def tomita_checks(env):
     ))
     record("modular identities", "polar pieces of the star map", res, 1e-9, 1)
 
-    comm = ctx.algebra_comm
-    # J is antiunitary and A.basis orthonormal, so J A J has orthonormal rows,
-    # and inside the commutant with its dimension it is all of it
-    inside = sup(span_residual(sfd.conjugation.conjugate_matrix(a), comm.basis)
-                 for a in row_chunks(A.basis))
-    res = sup((inside, 0.0 if A.dim == comm.dim else 1.0))
-    record("conjugation onto commutant", "J maps the algebra onto its commutant", res, 1e-9, 1)
+    # A' is generated by the twisted second-half generators Gamma b, whose
+    # 2^k monomials are orthogonal; commuting with A's generators g is
+    # commuting with the algebra they generate
+    gens = A.constraint_generators()
+    twisted = model.grading_signs[:, None] * rep.half_generators(model, "second")
+    comm_dim = 2 ** len(twisted)
+    # J A J is generated by the J g J and has dim A, so inside A' with dim A
+    # = dim A' it is all of it
+    inside = sup(maxabs(g @ gens - gens @ g) for g in sfd.reflect(gens))
+    record("conjugation onto commutant", "J maps the algebra onto its commutant",
+           sup((inside, 0.0 if A.dim == comm_dim else 1.0)), 1e-9, 1)
 
     res = rep.check_twisted_duality(ctx)
     record("twisted duality", "half algebras are mutual super commutants",
            sup(res.values()), cfg.gate, 1)
 
-    # commuting with the generators is commuting with the algebra they generate
-    gens = A.constraint_generators()
-    pairwise = sup(maxabs(g @ c - c @ g) for c in row_chunks(comm.basis) for g in gens)
-    dim_defect = 0.0 if A.dim * comm.dim == N * N else 1.0
+    pairwise = sup(maxabs(g @ twisted - twisted @ g) for g in gens)
+    dim_defect = 0.0 if A.dim * comm_dim == N * N else 1.0
     record("double commutant", "commutant dimensions multiply to the full algebra",
            sup((pairwise, dim_defect)), cfg.gate, 1)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotComposable
-from .linalg import DEFAULT_TOL, maxabs, worst
+from .linalg import DEFAULT_TOL, maxabs, sup, worst
 
 
 class ComputableGroup:
@@ -240,7 +240,7 @@ class SemidirectGroup(ComputableGroup):
         return (self.act(ginv, self.fiber.inv(a[0])), ginv)
 
     def dist(self, a, b):
-        return max(self.fiber.dist(a[0], b[0]), self.base.dist(a[1], b[1]))
+        return sup((self.fiber.dist(a[0], b[0]), self.base.dist(a[1], b[1])))
 
     def sample(self, rng):
         return (self.fiber.sample(rng), self.base.sample(rng))

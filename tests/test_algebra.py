@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import loopfock.algebra
 import loopfock.linalg
-from loopfock.algebra import (InnerAutomorphism, OperatorAlgebra, algebra_from_span,
-                              canonical_implementation, commutant,
+import loopfock.rep
+from loopfock.algebra import (InnerAutomorphism, OperatorAlgebra, _averaging_ready,
+                              algebra_from_span, canonical_implementation, commutant,
                               conjugation_action, cyclic_separating_check,
                               generated_star_algebra, inner_unitary,
                               reflected_action, super_commutant, tomita_data)
@@ -17,7 +18,7 @@ from loopfock.clifford import (build_clifford_model, clifford_monomials,
 from loopfock.errors import NotCyclicSeparating, NotGraded, NotInner, NotInNormalizer
 from loopfock.linalg import (DEFAULT_TOL, maxabs, orthonormal_rows,
                              singular_rows, span_residual, subspace_equal)
-from loopfock.rep import build_context
+from loopfock.rep import build_context, half_generators
 
 rng = np.random.default_rng(31)
 
@@ -432,6 +433,13 @@ class TestNormalizer:
         with pytest.raises(NotInNormalizer):
             conjugation_action(U, A)
 
+    def test_nan_unitary_does_not_normalize(self, model12):
+        # every comparison with NaN is false, so a guard written res > tol lets it through
+        U = np.eye(model12.fock_dim, dtype=complex)
+        U[1, 1] = np.nan
+        with pytest.raises(NotInNormalizer):
+            conjugation_action(U, half_algebra(model12))
+
     def test_action_kernels(self, model22):
         A = half_algebra(model22)
         sfd = tomita_data(A, model22.vacuum)
@@ -507,7 +515,7 @@ class TestTallRowSpaces:
         assert maxabs(sfd._cone_tensor - reference) <= 1e-13
 
     def test_context_bases_are_c_contiguous(self, context23):
-        for alg in (context23.algebra, context23.algebra_comm, context23.algebra_perp):
+        for alg in (context23.algebra, loopfock.rep.half_algebra(context23.model, "second")):
             assert alg.basis.flags.c_contiguous
 
 
@@ -546,10 +554,14 @@ class TestGeneratorChecks:
             assert max(act, on_basis) < 1e-10
 
     def test_double_commutant(self, context):
-        comm = context.algebra_comm
-        forms = self.both_forms(context, lambda stack: max(maxabs(a @ comm.basis - comm.basis @ a)
-                                                           for a in stack))
-        assert max(forms) < 1e-9
+        # A' is generated by the twisted second-half generators Gamma b
+        model = context.model
+        twisted = model.grading_signs[:, None] * half_generators(model, "second")
+        comm = generated_star_algebra(twisted)
+        assert comm.dim * context.algebra.dim == model.fock_dim ** 2
+        on_generators = max(maxabs(a @ twisted - twisted @ a) for a in context.algebra.generators)
+        on_bases = max(maxabs(a @ comm.basis - comm.basis @ a) for a in context.algebra.basis)
+        assert max(on_generators, on_bases) < 1e-9
 
     def test_action_kernels(self, context):
         rand = np.random.default_rng(5)
@@ -701,6 +713,12 @@ class TestGeneratorInnerSolve:
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         bad = np.stack([np.kron(np.eye(A.space_dim // 2), m) for m in (sx, (sx + np.diag([1.0, -1.0])) / np.sqrt(2))])
         assert not dataclasses.replace(A, generators=bad).generators_ready(DEFAULT_TOL)
+
+    def test_nan_generator_is_not_ready(self, model12):
+        gens = half_algebra(model12).generators.copy()
+        assert _averaging_ready(gens, DEFAULT_TOL)
+        gens[-1, 0, 0] = np.nan
+        assert not _averaging_ready(gens, DEFAULT_TOL)
 
 
 inner_algebras = {}

@@ -3,7 +3,8 @@ module: no unused imports, no function-local name that is assigned but
 never read, no module-level definition of the package, nor method of one
 of its classes, that nothing refers to, none that the program's entry
 points cannot reach unless a test compares against it, and no worst
-residual kept by hand in a loop: linalg.worst and linalg.sup take them."""
+residual kept by hand in a loop nor combined by the builtin max or min in a
+dist method: linalg.worst and linalg.sup take them, and keep a NaN."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,16 @@ def sup_accumulators(tree):
                     and ast.unparse(node.value.args[0]) == ast.unparse(node.targets[0])):
                 found.add((node.lineno, ast.unparse(node.targets[0])))
     return found
+
+
+def dist_maxima(tree):
+    """Builtin max or min calls inside a method named dist: they drop a NaN
+    that comes after a number, where linalg.sup keeps it."""
+    return {(node.lineno, node.func.id)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == "dist"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("max", "min")}
 
 
 def defined_names(tree):
@@ -180,6 +191,10 @@ def test_no_running_maximum_is_kept_by_hand():
     assert offenders(PACKAGE, sup_accumulators) == []
 
 
+def test_no_distance_takes_a_builtin_maximum():
+    assert offenders(PACKAGE, dist_maxima) == []
+
+
 def test_no_dead_definitions():
     trees = [parse(path) for path in PACKAGE + TESTS]
     found = [f"{path.relative_to(ROOT)}:{line} {name}"
@@ -216,6 +231,11 @@ def test_finders_flag_what_they_name():
                       "    y = max(0, w)\n    for i in x:\n        if i:\n            w = max(w, i)\n"
                       "while w:\n    w = max(w, 2)\nw = max(w, 3)\n")
     assert sorted(sup_accumulators(loops)) == [(2, "w"), (3, "r['a']"), (7, "w")]
+    groups = ast.parse("class G:\n    def dist(self, a, b):\n        return max(a, b)\n\n"
+                       "    def mul(self, a, b):\n        return min(a, b)\n\n"
+                       "class H:\n    def dist(self, a, b):\n        return sup((a, min(b, 1)))\n\n"
+                       "def dist(a, b):\n    return max(a, b)\n")
+    assert sorted(dist_maxima(groups)) == [(3, "max"), (10, "min")]
     module = ast.parse("def used():\n    pass\n\ndef unused():\n    return used()\n\n"
                        "class Called:\n    def __init__(self):\n        pass\n\n"
                        "    def method(self):\n        pass\n\n    def stale(self):\n        pass\n\n"

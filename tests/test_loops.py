@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,15 @@ class TestPathsAndLoops:
             left = restrict_loop((a.loop @ b.loop))
             right = restrict_loop(a.loop) @ restrict_loop(b.loop)
             assert maxabs(left - right) < 1e-12
+
+    def test_distance_reads_a_nan_unitary(self):
+        # the builtin max keeps a number that comes before a NaN
+        H = ExtLoopGroup(build_clifford_model(1, 2), SpinGroup(2))
+        a = H.sample(np.random.default_rng(0))
+        U = a.unitary.copy()
+        U[0, 0] = np.nan
+        b = dataclasses.replace(a, implementer=dataclasses.replace(a.implementer, unitary=U))
+        assert np.isnan(H.dist(a, b)) and np.isnan(H.dist(b, a))
 
 
 class TestOmega:

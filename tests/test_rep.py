@@ -21,8 +21,8 @@ from loopfock.rep import (TWISTED_PROBES, PairLiftGroup, build_context, check_al
                           check_membership_evenness, check_pi_levels,
                           check_t_compatibility, check_twisted_duality,
                           check_two_group_compatibility,
-                          check_well_definedness, first_half_commutant,
-                          fusion_factorization, half_algebra,
+                          check_well_definedness, fusion_factorization,
+                          half_algebra, half_generators,
                           irreducibility_dimension, loop_unitary,
                           modular_vs_reflection, normalizer_two_group,
                           pair_two_group, path_automorphism,
@@ -96,12 +96,17 @@ def same_span(closed, reference):
                                                span_residual(reference.basis, closed.basis)) <= 1e-12
 
 
+def twisted_commutant(model):
+    """The algebra the twisted second-half generators Gamma b generate."""
+    return generated_star_algebra(model.grading_signs[:, None] * half_generators(model, "second"))
+
+
 class TestClosedForms:
-    """The context's closed forms against the solved references."""
+    """The generators the tomita checks read against the solved references."""
 
     def test_commutant_is_the_averaged_one(self, half_model):
         A = half_algebra(half_model, "first")
-        assert same_span(first_half_commutant(half_model), commutant(A))
+        assert same_span(twisted_commutant(half_model), commutant(A))
 
     def test_super_commutant_is_the_averaged_one(self, half_model):
         A = half_algebra(half_model, "first")
@@ -114,13 +119,13 @@ class TestClosedForms:
         # over four minutes on a 2-core machine
         model = build_clifford_model(n, d)
         bare = OperatorAlgebra(half_algebra(model, "first").basis)
-        assert same_span(first_half_commutant(model), commutant(bare))
+        assert same_span(twisted_commutant(model), commutant(bare))
         assert same_span(half_algebra(model, "second"), super_commutant(bare, model.grading))
 
     def test_probes_lie_in_the_averaged_super_commutant(self, half_model):
         A, B = half_algebra(half_model, "first"), half_algebra(half_model, "second")
         reference = super_commutant(B, half_model.grading)
-        probes = super_commutant_probes(B, half_model.grading, TWISTED_PROBES)
+        probes = super_commutant_probes(B.generators, half_model.grading, TWISTED_PROBES)
         assert span_residual(probes, reference.basis) <= 1e-12
         assert same_span(A, reference)
 
@@ -142,38 +147,26 @@ class TestContext:
         res = check_twisted_duality(ctx22)
         assert max(res.values()) <= 1e-9, res
 
-    def test_commutants_are_built_on_first_read(self, monkeypatch):
-        def rep_suite():
-            code, records = run_suites(RunConfig(n=1, d=2, suites=("rep",)))
-            return code, [(r.name, r.residual, r.passed) for r in records]
+    def test_no_run_builds_a_second_half_basis(self, monkeypatch):
+        def records(cfg):
+            code, recs = run_suites(cfg)
+            return code, [(r.name, r.residual, r.passed) for r in recs]
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a commutant was built before it was read")
+        runs = [RunConfig(n=2, d=2, suites=("clifford", "bogoliubov", "tomita", "two-group", "string",
+                                            "rep")),
+                RunConfig(n=2, d=3, suites=("tomita",))]
+        expected = [records(cfg) for cfg in runs]
+        monomials = loopfock.clifford.clifford_monomials
 
-        def first_half_only(model, which, tol=TOL):
-            if which != "first":
-                refuse()
-            return half_algebra(model, which, tol)
+        def first_half_only(model, points):
+            if tuple(points) != half_space(model, "first"):
+                raise AssertionError(f"monomials of {points} were built")
+            return monomials(model, points)
 
-        expected = rep_suite()
-        monkeypatch.setattr(loopfock.rep, "first_half_commutant", refuse)
-        monkeypatch.setattr(loopfock.algebra, "super_commutant", refuse)
-        monkeypatch.setattr(loopfock.rep, "half_algebra", first_half_only)
-        ctx = build_context(build_clifford_model(1, 2))
-        # the same records, the structural red "unit comparison scalar" included
-        assert rep_suite() == expected
-        calls = []
-
-        def counted(model, tol):
-            calls.append(model)
-            return first_half_commutant(model, tol)
-
-        monkeypatch.setattr(loopfock.rep, "first_half_commutant", counted)
-        first = ctx.algebra_comm
-        assert len(calls) == 1 and calls[0] is ctx.model
-        assert ctx.algebra_comm is first
-        assert len(calls) == 1
-        assert first.dim * ctx.algebra.dim == ctx.model.fock_dim ** 2
+        for module in (loopfock.clifford, loopfock.rep):
+            monkeypatch.setattr(module, "clifford_monomials", first_half_only)
+        # the same records, the structural reds included
+        assert [records(cfg) for cfg in runs] == expected
 
     def test_modular_conjugation_edge_law(self, ctx22):
         # J pi(e_{j,a}) J = i Gamma pi(e_{2n-1-j,a}): the lattice reflection
@@ -189,17 +182,13 @@ class TestContext:
                 assert maxabs(W - target) < 1e-9
 
 
-def second_half_generators(model):
-    return model.generators[generator_indices(model, half_space(model, "second"))]
-
-
 class TestTwistedDuality:
     @pytest.mark.parametrize("context", ["ctx22", "ctx23"])
-    def test_probes_fail_alone_on_a_short_second_half(self, request, context):
-        ctx = dataclasses.replace(request.getfixturevalue(context))
+    def test_probes_fail_alone_on_a_short_second_half(self, request, plant_second_half, context):
+        ctx = request.getfixturevalue(context)
         # all but two second-half generators: B graded-commutes with A but
         # is too small, so its super commutant is larger than A
-        ctx.algebra_perp = generated_star_algebra(second_half_generators(ctx.model)[:-2])
+        plant_second_half(half_generators(ctx.model, "second")[:-2])
         res = check_twisted_duality(ctx)
         assert res["graded commutator A_perp with A"] <= 1e-12
         assert res["span residual A"] > 0.1
@@ -207,20 +196,18 @@ class TestTwistedDuality:
         assert res["super commutant of A_perp equals A"] == 1.0
 
     @pytest.mark.parametrize("generators", ["none", "even", "not averaging"])
-    def test_second_half_without_usable_generators_is_refused(self, ctx22, generators):
-        B = ctx22.algebra_perp
-        gens = second_half_generators(ctx22.model)
+    def test_second_half_without_usable_generators_is_refused(self, ctx22, plant_second_half, generators):
+        gens = half_generators(ctx22.model, "second")
         if generators == "none":
-            planted = OperatorAlgebra(B.basis)
+            planted = None
         elif generators == "even":
-            planted = OperatorAlgebra(B.basis, gens[:-1] @ gens[1:])
+            planted = gens[:-1] @ gens[1:]
         else:
             # odd unitary involutions that neither commute nor anticommute
-            planted = OperatorAlgebra(B.basis, np.stack([gens[0], (gens[0] + gens[1]) / np.sqrt(2)]))
-        ctx = dataclasses.replace(ctx22)
-        ctx.algebra_perp = planted
+            planted = np.stack([gens[0], (gens[0] + gens[1]) / np.sqrt(2)])
+        plant_second_half(planted)
         with pytest.raises(NotAveragingReady):
-            check_twisted_duality(ctx)
+            check_twisted_duality(ctx22)
 
     def test_a_tomita_run_solves_no_super_commutant(self, monkeypatch):
         cfg = RunConfig(n=2, d=2, suites=("tomita",))
@@ -236,7 +223,6 @@ class TestTwistedDuality:
 
 class TestTomitaMemory:
     def test_twisted_duality_peak_at_fock_64(self, ctx23):
-        ctx23.algebra_perp  # built outside the traced call
         tracemalloc.start()
         try:
             res = check_twisted_duality(ctx23)
@@ -281,6 +267,14 @@ class TestFiberAndBase:
     def test_membership_and_evenness(self, ctx22):
         res = check_membership_evenness(ctx22, 25, np.random.default_rng(1))
         assert max(res.values()) <= 1e-9, res
+
+    def test_nan_unitary_rejected(self, ctx12):
+        ext = ctx12.string_cm.fiber.sample(np.random.default_rng(4))
+        U = ext.unitary.copy()
+        U[0, 0] = np.nan
+        implementer = dataclasses.replace(ext.implementer, unitary=U)
+        with pytest.raises(NotInA):
+            loop_unitary(ctx12, dataclasses.replace(ext, implementer=implementer))
 
     def test_full_support_unitary_rejected(self, ctx22):
         spin = ctx22.spin
@@ -350,6 +344,14 @@ class TestCompatibilities:
         assert np.array_equal(p, ref_p) and np.array_equal(q, ref_q) and np.array_equal(U, ref_U)
         if interior:
             assert np.array_equal(p[-1], np.eye(2)) and np.array_equal(q[-1], np.eye(2))
+
+    def test_pair_distance_reads_a_nan_unitary(self, ctx12):
+        pairs = PairLiftGroup(ctx12)
+        p, q, U = pairs.sample(np.random.default_rng(12))
+        planted = U.copy()
+        planted[0, 0] = np.nan
+        assert np.isnan(pairs.dist((p, q, U), (p, q, planted)))
+        assert np.isnan(pairs.dist((p, q, planted), (p, q, U)))
 
     def test_mismatched_endpoints_surface(self, ctx22):
         paths = ctx22.string_cm.base

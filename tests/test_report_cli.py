@@ -230,52 +230,67 @@ class TestGatedRecords:
         monkeypatch.setattr(loopfock.clifford, "clifford_monomials", short)
         assert not record_named(run_suites(cfg)[1], "monomial span").passed
 
-    def test_double_commutant_record(self):
+    def test_double_commutant_record(self, plant_second_half):
         env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
-        A, comm = env.ctx.algebra, env.ctx.algebra_comm
+        A, model = env.ctx.algebra, env.model
 
-        def all_pairs():
-            return maxabs(np.einsum("aij,bjk->abik", A.generators, comm.basis)
-                          - np.einsum("bij,ajk->abik", comm.basis, A.generators))
+        def all_pairs(second):
+            twisted = model.grading_signs[:, None] * second
+            return maxabs(np.einsum("aij,bjk->abik", A.generators, twisted)
+                          - np.einsum("bij,ajk->abik", twisted, A.generators))
 
+        second = loopfock.rep.half_generators(model, "second")
         untouched = record_named(tomita_checks(env), "double commutant")
         assert untouched.passed
-        assert untouched.residual == pytest.approx(all_pairs(), rel=0, abs=1e-15)
-        # a Clifford generator of the algebra anticommutes with the others
-        comm.basis[-1] = A.generators[0]
+        assert untouched.residual == pytest.approx(all_pairs(second), rel=0, abs=1e-15)
+        # A's first generator g in place of the last b: Gamma g does not commute with g
+        second = second.copy()
+        second[-1] = A.generators[0]
+        plant_second_half(second)
         planted = record_named(tomita_checks(env), "double commutant")
         assert not planted.passed
-        assert planted.residual == pytest.approx(all_pairs(), rel=1e-12)
+        assert planted.residual == pytest.approx(all_pairs(second), rel=1e-12)
 
-    def test_commutant_records_fail_without_the_grading_twist(self, monkeypatch):
-        cfg = RunConfig(n=2, d=2, suites=("tomita",))
-        names = ("conjugation onto commutant", "double commutant")
-        assert all(record_named(run_suites(cfg)[1], name).passed for name in names)
-        # the second-half algebra: its odd monomials anticommute with the first half
-        monkeypatch.setattr(loopfock.rep, "first_half_commutant",
-                            lambda model, tol: loopfock.rep.half_algebra(model, "second", tol))
-        records = run_suites(cfg)[1]
-        assert not any(record_named(records, name).passed for name in names)
+    def test_double_commutant_fails_without_the_grading_twist(self, plant_second_half):
+        env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
+        model = env.model
+        second = loopfock.rep.half_generators(model, "second")
+        assert record_named(tomita_checks(env), "double commutant").passed
+        # Gamma b in place of b: the record's twist gives back the b, which
+        # anticommute with the first half
+        plant_second_half(model.grading_signs[:, None] * second)
+        planted = record_named(tomita_checks(env), "double commutant")
+        assert not planted.passed and planted.residual == pytest.approx(2.0)
+
+    def test_conjugation_record_fails_on_a_planted_reflection(self, monkeypatch):
+        env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
+        sfd = env.ctx.sfd
+        assert record_named(tomita_checks(env), "conjugation onto commutant").passed
+        # J g J replaced by g, which anticommutes with A's other generators;
+        # the canonical implementations keep the true reflection
+        honest = dataclasses.replace(sfd)
+        canonical = loopfock.algebra.canonical_implementation
+        monkeypatch.setattr(loopfock.algebra, "canonical_implementation",
+                            lambda _, *args, **kwargs: canonical(honest, *args, **kwargs))
+        monkeypatch.setattr(sfd, "reflect", lambda U: U)
+        planted = record_named(tomita_checks(env), "conjugation onto commutant")
+        assert planted.residual > 0.1 and not planted.passed
 
     @pytest.mark.parametrize("wrong", ["first half", "twisted second half"])
-    def test_twisted_duality_fails_on_a_wrong_second_half(self, wrong):
+    def test_twisted_duality_fails_on_a_wrong_second_half(self, plant_second_half, wrong):
         env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
-        ctx = env.ctx
+        model = env.model
         assert record_named(tomita_checks(env), "twisted duality").passed
         if wrong == "first half":
-            ctx.algebra_perp = loopfock.rep.half_algebra(ctx.model, "first", ctx.tol)
+            plant_second_half(loopfock.rep.half_generators(model, "first"))
         else:
-            # Gamma g for the second-half generators g: odd, and dressed with
-            # Gamma they are -g, so the probes land in the commutant of B
-            model = ctx.model
-            points = loopfock.clifford.half_space(model, "second")
-            twisted = model.grading @ model.generators[loopfock.clifford.generator_indices(model, points)]
-            ctx.algebra_perp = dataclasses.replace(
-                loopfock.rep.first_half_commutant(model, ctx.tol), generators=twisted)
+            # Gamma b for the second-half generators b: odd, and dressed with
+            # Gamma they are -b, so the probes land in the commutant of B
+            plant_second_half(model.grading_signs[:, None] * loopfock.rep.half_generators(model, "second"))
         assert not record_named(tomita_checks(env), "twisted duality").passed
         # each half of the record fails on its own: B inside A_perp, and A
         # as the super commutant of B
-        res = loopfock.rep.check_twisted_duality(ctx)
+        res = loopfock.rep.check_twisted_duality(env.ctx)
         assert res["graded commutator A_perp with A"] > 0.1
         assert res["super commutant of A equals A_perp"] == 1.0
         assert res["span residual A"] > 0.1

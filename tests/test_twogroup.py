@@ -154,6 +154,17 @@ class TestPiStructure:
 
 
 class TestSemidirect:
+    def test_distance_reads_nan_in_either_component(self):
+        cm = matrix_automorphism_module(2)
+        sd = SemidirectGroup(cm.fiber, cm.base, cm.act)
+        x = sd.sample(np.random.default_rng(6))
+        for k in range(2):
+            y = list(x)
+            y[k] = x[k].copy()
+            y[k][0, 0] = np.nan
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(sd.dist(x, tuple(y))) and np.isnan(sd.dist(tuple(y), x))
+
     def test_inverse_law(self):
         s3 = FiniteGroup.symmetric(3)
         cm = discrete(s3)
