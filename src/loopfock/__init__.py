@@ -11,8 +11,7 @@ numerical check with machine-readable reports.
 from .clifford import (CliffordModel, LatticeModel, build_clifford_model,
                        clifford_monomials, default_lagrangian, half_space,
                        pi_vector, validate_lagrangian)
-from .linalg import (AntilinearOperator, TolerancePolicy, antilinear_polar,
-                     joint_kernel, null_space, polar_unitary, subspace_equal)
+from .linalg import AntilinearOperator, TolerancePolicy, antilinear_polar, polar_unitary
 from .report import CheckRecord, RunConfig, emit_report
 from .suites import run, run_suites
 
@@ -29,12 +28,9 @@ __all__ = [
     "default_lagrangian",
     "emit_report",
     "half_space",
-    "joint_kernel",
-    "null_space",
     "pi_vector",
     "polar_unitary",
     "run",
     "run_suites",
-    "subspace_equal",
     "validate_lagrangian",
 ]

@@ -30,7 +30,7 @@ def check_orthogonal(g, tol=DEFAULT_TOL):
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise NotOrthogonal(f"bad shape {g.shape}")
-    if maxabs(g.T @ g - np.eye(g.shape[0])) > tol.eq_tol:
+    if not maxabs(g.T @ g - np.eye(g.shape[0])) <= tol.eq_tol:
         raise NotOrthogonal("g^T g deviates from the identity")
     return g
 
@@ -144,7 +144,7 @@ def givens_factorization(g, tol=DEFAULT_TOL):
             work[[row - 1, row], :] = block @ work[[row - 1, row], :]
             rotations.append((row - 1, row, float(np.arctan2(s, c))))
     diag = np.diag(work).copy()
-    if maxabs(work - np.diag(diag)) > tol.eq_tol:
+    if not maxabs(work - np.diag(diag)) <= tol.eq_tol:
         raise NotOrthogonal("Givens sweep did not diagonalize; input not orthogonal")
     return rotations, diag
 
@@ -190,7 +190,7 @@ def normalize_phase(imp, mode="vacuum", tol=DEFAULT_TOL):
     while True:
         used, at, modulus = mode, 0, abs(U[0, 0])
         # a NaN overlap is degenerate too: scan never picks a NaN pivot
-        if mode == "vacuum" and not modulus >= tol.rank_tol:
+        if mode == "vacuum" and not tol.rank_tol <= modulus:
             used = "scan"
         if used == "scan":
             mags = np.abs(U.ravel())
@@ -227,16 +227,16 @@ def extension_cocycle(model, g, h, tol=DEFAULT_TOL):
     Uh = normalized_unitary(model, h, tol)
     Ugh = normalized_unitary(model, np.asarray(g) @ np.asarray(h), tol)
     defect, lam = scalar_defect(Ug @ Uh @ Ugh.conj().T)
-    if defect > tol.eq_tol:
+    if not defect <= tol.eq_tol:
         raise NonScalarDefect(f"cocycle defect {defect:.2e} is not scalar")
-    if abs(abs(lam) - 1.0) > tol.eq_tol:
+    if not abs(abs(lam) - 1.0) <= tol.eq_tol:
         raise NonScalarDefect(f"cocycle modulus {abs(lam):.2e} is not one")
     return lam / abs(lam)
 
 
 def check_skew(X, tol=DEFAULT_TOL):
     X = np.asarray(X, dtype=float)
-    if maxabs(X + X.T) > tol.eq_tol:
+    if not maxabs(X + X.T) <= tol.eq_tol:
         raise ValueError("generator is not antisymmetric")
     return X
 
@@ -251,7 +251,7 @@ def derived_implementer(model, X, tol=DEFAULT_TOL):
     out = -0.25 * np.tensordot(gens, pi_columns(model, X.T), axes=([0, 2], [0, 1]))
     out -= out[0, 0] * np.eye(model.fock_dim)
     worst = maxabs(out @ gens - gens @ out - pi_columns(model, X))
-    if worst > tol.eq_tol:
+    if not worst <= tol.eq_tol:
         raise ContractViolation(f"commutator contract violated by {worst:.2e}")
     return out
 
@@ -263,7 +263,7 @@ def schwinger_term(model, X, Y, tol=DEFAULT_TOL):
     dY = derived_implementer(model, Y, tol)
     dXY = derived_implementer(model, X @ Y - Y @ X, tol)
     defect, lam = scalar_defect(dX @ dY - dY @ dX - dXY)
-    if defect > tol.eq_tol:
+    if not defect <= tol.eq_tol:
         raise NonScalarDefect(f"commutator anomaly not scalar: {defect:.2e}")
     return lam
 

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Flags mirror the keys of the flat key=value config file, which takes no
-other key; flags win over the file.  Exit codes: 0 all gated checks passed,
-1 some check failed, 2 configuration error, including an unreadable config
-file and an unwritable report or dump path.
+other key; flags win over the file.  --loop takes no report, format or
+suite.  Exit codes: 0 all gated checks passed, 1 some check failed, 2
+configuration error, including an unreadable config file and an unwritable
+report or dump path.
 """
 
 import argparse
@@ -78,6 +79,9 @@ def build_config(argv):
             values[key] = flag
     if args.suite:
         values["suite"] = ",".join(args.suite)
+    clash = [f"--{key}" for key in ("report", "format", "suite") if key in values]
+    if "loop" in values and clash:
+        raise ConfigError(f"--loop runs no suite and writes no report; drop {', '.join(clash)}")
     for key, kind in _NUMBER_KEYS.items():
         if key in values:
             try:

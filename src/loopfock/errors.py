@@ -37,10 +37,6 @@ class ContractViolation(LoopfockError):
     pass
 
 
-class NotGraded(LoopfockError):
-    pass
-
-
 class NotAveragingReady(LoopfockError):
     pass
 

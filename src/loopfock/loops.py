@@ -136,7 +136,7 @@ def is_half_supported(loop, tol=DEFAULT_TOL):
     n2 = loop.shape[0]
     n = n2 // 2
     eye = np.eye(loop.shape[1])
-    if maxabs(loop[0] - eye) > tol.eq_tol:
+    if not maxabs(loop[0] - eye) <= tol.eq_tol:
         return False
     return all(maxabs(loop[j] - eye) <= tol.eq_tol for j in range(n, n2))
 
@@ -152,7 +152,7 @@ def restrict_loop(loop, tol=DEFAULT_TOL):
 def concat_paths(p, q, tol=DEFAULT_TOL):
     """Loop traversing p then the reverse of q; endpoints must match."""
     n = p.shape[0] - 1
-    if maxabs(p[n] - q[n]) > tol.eq_tol:
+    if not maxabs(p[n] - q[n]) <= tol.eq_tol:
         raise EndpointMismatch("paths end at different group elements")
     values = [p[j] for j in range(n + 1)]
     values += [q[2 * n - j] for j in range(n + 1, 2 * n)]

@@ -495,7 +495,7 @@ def check_twisted_duality(ctx):
     built."""
     A, N, s = ctx.algebra, ctx.model.fock_dim, ctx.model.grading_signs
     B = half_generators(ctx.model, "second")
-    probes = super_commutant_probes(B, ctx.model.grading, TWISTED_PROBES, ctx.tol)
+    probes = super_commutant_probes(B, s, TWISTED_PROBES, ctx.tol)
     a_res = span_residual(probes, A.basis)
     gamma_b_gamma = s[:, None] * B * s
     graded = sup(maxabs(g @ B - gamma_b_gamma @ g) for g in A.generators)

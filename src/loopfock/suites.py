@@ -229,7 +229,7 @@ def tomita_checks(env):
     # A' is generated by the twisted second-half generators Gamma b, whose
     # 2^k monomials are orthogonal; commuting with A's generators g is
     # commuting with the algebra they generate
-    gens = A.constraint_generators()
+    gens = A.generators
     twisted = model.grading_signs[:, None] * rep.half_generators(model, "second")
     comm_dim = 2 ** len(twisted)
     # J A J is generated by the J g J and has dim A, so inside A' with dim A

@@ -304,7 +304,7 @@ def to_crossed_module(tg):
 
 def compose_morphisms(tg, x, y, tol=DEFAULT_TOL):
     """x o y = x i(s(x))^{-1} y for s(x) = t(y)."""
-    if tg.objects.dist(tg.source(x), tg.target(y)) > tol.eq_tol:
+    if not tg.objects.dist(tg.source(x), tg.target(y)) <= tol.eq_tol:
         raise NotComposable("source of x differs from target of y")
     M = tg.morphisms
     return M.mul(M.mul(x, M.inv(tg.unit(tg.source(x)))), y)
@@ -312,7 +312,7 @@ def compose_morphisms(tg, x, y, tol=DEFAULT_TOL):
 
 def compose_morphisms_target_form(tg, x, y, tol=DEFAULT_TOL):
     """Equivalent formula x i(t(y))^{-1} y, used as a consistency cross-check."""
-    if tg.objects.dist(tg.source(x), tg.target(y)) > tol.eq_tol:
+    if not tg.objects.dist(tg.source(x), tg.target(y)) <= tol.eq_tol:
         raise NotComposable("source of x differs from target of y")
     M = tg.morphisms
     return M.mul(M.mul(x, M.inv(tg.unit(tg.target(y)))), y)

@@ -1,0 +1,229 @@
+"""Reference routes the tests compare the program against.
+
+The program reads every commutant on generators and solves inner
+automorphisms by projections over the generators; these are the solvers
+those shortcuts replaced, kept only as independent references: SVD kernels
+and row spaces, the frontier growth of a generated star-algebra, the
+averaging and kernel commutants and super commutants, and the basis-sum
+inner solve.  The commutant solvers return orthonormal basis stacks, since
+an OperatorAlgebra needs generators and a solved commutant has none.  The
+grading enters as its +-1 diagonal signs, as in the program.
+"""
+
+import numpy as np
+
+from loopfock.algebra import INNER_PROBES, OperatorAlgebra, _checked_algebra, _dressed_generators
+from loopfock.errors import LoopfockError, NotInner
+from loopfock.linalg import (DEFAULT_TOL, _rank_cut, averaged_intertwiners, maxabs, polar_unitary,
+                             singular_rows, span_residual, sup)
+
+
+class NotGraded(LoopfockError):
+    pass
+
+
+def null_space(M, tol=DEFAULT_TOL):
+    """Orthonormal basis of ker(M), as columns.
+
+    Singular values below tol.rank_tol count as zero; the returned block Q
+    satisfies Q*Q = 1 and ``M @ Q`` small relative to the spectral norm of M.
+    """
+    M = np.asarray(M, dtype=complex)
+    # the full right factor is only needed for wide inputs; for tall ones the
+    # economy decomposition already carries every kernel direction
+    _, s, vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    rank = int(np.sum(s > tol.rank_tol))
+    return vh[rank:].conj().T
+
+
+def joint_kernel(constraints, dim, tol=DEFAULT_TOL):
+    """Orthonormal column basis of the intersection of constraint kernels.
+
+    Each constraint is a matrix acting on C^dim or a callable mapping a
+    column basis (dim, k) to constraint values (out, k).  Constraints are
+    imposed one at a time, each restricted to the kernel of the previous
+    ones, so the working dimension only shrinks.
+    """
+    basis = np.eye(dim, dtype=complex)
+    for c in constraints:
+        if basis.shape[1] == 0:
+            break
+        vals = c(basis) if callable(c) else np.asarray(c, dtype=complex) @ basis
+        basis = basis @ null_space(vals, tol)
+    return basis
+
+
+def orthonormal_rows(stack, tol=DEFAULT_TOL):
+    """Orthonormalize a stack of vectors/matrices along its first axis."""
+    stack = np.asarray(stack, dtype=complex)
+    if stack.shape[0] == 0:
+        return stack
+    s, vh = singular_rows(stack.reshape(stack.shape[0], -1))
+    dim = _rank_cut(s, tol)
+    return vh[:dim].reshape((dim,) + stack.shape[1:])
+
+
+def subspace_equal(B1, B2, tol=DEFAULT_TOL):
+    """True iff two column bases span the same subspace within eq_tol."""
+    Q1 = orthonormal_rows(np.asarray(B1, dtype=complex).T, tol)
+    Q2 = orthonormal_rows(np.asarray(B2, dtype=complex).T, tol)
+    if Q1.shape[0] != Q2.shape[0]:
+        return False
+    return sup((span_residual(Q1, Q2), span_residual(Q2, Q1))) <= tol.eq_tol
+
+
+def algebra_from_span(stack, generators, tol=DEFAULT_TOL):
+    """OperatorAlgebra on a spanning stack, orthonormalized here by an SVD;
+    the span must be unital and star-closed."""
+    return _checked_algebra(orthonormal_rows(stack, tol), generators, tol)
+
+
+def generated_star_algebra(gens, tol=DEFAULT_TOL):
+    """Smallest unital star-closed span containing the generators.
+
+    Grows the span by right multiplication with M, an orthonormal basis of
+    the span of the generators and their adjoints, until the dimension
+    stabilizes.  Only the frontier F, the rows the last round added, is
+    multiplied: the span V after a round is V' + F with V' M already inside
+    V, so V M lies in V + F M.  The products are projected off the current
+    basis, only the remainder is orthonormalized, and growth stops when the
+    remainder has rank zero.
+    """
+    gens = np.asarray(gens, dtype=complex)
+    N = gens.shape[1]
+    multipliers = orthonormal_rows(np.concatenate([gens, np.conj(np.transpose(gens, (0, 2, 1)))]), tol)
+    basis = orthonormal_rows(np.concatenate([np.eye(N, dtype=complex)[None], multipliers]), tol)
+    frontier = basis
+    for _ in range(64):
+        grown = (frontier[:, None] @ multipliers[None]).reshape(-1, N * N)
+        flat = basis.reshape(-1, N * N)
+        remainder = grown - (grown @ flat.conj().T) @ flat
+        frontier = orthonormal_rows(remainder, tol).reshape(-1, N, N)
+        if frontier.shape[0] == 0:
+            return OperatorAlgebra(basis, gens)
+        basis = np.concatenate([basis, frontier])
+    raise ArithmeticError("span growth failed to stabilize")
+
+
+def closed_span(basis, tol=DEFAULT_TOL):
+    """basis, after checking that its span contains the identity and is
+    closed under adjoints, as the program checks an algebra's basis."""
+    N = basis.shape[1]
+    if not span_residual(np.eye(N, dtype=complex)[None], basis) <= tol.eq_tol:
+        raise ValueError("span does not contain the identity")
+    if not span_residual(np.conj(np.transpose(basis, (0, 2, 1))), basis) <= tol.eq_tol:
+        raise ValueError("span is not closed under adjoints")
+    return basis
+
+
+def averaged_commutant_basis(mats, tol, rng, expected=None):
+    """Orthonormal rows spanning the commutant of mats, by the averaging
+    projections on probes, doubled until the span stops growing."""
+    N = mats[0].shape[0]
+    probes = 8 if expected is None else min(N * N, expected + 8)
+    while True:
+        basis = averaged_intertwiners(mats, mats, probes, rng, tol)
+        if basis.shape[0] < probes or probes >= N * N:
+            return basis
+        probes = min(2 * probes, N * N)
+
+
+def kernel_commutant_basis(constraints, N, tol=DEFAULT_TOL, signs=None):
+    """Orthonormal rows spanning the (graded) commutant of the constraints
+    (matrix, is_odd), by the iterative kernel of the commutators; odd ones
+    are taken against the grading with diagonal signs."""
+    def constraint(a, odd):
+        def apply(cols):
+            X = cols.T.reshape(-1, N, N)
+            if odd:
+                vals = a @ X - (signs[:, None] * X * signs) @ a
+            else:
+                vals = a @ X - X @ a
+            return vals.reshape(-1, N * N).T
+        return apply
+
+    cols = joint_kernel([constraint(a, odd) for a, odd in constraints], N * N, tol)
+    return np.transpose(cols).reshape(-1, N, N)
+
+
+def kernel_commutant(mats, tol=DEFAULT_TOL):
+    """Commutant of the matrices mats, by the kernel route."""
+    return closed_span(kernel_commutant_basis([(a, False) for a in mats], mats.shape[1], tol), tol)
+
+
+def commutant(alg, tol=DEFAULT_TOL):
+    """Commutant of alg as an orthonormal stack: averaging over the
+    generators when they are ready for it, else the kernel route on them.
+
+    Both routes return orthonormal rows, the averaging route as SVD rows and
+    the kernel route as a product of orthonormal null-space bases."""
+    if alg.generators_ready(tol):
+        N = alg.space_dim
+        return closed_span(averaged_commutant_basis(list(alg.generators), tol, np.random.default_rng(1),
+                                                    expected=N * N // alg.dim), tol)
+    return kernel_commutant(alg.generators, tol)
+
+
+def grading_parts(basis, signs, tol=DEFAULT_TOL):
+    """Homogeneous spanning elements (matrix, is_odd) of the span of basis;
+    fails if the span is not graded."""
+    twisted = signs[:, None] * basis * signs
+    if not span_residual(twisted, basis) <= tol.eq_tol:
+        raise NotGraded("algebra span is not invariant under the grading")
+    parts = []
+    for a, t in zip(basis, twisted):
+        even = 0.5 * (a + t)
+        odd = 0.5 * (a - t)
+        if not maxabs(even) <= tol.rank_tol:
+            parts.append((even, False))
+        if not maxabs(odd) <= tol.rank_tol:
+            parts.append((odd, True))
+    return parts
+
+
+def kernel_super_commutant(basis, signs, tol=DEFAULT_TOL):
+    """Graded commutant of the span of the orthonormal stack basis, by the
+    kernel route on its homogeneous parts."""
+    parts = grading_parts(basis, signs, tol)
+    return closed_span(kernel_commutant_basis(parts, basis.shape[1], tol, signs), tol)
+
+
+def super_commutant(alg, signs, tol=DEFAULT_TOL):
+    """Graded commutant of alg as an orthonormal stack: commutes with even
+    elements, odd parts anticommute with odd elements.
+
+    When the generators are odd and their dressings u Gamma qualify for
+    averaging, it is the plain averaged commutant of the dressed
+    generators; otherwise the kernel route on alg's basis."""
+    dressed = _dressed_generators(alg.generators, signs, tol)
+    if dressed is None:
+        return kernel_super_commutant(alg.basis, signs, tol)
+    N = alg.space_dim
+    return closed_span(averaged_commutant_basis(dressed, tol, np.random.default_rng(2),
+                                                expected=N * N // alg.dim), tol)
+
+
+def basis_sum_inner_unitary(theta, tol=DEFAULT_TOL):
+    """inner_unitary by the basis sum x -> sum_i theta(b_i) x b_i^* over the
+    orthonormal basis, on the same probes and with the same rank cutoff;
+    the result is checked against theta on every basis element."""
+    alg = theta.algebra
+    k, N = alg.dim, alg.space_dim
+    rng = np.random.default_rng(5)
+    coords = rng.standard_normal((INNER_PROBES, k)) + 1j * rng.standard_normal((INNER_PROBES, k))
+    probes = np.tensordot(coords, alg.basis, axes=(1, 0))
+    images = theta.apply(alg.basis)
+    # theta(b_i) x for every basis element and probe in one product, then
+    # regrouped so that row a of probe p reads theta(b_i)[a, :] x over all i
+    left = images.reshape(k * N, N) @ probes.transpose(1, 0, 2).reshape(N, -1)
+    left = left.reshape(k, N, INNER_PROBES, N).transpose(2, 1, 0, 3).reshape(INNER_PROBES, N, k * N)
+    solved = left @ np.conj(np.transpose(alg.basis, (0, 2, 1))).reshape(k * N, N)
+    svals, vh = singular_rows(solved.reshape(INNER_PROBES, N * N))
+    dim = int(np.sum(svals > max(tol.rank_tol, 1e-6 * svals[0])))
+    if dim != 1:
+        raise NotInner(f"solution space has dimension {dim}")
+    u = polar_unitary(vh[0].reshape(N, N), tol)
+    worst = maxabs(u @ alg.basis @ u.conj().T - images)
+    if not sup((worst, alg.membership_residual(u))) <= tol.eq_tol:
+        raise NotInner(f"candidate representative fails the action by {worst:.2e}")
+    return u

@@ -9,16 +9,17 @@ import loopfock.algebra
 import loopfock.linalg
 import loopfock.rep
 from loopfock.algebra import (InnerAutomorphism, OperatorAlgebra, _averaging_ready,
-                              algebra_from_span, canonical_implementation, commutant,
-                              conjugation_action, cyclic_separating_check,
-                              generated_star_algebra, inner_unitary,
-                              reflected_action, super_commutant, tomita_data)
+                              canonical_implementation, conjugation_action,
+                              cyclic_separating_check, inner_unitary,
+                              reflected_action, tomita_data)
 from loopfock.clifford import (build_clifford_model, clifford_monomials,
                                generator_indices, half_space)
-from loopfock.errors import NotCyclicSeparating, NotGraded, NotInner, NotInNormalizer
-from loopfock.linalg import (DEFAULT_TOL, maxabs, orthonormal_rows,
-                             singular_rows, span_residual, subspace_equal)
+from loopfock.errors import NotAveragingReady, NotCyclicSeparating, NotInner, NotInNormalizer
+from loopfock.linalg import DEFAULT_TOL, maxabs, singular_rows, span_residual
 from loopfock.rep import build_context, half_generators
+from reference import (NotGraded, algebra_from_span, basis_sum_inner_unitary, commutant,
+                       generated_star_algebra, kernel_commutant, kernel_super_commutant,
+                       orthonormal_rows, subspace_equal, super_commutant)
 
 rng = np.random.default_rng(31)
 
@@ -44,10 +45,16 @@ def product_closure_residual(alg):
     return max(span_residual(a @ alg.basis, alg.basis) for a in alg.basis)
 
 
-def gram_deviation(alg):
-    """How far the basis rows are from orthonormal."""
-    flat = alg.basis.reshape(alg.dim, -1)
-    return maxabs(flat @ flat.conj().T - np.eye(alg.dim))
+def gram_deviation(basis):
+    """How far the rows of a basis stack are from orthonormal."""
+    flat = basis.reshape(len(basis), -1)
+    return maxabs(flat @ flat.conj().T - np.eye(len(basis)))
+
+
+def scalars(model):
+    """The scalar algebra, generated by the identity."""
+    eye = np.eye(model.fock_dim, dtype=complex)[None]
+    return algebra_from_span(eye, eye)
 
 
 def other_half_algebra(model):
@@ -126,7 +133,7 @@ class TestGeneratedAlgebra:
         reference = restacked_star_algebra(gens)
         assert alg.dim == reference.shape[0] == dim
         assert max(span_residual(alg.basis, reference), span_residual(reference, alg.basis)) <= 1e-12
-        assert gram_deviation(alg) <= 1e-12
+        assert gram_deviation(alg.basis) <= 1e-12
 
     def test_identity_alone(self):
         alg = generated_star_algebra(np.eye(4, dtype=complex)[None])
@@ -141,14 +148,14 @@ class TestGeneratedAlgebra:
         assert span_residual(mono, alg.basis) < 1e-12
 
     def test_a_nan_adjoint_residual_in_the_last_chunk_fails_the_check(self, monkeypatch, model12):
-        basis = orthonormal_rows(model12.generators[:1] @ model12.generators[1:2])
-        basis = orthonormal_rows(np.concatenate([np.eye(4)[None], basis]))
-        assert algebra_from_span(basis).dim == 2
+        product = model12.generators[:1] @ model12.generators[1:2]
+        basis = orthonormal_rows(np.concatenate([np.eye(4)[None], orthonormal_rows(product)]))
+        assert algebra_from_span(basis, product).dim == 2
         chunks = loopfock.linalg.row_chunks
         monkeypatch.setattr(loopfock.algebra, "row_chunks",
                             lambda stack: chunks(stack) + [np.full((1,) + stack.shape[1:], np.nan)])
         with pytest.raises(ValueError, match="adjoints"):
-            algebra_from_span(basis)
+            algebra_from_span(basis, product)
 
     def test_all_generators_fill_everything(self, model12):
         alg = generated_star_algebra(model12.generators)
@@ -163,36 +170,33 @@ class TestCommutant:
     def test_full_algebra_to_scalars(self, model12):
         full = generated_star_algebra(model12.generators)
         c = commutant(full)
-        assert c.dim == 1
+        assert len(c) == 1
 
     def test_scalars_to_full(self, model12):
-        scalars = algebra_from_span(np.eye(4, dtype=complex)[None])
-        c = commutant(scalars)
-        assert c.dim == 16
+        c = commutant(scalars(model12))
+        assert len(c) == 16
 
     def test_half_space_dimension(self, model22):
         A = half_algebra(model22)
         c = commutant(A)
-        assert c.dim == A.dim
-        assert A.dim * c.dim == model22.fock_dim ** 2
+        assert len(c) == A.dim
+        assert A.dim * len(c) == model22.fock_dim ** 2
 
     def test_double_commutant_returns_original(self, model22):
         A = half_algebra(model22)
-        back = commutant(commutant(A))
+        back = kernel_commutant(commutant(A))
         flat_a = A.basis.reshape(A.dim, -1).T
-        flat_b = back.basis.reshape(back.dim, -1).T
+        flat_b = back.reshape(len(back), -1).T
         assert subspace_equal(flat_a, flat_b)
 
     def test_fast_and_generic_routes_agree(self, model12):
         pts = half_space(model12, "first")
         gens = model12.generators[generator_indices(model12, pts)]
-        span = clifford_monomials(model12, pts)
-        with_gens = algebra_from_span(span, generators=gens)
-        without = algebra_from_span(span)
-        fast = commutant(with_gens)
-        slow = commutant(without)
-        assert fast.dim == slow.dim
-        assert span_residual(fast.basis, slow.basis) < 1e-9
+        A = algebra_from_span(clifford_monomials(model12, pts), gens)
+        fast = commutant(A)
+        slow = kernel_commutant(A.basis)
+        assert len(fast) == len(slow)
+        assert span_residual(fast, slow) < 1e-9
         # both routes skip a second SVD, so their rows must already be orthonormal
         assert max(gram_deviation(fast), gram_deviation(slow)) <= 1e-12
 
@@ -201,31 +205,30 @@ class TestSuperCommutant:
     def test_twisted_duality(self, model22):
         A = half_algebra(model22)
         B = other_half_algebra(model22)
-        sc = super_commutant(A, model22.grading)
-        assert sc.dim == B.dim
+        sc = super_commutant(A, model22.grading_signs)
+        assert len(sc) == B.dim
         assert gram_deviation(sc) <= 1e-12
-        assert span_residual(B.basis, sc.basis) < 1e-10
-        back = super_commutant(B, model22.grading)
-        assert span_residual(A.basis, back.basis) < 1e-10
+        assert span_residual(B.basis, sc) < 1e-10
+        back = super_commutant(B, model22.grading_signs)
+        assert span_residual(A.basis, back) < 1e-10
 
     def test_scalars_super_commute_with_everything(self, model12):
-        scalars = algebra_from_span(np.eye(4, dtype=complex)[None])
-        sc = super_commutant(scalars, model12.grading)
-        assert sc.dim == 16
+        sc = super_commutant(scalars(model12), model12.grading_signs)
+        assert len(sc) == 16
 
     def test_involution_generic_route(self, model22):
         A = half_algebra(model22)
-        sc = super_commutant(algebra_from_span(A.basis), model22.grading)  # no generators: generic path
-        back = super_commutant(sc, model22.grading)
-        assert span_residual(A.basis, back.basis) < 1e-9
+        sc = kernel_super_commutant(A.basis, model22.grading_signs)
+        back = kernel_super_commutant(sc, model22.grading_signs)
+        assert span_residual(A.basis, back) < 1e-9
         assert max(gram_deviation(sc), gram_deviation(back)) <= 1e-12
 
     def test_rejects_ungraded_span(self, model12):
         # mixed-parity element whose homogeneous parts leave the span
         X = model12.generators[0] + model12.generators[0] @ model12.generators[1]
-        mixed = algebra_from_span(np.stack([np.eye(4, dtype=complex), X]))
+        mixed = algebra_from_span(np.stack([np.eye(4, dtype=complex), X]), X[None])
         with pytest.raises(NotGraded):
-            super_commutant(mixed, model12.grading)
+            super_commutant(mixed, model12.grading_signs)
 
 
 class TestCyclicSeparating:
@@ -239,8 +242,7 @@ class TestCyclicSeparating:
         assert status.cyclic and not status.separating
 
     def test_scalars(self, model12):
-        scalars = algebra_from_span(np.eye(4, dtype=complex)[None])
-        status = cyclic_separating_check(scalars, model12.vacuum)
+        status = cyclic_separating_check(scalars(model12), model12.vacuum)
         assert status.separating and not status.cyclic
 
 
@@ -255,7 +257,7 @@ class TestTomita:
         assert maxabs(sfd.delta @ model12.vacuum - model12.vacuum) < 1e-11
         comm = commutant(A)
         JAJ = np.stack([sfd.conjugation.conjugate_matrix(a) for a in A.basis])
-        assert span_residual(JAJ, comm.basis) < 1e-10
+        assert span_residual(JAJ, comm) < 1e-10
 
     def test_rejects_non_separating(self, model12):
         full = generated_star_algebra(model12.generators)
@@ -314,12 +316,11 @@ class TestInnerAutomorphisms:
         assert abs(abs(z) - 1.0) < 1e-9
 
     def test_round_trip_without_generators(self, model22):
-        # no generators: the action is re-verified on every basis element
+        # the basis-sum reference reads the basis, not the generators, and
+        # re-verifies the action on every basis element
         A = half_algebra(model22)
-        bare = algebra_from_span(A.basis)
-        assert bare.generators is None
-        v = random_unitary_in(bare, rng)
-        u = inner_unitary(conjugation_action(v, bare))
+        v = random_unitary_in(A, rng)
+        u = basis_sum_inner_unitary(conjugation_action(v, A))
         z = np.trace(v.conj().T @ u) / np.trace(v.conj().T @ v)
         assert maxabs(u - z * v) < 1e-9
 
@@ -337,7 +338,7 @@ class TestInnerAutomorphisms:
         # conjugation by the other generator flips the sign of the first: an
         # automorphism of the two-point algebra with no implementer inside it
         model = build_clifford_model(1, 1, allow_odd_modes=True)
-        A = algebra_from_span(np.stack([np.eye(2, dtype=complex), model.generators[0]]))
+        A = algebra_from_span(np.stack([np.eye(2, dtype=complex), model.generators[0]]), model.generators[:1])
         w = model.generators[1]
         with pytest.raises(NotInner, match="no implementing element"):
             inner_unitary(conjugation_action(w, A))
@@ -347,7 +348,7 @@ class TestInnerAutomorphisms:
         # implementing line is not unique
         model = build_clifford_model(1, 1, allow_odd_modes=True)
         span = np.stack([np.eye(2, dtype=complex), model.generators[0]])
-        A = algebra_from_span(span)
+        A = algebra_from_span(span, model.generators[:1])
         with pytest.raises(NotInner):
             inner_unitary(conjugation_action(np.eye(2, dtype=complex), A))
 
@@ -599,14 +600,14 @@ class TestGeneratorChecks:
         with pytest.raises(NotInNormalizer):
             conjugation_action(U, A)
 
-    def test_algebra_without_generators_checks_the_basis(self, model22, monkeypatch):
+    def test_an_algebra_needs_generators(self, model22, monkeypatch):
         A = half_algebra(model22)
-        bare = algebra_from_span(A.basis)
-        assert bare.generators is None
-        sfd = tomita_data(bare, model22.vacuum)
-        theta = conjugation_action(random_unitary_in(bare, rng), bare)
-        U, act, _ = canonical_implementation(sfd, bare, theta)
-        assert act == maxabs(U @ bare.basis @ U.conj().T - theta.apply(bare.basis))
+        with pytest.raises(TypeError):
+            OperatorAlgebra(A.basis)
+        sfd = tomita_data(A, model22.vacuum)
+        theta = conjugation_action(random_unitary_in(A, rng), A)
+        U, act, _ = canonical_implementation(sfd, A, theta)
+        assert act == maxabs(U @ A.generators @ U.conj().T - theta.images)
         seen = []
 
         def recording(stack, ortho):
@@ -614,11 +615,10 @@ class TestGeneratorChecks:
             return span_residual(stack, ortho)
 
         monkeypatch.setattr(loopfock.algebra, "span_residual", recording)
-        conjugation_action(U, bare)
         conjugation_action(U, A)
-        # the normalizer check on the constraint generators, then U's own
-        # membership, which decides whether U is kept as the representative
-        assert seen == [bare.dim, 1, len(A.generators), 1]
+        # the normalizer check on the generators, then U's own membership,
+        # which decides whether U is kept as the representative
+        assert seen == [len(A.generators), 1]
 
 
 def same_line(u, v):
@@ -641,12 +641,11 @@ def recording_projections(monkeypatch):
 
 class TestGeneratorInnerSolve:
     """inner_unitary by generator projections against the basis average it
-    replaced, which a twin algebra without generators still takes."""
+    replaced, which the tests keep as reference.basis_sum_inner_unitary."""
 
     def test_routes_agree(self, context, monkeypatch):
         A = context.algebra
-        twin = OperatorAlgebra(A.basis)
-        assert A.generators_ready(DEFAULT_TOL) and not twin.generators_ready(DEFAULT_TOL)
+        assert A.generators_ready(DEFAULT_TOL)
         seen = recording_projections(monkeypatch)
         rand = np.random.default_rng(11)
         for _ in range(3):
@@ -654,7 +653,7 @@ class TestGeneratorInnerSolve:
             u_gen = inner_unitary(conjugation_action(v, A))
             assert seen[-1] == len(A.generators)
             calls = len(seen)
-            u_basis = inner_unitary(conjugation_action(v, twin))
+            u_basis = basis_sum_inner_unitary(conjugation_action(v, A))
             assert len(seen) == calls
             assert same_line(u_gen, u_basis) == pytest.approx(1.0, rel=0, abs=1e-12)
 
@@ -674,12 +673,15 @@ class TestGeneratorInnerSolve:
         assert A.dim == 4 and not A.generators_ready(DEFAULT_TOL)
         seen = recording_projections(monkeypatch)
         v = random_unitary_in(A, np.random.default_rng(13))
-        u = inner_unitary(conjugation_action(v, A))
+        theta = conjugation_action(v, A)
+        with pytest.raises(NotAveragingReady):
+            inner_unitary(theta)
+        u = basis_sum_inner_unitary(theta)
         assert seen == []
         assert same_line(u, v) == pytest.approx(1.0, rel=0, abs=1e-12)
-        # the commutant takes the kernel route too; the averaging route
-        # raised ArithmeticError on these generators
-        assert commutant(A).dim == 1
+        # the reference commutant takes the kernel route too; the averaging
+        # route raised ArithmeticError on these generators
+        assert len(commutant(A)) == 1
 
     def test_refuses_a_generator_image_off_by_twice_eq_tol(self, model22):
         # u g_0 u^* is traceless for every unitary u, so adding 2 eq_tol times
@@ -699,7 +701,7 @@ class TestGeneratorInnerSolve:
         A = context.algebra
         rand = np.random.default_rng(15)
         t1, t2 = (conjugation_action(random_unitary_in(A, rand), A) for _ in range(2))
-        bound = len(A.constraint_generators()) * A.space_dim ** 2
+        bound = len(A.generators) * A.space_dim ** 2
         for theta in (t1.compose(t2), t1.inverse()):
             theta.representative()
             held = [x for x in vars(theta).values() if isinstance(x, np.ndarray)]
@@ -720,6 +722,13 @@ class TestGeneratorInnerSolve:
         gens[-1, 0, 0] = np.nan
         assert not _averaging_ready(gens, DEFAULT_TOL)
 
+    def test_empty_generator_stack_is_not_ready(self, model12):
+        gens = half_algebra(model12).generators[:0]
+        assert not _averaging_ready(gens, DEFAULT_TOL)
+        A = dataclasses.replace(half_algebra(model12), generators=gens)
+        with pytest.raises(NotAveragingReady):
+            inner_unitary(conjugation_action(np.eye(model12.fock_dim), A))
+
 
 inner_algebras = {}
 
@@ -731,16 +740,15 @@ def test_inner_unitary_recovers_exponentials(n, d, data):
     """For v = exp(i h), h Hermitian in the algebra, both routes return v up
     to a phase from the action of Ad v."""
     if (n, d) not in inner_algebras:
-        A = half_algebra(build_clifford_model(n, d))
-        inner_algebras[n, d] = A, OperatorAlgebra(A.basis)
-    A, twin = inner_algebras[n, d]
+        inner_algebras[n, d] = half_algebra(build_clifford_model(n, d))
+    A = inner_algebras[n, d]
     coords = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
     c = np.array(data.draw(st.lists(coords, min_size=2 * A.dim, max_size=2 * A.dim)))
     x = A.from_coordinates(c[:A.dim] + 1j * c[A.dim:])
     w, V = np.linalg.eigh(0.5 * (x + x.conj().T))
     v = (V * np.exp(1j * w)) @ V.conj().T
-    for alg in (A, twin):
-        assert same_line(inner_unitary(conjugation_action(v, alg)), v) == pytest.approx(1.0, rel=0, abs=1e-12)
+    for solve in (inner_unitary, basis_sum_inner_unitary):
+        assert same_line(solve(conjugation_action(v, A)), v) == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 class TestConeDefects:

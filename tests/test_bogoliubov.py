@@ -7,20 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopfock.bogoliubov
 import loopfock.clifford
 from loopfock import suites
-from loopfock.bogoliubov import (Implementer, derived_implementer,
+from loopfock.bogoliubov import (Implementer, check_orthogonal, check_skew, derived_implementer,
                                  extension_cocycle, givens_factorization,
                                  implement_oracle, implement_pin, implementation_residual,
                                  normalize_phase, projective_distance,
                                  random_skew, random_special_orthogonal,
                                  schwinger_term)
 from loopfock.clifford import build_clifford_model, pi_columns
-from loopfock.errors import (DimensionMismatch, NotOrthogonal,
+from loopfock.errors import (ContractViolation, DimensionMismatch, NonScalarDefect, NotOrthogonal,
                              NotSpecialOrthogonal, SingularInput)
-from loopfock.linalg import DEFAULT_TOL, joint_kernel, maxabs, polar_unitary, scalar_defect
+from loopfock.linalg import DEFAULT_TOL, maxabs, polar_unitary, scalar_defect
 from loopfock.loops import SpinGroup, lift, loop_identity, omega_matrix
 from loopfock.report import RunConfig
+from reference import joint_kernel
 
 rng = np.random.default_rng(23)
 
@@ -470,6 +472,40 @@ class TestDerived:
     def test_vacuum_expectation_vanishes(self, model22):
         X = random_skew(8, rng)
         assert abs(derived_implementer(model22, X)[0, 0]) < 1e-12
+
+
+class TestNanGuards:
+    """A planted NaN fails each guard of the module with the guard's own
+    error; written as res > tol, a guard lets it through."""
+
+    def test_nan_maps(self):
+        planted = np.eye(4)
+        planted[1, 2] = np.nan
+        with pytest.raises(NotOrthogonal, match="deviates"):
+            check_orthogonal(planted)
+        with np.errstate(invalid="ignore"), pytest.raises(NotOrthogonal, match="Givens"):
+            givens_factorization(planted)
+        with pytest.raises(ValueError, match="antisymmetric"):
+            check_skew(planted)
+
+    def test_nan_derived_implementer(self, model12, monkeypatch):
+        # past check_skew, which refuses the NaN itself
+        monkeypatch.setattr(loopfock.bogoliubov, "check_skew", lambda X, tol: X)
+        X = random_skew(4, rng)
+        X[0, 1] = np.nan
+        with pytest.raises(ContractViolation):
+            derived_implementer(model12, X)
+
+    @pytest.mark.parametrize("defect, lam, match", [(np.nan, 1.0, "defect"), (0.0, np.nan, "modulus")])
+    def test_nan_cocycle(self, model12, monkeypatch, defect, lam, match):
+        monkeypatch.setattr(loopfock.bogoliubov, "scalar_defect", lambda M: (defect, lam))
+        with pytest.raises(NonScalarDefect, match=match):
+            extension_cocycle(model12, np.eye(4), np.eye(4))
+
+    def test_nan_schwinger_defect(self, model12, monkeypatch):
+        monkeypatch.setattr(loopfock.bogoliubov, "scalar_defect", lambda M: (np.nan, 0.0))
+        with pytest.raises(NonScalarDefect, match="anomaly"):
+            schwinger_term(model12, random_skew(4, rng), random_skew(4, rng))
 
 
 class TestSchwinger:

@@ -11,7 +11,8 @@ from loopfock.clifford import (LatticeModel, anticommutator_residual,
                                pi_vector, star_residual,
                                validate_lagrangian)
 from loopfock.errors import DimensionMismatch
-from loopfock.linalg import maxabs, orthonormal_rows
+from loopfock.linalg import maxabs
+from reference import orthonormal_rows
 
 rng = np.random.default_rng(7)
 

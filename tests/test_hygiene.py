@@ -2,9 +2,11 @@
 module: no unused imports, no function-local name that is assigned but
 never read, no module-level definition of the package, nor method of one
 of its classes, that nothing refers to, none that the program's entry
-points cannot reach unless a test compares against it, and no worst
-residual kept by hand in a loop nor combined by the builtin max or min in a
-dist method: linalg.worst and linalg.sup take them, and keep a NaN."""
+points cannot reach (the reference routes the tests compare against live
+in tests/reference.py), no worst residual kept by hand in a loop nor
+combined by the builtin max or min in a dist method: linalg.worst and
+linalg.sup take them, and keep a NaN, and no if test that compares with >
+or >= against eq_tol or rank_tol, a guard that a NaN residual passes."""
 
 import ast
 from pathlib import Path
@@ -88,6 +90,23 @@ def dist_maxima(tree):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("max", "min")}
 
 
+def nan_passing_guards(tree):
+    """Comparisons by > or >= with an eq_tol or rank_tol attribute on either
+    side inside the test of an if statement: NaN compares false, so a guard
+    written res > tol lets a NaN residual through, where not res <= tol
+    stops it."""
+    found = set()
+    for stmt in ast.walk(tree):
+        if not isinstance(stmt, ast.If):
+            continue
+        for node in ast.walk(stmt.test):
+            if (isinstance(node, ast.Compare) and any(isinstance(op, (ast.Gt, ast.GtE)) for op in node.ops)
+                    and any(isinstance(side, ast.Attribute) and side.attr in ("eq_tol", "rank_tol")
+                            for side in [node.left, *node.comparators])):
+                found.add((node.lineno, ast.unparse(node)))
+    return found
+
+
 def defined_names(tree):
     """Module-level functions and classes, and the non-dunder methods of those
     classes, as (line, label, name a reference would use)."""
@@ -155,21 +174,6 @@ def reachable(trees, seeds):
 
 # cli.main and suites.run; perfbench adds the names it refers to
 ENTRY_POINTS = {"main", "run"}
-# package definitions that only tests reach, each with the test comparing it
-TEST_REFERENCES = {
-    "commutant": "test_rep.py::TestClosedForms::test_commutant_is_the_averaged_one",
-    "_averaged_commutant_basis": "test_algebra.py::TestCommutant::test_fast_and_generic_routes_agree",
-    "_kernel_commutant_basis": "test_rep.py::TestClosedForms::test_both_are_the_kernel_ones",
-    "super_commutant": "test_rep.py::TestClosedForms::test_probes_lie_in_the_averaged_super_commutant",
-    "grading_parts": "test_algebra.py::TestSuperCommutant::test_involution_generic_route",
-    "NotGraded": "test_algebra.py::TestSuperCommutant::test_rejects_ungraded_span",
-    "generated_star_algebra": "test_algebra.py::TestGeneratedAlgebra::test_frontier_growth_matches_restacking",
-    "algebra_from_span": "test_algebra.py::TestCommutant::test_fast_and_generic_routes_agree",
-    "orthonormal_rows": "test_rep.py::TestHalfAlgebra::test_matches_the_orthonormalized_monomial_span",
-    "null_space": "test_linalg.py::TestNullSpace::test_rank_one_drop_matches_row_reduction",
-    "joint_kernel": "test_linalg.py::TestJointKernel::test_permutation_invariance_and_stacked_agreement",
-    "subspace_equal": "test_algebra.py::TestCommutant::test_double_commutant_returns_original",
-}
 
 
 def offenders(paths, finder):
@@ -195,6 +199,10 @@ def test_no_distance_takes_a_builtin_maximum():
     assert offenders(PACKAGE, dist_maxima) == []
 
 
+def test_no_guard_passes_a_nan():
+    assert offenders(PACKAGE, nan_passing_guards) == []
+
+
 def test_no_dead_definitions():
     trees = [parse(path) for path in PACKAGE + TESTS]
     found = [f"{path.relative_to(ROOT)}:{line} {name}"
@@ -209,16 +217,7 @@ def test_package_is_reached_from_its_entry_points():
     unreached = {node.name for tree in trees for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                  and node.name not in reached}
-    assert sorted(unreached) == sorted(TEST_REFERENCES)
-
-
-def test_test_references_name_existing_tests():
-    for reference in TEST_REFERENCES.values():
-        path, *scopes = reference.split("::")
-        node = parse(ROOT / "tests" / path)
-        for scope in scopes:
-            node = next((item for item in node.body if getattr(item, "name", None) == scope), None)
-            assert node is not None, reference
+    assert sorted(unreached) == []
 
 
 def test_finders_flag_what_they_name():
@@ -236,6 +235,12 @@ def test_finders_flag_what_they_name():
                        "class H:\n    def dist(self, a, b):\n        return sup((a, min(b, 1)))\n\n"
                        "def dist(a, b):\n    return max(a, b)\n")
     assert sorted(dist_maxima(groups)) == [(3, "max"), (10, "min")]
+    guards = ast.parse("if res > tol.eq_tol:\n    pass\nif not res <= tol.eq_tol:\n    pass\n"
+                       "if a and tol.rank_tol >= b:\n    pass\nelif c > tol.eq_tol:\n    pass\n"
+                       "if res > eq_tol or res < tol.rank_tol:\n    pass\n"
+                       "x = res > tol.eq_tol\nwhile res > tol.eq_tol:\n    pass\n")
+    assert sorted(nan_passing_guards(guards)) == [(1, "res > tol.eq_tol"), (5, "tol.rank_tol >= b"),
+                                                  (7, "c > tol.eq_tol")]
     module = ast.parse("def used():\n    pass\n\ndef unused():\n    return used()\n\n"
                        "class Called:\n    def __init__(self):\n        pass\n\n"
                        "    def method(self):\n        pass\n\n    def stale(self):\n        pass\n\n"

@@ -7,9 +7,9 @@ import loopfock.linalg
 from loopfock.errors import NotInvolutive, SingularInput
 from loopfock.linalg import (DEFAULT_TOL, AntilinearOperator, TolerancePolicy,
                              antilinear_polar, averaged_intertwiners,
-                             dump_matrix, joint_kernel, maxabs, null_space,
-                             orthonormal_rows, polar_unitary, row_chunks, scalar_defect,
-                             span_residual, subspace_equal, sup, worst)
+                             dump_matrix, maxabs, polar_unitary, row_chunks, scalar_defect,
+                             span_residual, sup, worst)
+from reference import joint_kernel, null_space, orthonormal_rows, subspace_equal
 
 rng = np.random.default_rng(101)
 
@@ -242,6 +242,32 @@ class TestAveragedIntertwiners:
         X = np.array([[0, 1], [1, 0]], dtype=complex)
         with pytest.raises(ArithmeticError, match="nan"):
             averaged_intertwiners([X], [X], 4, np.random.default_rng(0))
+
+
+class TestNanGuards:
+    """A planted NaN fails each guard of the module with the guard's own error."""
+
+    def test_nan_generator_squares(self):
+        X = np.array([[0, 1], [1, 0]], dtype=complex)
+        planted = X.copy()
+        planted[0, 0] = np.nan
+        for lefts, rights, side in (([planted], [X], "left"), ([X], [planted], "right")):
+            with pytest.raises(ValueError, match=f"{side} generator square"):
+                averaged_intertwiners(lefts, rights, 4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("first_nan", [0, 1, 2], ids=["S S", "J J", "J Delta J"])
+    def test_nan_polar_residuals(self, monkeypatch, first_nan):
+        # maxabs reads NaN from its call first_nan on; the builtin max kept
+        # jj when only jdj was NaN
+        calls = []
+
+        def planted(M):
+            calls.append(M)
+            return float("nan") if len(calls) > first_nan else maxabs(M)
+
+        monkeypatch.setattr(loopfock.linalg, "maxabs", planted)
+        with pytest.raises(NotInvolutive):
+            antilinear_polar(AntilinearOperator(np.eye(3, dtype=complex)))
 
 
 class TestSubspaces:

@@ -99,6 +99,19 @@ class TestPathsAndLoops:
         with pytest.raises(EndpointMismatch):
             concat_paths(p, q)
 
+    def test_nan_endpoints_are_refused(self):
+        paths = PathGroup(2, SpinGroup(2))
+        p = paths.sample(rng)
+        q = p.copy()
+        q[-1, 0, 0] = np.nan
+        with pytest.raises(EndpointMismatch):
+            concat_paths(p, q)
+        loop = double_path(paths.identity())
+        loop[0, 0, 0] = np.nan
+        assert not is_half_supported(loop)
+        with pytest.raises(ValueError, match="not supported"):
+            restrict_loop(loop)
+
     def test_restrict_is_a_homomorphism_on_half_loops(self, model22):
         spin = SpinGroup(2)
         H = ExtLoopGroup(model22, spin)

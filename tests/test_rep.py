@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 import loopfock.rep
-from loopfock.algebra import (OperatorAlgebra, _checked_algebra, algebra_from_span, commutant,
-                              conjugation_action, generated_star_algebra, super_commutant,
-                              super_commutant_probes)
+from loopfock.algebra import _checked_algebra, conjugation_action, super_commutant_probes
 from loopfock.bogoliubov import implementation_residual
 from loopfock.clifford import (build_clifford_model, clifford_monomials, generator_indices,
                                half_space, monomial_closure_residual)
@@ -27,8 +25,10 @@ from loopfock.rep import (TWISTED_PROBES, PairLiftGroup, build_context, check_al
                           modular_vs_reflection, normalizer_two_group,
                           pair_two_group, path_automorphism,
                           representation_intertwiner, unit_sign_cocycle)
-from loopfock.suites import run_suites
+from loopfock.suites import Environment, run_suites, tomita_checks
 from loopfock.twogroup import check_intertwiner, check_minimal_data
+from reference import (algebra_from_span, commutant, generated_star_algebra, kernel_commutant,
+                       kernel_super_commutant, super_commutant)
 
 rng = np.random.default_rng(61)
 TOL = TolerancePolicy()
@@ -67,7 +67,8 @@ class TestHalfAlgebra:
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_matches_the_orthonormalized_monomial_span(self, half_model, which):
         alg = half_algebra(half_model, which)
-        reference = algebra_from_span(clifford_monomials(half_model, half_space(half_model, which)))
+        reference = algebra_from_span(clifford_monomials(half_model, half_space(half_model, which)),
+                                      half_generators(half_model, which))
         assert alg.dim == reference.dim
         assert span_residual(alg.basis, reference.basis) <= 1e-12
         assert span_residual(reference.basis, alg.basis) <= 1e-12
@@ -92,8 +93,9 @@ class TestHalfAlgebra:
 
 
 def same_span(closed, reference):
-    return closed.dim == reference.dim and max(span_residual(closed.basis, reference.basis),
-                                               span_residual(reference.basis, closed.basis)) <= 1e-12
+    """True iff two orthonormal stacks have the same length and span."""
+    return len(closed) == len(reference) and max(span_residual(closed, reference),
+                                                 span_residual(reference, closed)) <= 1e-12
 
 
 def twisted_commutant(model):
@@ -106,28 +108,29 @@ class TestClosedForms:
 
     def test_commutant_is_the_averaged_one(self, half_model):
         A = half_algebra(half_model, "first")
-        assert same_span(twisted_commutant(half_model), commutant(A))
+        assert same_span(twisted_commutant(half_model).basis, commutant(A))
 
     def test_super_commutant_is_the_averaged_one(self, half_model):
         A = half_algebra(half_model, "first")
-        assert same_span(half_algebra(half_model, "second"), super_commutant(A, half_model.grading))
+        assert same_span(half_algebra(half_model, "second").basis,
+                         super_commutant(A, half_model.grading_signs))
 
     @pytest.mark.parametrize("n, d", [(1, 2), (2, 2)])
     def test_both_are_the_kernel_ones(self, n, d):
-        # without generators both solves take the kernel route; at Fock 64
-        # its first null space is of a 4096 x 4096 matrix, and one solve ran
-        # over four minutes on a 2-core machine
+        # the kernel route on the whole basis; at Fock 64 its first null
+        # space is of a 4096 x 4096 matrix, and one solve ran over four
+        # minutes on a 2-core machine
         model = build_clifford_model(n, d)
-        bare = OperatorAlgebra(half_algebra(model, "first").basis)
-        assert same_span(twisted_commutant(model), commutant(bare))
-        assert same_span(half_algebra(model, "second"), super_commutant(bare, model.grading))
+        basis = half_algebra(model, "first").basis
+        assert same_span(twisted_commutant(model).basis, kernel_commutant(basis))
+        assert same_span(half_algebra(model, "second").basis, kernel_super_commutant(basis, model.grading_signs))
 
     def test_probes_lie_in_the_averaged_super_commutant(self, half_model):
         A, B = half_algebra(half_model, "first"), half_algebra(half_model, "second")
-        reference = super_commutant(B, half_model.grading)
-        probes = super_commutant_probes(B.generators, half_model.grading, TWISTED_PROBES)
-        assert span_residual(probes, reference.basis) <= 1e-12
-        assert same_span(A, reference)
+        reference = super_commutant(B, half_model.grading_signs)
+        probes = super_commutant_probes(B.generators, half_model.grading_signs, TWISTED_PROBES)
+        assert span_residual(probes, reference) <= 1e-12
+        assert same_span(A.basis, reference)
 
     def test_flip_closure_has_the_generated_dimension(self, half_model):
         points = half_space(half_model, "first")
@@ -199,7 +202,7 @@ class TestTwistedDuality:
     def test_second_half_without_usable_generators_is_refused(self, ctx22, plant_second_half, generators):
         gens = half_generators(ctx22.model, "second")
         if generators == "none":
-            planted = None
+            planted = gens[:0]
         elif generators == "even":
             planted = gens[:-1] @ gens[1:]
         else:
@@ -209,16 +212,11 @@ class TestTwistedDuality:
         with pytest.raises(NotAveragingReady):
             check_twisted_duality(ctx22)
 
-    def test_a_tomita_run_solves_no_super_commutant(self, monkeypatch):
-        cfg = RunConfig(n=2, d=2, suites=("tomita",))
-        expected = [(r.name, r.residual, r.passed) for r in run_suites(cfg)[1]]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("super_commutant was called")
-
-        monkeypatch.setattr(loopfock.algebra, "super_commutant", refuse)
-        code, records = run_suites(cfg)
-        assert code == 0 and [(r.name, r.residual, r.passed) for r in records] == expected
+    def test_a_tomita_run_forms_no_dense_grading(self):
+        env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
+        records = tomita_checks(env)
+        assert all(r.passed for r in records)
+        assert "grading" not in vars(env.model)
 
 
 class TestTomitaMemory:

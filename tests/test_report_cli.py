@@ -501,6 +501,22 @@ class TestCli:
         assert main(["--points", "4", "--dim", "2", "--loop", "[[0.0]]"]) == 2
         assert main(["--points", "4", "--dim", "2", "--loop", "not json"]) == 2
 
+    @pytest.mark.parametrize("key, value", [("report", "r.json"), ("format", "md"), ("suite", "tomita")])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_loop_refuses_suite_keys(self, tmp_path, monkeypatch, capsys, key, value, where):
+        # a --loop run lifts the loop and returns: it ran no suite and wrote no report
+        monkeypatch.chdir(tmp_path)
+        args = ["--points", "4", "--dim", "2", "--loop", "[[0], [0], [0], [0]]"]
+        if where == "flag":
+            args += [f"--{key}", value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+            args += ["--config", "run.cfg"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--{key}" in captured.err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("literal", ["[" * 5000, "[" * 5000 + "]" * 5000],
                              ids=["unclosed", "closed"])
     def test_deeply_nested_loop_literal_exits_two(self, literal, capsys):

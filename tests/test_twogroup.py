@@ -5,7 +5,7 @@ from loopfock.errors import NotComposable
 from loopfock.twogroup import (FiniteGroup, SemidirectGroup, StrictIntertwiner,
                                check_crossed_module, check_interchange,
                                check_intertwiner, check_minimal_data,
-                               compose_morphisms, delooping, discrete,
+                               compose_morphisms, compose_morphisms_target_form, delooping, discrete,
                                inclusion_intertwiner, invert_morphism,
                                matrix_automorphism_module, pi0_pi1,
                                to_crossed_module, to_two_group)
@@ -126,6 +126,17 @@ class TestComposition:
     def test_interchange(self):
         tg = to_two_group(matrix_automorphism_module(2))
         assert max(check_interchange(tg, 30, np.random.default_rng(5)).values()) <= 1e-9
+
+    def test_nan_source_is_not_composable(self):
+        tg = to_two_group(matrix_automorphism_module(2))
+        x = tg.morphisms.sample(np.random.default_rng(4))
+        y = tg.unit(tg.source(x))
+        planted = (x[0], x[1].copy())
+        planted[1][0, 0] = np.nan
+        for compose in (compose_morphisms, compose_morphisms_target_form):
+            assert tg.morphisms.dist(compose(tg, x, y), x) < 1e-9
+            with np.errstate(invalid="ignore"), pytest.raises(NotComposable):
+                compose(tg, planted, y)
 
     def test_not_composable_raises(self):
         tg = to_two_group(discrete(FiniteGroup.symmetric(3)))
