@@ -3,16 +3,16 @@
 Two independent routes construct an implementer U with
 U pi(v) U^* = pi(g v) for general g in SO(2nd): a convention-free kernel
 solve (group-averaged projection onto the intertwiner space) and a
-constructive product of plane-rotation exponentials, which tests also use
-as the reference for loops.lift.  Quadratic generators and their scalar
-commutator anomaly live here as well.
+constructive one from the rotated vacuum and creation operators, which
+tests also use as the reference for loops.lift.  Quadratic generators and
+their scalar commutator anomaly live here as well.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clifford import pi_columns
+from .clifford import flip_table, pi_columns
 from .errors import (ContractViolation, DimensionMismatch, NonScalarDefect,
                      NonUniqueImplementer, NotOrthogonal, NotSpecialOrthogonal,
                      SingularInput)
@@ -128,49 +128,50 @@ def implement_oracle(model, g, tol=DEFAULT_TOL, rng=None):
     return Implementer(U, g, _classify_parity(model, U, tol), "raw")
 
 
-def givens_factorization(g, tol=DEFAULT_TOL):
-    """Plane rotations and the residual +-1 diagonal with g = (prod G_k) diag."""
-    D = g.shape[0]
-    work = np.array(g, dtype=float)
-    rotations = []
-    for col in range(D):
-        for row in range(D - 1, col, -1):
-            a, b = work[row - 1, col], work[row, col]
-            if abs(b) < 1e-15:
-                continue
-            r = np.hypot(a, b)
-            c, s = a / r, b / r
-            block = np.array([[c, s], [-s, c]])
-            work[[row - 1, row], :] = block @ work[[row - 1, row], :]
-            rotations.append((row - 1, row, float(np.arctan2(s, c))))
-    diag = np.diag(work).copy()
-    if not maxabs(work - np.diag(diag)) <= tol.eq_tol:
-        raise NotOrthogonal("Givens sweep did not diagonalize; input not orthogonal")
-    return rotations, diag
+def rotated_creators(model, g):
+    """Flip coefficients of the rotated creators b^dag_mu = pi(g L_mu) / sqrt(2),
+    L_mu the Lagrangian's columns: b^dag_mu[r, r ^ 2^nu] = out[mu, nu, r]."""
+    return np.tensordot(g @ model.lagrangian, model.flip_coefficients, axes=(0, 0)) / np.sqrt(2.0)
+
+
+def _flip_sum(coefficients, flips, M):
+    """sum_nu diag(coefficients[nu]) X_nu M, X_nu the flip of mode nu."""
+    return sum(coefficients[nu, :, None] * M[rows] for nu, rows in enumerate(flips.T))
 
 
 def implement_pin(model, g, tol=DEFAULT_TOL):
-    """Constructive implementer for det +1 maps via plane rotations.
+    """Vacuum-normalized implementer of a det +1 map from its rotated vacuum.
 
-    A rotation by theta in the plane of orthonormal real u, w is implemented
-    by cos(theta/2) + sin(theta/2) pi(u) pi(w); the Givens factors of g and
-    the paired -1 diagonal entries (pi rotations) multiply up to U.
+    U a^dag_mu U^* = b^dag_mu, the rotated creators, so U Omega spans the
+    joint kernel of the b_mu: the commuting projections 1 - b^dag_mu b_mu
+    take a fixed-seed Gaussian vector to a multiple of it, whatever its
+    vacuum overlap.  The vector is even, as U Omega is for det +1, so the
+    odd blocks of U come out exactly zero.  In the Jordan-Wigner order
+    e_S = a^dag_{min S} e_{S - min S} with sign +1, so the columns
+    U e_S = b^dag_{min S} U e_{S - min S} are filled from the highest mode
+    down, one flip sum over a block of columns per mode; no N x N product
+    is formed.
     """
     g = check_orthogonal(g, tol)
     if not is_special(g, tol):
         raise NotSpecialOrthogonal("det(g) = -1 is outside the rotation fast path")
-    rotations, diag = givens_factorization(g, tol)
-    N = model.fock_dim
-    U = np.eye(N, dtype=complex)
-    for i, j, theta in rotations:
-        U = U @ (np.cos(theta / 2) * np.eye(N) + np.sin(theta / 2) * (model.generators[i] @ model.generators[j]))
-    negatives = [i for i in range(model.dim_h) if diag[i] < 0]
-    if len(negatives) % 2 == 1:
-        raise NotSpecialOrthogonal("odd reflection count")
-    for k in range(0, len(negatives), 2):
-        i, j = negatives[k], negatives[k + 1]
-        U = U @ (model.generators[i] @ model.generators[j])
-    return Implementer(U, g, "even", "raw")
+    N, m = model.fock_dim, model.lattice.modes
+    creators, flips = rotated_creators(model, g), flip_table(m)
+    x = np.zeros((N, 1), dtype=complex)
+    x[model.grading_signs > 0] = np.random.default_rng(0).standard_normal((N // 2, 1))
+    for b_dag in creators:
+        # b_mu[s, s ^ 2^nu] = conj(b^dag_mu[s ^ 2^nu, s])
+        b = np.conj(np.take_along_axis(b_dag, flips.T, axis=1))
+        x -= _flip_sum(b_dag, flips, _flip_sum(b, flips, x))
+    U = np.empty((N, N), dtype=complex)
+    U[:, :1] = x
+    for mu in reversed(range(m)):
+        # the sets with lowest mode mu, from those without modes 0..mu
+        U[:, 1 << mu::2 << mu] = _flip_sum(creators[mu], flips, U[:, ::2 << mu])
+    # b^dag_mu is isometric on the kernel of b_mu, which holds U e_S for mu < min S:
+    # all columns have the first one's norm, and dividing by their own drops rounding
+    U /= np.linalg.norm(U, axis=0)
+    return normalize_phase(Implementer(U, g, "even", "raw"), "vacuum", tol)
 
 
 def normalize_phase(imp, mode="vacuum", tol=DEFAULT_TOL):
@@ -207,11 +208,6 @@ def normalize_phase(imp, mode="vacuum", tol=DEFAULT_TOL):
         U.flat[at] = modulus
 
 
-def normalized_unitary(model, g, tol=DEFAULT_TOL):
-    """Vacuum-normalized plane-rotation implementer of g."""
-    return normalize_phase(implement_pin(model, g, tol), "vacuum", tol).unitary
-
-
 def projective_distance(U, V):
     """min over unit scalars of ||U - z V||, sup norm."""
     z = np.trace(V.conj().T @ U)
@@ -223,9 +219,9 @@ def projective_distance(U, V):
 
 def extension_cocycle(model, g, h, tol=DEFAULT_TOL):
     """Unit scalar U_g U_h U_{gh}^{-1} of vacuum-normalized implementers."""
-    Ug = normalized_unitary(model, g, tol)
-    Uh = normalized_unitary(model, h, tol)
-    Ugh = normalized_unitary(model, np.asarray(g) @ np.asarray(h), tol)
+    Ug = implement_pin(model, g, tol).unitary
+    Uh = implement_pin(model, h, tol).unitary
+    Ugh = implement_pin(model, np.asarray(g) @ np.asarray(h), tol).unitary
     defect, lam = scalar_defect(Ug @ Uh @ Ugh.conj().T)
     if not defect <= tol.eq_tol:
         raise NonScalarDefect(f"cocycle defect {defect:.2e} is not scalar")

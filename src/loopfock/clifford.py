@@ -74,15 +74,17 @@ def default_lagrangian(lattice):
     return L
 
 
+def lagrangian_residual(L):
+    """Worst deviation of the columns of L from orthonormal (L^* L = 1) and
+    isotropic (L^T L = 0)."""
+    return sup((maxabs(L.conj().T @ L - np.eye(L.shape[1])), maxabs(L.T @ L)))
+
+
 def validate_lagrangian(L, tol=DEFAULT_TOL):
     """Check orthonormality and isotropy of the column span."""
     L = np.asarray(L, dtype=complex)
     dim, m = L.shape
-    if dim != 2 * m:
-        return False
-    orth = maxabs(L.conj().T @ L - np.eye(m))
-    iso = maxabs(L.T @ L)
-    return max(orth, iso) <= tol.eq_tol
+    return dim == 2 * m and lagrangian_residual(L) <= tol.eq_tol
 
 
 def _popcount_below(indices, mode):

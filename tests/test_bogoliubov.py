@@ -1,4 +1,5 @@
 import functools
+import json
 import tracemalloc
 import warnings
 
@@ -11,11 +12,11 @@ import loopfock.bogoliubov
 import loopfock.clifford
 from loopfock import suites
 from loopfock.bogoliubov import (Implementer, check_orthogonal, check_skew, derived_implementer,
-                                 extension_cocycle, givens_factorization,
-                                 implement_oracle, implement_pin, implementation_residual,
+                                 extension_cocycle, implement_oracle, implement_pin, implementation_residual,
                                  normalize_phase, projective_distance,
                                  random_skew, random_special_orthogonal,
                                  schwinger_term)
+from loopfock.cli import main
 from loopfock.clifford import build_clifford_model, pi_columns
 from loopfock.errors import (ContractViolation, DimensionMismatch, NonScalarDefect, NotOrthogonal,
                              NotSpecialOrthogonal, SingularInput)
@@ -126,7 +127,7 @@ def dense_implementation_residual(model, U, g):
 
 
 def residual_cases(n, d):
-    """(unitary, implemented map) pairs from a lift, a Givens implementer and,
+    """(unitary, implemented map) pairs from a lift, a rotated-vacuum implementer and,
     at Fock dimension <= 64, the averaging oracle."""
     model, spin = build_clifford_model(n, d), SpinGroup(d)
     local = np.random.default_rng(10 * n + d)
@@ -275,20 +276,46 @@ class TestPin:
         with pytest.raises(NotSpecialOrthogonal):
             implement_pin(model22, np.diag([-1.0] + [1.0] * 7))
 
-    def test_givens_reconstruction(self):
-        g = random_special_orthogonal(6, rng)
-        rotations, diag = givens_factorization(g)
-        recon = np.eye(6)
-        for i, j, theta in rotations:
-            G = plane_rotation(6, i, j, theta)
-            recon = recon @ G
-        recon = recon @ np.diag(diag)
-        assert maxabs(recon - g) < 1e-12
+    def test_returns_the_vacuum_normalized_unitary(self, model22):
+        imp = implement_pin(model22, random_special_orthogonal(8, rng))
+        assert imp.normalization == "vacuum"
+        assert np.array_equal(normalize_phase(imp).unitary, imp.unitary)
+
+    def test_zero_vacuum_overlap_falls_back_to_scan(self, model22):
+        # e_0 and e_1 carry different internal axes, so pi(e_0) pi(e_1) Omega,
+        # the rotated vacuum of a pi rotation in their plane, is orthogonal to Omega
+        g = plane_rotation(8, 0, 1, np.pi)
+        imp = implement_pin(model22, g)
+        assert imp.normalization == "scan"
+        assert implementation_residual(model22, imp.unitary, g) <= 1e-12
+        oracle = normalize_phase(implement_oracle(model22, g, rng=rng), "scan")
+        assert maxabs(imp.unitary - oracle.unitary) <= 1e-12
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_a_wrong_creator_sign_fails_the_agreement_record(self, monkeypatch, tmp_path, planted):
+        # b^dag_1 -> -b^dag_1 multiplies U by (-1) to the occupation of mode 1,
+        # an implementer of another map
+        creators = loopfock.bogoliubov.rotated_creators
+
+        def flipped(model, g):
+            out = creators(model, g)
+            out[1] *= -1.0
+            return out
+
+        if planted:
+            monkeypatch.setattr(loopfock.bogoliubov, "rotated_creators", flipped)
+        path = tmp_path / "report.json"
+        code = main(["--points", "4", "--dim", "2", "--suite", "bogoliubov", "--report", str(path)])
+        record = next(r for r in json.loads(path.read_text())["records"]
+                      if r["name"] == "pin oracle agreement")
+        assert record["passed"] is not planted
+        assert (record["residual"] > record["tolerance"]) is planted
+        assert code == (1 if planted else 0)
 
 
 # Fock dimensions 4, 16, 16, 64 and 64
 PIN_CONFIGS = [(1, 2), (2, 2), (1, 4), (3, 2), (2, 3)]
-# pi rotations leave a paired -1 diagonal, quarter turns a signed permutation
+# pi rotations can leave no vacuum overlap, quarter turns a signed permutation
 ANGLES = st.one_of(st.sampled_from([np.pi, -np.pi, np.pi / 2]), st.floats(-np.pi, np.pi))
 
 
@@ -323,7 +350,7 @@ def special_orthogonal_maps(draw, D):
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(data=st.data())
 def test_pin_matches_oracle_property(data):
-    """The Givens product and the averaging kernel implement one map, up to
+    """The rotated vacuum and the averaging kernel implement one map, up to
     phase, on signed permutations, pi rotations and their products too."""
     model = pin_model(data.draw(st.sampled_from(PIN_CONFIGS)))
     g = data.draw(special_orthogonal_maps(model.dim_h))
@@ -483,8 +510,6 @@ class TestNanGuards:
         planted[1, 2] = np.nan
         with pytest.raises(NotOrthogonal, match="deviates"):
             check_orthogonal(planted)
-        with np.errstate(invalid="ignore"), pytest.raises(NotOrthogonal, match="Givens"):
-            givens_factorization(planted)
         with pytest.raises(ValueError, match="antisymmetric"):
             check_skew(planted)
 

@@ -5,8 +5,9 @@ of its classes, that nothing refers to, none that the program's entry
 points cannot reach (the reference routes the tests compare against live
 in tests/reference.py), no worst residual kept by hand in a loop nor
 combined by the builtin max or min in a dist method: linalg.worst and
-linalg.sup take them, and keep a NaN, and no if test that compares with >
-or >= against eq_tol or rank_tol, a guard that a NaN residual passes."""
+linalg.sup take them, and keep a NaN, no if test that compares with >
+or >= against eq_tol or rank_tol, a guard that a NaN residual passes, and
+no builtin max or min on the residual side of a comparison with either."""
 
 import ast
 from pathlib import Path
@@ -107,6 +108,29 @@ def nan_passing_guards(tree):
     return found
 
 
+def is_tolerance(node):
+    return isinstance(node, ast.Attribute) and node.attr in ("eq_tol", "rank_tol")
+
+
+def builtin_extrema_on_residuals(tree):
+    """Builtin max or min calls on the residual side of a comparison with an
+    eq_tol or rank_tol attribute: they drop a NaN that comes after a number,
+    where linalg.sup keeps it.  The tolerance side, an operand holding the
+    attribute, may take one, as in max(tol.eq_tol, 1e-8)."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        if not any(is_tolerance(part) for side in sides for part in ast.walk(side)):
+            continue
+        for side in sides:
+            if not any(is_tolerance(part) for part in ast.walk(side)):
+                found |= {(call.lineno, ast.unparse(call)) for call in ast.walk(side)
+                          if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("max", "min")}
+    return found
+
+
 def defined_names(tree):
     """Module-level functions and classes, and the non-dunder methods of those
     classes, as (line, label, name a reference would use)."""
@@ -203,6 +227,10 @@ def test_no_guard_passes_a_nan():
     assert offenders(PACKAGE, nan_passing_guards) == []
 
 
+def test_no_builtin_extremum_meets_a_tolerance():
+    assert offenders(PACKAGE, builtin_extrema_on_residuals) == []
+
+
 def test_no_dead_definitions():
     trees = [parse(path) for path in PACKAGE + TESTS]
     found = [f"{path.relative_to(ROOT)}:{line} {name}"
@@ -241,6 +269,10 @@ def test_finders_flag_what_they_name():
                        "x = res > tol.eq_tol\nwhile res > tol.eq_tol:\n    pass\n")
     assert sorted(nan_passing_guards(guards)) == [(1, "res > tol.eq_tol"), (5, "tol.rank_tol >= b"),
                                                   (7, "c > tol.eq_tol")]
+    extrema = ast.parse("ok = max(a, b) <= tol.eq_tol\nif x < y <= min(c, 2):\n    pass\n"
+                        "ok = abs(d) <= max(tol.eq_tol, 1e-8)\nok = max(a, b) <= eq_tol\n"
+                        "ok = tol.rank_tol < f(min(r, s))\n")
+    assert sorted(builtin_extrema_on_residuals(extrema)) == [(1, "max(a, b)"), (6, "min(r, s)")]
     module = ast.parse("def used():\n    pass\n\ndef unused():\n    return used()\n\n"
                        "class Called:\n    def __init__(self):\n        pass\n\n"
                        "    def method(self):\n        pass\n\n    def stale(self):\n        pass\n\n"

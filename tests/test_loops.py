@@ -379,20 +379,23 @@ class TestLiftCache:
         assert (cache.hits, cache.misses, cache.evictions) == (0, 40, 40 - LiftCache.CAPACITY)
 
 
-def givens_lift(model, spin, loop):
-    """The lift's reference: the vacuum-normalised Givens implementer of omega(loop)."""
-    return normalize_phase(implement_pin(model, omega_matrix(model, spin, loop)), "vacuum")
+def vacuum_lift(model, spin, loop):
+    """The lift's reference: the implementer of omega(loop) built from its
+    rotated vacuum, vacuum-normalised."""
+    return implement_pin(model, omega_matrix(model, spin, loop))
 
 
 class TestSingleRoute:
     @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2), (2, 4)])
     def test_lift_equals_the_givens_route(self, n, d):
+        """The lift equals implement_pin, now built from the rotated vacuum;
+        the name is that of the Givens product it replaced."""
         model, spin = build_clifford_model(n, d), SpinGroup(d)
         local = np.random.default_rng(100 * n + d)
         for _ in range(3):
             loop = np.stack([spin.sample(local) for _ in range(2 * n)])
             assert maxabs(lift(model, spin, loop).unitary
-                          - givens_lift(model, spin, loop).unitary) <= 1e-12
+                          - vacuum_lift(model, spin, loop).unitary) <= 1e-12
 
     @pytest.mark.parametrize("n, d", [(2, 3), (2, 4)])
     def test_commutator_pairing_is_a_sign(self, n, d):
@@ -505,7 +508,7 @@ models = {}
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lift_property_single_route_and_cache(n, d, data):
-    """Over arbitrary bivector coordinates the lift is the Givens route, and
+    """Over arbitrary bivector coordinates the lift is the rotated-vacuum route, and
     the cache hands each loop its own entry."""
     if (n, d) not in models:
         models[n, d] = build_clifford_model(n, d), SpinGroup(d)
@@ -513,7 +516,7 @@ def test_lift_property_single_route_and_cache(n, d, data):
     first, second = (loop_from_bivectors(spin, data.draw(coordinate_lists[n, d]))
                      for _ in range(2))
     ext = lift(model, spin, first)
-    ref = givens_lift(model, spin, first)
+    ref = vacuum_lift(model, spin, first)
     assert ext.implementer.normalization == ref.normalization
     assert maxabs(ext.unitary - ref.unitary) <= 1e-12
     other = lift(model, spin, second)
