@@ -24,16 +24,26 @@ g gives that map up to a positive factor at the cost of a few products.
 inner_unitary checks the factor assumption on every solve, refuses algebras
 with a centre, and verifies its result on every generator.
 
+The positive cone is checked in a unitary frame W built once from the
+generators (clifford_frame): their local modes give matrix units, in which
+the algebra is M_k (x) 1 on C^k (x) C^k and a vector is a k x k matrix.
+There the cone of the vacuum is the positive semidefinite matrices times
+the unitary polar part of the vacuum's matrix, so each membership test is
+one k x k eigenvalue problem, k = sqrt(N); the tests keep the cone pairing
+tensor over the basis, with its k^2 x k^2 forms, as a reference.
+
 Every guard here is written so that a NaN residual fails it.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConeViolation, NotAveragingReady, NotCyclicSeparating, NotInNormalizer,
-                     NotInner)
+from .errors import (ConeViolation, NotAveragingReady, NotClifford, NotCyclicSeparating,
+                     NotInNormalizer, NotInner)
 from .linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners, antilinear_polar,
                      maxabs, polar_unitary, row_chunks, singular_rows, span_residual, sup)
 
@@ -171,14 +181,22 @@ def cyclic_separating_check(alg, omega, tol=DEFAULT_TOL):
 
 @dataclass
 class StandardFormData:
-    """Vacuum vector, Tomita operator, modular pair and positive-cone data."""
+    """Vacuum vector, Tomita operator, modular pair and positive-cone data.
+
+    frame is a unitary W with W^* a W = a_hat (x) 1 on the algebra (the
+    matrix units of clifford_frame), so a vector v reads as the k x k
+    matrix mat(W^* v), on whose rows the algebra acts; vacuum_phase is V^*
+    for the polar form mat(W^* omega) = rho^{1/2} V.  cone_frame holds the
+    cone vectors a_i J a_i J omega of the basis elements a_i.
+    """
 
     omega: np.ndarray
     tomita: AntilinearOperator
     conjugation: AntilinearOperator
     delta: np.ndarray
     cone_frame: np.ndarray
-    _cone_tensor: np.ndarray = field(repr=False, default=None)
+    frame: np.ndarray = field(repr=False)
+    vacuum_phase: np.ndarray = field(repr=False)
 
     def reflect(self, U):
         """J U J for a linear operator U."""
@@ -192,32 +210,76 @@ class StandardFormData:
     def cone_defects(self, vectors):
         """Distance data of each row of vectors from the self-dual positive cone.
 
-        v lies in the cone iff <v, a J b J omega> assembles to a positive
-        semidefinite Hermitian form on the algebra; the defect is the worst
-        of the negative-eigenvalue overshoot and the non-Hermitian part.  All
-        forms come from one product.  One batched Cholesky factorization
-        decides positive definiteness, and a positive definite form has no
-        overshoot, so the eigenvalues are computed only when it fails.
+        In the frame the cone of (M_k (x) 1, rho^{1/2}) is the positive
+        semidefinite matrices (Bratteli-Robinson I, 2.5), and the right
+        multiplication by V, a unitary of the commutant taking rho^{1/2} to
+        omega, carries it onto the cone of omega.  So a unit vector v lies
+        in the cone iff X = mat(W^* v) V^* is positive semidefinite; the
+        defect is the worst of the non-Hermitian part of X and the negative
+        eigenvalue of its Hermitian part, from k x k matrices.
         """
         V = np.asarray(vectors, dtype=complex)
         norms = np.linalg.norm(V, axis=1)
-        V = np.conj(V) / np.where(norms == 0, 1.0, norms)[:, None]
-        k = self._cone_tensor.shape[0]
-        M = (self._cone_tensor.reshape(k * k, -1) @ V.T).T.reshape(-1, k, k)
-        Mh = np.conj(np.transpose(M, (0, 2, 1)))
-        skew = np.max(np.abs(M - Mh), axis=(1, 2))
-        herm = 0.5 * (M + Mh)
-        try:
-            np.linalg.cholesky(herm)
-            return skew
-        except np.linalg.LinAlgError:
-            lam_min = np.linalg.eigvalsh(herm)[:, 0]
-            return np.maximum(skew, -np.minimum(lam_min, 0.0))
+        k = self.vacuum_phase.shape[0]
+        # rows conj(conj(v) W) = (W^* v)^T, without a conjugated copy of W
+        X = np.conj(np.conj(V) @ self.frame).reshape(-1, k, k) @ self.vacuum_phase
+        X /= np.where(norms == 0, 1.0, norms)[:, None, None]
+        Xh = np.conj(np.transpose(X, (0, 2, 1)))
+        skew = np.max(np.abs(X - Xh), axis=(1, 2))
+        lam_min = np.linalg.eigvalsh(0.5 * (X + Xh))[:, 0]
+        return np.maximum(skew, -np.minimum(lam_min, 0.0))
+
+
+def clifford_frame(alg, tol=DEFAULT_TOL):
+    """Unitary W with W^* a W = a_hat (x) 1, a_hat a k x k matrix, on an
+    algebra whose 2m generators form a Clifford system on C^N, N = k^2,
+    k = 2^m.
+
+    The generators, times i where their square is -1, are Hermitian
+    Majoranas h; the pairs (h_2j, h_2j+1) give local modes c_j = (h_2j +
+    i h_2j+1)/2 in Jordan-Wigner order.  E_00 is the product of the local
+    vacuum projections c_j c_j^* = (1 - i h_2j h_2j+1)/2, and E_p0 = c^*_j1
+    ... c^*_jr E_00 for the modes j1 < ... < jr of p; W e_(p,q) = E_p0 zeta_q
+    over an orthonormal basis zeta of the range of E_00.  W is checked to be
+    unitary and to carry every generator to g_hat (x) 1 to eq_tol; a stack
+    that fails, NaN included, raises NotClifford.
+    """
+    gens = alg.generators
+    N = alg.space_dim
+    m = len(gens) // 2
+    k = 2 ** m
+    if len(gens) != 2 * m or k * k != N:
+        raise NotClifford(f"{len(gens)} generators cannot frame C^{N} as C^k (x) C^k, k = 2^(count/2)")
+    # (g^2)[0, 0] is the square's sign for a Clifford generator
+    squares = np.einsum("gi,gi->g", gens[:, 0, :], gens[:, :, 0])
+    h = gens * np.where(squares.real < 0, 1j, 1.0)[:, None, None]
+    creators = 0.5 * (h[0::2] - 1j * h[1::2])
+    E00 = reduce(np.matmul, [0.5 * (np.eye(N) - 1j * h[2 * j] @ h[2 * j + 1]) for j in range(m)])
+    if not np.all(np.isfinite(E00)):
+        raise NotClifford("the local vacuum projections are not finite")
+    _, vecs = np.linalg.eigh(E00)
+    # column block p is E_p0 zeta; the block of p comes from that of p
+    # without its lowest mode j, by c_j^*
+    W = np.empty((N, k, k), dtype=complex)
+    W[:, 0] = vecs[:, N - k:]
+    for p in range(1, k):
+        j = (p & -p).bit_length() - 1
+        W[:, p] = creators[j] @ W[:, p & (p - 1)]
+    W = W.reshape(N, N)
+    Wh = W.conj().T
+    images = (Wh @ gens @ W).reshape(-1, k, k, k, k)
+    hats = np.einsum("gpqrq->gpr", images) / k
+    action = maxabs(images - hats[:, :, None, :, None] * np.eye(k)[None, None, :, None, :])
+    unitarity = maxabs(Wh @ W - np.eye(N))
+    if not sup((unitarity, action)) <= tol.eq_tol:
+        raise NotClifford(f"the frame fails unitarity ({unitarity:.2e}) or the generator actions "
+                          f"({action:.2e})")
+    return W
 
 
 def tomita_data(alg, omega, tol=DEFAULT_TOL):
-    """Standard-form data for (alg, omega): S: a omega -> a* omega, polar parts,
-    and the positive-cone pairing tensor."""
+    """Standard-form data for (alg, omega): S: a omega -> a* omega, its polar
+    parts, and the frame in which the positive cone is checked."""
     status = cyclic_separating_check(alg, omega, tol)
     if not status:
         raise NotCyclicSeparating(f"cyclic={status.cyclic} separating={status.separating}")
@@ -233,13 +295,13 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
     }
     if not sup(checks.values()) <= tol.eq_tol:
         raise NotCyclicSeparating(f"modular data failed vacuum identities: {checks}")
-    # cone pairing tensor T[i, j] = vector a_i J a_j J omega, one BLAS product
-    # whose C-contiguous result cone_defects contracts without a copy; since
-    # J omega = omega, the vectors J a_j J omega are J (a_j omega)
-    jbj_omega = J(frame).T
-    cone_tensor = np.matmul(jbj_omega, np.transpose(alg.basis, (0, 2, 1)))
-    cone_frame = np.stack([cone_tensor[i, i] for i in range(alg.dim)])
-    return StandardFormData(np.asarray(omega, dtype=complex), S, J, delta, cone_frame, cone_tensor)
+    # a_i J a_i J omega = a_i J(a_i omega), since J omega = omega
+    cone_frame = np.matmul(alg.basis, J(frame).T[:, :, None])[:, :, 0]
+    W = clifford_frame(alg, tol)
+    k = isqrt(alg.space_dim)
+    u, _, vh = np.linalg.svd((W.conj().T @ omega).reshape(k, k))
+    return StandardFormData(np.asarray(omega, dtype=complex), S, J, delta, cone_frame, W,
+                            (u @ vh).conj().T)
 
 
 @dataclass
@@ -373,7 +435,7 @@ def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
     for _ in range(4):
         c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         a = alg.from_coordinates(c)
-        probes.append(a @ sfd.reflect(a) @ sfd.omega)
+        probes.append(a @ sfd.conjugation(a @ sfd.omega))
     worst = float(np.max(sfd.cone_defects(np.stack(probes) @ U.T)))
     if not worst <= tol.eq_tol:
         raise ConeViolation(f"cone moved by {worst:.2e}")

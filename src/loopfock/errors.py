@@ -41,6 +41,10 @@ class NotAveragingReady(LoopfockError):
     pass
 
 
+class NotClifford(LoopfockError):
+    pass
+
+
 class NotCyclicSeparating(LoopfockError):
     pass
 

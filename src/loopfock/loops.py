@@ -76,12 +76,17 @@ class SpinGroup(UnitaryGroup):
         matrix or a stack (..., d, d) of them.
 
         Normalized so that the covering map sends each result to expm(B).
+        A bivector whose coefficients overflow in the sum (inf * 0 = NaN)
+        has an all-NaN exponential, without a warning.
         """
         # einsum adds the planes one by one in (a, b) order, so each value is
         # bitwise that of a sum over one bivector; a BLAS contraction may reorder
-        K = 0.25 * np.einsum("...ab,abij->...ij", B, self.gamma_products)
-        w, V = np.linalg.eigh(1j * K)
-        return (V * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = 0.25 * np.einsum("...ab,abij->...ij", B, self.gamma_products)
+        finite = np.all(np.isfinite(K), axis=(-2, -1))[..., None, None]
+        w, V = np.linalg.eigh(1j * np.where(finite, K, 0.0))
+        x = (V * np.exp(-1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+        return np.where(finite, x, np.nan)
 
     def samples(self, rng, k):
         """k values (k, r, r) from one (k, d, d) normal draw, equal to k calls of sample."""
@@ -451,7 +456,9 @@ def loop_from_bivectors(spin, coords_per_point):
 
     Each entry holds the d*(d-1)/2 bivector coordinates in lexicographic
     plane order; the loop values are the spin exponentials of the
-    antisymmetric matrices they fill.
+    antisymmetric matrices they fill.  Malformed coordinates, and finite
+    ones whose exponential is not finite, raise ValueError naming the
+    first such vertex.
     """
     values = []
     for j, c in enumerate(coords_per_point):
@@ -464,4 +471,9 @@ def loop_from_bivectors(spin, coords_per_point):
     rows, cols = np.triu_indices(spin.d, 1)
     B[:, rows, cols] = values
     B[:, cols, rows] = -values
-    return spin.exp(B)
+    loop = spin.exp(B)
+    bad = np.flatnonzero(~np.all(np.isfinite(loop), axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]}: bivector coordinates {_SHORT.repr(coords_per_point[bad[0]])} "
+                         "have no finite spin exponential")
+    return loop

@@ -251,7 +251,7 @@ def tomita_checks(env):
         theta2 = alg_mod.conjugation_action(units.sample(rng), A)
         U, act, jcomm = alg_mod.canonical_implementation(sfd, A, theta, tol, rng=rng)
         probe = A.from_coordinates(rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
-        cone = sfd.cone_defect(U @ (probe @ sfd.reflect(probe) @ sfd.omega))
+        cone = sfd.cone_defect(U @ (probe @ sfd.conjugation(probe @ sfd.omega)))
         U2 = alg_mod.canonical_implementation(sfd, A, theta2, tol, rng=rng).unitary
         U12 = alg_mod.canonical_implementation(sfd, A, theta.compose(theta2), tol, rng=rng).unitary
         # kernel identity: for u in A, JuJ lies in the commutant, so

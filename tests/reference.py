@@ -1,13 +1,15 @@
 """Reference routes the tests compare the program against.
 
-The program reads every commutant on generators and solves inner
-automorphisms by projections over the generators; these are the solvers
-those shortcuts replaced, kept only as independent references: SVD kernels
-and row spaces, the frontier growth of a generated star-algebra, the
-averaging and kernel commutants and super commutants, and the basis-sum
-inner solve.  The commutant solvers return orthonormal basis stacks, since
-an OperatorAlgebra needs generators and a solved commutant has none.  The
-grading enters as its +-1 diagonal signs, as in the program.
+The program reads every commutant on generators, solves inner
+automorphisms by projections over the generators and checks the positive
+cone in a k x k frame; these are the solvers those shortcuts replaced,
+kept only as independent references: SVD kernels and row spaces, the
+frontier growth of a generated star-algebra, the averaging and kernel
+commutants and super commutants, the basis-sum inner solve, and the cone
+pairing tensor with its Cholesky membership test.  The commutant solvers
+return orthonormal basis stacks, since an OperatorAlgebra needs generators
+and a solved commutant has none.  The grading enters as its +-1 diagonal
+signs, as in the program.
 """
 
 import numpy as np
@@ -227,3 +229,37 @@ def basis_sum_inner_unitary(theta, tol=DEFAULT_TOL):
     if not sup((worst, alg.membership_residual(u))) <= tol.eq_tol:
         raise NotInner(f"candidate representative fails the action by {worst:.2e}")
     return u
+
+
+def cone_tensor(alg, sfd):
+    """The cone pairing tensor T[i, j] = a_i J a_j J omega, of shape
+    (dim A, dim A, N), as one BLAS product with a C-contiguous result; since
+    J omega = omega, the vectors J a_j J omega are J (a_j omega)."""
+    jbj_omega = sfd.conjugation((alg.basis @ sfd.omega).T).T
+    return np.matmul(jbj_omega, np.transpose(alg.basis, (0, 2, 1)))
+
+
+def tensor_cone_defects(tensor, vectors):
+    """Distance data of each row of vectors from the self-dual positive cone.
+
+    v lies in the cone iff <v, a J b J omega> assembles to a positive
+    semidefinite Hermitian form on the algebra; the defect is the worst of
+    the negative-eigenvalue overshoot and the non-Hermitian part.  All forms
+    come from one product.  One batched Cholesky factorization decides
+    positive definiteness, and a positive definite form has no overshoot,
+    so the eigenvalues are computed only when it fails.
+    """
+    V = np.asarray(vectors, dtype=complex)
+    norms = np.linalg.norm(V, axis=1)
+    V = np.conj(V) / np.where(norms == 0, 1.0, norms)[:, None]
+    k = tensor.shape[0]
+    M = (tensor.reshape(k * k, -1) @ V.T).T.reshape(-1, k, k)
+    Mh = np.conj(np.transpose(M, (0, 2, 1)))
+    skew = np.max(np.abs(M - Mh), axis=(1, 2))
+    herm = 0.5 * (M + Mh)
+    try:
+        np.linalg.cholesky(herm)
+        return skew
+    except np.linalg.LinAlgError:
+        lam_min = np.linalg.eigvalsh(herm)[:, 0]
+        return np.maximum(skew, -np.minimum(lam_min, 0.0))

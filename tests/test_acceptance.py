@@ -131,7 +131,7 @@ def test_c05_modular_theory():
             worst = max(worst, maxabs(U @ Mj - Mj @ np.conj(U)))
             probe = ctx.algebra.from_coordinates(
                 rng.standard_normal(ctx.algebra.dim) + 1j * rng.standard_normal(ctx.algebra.dim))
-            worst = max(worst, sfd.cone_defect(U @ (probe @ sfd.reflect(probe) @ sfd.omega)))
+            worst = max(worst, sfd.cone_defect(U @ (probe @ sfd.conjugation(probe @ sfd.omega))))
     ok = report_line(5, "modular identities and canonical implementations", worst, 1e-9)
     assert ok
 

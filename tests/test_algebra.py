@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 import loopfock.algebra
 import loopfock.linalg
 import loopfock.rep
-from loopfock.algebra import (InnerAutomorphism, OperatorAlgebra, _averaging_ready,
-                              canonical_implementation, conjugation_action,
-                              cyclic_separating_check, inner_unitary,
+from loopfock.algebra import (InnerAutomorphism, OperatorAlgebra, StandardFormData,
+                              _averaging_ready, canonical_implementation, clifford_frame,
+                              conjugation_action, cyclic_separating_check, inner_unitary,
                               reflected_action, tomita_data)
 from loopfock.clifford import (build_clifford_model, clifford_monomials,
                                generator_indices, half_space)
-from loopfock.errors import NotAveragingReady, NotCyclicSeparating, NotInner, NotInNormalizer
+from loopfock.errors import (ConeViolation, NotAveragingReady, NotClifford, NotCyclicSeparating,
+                             NotInner, NotInNormalizer)
 from loopfock.linalg import DEFAULT_TOL, maxabs, singular_rows, span_residual
 from loopfock.rep import build_context, half_generators
 from reference import (NotGraded, algebra_from_span, basis_sum_inner_unitary, commutant,
-                       generated_star_algebra, kernel_commutant, kernel_super_commutant,
-                       orthonormal_rows, subspace_equal, super_commutant)
+                       cone_tensor, generated_star_algebra, kernel_commutant,
+                       kernel_super_commutant, orthonormal_rows, subspace_equal, super_commutant,
+                       tensor_cone_defects)
 
 rng = np.random.default_rng(31)
 
@@ -470,8 +472,8 @@ def context23():
 
 
 class TestTallRowSpaces:
-    """The tall-SVD row space and the matmul cone tensor against the wide-SVD
-    and einsum routes they replaced."""
+    """The tall-SVD row space against the wide-SVD route it replaced, and the
+    reference matmul cone tensor against an einsum."""
 
     @staticmethod
     def assert_matches_wide_svd(flat):
@@ -512,8 +514,9 @@ class TestTallRowSpaces:
         alg, sfd = context23.algebra, context23.sfd
         jbj_omega = np.stack([sfd.reflect(b) @ sfd.omega for b in alg.basis])
         reference = np.einsum("iab,jb->ija", alg.basis, jbj_omega)
-        assert sfd._cone_tensor.flags.c_contiguous
-        assert maxabs(sfd._cone_tensor - reference) <= 1e-13
+        tensor = cone_tensor(alg, sfd)
+        assert tensor.flags.c_contiguous
+        assert maxabs(tensor - reference) <= 1e-13
 
     def test_context_bases_are_c_contiguous(self, context23):
         for alg in (context23.algebra, loopfock.rep.half_algebra(context23.model, "second")):
@@ -751,31 +754,57 @@ def test_inner_unitary_recovers_exponentials(n, d, data):
         assert same_line(solve(conjugation_action(v, A)), v) == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
+@pytest.fixture
+def tensor(context):
+    return cone_tensor(context.algebra, context.sfd)
+
+
+def cone_vectors(ctx, rand):
+    """Vectors of the positive cone: frame vectors a_i J a_i J omega, their
+    images under a canonical implementation, and a J a J omega for random a
+    in both product orders."""
+    A, sfd = ctx.algebra, ctx.sfd
+    U = canonical_implementation(sfd, A, conjugation_action(random_unitary_in(A, rand), A)).unitary
+    inside = [sfd.cone_frame[0], U @ sfd.cone_frame[1], sfd.omega]
+    for _ in range(3):
+        a = A.from_coordinates(rand.standard_normal(A.dim) + 1j * rand.standard_normal(A.dim))
+        inside += [a @ sfd.conjugation(a @ sfd.omega), a @ sfd.reflect(a) @ sfd.omega]
+    return inside
+
+
+def outside_vectors(ctx, rand):
+    """-omega, random vectors, and cone vectors moved by unitaries of A."""
+    A, sfd = ctx.algebra, ctx.sfd
+    outside = [-sfd.omega]
+    for v in cone_vectors(ctx, rand)[:4]:
+        outside += [rand.standard_normal(A.space_dim) + 1j * rand.standard_normal(A.space_dim),
+                    random_unitary_in(A, rand) @ v]
+    return outside
+
+
 class TestConeDefects:
+    """The reference route: the cone pairing tensor and its Cholesky test."""
+
     @staticmethod
-    def eigvalsh_defect(sfd, v):
+    def eigvalsh_defect(tensor, v):
         """The per-vector defect by a full eigenvalue decomposition."""
-        M = np.tensordot(sfd._cone_tensor, np.conj(v) / np.linalg.norm(v), axes=(2, 0))
+        M = np.tensordot(tensor, np.conj(v) / np.linalg.norm(v), axes=(2, 0))
         lam_min = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[0])
         return max(maxabs(M - M.conj().T), -min(lam_min, 0.0))
 
-    def test_batch_matches_eigvalsh(self, context):
+    def test_batch_matches_eigvalsh(self, context, tensor):
         A, sfd = context.algebra, context.sfd
         rand = np.random.default_rng(14)
-        U = canonical_implementation(
-            sfd, A, conjugation_action(random_unitary_in(A, rand), A)).unitary
-        inside = [sfd.cone_frame[0], U @ sfd.cone_frame[1]]
-        for _ in range(3):
-            a = A.from_coordinates(rand.standard_normal(A.dim) + 1j * rand.standard_normal(A.dim))
-            inside.append(a @ sfd.reflect(a) @ sfd.omega)
+        inside = cone_vectors(context, rand)
         outside = [-sfd.omega, rand.standard_normal(A.space_dim) + 1j * rand.standard_normal(A.space_dim)]
         for batch in (inside, inside + outside):
-            got = sfd.cone_defects(np.stack(batch))
-            ref = [self.eigvalsh_defect(sfd, v) for v in batch]
+            got = tensor_cone_defects(tensor, np.stack(batch))
+            ref = [self.eigvalsh_defect(tensor, v) for v in batch]
             assert maxabs(got - ref) <= 1e-15
-            assert [sfd.cone_defect(v) for v in batch] == pytest.approx(ref, rel=0, abs=1e-15)
+            singles = [tensor_cone_defects(tensor, v[None])[0] for v in batch]
+            assert singles == pytest.approx(ref, rel=0, abs=1e-15)
 
-    def test_eigenvalues_only_when_cholesky_fails(self, context, monkeypatch):
+    def test_eigenvalues_only_when_cholesky_fails(self, context, tensor, monkeypatch):
         sfd = context.sfd
         seen = []
         eigvalsh = np.linalg.eigvalsh
@@ -785,10 +814,62 @@ class TestConeDefects:
             return eigvalsh(M)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        assert max(sfd.cone_defects(sfd.cone_frame[:4])) < 1e-12
+        assert max(tensor_cone_defects(tensor, sfd.cone_frame[:4])) < 1e-12
         assert seen == []
         planted = np.stack([sfd.cone_frame[0], -sfd.omega])
-        defects = sfd.cone_defects(planted)
+        defects = tensor_cone_defects(tensor, planted)
         assert seen == [2]
         assert defects[0] < 1e-12 and defects[1] > 1e-3
-        assert sfd.cone_defect(np.zeros(sfd.omega.shape)) == 0.0
+        assert tensor_cone_defects(tensor, np.zeros((1, sfd.omega.size)))[0] == 0.0
+
+
+class TestConeFrame:
+    """The frame route of StandardFormData.cone_defects against the
+    reference tensor route.  The reference reads a defect of the pairing
+    form over the Hilbert-Schmidt normalized basis, a scale about 1/sqrt(N)
+    of the frame's, so outside vectors are held to 1e-3 there."""
+
+    def test_cone_vectors_read_zero_on_both_routes(self, context, tensor):
+        inside = np.stack(cone_vectors(context, np.random.default_rng(15)))
+        assert max(context.sfd.cone_defects(inside)) <= 1e-12
+        assert max(tensor_cone_defects(tensor, inside)) <= 1e-12
+        assert context.sfd.cone_defect(np.zeros(context.sfd.omega.shape)) == 0.0
+
+    def test_outside_vectors_read_positive_on_both_routes(self, context, tensor):
+        outside = np.stack(outside_vectors(context, np.random.default_rng(16)))
+        assert min(context.sfd.cone_defects(outside)) > 0.05
+        assert min(tensor_cone_defects(tensor, outside)) > 1e-3
+
+    def test_frame_is_unitary_and_carries_generators_to_the_first_factor(self, context):
+        W, N = context.sfd.frame, context.algebra.space_dim
+        k = context.sfd.vacuum_phase.shape[0]
+        assert k * k == N
+        assert maxabs(W.conj().T @ W - np.eye(N)) <= DEFAULT_TOL.eq_tol
+        for g in context.algebra.generators:
+            image = W.conj().T @ g @ W
+            g_hat = image.reshape(k, k, k, k)[:, 0, :, 0]
+            assert maxabs(image - np.kron(g_hat, np.eye(k))) <= DEFAULT_TOL.eq_tol
+        assert maxabs(context.sfd.vacuum_phase @ context.sfd.vacuum_phase.conj().T - np.eye(k)) <= 1e-12
+
+    @pytest.mark.parametrize("plant", ["repeated", "nan", "odd count"])
+    def test_a_stack_that_is_not_clifford_is_refused(self, context, plant):
+        A = context.algebra
+        gens = A.generators.copy()
+        if plant == "repeated":
+            gens[1] = gens[0]
+        elif plant == "nan":
+            gens[0, 0, 0] = np.nan
+        else:
+            gens = gens[1:]
+        with pytest.raises(NotClifford):
+            clifford_frame(OperatorAlgebra(A.basis, gens))
+        with pytest.raises(NotClifford):
+            tomita_data(OperatorAlgebra(A.basis, gens), context.model.vacuum)
+
+    def test_a_planted_sign_flip_violates_the_cone(self, context, monkeypatch):
+        A, sfd = context.algebra, context.sfd
+        theta = conjugation_action(random_unitary_in(A, np.random.default_rng(17)), A)
+        reflect = StandardFormData.reflect
+        monkeypatch.setattr(StandardFormData, "reflect", lambda self, U: -reflect(self, U))
+        with pytest.raises(ConeViolation):
+            canonical_implementation(sfd, A, theta)

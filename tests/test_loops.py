@@ -269,6 +269,8 @@ class TestLoopArrays:
          "vertex 2: bivector coordinates must be a list of real numbers, entry 1 is str 'x'"),
         ([[0, 0, 0], [0, 0, 0], [0, 0, 0], [0, float("nan"), 0]],
          "vertex 3: bivector coordinates [0, nan, 0] are not finite"),
+        ([[0, 0, 0], [1e308, 1e308, 0], [0, 0, 0], [0, 0, 0]],
+         "vertex 1: bivector coordinates [1e+308, 1e+308, 0] have no finite spin exponential"),
     ])
     def test_loop_literal_errors_name_the_vertex(self, coords, message):
         with pytest.raises(ValueError) as err:

@@ -374,6 +374,19 @@ class TestAbortedSuite:
         assert "tomita aborted" in out.split("error NotInner: planted")[0]
         assert "Traceback" in err and "NotInner: planted" in err
 
+    def test_a_sign_flipped_canonical_implementation_aborts_tomita(self, monkeypatch, tmp_path):
+        # -U acts as U does and commutes with J, but maps the cone to its negative
+        reflect = loopfock.algebra.StandardFormData.reflect
+        monkeypatch.setattr(loopfock.algebra.StandardFormData, "reflect",
+                            lambda self, U: -reflect(self, U))
+        path = tmp_path / "report.json"
+        assert main(["--points", "2", "--dim", "2", "--suite", "tomita", "--report", str(path)]) == 1
+        records = json.loads(path.read_text())["records"]
+        assert [r["name"] for r in records][-1] == "tomita aborted"
+        assert all(r["passed"] for r in records[:-1])
+        assert records[-1]["passed"] is False
+        assert records[-1]["error"].startswith("ConeViolation: cone moved by ")
+
     def test_a_suite_called_directly_still_raises(self, planted):
         with pytest.raises(NotInner, match="planted"):
             tomita_checks(Environment(RunConfig(n=1, d=2, suites=("tomita",))))
@@ -564,6 +577,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "not finite" in err
         assert "det(g)" not in err
+
+    def test_loop_rejects_coordinates_whose_exponential_overflows(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--points", "4", "--dim", "2", "--loop", "[[1e308],[1e308],[0],[0]]"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: vertex 0: bivector coordinates [1e+308] "
+                       "have no finite spin exponential\n")
 
     @pytest.mark.parametrize("bad", ["[1, 0]", "[[{}], [0]]"])
     def test_loop_rejects_malformed_coordinates(self, bad, capsys):
