@@ -11,7 +11,7 @@ numerical check with machine-readable reports.
 from .clifford import (CliffordModel, LatticeModel, build_clifford_model,
                        clifford_monomials, default_lagrangian, half_space,
                        pi_vector, validate_lagrangian)
-from .linalg import AntilinearOperator, TolerancePolicy, antilinear_polar, polar_unitary
+from .linalg import AntilinearOperator, TolerancePolicy, polar_unitary
 from .report import CheckRecord, RunConfig, emit_report
 from .suites import run, run_suites
 
@@ -22,7 +22,6 @@ __all__ = [
     "LatticeModel",
     "RunConfig",
     "TolerancePolicy",
-    "antilinear_polar",
     "build_clifford_model",
     "clifford_monomials",
     "default_lagrangian",

@@ -24,13 +24,16 @@ g gives that map up to a positive factor at the cost of a few products.
 inner_unitary checks the factor assumption on every solve, refuses algebras
 with a centre, and verifies its result on every generator.
 
-The positive cone is checked in a unitary frame W built once from the
-generators (clifford_frame): their local modes give matrix units, in which
-the algebra is M_k (x) 1 on C^k (x) C^k and a vector is a k x k matrix.
-There the cone of the vacuum is the positive semidefinite matrices times
-the unitary polar part of the vacuum's matrix, so each membership test is
-one k x k eigenvalue problem, k = sqrt(N); the tests keep the cone pairing
-tensor over the basis, with its k^2 x k^2 forms, as a reference.
+The modular data and the positive cone are read in a unitary frame W built
+once from the generators (clifford_frame): their local modes give matrix
+units, in which the algebra is M_k (x) 1 on C^k (x) C^k, k = sqrt(N), and a
+vector is a k x k matrix X.  The vacuum's matrix xi = rho^{1/2} V, from one
+k x k SVD, gives the standard form of M_k (Bratteli-Robinson I, 2.5;
+Takesaki II): Delta X = rho X sigma^{-1} with sigma = xi^* xi, J X = V X^*
+V and S = J Delta^{1/2}; the cone is the positive semidefinite matrices
+times V, so each membership test is one k x k eigenvalue problem.  The
+tests keep the dense route, a solve for S and an N x N polar
+decomposition, and the cone pairing tensor over the basis as references.
 
 Every guard here is written so that a NaN residual fails it.
 """
@@ -44,8 +47,8 @@ import numpy as np
 
 from .errors import (ConeViolation, NotAveragingReady, NotClifford, NotCyclicSeparating,
                      NotInNormalizer, NotInner)
-from .linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners, antilinear_polar,
-                     maxabs, polar_unitary, row_chunks, singular_rows, span_residual, sup)
+from .linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners, maxabs,
+                     polar_unitary, row_chunks, singular_rows, span_residual, sup)
 
 
 @dataclass
@@ -181,7 +184,8 @@ def cyclic_separating_check(alg, omega, tol=DEFAULT_TOL):
 
 @dataclass
 class StandardFormData:
-    """Vacuum vector, Tomita operator, modular pair and positive-cone data.
+    """Vacuum vector, Tomita operator, modular pair and positive-cone data,
+    all read from the Schmidt form of the vacuum in the frame.
 
     frame is a unitary W with W^* a W = a_hat (x) 1 on the algebra (the
     matrix units of clifford_frame), so a vector v reads as the k x k
@@ -210,13 +214,12 @@ class StandardFormData:
     def cone_defects(self, vectors):
         """Distance data of each row of vectors from the self-dual positive cone.
 
-        In the frame the cone of (M_k (x) 1, rho^{1/2}) is the positive
-        semidefinite matrices (Bratteli-Robinson I, 2.5), and the right
-        multiplication by V, a unitary of the commutant taking rho^{1/2} to
-        omega, carries it onto the cone of omega.  So a unit vector v lies
-        in the cone iff X = mat(W^* v) V^* is positive semidefinite; the
+        The cone of (M_k (x) 1, rho^{1/2}) is the positive semidefinite
+        matrices, and the right multiplication by V, a unitary of the
+        commutant, carries it onto the cone of omega.  So a unit vector v
+        lies in the cone iff X = mat(W^* v) V^* is positive semidefinite; the
         defect is the worst of the non-Hermitian part of X and the negative
-        eigenvalue of its Hermitian part, from k x k matrices.
+        eigenvalue of its Hermitian part.
         """
         V = np.asarray(vectors, dtype=complex)
         norms = np.linalg.norm(V, axis=1)
@@ -277,31 +280,55 @@ def clifford_frame(alg, tol=DEFAULT_TOL):
     return W
 
 
+def _frame_linear(W, P, Q):
+    """The operator v -> W vec(P X Q), X = mat(W^* v), in row-major vec."""
+    return W @ np.kron(P, Q.T) @ W.conj().T
+
+
+def _frame_conjugation(W, V):
+    """The antilinear v -> W vec(V X^* V), X = mat(W^* v): since conj(vec X)
+    = W^T conj(v), its linear part is W M W^T, M[(a, b), (d, c)] = V[a, c]
+    V[d, b]."""
+    k = V.shape[0]
+    return AntilinearOperator(W @ np.einsum("ac,db->abdc", V, V).reshape(k * k, k * k) @ W.T)
+
+
+def star_relation_residual(alg, omega, S):
+    """Sup norm of S(a_i omega) - a_i^* omega over the basis a_i, relative
+    to the largest entry of the a_i^* omega: the relation that defines the
+    Tomita operator of (alg, omega)."""
+    star = np.conj(np.conj(omega) @ alg.basis)   # rows a_i^* omega
+    return maxabs(S((alg.basis @ omega).T).T - star) / maxabs(star)
+
+
 def tomita_data(alg, omega, tol=DEFAULT_TOL):
-    """Standard-form data for (alg, omega): S: a omega -> a* omega, its polar
-    parts, and the frame in which the positive cone is checked."""
+    """S: a omega -> a* omega, J, Delta and the cone data of (alg, omega), in
+    the frame from the SVD xi = u s vh of the vacuum's matrix.  The closed
+    forms read no basis, so S(a_i omega) = a_i^* omega is checked over it,
+    with J omega = omega and Delta omega = omega; a failure raises
+    NotCyclicSeparating, as does a vacuum that is not cyclic and separating,
+    checked before the frame is built."""
     status = cyclic_separating_check(alg, omega, tol)
     if not status:
         raise NotCyclicSeparating(f"cyclic={status.cyclic} separating={status.separating}")
-    frame = (alg.basis @ omega).T             # columns a_i omega
-    star_frame = np.conj(np.conj(omega) @ alg.basis).T   # columns a_i^* omega
-    Ms = np.linalg.solve(np.conj(frame).T, star_frame.T).T   # Ms conj(frame) = star_frame
-    S = AntilinearOperator(Ms)
-    J, delta = antilinear_polar(S, tol)
+    W = clifford_frame(alg, tol)
+    k = isqrt(alg.space_dim)
+    u, s, vh = np.linalg.svd((W.conj().T @ omega).reshape(k, k))
+    V = u @ vh
+    J = _frame_conjugation(W, V)
+    delta = _frame_linear(W, (u * s ** 2) @ u.conj().T, (vh.conj().T / s ** 2) @ vh)
+    half = _frame_linear(W, (u * s) @ u.conj().T, (vh.conj().T / s) @ vh)
+    S = AntilinearOperator(J.linear @ np.conj(half))
     checks = {
-        "S omega": maxabs(S(omega) - omega),
+        "S a omega": star_relation_residual(alg, omega, S),
         "J omega": maxabs(J(omega) - omega),
         "delta omega": maxabs(delta @ omega - omega),
     }
     if not sup(checks.values()) <= tol.eq_tol:
         raise NotCyclicSeparating(f"modular data failed vacuum identities: {checks}")
     # a_i J a_i J omega = a_i J(a_i omega), since J omega = omega
-    cone_frame = np.matmul(alg.basis, J(frame).T[:, :, None])[:, :, 0]
-    W = clifford_frame(alg, tol)
-    k = isqrt(alg.space_dim)
-    u, _, vh = np.linalg.svd((W.conj().T @ omega).reshape(k, k))
-    return StandardFormData(np.asarray(omega, dtype=complex), S, J, delta, cone_frame, W,
-                            (u @ vh).conj().T)
+    cone_frame = np.matmul(alg.basis, J((alg.basis @ omega).T).T[:, :, None])[:, :, 0]
+    return StandardFormData(np.asarray(omega, dtype=complex), S, J, delta, cone_frame, W, V.conj().T)
 
 
 @dataclass

@@ -13,10 +13,6 @@ class SingularInput(LoopfockError):
     pass
 
 
-class NotInvolutive(LoopfockError):
-    pass
-
-
 class NotOrthogonal(LoopfockError):
     pass
 

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: intertwiners, polar factors, antilinear operators.
+"""Dense complex linear algebra: intertwiners, polar unitaries, antilinear operators.
 
 Matrices are plain complex ndarrays.  Spans of operators are row stacks
 (k, n, n), which get flattened before rank computations.  Row spaces come
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInvolutive, SingularInput
+from .errors import DimensionMismatch, SingularInput
 
 
 @dataclass(frozen=True)
@@ -152,40 +152,9 @@ class AntilinearOperator:
     def __call__(self, v):
         return self.linear @ np.conj(v)
 
-    def compose(self, other):
-        """Composition with another antilinear operator; the result is linear."""
-        return self.linear @ np.conj(other.linear)
-
     def conjugate_matrix(self, M):
         """S M S^{-1} for linear M (S must be involutive for this formula)."""
         return self.linear @ np.conj(M) @ np.conj(self.linear)
-
-
-def antilinear_polar(S, tol=DEFAULT_TOL):
-    """Split an involutive antilinear S as J Delta^{1/2} with J antiunitary,
-    Delta > 0; S S = 1, J J = 1 and J Delta J = Delta^{-1} are checked.
-
-    With S v = M conj(v) and the SVD M = U s V^*, J acts by U V^* and
-    Delta = S^* S = conj(V) s^2 V^T; unlike an eigendecomposition of
-    M^T conj(M), this does not square the condition number of M.
-    """
-    M = np.asarray(S.linear, dtype=complex)
-    n = M.shape[0]
-    u, svals, vh = np.linalg.svd(M)
-    if svals[-1] < tol.rank_tol:
-        raise SingularInput("antilinear operator is numerically singular")
-    if not maxabs(M @ np.conj(M) - np.eye(n)) <= tol.eq_tol:
-        raise NotInvolutive("S composed with itself is not the identity")
-    J = AntilinearOperator(u @ vh)
-    delta = vh.T @ (svals[:, None] ** 2 * np.conj(vh))
-    jj = maxabs(J.compose(J) - np.eye(n))
-    inv = vh.T @ (svals[:, None] ** -2 * np.conj(vh))
-    # relative residual: the inverse modulus can be large when S is badly
-    # conditioned, and only the relative deviation is meaningful then
-    jdj = maxabs(J.conjugate_matrix(delta) - inv) / max(1.0, maxabs(inv))
-    if not sup((jj, jdj)) <= tol.eq_tol:
-        raise NotInvolutive(f"polar factors violate involution identities ({jj:.2e}, {jdj:.2e})")
-    return J, delta
 
 
 def singular_rows(flat):

@@ -194,6 +194,26 @@ def bogoliubov_checks(env):
 
 # ------------------------------------------------------------------ tomita
 
+def modular_identity_terms(alg, sfd):
+    """Residual of each identity of the modular data sfd of (alg, omega): the
+    polar and vacuum ones, and S(a omega) = a^* omega, which ties S to alg."""
+    Ms, Mj, delta, omega = sfd.tomita.linear, sfd.conjugation.linear, sfd.delta, sfd.omega
+    eye = np.eye(len(omega))
+    w, V = np.linalg.eigh(delta)
+    half = (V * np.sqrt(w)) @ V.conj().T
+    # Delta^{-1} = S S^* exactly when S S = 1, which the terms check too
+    inv = Ms @ Ms.conj().T
+    return {
+        "S S": maxabs(Ms @ np.conj(Ms) - eye),
+        "J J": maxabs(Mj @ np.conj(Mj) - eye),
+        "S = J Delta^1/2": maxabs(Ms - Mj @ np.conj(half)) / max(1.0, maxabs(half)),
+        "J Delta J = Delta^-1": maxabs(sfd.conjugation.conjugate_matrix(delta) - inv) / max(1.0, maxabs(inv)),
+        "S omega": maxabs(Ms @ np.conj(omega) - omega),
+        "Delta omega": maxabs(delta @ omega - omega),
+        "S a omega": alg_mod.star_relation_residual(alg, omega, sfd.tomita),
+    }
+
+
 def tomita_checks(env):
     record = _Recorder(env, "tomita")
     cfg, model, tol = env.config, env.model, env.tol
@@ -205,21 +225,7 @@ def tomita_checks(env):
     status = alg_mod.cyclic_separating_check(A, model.vacuum, tol)
     record("cyclic separating", "vacuum is cyclic and separating", 0.0 if bool(status) else 1.0, cfg.gate, 1)
 
-    Ms = sfd.tomita.linear
-    Mj = sfd.conjugation.linear
-    delta = sfd.delta
-    w, V = np.linalg.eigh(delta)
-    half = (V * np.sqrt(w)) @ V.conj().T
-    # Delta^{-1} = S S^* exactly when S S = 1, which this record checks too
-    inv = Ms @ Ms.conj().T
-    res = sup((
-        maxabs(Ms @ np.conj(Ms) - np.eye(N)),
-        maxabs(Mj @ np.conj(Mj) - np.eye(N)),
-        maxabs(Ms - Mj @ np.conj(half)) / max(1.0, maxabs(half)),
-        maxabs(sfd.conjugation.conjugate_matrix(delta) - inv) / max(1.0, maxabs(inv)),
-        maxabs(Ms @ np.conj(model.vacuum) - model.vacuum),
-        maxabs(delta @ model.vacuum - model.vacuum),
-    ))
+    res = sup(modular_identity_terms(A, sfd).values())
     record("modular identities", "polar pieces of the star map", res, 1e-9, 1)
 
     # A' is generated by the twisted second-half generators Gamma b, whose

@@ -5,8 +5,10 @@ automorphisms by projections over the generators and checks the positive
 cone in a k x k frame; these are the solvers those shortcuts replaced,
 kept only as independent references: SVD kernels and row spaces, the
 frontier growth of a generated star-algebra, the averaging and kernel
-commutants and super commutants, the basis-sum inner solve, and the cone
-pairing tensor with its Cholesky membership test.  The commutant solvers
+commutants and super commutants, the basis-sum inner solve, the cone
+pairing tensor with its Cholesky membership test, and the dense modular
+data: a solve for the Tomita operator's matrix and its antilinear polar
+decomposition by an N x N SVD.  The commutant solvers
 return orthonormal basis stacks, since an OperatorAlgebra needs generators
 and a solved commutant has none.  The grading enters as its +-1 diagonal
 signs, as in the program.
@@ -16,11 +18,16 @@ import numpy as np
 
 from loopfock.algebra import INNER_PROBES, OperatorAlgebra, _checked_algebra, _dressed_generators
 from loopfock.errors import LoopfockError, NotInner
-from loopfock.linalg import (DEFAULT_TOL, _rank_cut, averaged_intertwiners, maxabs, polar_unitary,
-                             singular_rows, span_residual, sup)
+from loopfock.errors import SingularInput
+from loopfock.linalg import (DEFAULT_TOL, AntilinearOperator, _rank_cut, averaged_intertwiners, maxabs,
+                             polar_unitary, singular_rows, span_residual, sup)
 
 
 class NotGraded(LoopfockError):
+    pass
+
+
+class NotInvolutive(LoopfockError):
     pass
 
 
@@ -263,3 +270,41 @@ def tensor_cone_defects(tensor, vectors):
     except np.linalg.LinAlgError:
         lam_min = np.linalg.eigvalsh(herm)[:, 0]
         return np.maximum(skew, -np.minimum(lam_min, 0.0))
+
+
+def antilinear_polar(S, tol=DEFAULT_TOL):
+    """Split an involutive antilinear S as J Delta^{1/2} with J antiunitary,
+    Delta > 0; S S = 1, J J = 1 and J Delta J = Delta^{-1} are checked.
+
+    With S v = M conj(v) and the SVD M = U s V^*, J acts by U V^* and
+    Delta = S^* S = conj(V) s^2 V^T; unlike an eigendecomposition of
+    M^T conj(M), this does not square the condition number of M.
+    """
+    M = np.asarray(S.linear, dtype=complex)
+    n = M.shape[0]
+    u, svals, vh = np.linalg.svd(M)
+    if svals[-1] < tol.rank_tol:
+        raise SingularInput("antilinear operator is numerically singular")
+    if not maxabs(M @ np.conj(M) - np.eye(n)) <= tol.eq_tol:
+        raise NotInvolutive("S composed with itself is not the identity")
+    J = AntilinearOperator(u @ vh)
+    delta = vh.T @ (svals[:, None] ** 2 * np.conj(vh))
+    jj = maxabs(J.linear @ np.conj(J.linear) - np.eye(n))
+    inv = vh.T @ (svals[:, None] ** -2 * np.conj(vh))
+    # relative residual: the inverse modulus can be large when S is badly
+    # conditioned, and only the relative deviation is meaningful then
+    jdj = maxabs(J.conjugate_matrix(delta) - inv) / max(1.0, maxabs(inv))
+    if not sup((jj, jdj)) <= tol.eq_tol:
+        raise NotInvolutive(f"polar factors violate involution identities ({jj:.2e}, {jdj:.2e})")
+    return J, delta
+
+
+def dense_modular_data(alg, omega, tol=DEFAULT_TOL):
+    """S, J and Delta of (alg, omega) from the basis: the matrix Ms of S
+    solves Ms conj(a_i omega) = a_i^* omega over the basis a_i, and J and
+    Delta are its antilinear polar parts."""
+    frame = (alg.basis @ omega).T             # columns a_i omega
+    star_frame = np.conj(np.conj(omega) @ alg.basis).T   # columns a_i^* omega
+    S = AntilinearOperator(np.linalg.solve(np.conj(frame).T, star_frame.T).T)
+    J, delta = antilinear_polar(S, tol)
+    return S, J, delta

@@ -11,7 +11,7 @@ import loopfock.rep
 from loopfock.algebra import (InnerAutomorphism, OperatorAlgebra, StandardFormData,
                               _averaging_ready, canonical_implementation, clifford_frame,
                               conjugation_action, cyclic_separating_check, inner_unitary,
-                              reflected_action, tomita_data)
+                              reflected_action, star_relation_residual, tomita_data)
 from loopfock.clifford import (build_clifford_model, clifford_monomials,
                                generator_indices, half_space)
 from loopfock.errors import (ConeViolation, NotAveragingReady, NotClifford, NotCyclicSeparating,
@@ -19,7 +19,7 @@ from loopfock.errors import (ConeViolation, NotAveragingReady, NotClifford, NotC
 from loopfock.linalg import DEFAULT_TOL, maxabs, singular_rows, span_residual
 from loopfock.rep import build_context, half_generators
 from reference import (NotGraded, algebra_from_span, basis_sum_inner_unitary, commutant,
-                       cone_tensor, generated_star_algebra, kernel_commutant,
+                       cone_tensor, dense_modular_data, generated_star_algebra, kernel_commutant,
                        kernel_super_commutant, orthonormal_rows, subspace_equal, super_commutant,
                        tensor_cone_defects)
 
@@ -873,3 +873,68 @@ class TestConeFrame:
         monkeypatch.setattr(StandardFormData, "reflect", lambda self, U: -reflect(self, U))
         with pytest.raises(ConeViolation):
             canonical_implementation(sfd, A, theta)
+
+
+@pytest.fixture(scope="module")
+def standard42():
+    """A, the vacuum and tomita_data at (4,2), where the Schmidt weights of
+    the vacuum span 9.2e5."""
+    model = build_clifford_model(4, 2)
+    A = loopfock.rep.half_algebra(model, "first")
+    return A, model.vacuum, tomita_data(A, model.vacuum)
+
+
+def oracle_deviations(A, omega, sfd):
+    """J, Delta and S of sfd against the dense solve and polar route; Delta
+    and S relative to their largest entries."""
+    S, J, delta = dense_modular_data(A, omega)
+    return (maxabs(sfd.conjugation.linear - J.linear),
+            maxabs(sfd.delta - delta) / maxabs(delta),
+            maxabs(sfd.tomita.linear - S.linear) / maxabs(S.linear))
+
+
+class TestSchmidtModularData:
+    """tomita_data's closed forms in the Clifford frame against the dense
+    route in tests/reference.py."""
+
+    def test_matches_the_dense_route(self, context):
+        A, sfd = context.algebra, context.sfd
+        assert max(oracle_deviations(A, context.model.vacuum, sfd)) <= 1e-13
+        assert star_relation_residual(A, context.model.vacuum, sfd.tomita) <= 1e-13
+
+    def test_matches_the_dense_route_at_4_2(self, standard42):
+        A, omega, sfd = standard42
+        # the dense route takes J as the polar factor of its solved S.  The
+        # singular values of S are the square roots of Delta's eigenvalues
+        # p_i / p_j, so they span [r^-1/2, r^1/2], r = 9.2e5 the range of the
+        # Schmidt weights p_i.  A rounding error eps |S| = eps r^1/2 in S moves
+        # the polar factor by up to eps r^1/2 / s_min = eps r (measured:
+        # 1.6e-12 for J)
+        k = sfd.vacuum_phase.shape[0]
+        weights = np.linalg.svd((sfd.frame.conj().T @ omega).reshape(k, k), compute_uv=False) ** 2
+        r = weights[0] / weights[-1]
+        assert r == pytest.approx(9.2e5, rel=0.01)
+        assert max(oracle_deviations(A, omega, sfd)) <= np.finfo(float).eps * r
+        assert star_relation_residual(A, omega, sfd.tomita) <= 1e-13
+
+    def test_cone_vectors_read_zero_at_4_2(self, standard42):
+        # the dense J misses the frame's exact one by 1.6e-12 here, and these
+        # vectors read 2.7e-12 with it
+        A, omega, sfd = standard42
+        rand = np.random.default_rng(18)
+        vectors = []
+        for _ in range(8):
+            a = A.from_coordinates(rand.standard_normal(A.dim) + 1j * rand.standard_normal(A.dim))
+            vectors.append(a @ sfd.conjugation(a @ omega))
+        assert max(sfd.cone_defects(np.stack(vectors))) <= 1e-13
+
+    def test_a_wrong_phase_in_the_conjugation_is_refused(self, model22, monkeypatch):
+        # V^* in place of V: J X = V^* X^* V^* no longer fixes the vacuum
+        A = half_algebra(model22)
+        sfd = tomita_data(A, model22.vacuum)
+        honest = loopfock.algebra._frame_conjugation
+        # vacuum_phase is V^*
+        assert maxabs(honest(sfd.frame, sfd.vacuum_phase)(sfd.omega) - sfd.omega) > 0.1
+        monkeypatch.setattr(loopfock.algebra, "_frame_conjugation", lambda W, V: honest(W, V.conj().T))
+        with pytest.raises(NotCyclicSeparating):
+            tomita_data(A, model22.vacuum)

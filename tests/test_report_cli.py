@@ -17,7 +17,8 @@ from loopfock.errors import ConfigError, NotInner
 from loopfock.linalg import maxabs
 from loopfock.report import (SUITE_NAMES, CheckRecord, RunConfig, emit_report,
                              strip_timing, summarize)
-from loopfock.suites import Environment, run_suites, tomita_checks
+from loopfock.suites import Environment, modular_identity_terms, run_suites, tomita_checks
+from reference import dense_modular_data
 
 
 class TestRunConfig:
@@ -310,6 +311,23 @@ class TestGatedRecords:
         planted = record_named(tomita_checks(env), "action kernels")
         assert planted.residual > 0.1 and not planted.passed
 
+    def test_modular_identities_fail_on_the_modular_data_of_the_second_half(self, monkeypatch):
+        # the dense S, J and Delta of the second-half algebra B for the same
+        # vacuum pass every polar and vacuum term; only S(a omega) = a^* omega
+        # over A's basis tells them from A's
+        env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
+        B = loopfock.rep.half_algebra(env.model, "second")
+        S, J, delta = dense_modular_data(B, env.model.vacuum)
+        honest = loopfock.rep.tomita_data
+        monkeypatch.setattr(loopfock.rep, "tomita_data", lambda *args: dataclasses.replace(
+            honest(*args), tomita=S, conjugation=J, delta=delta))
+        terms = modular_identity_terms(env.ctx.algebra, env.ctx.sfd)
+        assert max(v for name, v in terms.items() if name != "S a omega") <= 1e-12
+        assert terms["S a omega"] > 0.1
+        _, records = run_suites(RunConfig(n=2, d=2, suites=("tomita",)))
+        planted = record_named(records, "modular identities")
+        assert not planted.passed and planted.residual == terms["S a omega"]
+
     def test_modular_identities_resolve_to_rounding_at_3_2(self):
         # cond(Delta) is about 1.3e6 here; inverting Delta by eigh read 3.4e-10
         env = Environment(RunConfig(n=3, d=2, suites=("tomita",)))
@@ -386,6 +404,16 @@ class TestAbortedSuite:
         assert all(r["passed"] for r in records[:-1])
         assert records[-1]["passed"] is False
         assert records[-1]["error"].startswith("ConeViolation: cone moved by ")
+
+    def test_a_wrong_phase_in_the_conjugation_aborts_tomita(self, monkeypatch, tmp_path):
+        # V^* in place of V in J's closed form: tomita_data refuses the data
+        honest = loopfock.algebra._frame_conjugation
+        monkeypatch.setattr(loopfock.algebra, "_frame_conjugation", lambda W, V: honest(W, V.conj().T))
+        path = tmp_path / "report.json"
+        assert main(["--points", "4", "--dim", "2", "--suite", "tomita", "--report", str(path)]) == 1
+        records = json.loads(path.read_text())["records"]
+        assert records[-1]["name"] == "tomita aborted" and records[-1]["passed"] is False
+        assert records[-1]["error"].startswith("NotCyclicSeparating: modular data failed vacuum identities")
 
     def test_a_suite_called_directly_still_raises(self, planted):
         with pytest.raises(NotInner, match="planted"):
