@@ -1,39 +1,31 @@
 """Operator subalgebras of the Fock space and their modular structure.
 
-An algebra is carried as a linear basis (a stack of matrices) together with
-generators, which generate it as a unital star-algebra; for the Clifford
-half-circle algebras they are the unitary generators of one half circle.
-Every identity check reads the generators: a star-homomorphism that is
-right on them is right on the algebra they generate.  The program solves
-for no commutant: the tomita checks read the half-circle commutants on
-their generators (rep.half_generators), and the tests keep the averaging
-and kernel commutant solvers as references.  The twisted-duality check
-projects two Gaussian probes onto the super commutant of the second half by
-the averaging projections over its generators (super_commutant_probes),
-since a generic element of that super commutant lies in the first-half
-algebra only if the two are equal.
+An algebra is carried by generators, which generate it as a unital
+star-algebra, and by a unitary frame W built and checked once from them
+(clifford_frame); for the Clifford half-circle algebras they are the
+unitary generators of one half circle.  Their local modes give matrix
+units, in which the algebra is M_k (x) 1 on C^k (x) C^k, k = sqrt(N), and a
+vector is a k x k matrix X; membership and coordinates are read there, and
+the tests keep a basis-carrying algebra as the reference.  Every identity
+check reads the generators: a star-homomorphism that is right on them is
+right on the algebra they generate.  The program solves for no commutant:
+the tomita checks read the half-circle commutants on their generators
+(rep.half_generators), and the tests keep the commutant solvers as
+references.
 
 An automorphism is carried as conjugation by a unitary W that normalizes
 the algebra, together with the images W g W^* of the generators, which fix
 it as a star-automorphism.  Its representative, a unitary u inside the
-algebra with Ad u = Ad W on it, is solved by averaging: x -> sum_i
-theta(b_i) x b_i^* over an orthonormal basis b_i maps the algebra onto the
-implementers of theta times the centre, a single line on a factor.
-Composing the projections x -> (x + theta(g) x g^*)/2 over the generators
-g gives that map up to a positive factor at the cost of a few products.
-inner_unitary checks the factor assumption on every solve, refuses algebras
-with a centre, and verifies its result on every generator.
+algebra with Ad u = Ad W on it, is solved by projections over the
+generators (inner_unitary).
 
-The modular data and the positive cone are read in a unitary frame W built
-once from the generators (clifford_frame): their local modes give matrix
-units, in which the algebra is M_k (x) 1 on C^k (x) C^k, k = sqrt(N), and a
-vector is a k x k matrix X.  The vacuum's matrix xi = rho^{1/2} V, from one
-k x k SVD, gives the standard form of M_k (Bratteli-Robinson I, 2.5;
-Takesaki II): Delta X = rho X sigma^{-1} with sigma = xi^* xi, J X = V X^*
-V and S = J Delta^{1/2}; the cone is the positive semidefinite matrices
-times V, so each membership test is one k x k eigenvalue problem.  The
-tests keep the dense route, a solve for S and an N x N polar
-decomposition, and the cone pairing tensor over the basis as references.
+The vacuum's matrix xi = rho^{1/2} V in the frame, from one k x k SVD,
+gives the standard form of M_k (Bratteli-Robinson I, 2.5; Takesaki II):
+Delta X = rho X sigma^{-1} with sigma = xi^* xi, J X = V X^* V and S = J
+Delta^{1/2}; the cone is the positive semidefinite matrices times V, so
+each membership test is one k x k eigenvalue problem.  The tests keep the
+dense route, a solve for S and an N x N polar decomposition, and the cone
+pairing tensor over the basis as references.
 
 Every guard here is written so that a NaN residual fails it.
 """
@@ -48,37 +40,54 @@ import numpy as np
 from .errors import (ConeViolation, NotAveragingReady, NotClifford, NotCyclicSeparating,
                      NotInNormalizer, NotInner)
 from .linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners, maxabs,
-                     polar_unitary, row_chunks, singular_rows, span_residual, sup)
+                     polar_unitary, singular_rows, span_residual, sup)
 
 
 @dataclass
 class OperatorAlgebra:
-    """Unital star-closed linear span of Fock operators and its generators.
-
-    basis rows are orthonormal in the Hilbert-Schmidt inner product.
-    generators generate the algebra as a unital star-algebra; a conjugation
-    or an automorphism is checked on them alone, and when they qualify for
-    the averaging projections (generators_ready), inner_unitary solves by
-    projecting over them.
+    """The algebra W (M_k (x) 1) W^* that generators generate, W = frame from
+    clifford_frame, with the orthonormal units W (E_pq (x) 1) W^* / sqrt(k).
+    A conjugation or an automorphism is checked on the generators alone; when
+    they qualify for the averaging projections (generators_ready),
+    inner_unitary solves by projecting over them.
     """
 
-    basis: np.ndarray
     generators: np.ndarray
+    frame: np.ndarray = field(repr=False)
     _ready: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
-    def dim(self):
-        return self.basis.shape[0]
+    def k(self):
+        return isqrt(self.space_dim)
 
     @property
     def space_dim(self):
-        return self.basis.shape[1]
+        return self.frame.shape[0]
 
-    def membership_residual(self, X):
-        return span_residual(np.asarray(X)[None, :, :] if np.asarray(X).ndim == 2 else X, self.basis)
+    dim = space_dim   # the k^2 = N units
+
+    def coordinate_matrix(self, c):
+        """x_hat for coordinates c over the units (last axis), row-major."""
+        return np.reshape(c, np.shape(c)[:-1] + (self.k, self.k)) / np.sqrt(self.k)
+
+    def embed(self, x_hat):
+        """W (x_hat (x) 1) W^* for k x k matrices x_hat (last two axes)."""
+        N, k = self.space_dim, self.k
+        left = np.einsum("ips,...pr->...irs", self.frame.reshape(N, k, k), x_hat)
+        return left.reshape(left.shape[:-3] + (N, N)) @ self.frame.conj().T
 
     def from_coordinates(self, c):
-        return np.tensordot(np.asarray(c, dtype=complex), self.basis, axes=(0, 0))
+        return self.embed(self.coordinate_matrix(c))
+
+    def membership_residual(self, X):
+        """span_residual of X, one matrix or a stack: Y = W^* X W lies in M_k
+        (x) 1 when each block Y[(p, .), (r, .)] lies in the span of 1_k /
+        sqrt(k), whose projection leaves x_hat[p, r] 1_k, x_hat the partial
+        trace of Y over the second factor over k."""
+        k = self.k
+        Y = self.frame.conj().T @ np.asarray(X, dtype=complex) @ self.frame
+        blocks = Y.reshape(-1, k, k, k, k).transpose(0, 1, 3, 2, 4).reshape(-1, k, k)
+        return span_residual(blocks, np.eye(k)[None] / np.sqrt(k))
 
     def generators_ready(self, tol):
         """True iff the generators qualify for the averaging projections of
@@ -86,23 +95,6 @@ class OperatorAlgebra:
         if tol not in self._ready:
             self._ready[tol] = _averaging_ready(self.generators, tol)
         return self._ready[tol]
-
-
-def _checked_algebra(basis, generators, tol=DEFAULT_TOL):
-    """OperatorAlgebra on rows that are already orthonormal in the
-    Hilbert-Schmidt inner product; they are not orthonormalized again.
-
-    Checks that their span contains the identity and is closed under
-    adjoints; a NaN adjoint residual fails the check.
-    """
-    N = basis.shape[1]
-    if not span_residual(np.eye(N, dtype=complex)[None], basis) <= tol.eq_tol:
-        raise ValueError("span does not contain the identity")
-    # CHECK_ROWS adjoints at a time, so the check holds no second basis-sized stack
-    adjoints = (np.conj(np.transpose(rows, (0, 2, 1))) for rows in row_chunks(basis))
-    if not sup(span_residual(adj, basis) for adj in adjoints) <= tol.eq_tol:
-        raise ValueError("span is not closed under adjoints")
-    return OperatorAlgebra(basis, np.asarray(generators, dtype=complex))
 
 
 def _averaging_ready(mats, tol):
@@ -174,12 +166,20 @@ class CyclicSeparating:
         return self.cyclic and self.separating
 
 
+def vacuum_matrix(alg, omega):
+    """xi = mat(W^* omega), on whose rows the algebra acts."""
+    return (alg.frame.conj().T @ omega).reshape(alg.k, alg.k)
+
+
+def _cyclic_separating(s, tol):
+    """a -> a omega is x_hat -> x_hat xi / sqrt(k): both hold iff rank xi = k."""
+    full = int(np.sum(s / np.sqrt(len(s)) > tol.rank_tol)) == len(s)
+    return CyclicSeparating(cyclic=full, separating=full)
+
+
 def cyclic_separating_check(alg, omega, tol=DEFAULT_TOL):
     """Cyclicity (a Omega spans) and separation (a -> a Omega injective)."""
-    frame = alg.basis @ omega
-    svals = np.linalg.svd(frame, compute_uv=False)
-    rank = int(np.sum(svals > tol.rank_tol))
-    return CyclicSeparating(cyclic=rank == alg.space_dim, separating=rank == alg.dim)
+    return _cyclic_separating(np.linalg.svd(vacuum_matrix(alg, omega), compute_uv=False), tol)
 
 
 @dataclass
@@ -187,11 +187,10 @@ class StandardFormData:
     """Vacuum vector, Tomita operator, modular pair and positive-cone data,
     all read from the Schmidt form of the vacuum in the frame.
 
-    frame is a unitary W with W^* a W = a_hat (x) 1 on the algebra (the
-    matrix units of clifford_frame), so a vector v reads as the k x k
-    matrix mat(W^* v), on whose rows the algebra acts; vacuum_phase is V^*
-    for the polar form mat(W^* omega) = rho^{1/2} V.  cone_frame holds the
-    cone vectors a_i J a_i J omega of the basis elements a_i.
+    frame is the algebra's frame W, so a vector v reads as mat(W^* v);
+    vacuum_phase is V^* for mat(W^* omega) = rho^{1/2} V.  cone_frame holds
+    the cone vectors a_pq J a_pq J omega of the units in row q k + p, so its
+    first k rows are not parallel.
     """
 
     omega: np.ndarray
@@ -233,10 +232,10 @@ class StandardFormData:
         return np.maximum(skew, -np.minimum(lam_min, 0.0))
 
 
-def clifford_frame(alg, tol=DEFAULT_TOL):
-    """Unitary W with W^* a W = a_hat (x) 1, a_hat a k x k matrix, on an
-    algebra whose 2m generators form a Clifford system on C^N, N = k^2,
-    k = 2^m.
+def clifford_frame(gens, tol=DEFAULT_TOL):
+    """Unitary W with W^* a W = a_hat (x) 1, a_hat a k x k matrix, on the
+    algebra that the stack gens generates, 2m matrices that form a Clifford
+    system on C^N, N = k^2, k = 2^m.
 
     The generators, times i where their square is -1, are Hermitian
     Majoranas h; the pairs (h_2j, h_2j+1) give local modes c_j = (h_2j +
@@ -247,8 +246,7 @@ def clifford_frame(alg, tol=DEFAULT_TOL):
     unitary and to carry every generator to g_hat (x) 1 to eq_tol; a stack
     that fails, NaN included, raises NotClifford.
     """
-    gens = alg.generators
-    N = alg.space_dim
+    N = gens.shape[-1]
     m = len(gens) // 2
     k = 2 ** m
     if len(gens) != 2 * m or k * k != N:
@@ -294,26 +292,28 @@ def _frame_conjugation(W, V):
 
 
 def star_relation_residual(alg, omega, S):
-    """Sup norm of S(a_i omega) - a_i^* omega over the basis a_i, relative
-    to the largest entry of the a_i^* omega: the relation that defines the
-    Tomita operator of (alg, omega)."""
-    star = np.conj(np.conj(omega) @ alg.basis)   # rows a_i^* omega
-    return maxabs(S((alg.basis @ omega).T).T - star) / maxabs(star)
+    """Sup norm of S(a_pq omega) - a_pq^* omega over the units a_pq, relative
+    to the largest entry of the a_pq^* omega: the relation that defines the
+    Tomita operator of (alg, omega).  a_pq omega = W vec(E_pq xi) holds row q
+    of xi in row p, and a_pq^* = a_qp."""
+    N, k = alg.space_dim, alg.k
+    images = np.einsum("ips,qs->pqi", alg.frame.reshape(N, k, k), vacuum_matrix(alg, omega))
+    star = images.transpose(1, 0, 2).reshape(N, N)
+    return maxabs(S(images.reshape(N, N).T).T - star) / maxabs(star)
 
 
 def tomita_data(alg, omega, tol=DEFAULT_TOL):
     """S: a omega -> a* omega, J, Delta and the cone data of (alg, omega), in
-    the frame from the SVD xi = u s vh of the vacuum's matrix.  The closed
-    forms read no basis, so S(a_i omega) = a_i^* omega is checked over it,
-    with J omega = omega and Delta omega = omega; a failure raises
-    NotCyclicSeparating, as does a vacuum that is not cyclic and separating,
-    checked before the frame is built."""
-    status = cyclic_separating_check(alg, omega, tol)
+    the frame from the SVD xi = u s vh, which first decides that omega is
+    cyclic and separating.  The closed forms are checked by S(a_pq omega) =
+    a_pq^* omega over the units, J omega = omega and Delta omega = omega,
+    relative to Delta's largest entry (the ratio of the extreme Schmidt
+    weights); a failure of either raises NotCyclicSeparating."""
+    W = alg.frame
+    u, s, vh = np.linalg.svd(vacuum_matrix(alg, omega))
+    status = _cyclic_separating(s, tol)
     if not status:
         raise NotCyclicSeparating(f"cyclic={status.cyclic} separating={status.separating}")
-    W = clifford_frame(alg, tol)
-    k = isqrt(alg.space_dim)
-    u, s, vh = np.linalg.svd((W.conj().T @ omega).reshape(k, k))
     V = u @ vh
     J = _frame_conjugation(W, V)
     delta = _frame_linear(W, (u * s ** 2) @ u.conj().T, (vh.conj().T / s ** 2) @ vh)
@@ -322,12 +322,13 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
     checks = {
         "S a omega": star_relation_residual(alg, omega, S),
         "J omega": maxabs(J(omega) - omega),
-        "delta omega": maxabs(delta @ omega - omega),
+        "delta omega": maxabs(delta @ omega - omega) / max(1.0, maxabs(delta)),
     }
     if not sup(checks.values()) <= tol.eq_tol:
         raise NotCyclicSeparating(f"modular data failed vacuum identities: {checks}")
-    # a_i J a_i J omega = a_i J(a_i omega), since J omega = omega
-    cone_frame = np.matmul(alg.basis, J((alg.basis @ omega).T).T[:, :, None])[:, :, 0]
+    # a_pq J a_pq J omega = W vec(E_pq V xi^* E_qp V) = rho^{1/2}_qq W vec(E_pp V)
+    root = np.einsum("qj,j,qj->q", u, s, u.conj())
+    cone_frame = np.einsum("q,ips,ps->qpi", root, W.reshape(-1, alg.k, alg.k), V).reshape(alg.dim, -1)
     return StandardFormData(np.asarray(omega, dtype=complex), S, J, delta, cone_frame, W, V.conj().T)
 
 
@@ -399,7 +400,7 @@ def inner_unitary(theta, tol=DEFAULT_TOL):
     k, N = alg.dim, alg.space_dim
     rng = np.random.default_rng(5)
     coords = rng.standard_normal((INNER_PROBES, k)) + 1j * rng.standard_normal((INNER_PROBES, k))
-    probes = np.tensordot(coords, alg.basis, axes=(1, 0))
+    probes = alg.from_coordinates(coords)
     solved = _project_intertwiners(probes, theta.images, alg.generators)
     svals, vh = singular_rows(solved.reshape(INNER_PROBES, N * N))
     dim = int(np.sum(svals > max(tol.rank_tol, 1e-6 * svals[0])))
@@ -423,7 +424,7 @@ def conjugation_action(U, alg, tol=DEFAULT_TOL):
     is attached as the representative when it lies in the span.
     """
     images = U @ alg.generators @ U.conj().T
-    if not span_residual(images, alg.basis) <= tol.eq_tol:
+    if not alg.membership_residual(images) <= tol.eq_tol:
         raise NotInNormalizer("unitary does not normalize the algebra")
     rep = U if alg.membership_residual(U) <= tol.eq_tol else None
     return InnerAutomorphism(alg, U, images, rep)

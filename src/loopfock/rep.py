@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (OperatorAlgebra, _checked_algebra, canonical_implementation,
+from .algebra import (OperatorAlgebra, canonical_implementation, clifford_frame,
                       conjugation_action, reflected_action, super_commutant_probes,
                       tomita_data)
 from .bogoliubov import LINE_PROBES, Implementer, implementation_residual
-from .clifford import clifford_monomials, generator_indices, half_space
+from .clifford import generator_indices, half_space
 from .errors import NotInA
-from .linalg import (DEFAULT_TOL, averaged_intertwiners, maxabs, scalar_defect, span_residual,
-                     sup, worst)
+from .linalg import DEFAULT_TOL, averaged_intertwiners, maxabs, scalar_defect, sup, worst
 from .loops import (ExtLoop, SpinGroup, concat_paths, double_path,
                     edge_double_path, edge_reflection, lift, omega_matrix,
                     pointwise_unitary, reflect_orthogonal, restrict_loop,
@@ -34,7 +33,7 @@ from .twogroup import (ComputableGroup, CrossedModule, StrictIntertwiner,
 class RepresentationContext:
     """Half-circle algebra, its modular data and the string crossed module.
 
-    The algebra's basis has orthonormal rows.  Its super commutant and its
+    The algebra is its generators and frame.  Its super commutant and its
     commutant are not held: the tomita checks read them on their
     generators, the second-half generators b_i (half_generators) and their
     twists Gamma b_i.
@@ -58,10 +57,10 @@ class UnitaryInAlgebraGroup(UnitaryGroup):
 
     def sample(self, rng):
         c = rng.standard_normal(self.alg.dim) + 1j * rng.standard_normal(self.alg.dim)
-        x = self.alg.from_coordinates(c * 0.8)
+        x = self.alg.coordinate_matrix(c * 0.8)
         h = 0.5 * (x + x.conj().T)
         w, V = np.linalg.eigh(h)
-        return (V * np.exp(1j * w)) @ V.conj().T
+        return self.alg.embed((V * np.exp(1j * w)) @ V.conj().T)
 
 
 class InnerAutomorphismGroup(ComputableGroup):
@@ -108,12 +107,10 @@ def half_generators(model, which):
 
 
 def half_algebra(model, which, tol=DEFAULT_TOL):
-    """Algebra of one half circle ('first' or 'second') with that half's
-    generators, on its Clifford monomials divided by sqrt(N): they are
-    orthonormal as they come (clifford_monomials), so no SVD runs."""
-    basis = clifford_monomials(model, half_space(model, which))
-    basis /= np.sqrt(model.fock_dim)
-    return _checked_algebra(basis, half_generators(model, which), tol)
+    """Algebra of one half circle ('first' or 'second'): that half's
+    generators and their frame, which clifford_frame checks."""
+    gens = half_generators(model, which)
+    return OperatorAlgebra(gens, clifford_frame(gens, tol))
 
 
 def build_context(model, tol=DEFAULT_TOL):
@@ -496,7 +493,7 @@ def check_twisted_duality(ctx):
     A, N, s = ctx.algebra, ctx.model.fock_dim, ctx.model.grading_signs
     B = half_generators(ctx.model, "second")
     probes = super_commutant_probes(B, s, TWISTED_PROBES, ctx.tol)
-    a_res = span_residual(probes, A.basis)
+    a_res = A.membership_residual(probes)
     gamma_b_gamma = s[:, None] * B * s
     graded = sup(maxabs(g @ B - gamma_b_gamma @ g) for g in A.generators)
     same_perp = A.dim * 2 ** len(B) == N * N and graded <= ctx.tol.eq_tol

@@ -209,7 +209,7 @@ def modular_identity_terms(alg, sfd):
         "S = J Delta^1/2": maxabs(Ms - Mj @ np.conj(half)) / max(1.0, maxabs(half)),
         "J Delta J = Delta^-1": maxabs(sfd.conjugation.conjugate_matrix(delta) - inv) / max(1.0, maxabs(inv)),
         "S omega": maxabs(Ms @ np.conj(omega) - omega),
-        "Delta omega": maxabs(delta @ omega - omega),
+        "Delta omega": maxabs(delta @ omega - omega) / max(1.0, maxabs(delta)),
         "S a omega": alg_mod.star_relation_residual(alg, omega, sfd.tomita),
     }
 

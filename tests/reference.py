@@ -1,26 +1,33 @@
 """Reference routes the tests compare the program against.
 
-The program reads every commutant on generators, solves inner
-automorphisms by projections over the generators and checks the positive
-cone in a k x k frame; these are the solvers those shortcuts replaced,
-kept only as independent references: SVD kernels and row spaces, the
-frontier growth of a generated star-algebra, the averaging and kernel
+The program carries an algebra as its generators and its Clifford frame,
+reads every commutant on generators, solves inner automorphisms by
+projections over the generators and checks the positive cone in a k x k
+frame; these are the descriptions and solvers those shortcuts replaced,
+kept only as independent references: an algebra carried by an orthonormal
+basis stack (BasisAlgebra) with its closure check and the cyclic and
+separating test over that basis, the generic algebras no frame carries
+(the scalars, the full M_N, M_2 from sigma_x), SVD kernels and row spaces,
+the frontier growth of a generated star-algebra, the averaging and kernel
 commutants and super commutants, the basis-sum inner solve, the cone
 pairing tensor with its Cholesky membership test, and the dense modular
 data: a solve for the Tomita operator's matrix and its antilinear polar
-decomposition by an N x N SVD.  The commutant solvers
-return orthonormal basis stacks, since an OperatorAlgebra needs generators
-and a solved commutant has none.  The grading enters as its +-1 diagonal
-signs, as in the program.
+decomposition by an N x N SVD.  The commutant solvers return orthonormal
+basis stacks, since an algebra needs generators and a solved commutant has
+none.  The grading enters as its +-1 diagonal signs, as in the program.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from loopfock.algebra import INNER_PROBES, OperatorAlgebra, _checked_algebra, _dressed_generators
+from loopfock.algebra import INNER_PROBES, CyclicSeparating, OperatorAlgebra, _dressed_generators
+from loopfock.clifford import clifford_monomials, half_space
 from loopfock.errors import LoopfockError, NotInner
 from loopfock.errors import SingularInput
 from loopfock.linalg import (DEFAULT_TOL, AntilinearOperator, _rank_cut, averaged_intertwiners, maxabs,
-                             polar_unitary, singular_rows, span_residual, sup)
+                             polar_unitary, row_chunks, singular_rows, span_residual, sup)
+from loopfock.rep import half_generators
 
 
 class NotGraded(LoopfockError):
@@ -81,10 +88,97 @@ def subspace_equal(B1, B2, tol=DEFAULT_TOL):
     return sup((span_residual(Q1, Q2), span_residual(Q2, Q1))) <= tol.eq_tol
 
 
+@dataclass
+class BasisAlgebra:
+    """An algebra carried by a basis stack, rows orthonormal in the
+    Hilbert-Schmidt inner product, and its generators: the description the
+    program's frame replaced.  It has OperatorAlgebra's dim, space_dim,
+    generators, from_coordinates, membership_residual and generators_ready,
+    so the program's solvers take it too."""
+
+    basis: np.ndarray
+    generators: np.ndarray
+    _ready: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def dim(self):
+        return self.basis.shape[0]
+
+    @property
+    def space_dim(self):
+        return self.basis.shape[1]
+
+    def membership_residual(self, X):
+        X = np.asarray(X, dtype=complex)
+        return span_residual(X[None] if X.ndim == 2 else X, self.basis)
+
+    def from_coordinates(self, c):
+        c = np.asarray(c, dtype=complex)
+        return np.tensordot(c, self.basis, axes=(c.ndim - 1, 0))
+
+    generators_ready = OperatorAlgebra.generators_ready
+
+
+def closed_span(basis, tol=DEFAULT_TOL):
+    """basis, after checking that its span contains the identity and is
+    closed under adjoints, CHECK_ROWS adjoints at a time (row_chunks); a NaN
+    residual fails either check."""
+    N = basis.shape[1]
+    if not span_residual(np.eye(N, dtype=complex)[None], basis) <= tol.eq_tol:
+        raise ValueError("span does not contain the identity")
+    adjoints = (np.conj(np.transpose(rows, (0, 2, 1))) for rows in row_chunks(basis))
+    if not sup(span_residual(adj, basis) for adj in adjoints) <= tol.eq_tol:
+        raise ValueError("span is not closed under adjoints")
+    return basis
+
+
 def algebra_from_span(stack, generators, tol=DEFAULT_TOL):
-    """OperatorAlgebra on a spanning stack, orthonormalized here by an SVD;
+    """BasisAlgebra on a spanning stack, orthonormalized here by an SVD;
     the span must be unital and star-closed."""
-    return _checked_algebra(orthonormal_rows(stack, tol), generators, tol)
+    return BasisAlgebra(closed_span(orthonormal_rows(stack, tol), tol), np.asarray(generators, dtype=complex))
+
+
+def monomial_algebra(model, which):
+    """BasisAlgebra of one half circle ('first' or 'second') on its Clifford
+    monomials divided by sqrt(N), which are orthonormal as they come
+    (clifford_monomials), with that half's generators."""
+    basis = clifford_monomials(model, half_space(model, which))
+    basis /= np.sqrt(model.fock_dim)
+    return BasisAlgebra(basis, half_generators(model, which))
+
+
+def scalars(N):
+    """The scalar algebra on C^N, generated by the identity."""
+    eye = np.eye(N, dtype=complex)[None]
+    return algebra_from_span(eye, eye)
+
+
+def full_algebra(model):
+    """M_N, which all of a model's generators generate."""
+    return generated_star_algebra(model.generators)
+
+
+def sigma_algebra():
+    """M_2 generated by sigma_x and (sigma_x + sigma_z)/sqrt(2), unitary
+    involutions whose products neither commute nor anticommute."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    return generated_star_algebra(np.stack([sx, (sx + sz) / np.sqrt(2)]))
+
+
+def basis_cyclic_separating(alg, omega, tol=DEFAULT_TOL):
+    """Cyclicity (a omega spans) and separation (a -> a omega injective) from
+    the rank of the vectors b_i omega over the basis."""
+    svals = np.linalg.svd(alg.basis @ omega, compute_uv=False)
+    rank = int(np.sum(svals > tol.rank_tol))
+    return CyclicSeparating(cyclic=rank == alg.space_dim, separating=rank == alg.dim)
+
+
+def basis_star_relation_residual(alg, omega, S):
+    """Sup norm of S(b_i omega) - b_i^* omega over the basis b_i, relative to
+    the largest entry of the b_i^* omega."""
+    star = np.conj(np.conj(omega) @ alg.basis)   # rows b_i^* omega
+    return maxabs(S((alg.basis @ omega).T).T - star) / maxabs(star)
 
 
 def generated_star_algebra(gens, tol=DEFAULT_TOL):
@@ -109,20 +203,9 @@ def generated_star_algebra(gens, tol=DEFAULT_TOL):
         remainder = grown - (grown @ flat.conj().T) @ flat
         frontier = orthonormal_rows(remainder, tol).reshape(-1, N, N)
         if frontier.shape[0] == 0:
-            return OperatorAlgebra(basis, gens)
+            return BasisAlgebra(basis, gens)
         basis = np.concatenate([basis, frontier])
     raise ArithmeticError("span growth failed to stabilize")
-
-
-def closed_span(basis, tol=DEFAULT_TOL):
-    """basis, after checking that its span contains the identity and is
-    closed under adjoints, as the program checks an algebra's basis."""
-    N = basis.shape[1]
-    if not span_residual(np.eye(N, dtype=complex)[None], basis) <= tol.eq_tol:
-        raise ValueError("span does not contain the identity")
-    if not span_residual(np.conj(np.transpose(basis, (0, 2, 1))), basis) <= tol.eq_tol:
-        raise ValueError("span is not closed under adjoints")
-    return basis
 
 
 def averaged_commutant_basis(mats, tol, rng, expected=None):

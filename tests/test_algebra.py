@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import loopfock.algebra
 import loopfock.linalg
 import loopfock.rep
+import reference
 from loopfock.algebra import (InnerAutomorphism, OperatorAlgebra, StandardFormData,
                               _averaging_ready, canonical_implementation, clifford_frame,
                               conjugation_action, cyclic_separating_check, inner_unitary,
@@ -18,10 +19,12 @@ from loopfock.errors import (ConeViolation, NotAveragingReady, NotClifford, NotC
                              NotInner, NotInNormalizer)
 from loopfock.linalg import DEFAULT_TOL, maxabs, singular_rows, span_residual
 from loopfock.rep import build_context, half_generators
-from reference import (NotGraded, algebra_from_span, basis_sum_inner_unitary, commutant,
-                       cone_tensor, dense_modular_data, generated_star_algebra, kernel_commutant,
-                       kernel_super_commutant, orthonormal_rows, subspace_equal, super_commutant,
-                       tensor_cone_defects)
+from loopfock.suites import modular_identity_terms
+from reference import (NotGraded, algebra_from_span, basis_cyclic_separating,
+                       basis_star_relation_residual, basis_sum_inner_unitary, commutant, cone_tensor,
+                       dense_modular_data, full_algebra, generated_star_algebra, kernel_commutant,
+                       kernel_super_commutant, monomial_algebra, orthonormal_rows, scalars,
+                       sigma_algebra, subspace_equal, super_commutant, tensor_cone_defects)
 
 rng = np.random.default_rng(31)
 
@@ -37,6 +40,13 @@ def model22():
 
 
 def half_algebra(model):
+    """The first-half algebra as the program carries it: generators and frame."""
+    return loopfock.rep.half_algebra(model, "first")
+
+
+def basis_half(model):
+    """The first-half algebra on the orthonormalized monomial span, the
+    reference's basis route."""
     pts = half_space(model, "first")
     return algebra_from_span(clifford_monomials(model, pts),
                              generators=model.generators[generator_indices(model, pts)])
@@ -51,12 +61,6 @@ def gram_deviation(basis):
     """How far the rows of a basis stack are from orthonormal."""
     flat = basis.reshape(len(basis), -1)
     return maxabs(flat @ flat.conj().T - np.eye(len(basis)))
-
-
-def scalars(model):
-    """The scalar algebra, generated by the identity."""
-    eye = np.eye(model.fock_dim, dtype=complex)[None]
-    return algebra_from_span(eye, eye)
 
 
 def other_half_algebra(model):
@@ -154,7 +158,7 @@ class TestGeneratedAlgebra:
         basis = orthonormal_rows(np.concatenate([np.eye(4)[None], orthonormal_rows(product)]))
         assert algebra_from_span(basis, product).dim == 2
         chunks = loopfock.linalg.row_chunks
-        monkeypatch.setattr(loopfock.algebra, "row_chunks",
+        monkeypatch.setattr(reference, "row_chunks",
                             lambda stack: chunks(stack) + [np.full((1,) + stack.shape[1:], np.nan)])
         with pytest.raises(ValueError, match="adjoints"):
             algebra_from_span(basis, product)
@@ -164,7 +168,7 @@ class TestGeneratedAlgebra:
         assert alg.dim == model12.fock_dim ** 2
 
     def test_closure_residual(self, model22):
-        alg = half_algebra(model22)
+        alg = basis_half(model22)
         assert product_closure_residual(alg) < 1e-12
 
 
@@ -175,7 +179,7 @@ class TestCommutant:
         assert len(c) == 1
 
     def test_scalars_to_full(self, model12):
-        c = commutant(scalars(model12))
+        c = commutant(scalars(model12.fock_dim))
         assert len(c) == 16
 
     def test_half_space_dimension(self, model22):
@@ -185,7 +189,7 @@ class TestCommutant:
         assert A.dim * len(c) == model22.fock_dim ** 2
 
     def test_double_commutant_returns_original(self, model22):
-        A = half_algebra(model22)
+        A = basis_half(model22)
         back = kernel_commutant(commutant(A))
         flat_a = A.basis.reshape(A.dim, -1).T
         flat_b = back.reshape(len(back), -1).T
@@ -205,7 +209,7 @@ class TestCommutant:
 
 class TestSuperCommutant:
     def test_twisted_duality(self, model22):
-        A = half_algebra(model22)
+        A = basis_half(model22)
         B = other_half_algebra(model22)
         sc = super_commutant(A, model22.grading_signs)
         assert len(sc) == B.dim
@@ -215,11 +219,11 @@ class TestSuperCommutant:
         assert span_residual(A.basis, back) < 1e-10
 
     def test_scalars_super_commute_with_everything(self, model12):
-        sc = super_commutant(scalars(model12), model12.grading_signs)
+        sc = super_commutant(scalars(model12.fock_dim), model12.grading_signs)
         assert len(sc) == 16
 
     def test_involution_generic_route(self, model22):
-        A = half_algebra(model22)
+        A = basis_half(model22)
         sc = kernel_super_commutant(A.basis, model22.grading_signs)
         back = kernel_super_commutant(sc, model22.grading_signs)
         assert span_residual(A.basis, back) < 1e-9
@@ -239,13 +243,23 @@ class TestCyclicSeparating:
         assert status.cyclic and status.separating
 
     def test_full_algebra(self, model12):
-        full = generated_star_algebra(model12.generators)
-        status = cyclic_separating_check(full, model12.vacuum)
+        # no frame carries M_N, so the basis route decides
+        status = basis_cyclic_separating(full_algebra(model12), model12.vacuum)
         assert status.cyclic and not status.separating
 
     def test_scalars(self, model12):
-        status = cyclic_separating_check(scalars(model12), model12.vacuum)
+        status = basis_cyclic_separating(scalars(model12.fock_dim), model12.vacuum)
         assert status.separating and not status.cyclic
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (2, 3), (3, 2)])
+    def test_frame_rank_matches_the_basis_rank(self, n, d):
+        # a omega over the basis against the rank of the vacuum's k x k
+        # matrix, for the vacuum and for a product vector W e_(0,0) of rank one
+        model = build_clifford_model(n, d)
+        A, B = loopfock.rep.half_algebra(model, "first"), monomial_algebra(model, "first")
+        for omega, expected in ((model.vacuum, True), (A.frame[:, 0], False)):
+            frame, basis = cyclic_separating_check(A, omega), basis_cyclic_separating(B, omega)
+            assert frame == basis == loopfock.algebra.CyclicSeparating(expected, expected)
 
 
 class TestTomita:
@@ -258,13 +272,15 @@ class TestTomita:
         assert maxabs(sfd.conjugation(model12.vacuum) - model12.vacuum) < 1e-11
         assert maxabs(sfd.delta @ model12.vacuum - model12.vacuum) < 1e-11
         comm = commutant(A)
-        JAJ = np.stack([sfd.conjugation.conjugate_matrix(a) for a in A.basis])
+        JAJ = np.stack([sfd.conjugation.conjugate_matrix(a) for a in basis_half(model12).basis])
         assert span_residual(JAJ, comm) < 1e-10
 
     def test_rejects_non_separating(self, model12):
-        full = generated_star_algebra(model12.generators)
+        # W e_(0,0) is the k x k matrix unit E_00 in the frame: rank one, so
+        # E_11 (x) 1 annihilates it
+        A = half_algebra(model12)
         with pytest.raises(NotCyclicSeparating):
-            tomita_data(full, model12.vacuum)
+            tomita_data(A, A.frame[:, 0])
 
     def test_cone_membership(self, model22):
         A = half_algebra(model22)
@@ -278,11 +294,11 @@ class TestTomita:
 
 class TestInnerAutomorphisms:
     def test_identity_representative(self, model12):
-        A = half_algebra(model12)
+        A, basis = half_algebra(model12), basis_half(model12).basis
         theta = conjugation_action(np.eye(4, dtype=complex), A)
         u = theta.representative()
         assert maxabs(u @ u.conj().T - np.eye(4)) < 1e-11
-        assert maxabs(u @ A.basis[1] @ u.conj().T - A.basis[1]) < 1e-10
+        assert maxabs(u @ basis[1] @ u.conj().T - basis[1]) < 1e-10
 
     def test_round_trip_recovers_unitary(self, model22):
         A = half_algebra(model22)
@@ -293,17 +309,17 @@ class TestInnerAutomorphisms:
         assert abs(abs(z) - 1.0) < 1e-9
 
     def test_compose_and_inverse_are_action_level(self, model22):
-        A = half_algebra(model22)
+        A, basis = half_algebra(model22), basis_half(model22).basis
         t1 = conjugation_action(random_unitary_in(A, rng), A)
         t2 = conjugation_action(random_unitary_in(A, rng), A)
         both = t1.compose(t2)
         direct = conjugation_action(t1._representative @ t2._representative, A)
         assert both.distance(direct) < 1e-10
-        assert maxabs(both.apply(A.basis) - direct.apply(A.basis)) < 1e-10
+        assert maxabs(both.apply(basis) - direct.apply(basis)) < 1e-10
         round_trip = t1.compose(t1.inverse())
         identity = conjugation_action(np.eye(model22.fock_dim), A)
         assert round_trip.distance(identity) <= DEFAULT_TOL.eq_tol
-        assert maxabs(round_trip.apply(A.basis) - A.basis) < 1e-10
+        assert maxabs(round_trip.apply(basis) - basis) < 1e-10
 
     def test_recovers_traceless_representative(self, model22):
         # a product of two first-half generators has trace zero, so a solve
@@ -320,7 +336,7 @@ class TestInnerAutomorphisms:
     def test_round_trip_without_generators(self, model22):
         # the basis-sum reference reads the basis, not the generators, and
         # re-verifies the action on every basis element
-        A = half_algebra(model22)
+        A = basis_half(model22)
         v = random_unitary_in(A, rng)
         u = basis_sum_inner_unitary(conjugation_action(v, A))
         z = np.trace(v.conj().T @ u) / np.trace(v.conj().T @ v)
@@ -328,11 +344,11 @@ class TestInnerAutomorphisms:
 
     def test_round_trip_at_fock64(self):
         model = build_clifford_model(2, 3)
-        A = half_algebra(model)
+        A, basis = half_algebra(model), monomial_algebra(model, "first").basis
         v = random_unitary_in(A, rng)
         theta = conjugation_action(v, A)
         u = inner_unitary(theta)
-        assert maxabs(u @ A.basis @ u.conj().T - theta.apply(A.basis)) < 1e-9
+        assert maxabs(u @ basis @ u.conj().T - theta.apply(basis)) < 1e-9
         z = np.trace(v.conj().T @ u) / np.trace(v.conj().T @ v)
         assert maxabs(u - z * v) < 1e-9
 
@@ -416,7 +432,7 @@ class TestNormalizer:
     def test_algebra_unitaries_normalize(self, model22):
         A = half_algebra(model22)
         theta = conjugation_action(random_unitary_in(A, rng), A)
-        assert span_residual(theta.images, A.basis) <= DEFAULT_TOL.eq_tol
+        assert span_residual(theta.images, basis_half(model22).basis) <= DEFAULT_TOL.eq_tol
 
     def test_graded_second_half_generator_normalizes(self, model22):
         # an odd generator of the complementary half conjugates the algebra
@@ -424,7 +440,7 @@ class TestNormalizer:
         A = half_algebra(model22)
         w = model22.generators[generator_indices(model22, half_space(model22, "second"))[0]]
         theta = conjugation_action(w, A)
-        assert span_residual(theta.images, A.basis) <= DEFAULT_TOL.eq_tol
+        assert span_residual(theta.images, basis_half(model22).basis) <= DEFAULT_TOL.eq_tol
 
     def test_cross_half_rotation_does_not_normalize(self, model22):
         A = half_algebra(model22)
@@ -444,20 +460,20 @@ class TestNormalizer:
             conjugation_action(U, half_algebra(model12))
 
     def test_action_kernels(self, model22):
-        A = half_algebra(model22)
+        A, basis = half_algebra(model22), basis_half(model22).basis
         sfd = tomita_data(A, model22.vacuum)
         u = random_unitary_in(A, rng)
-        assert maxabs(reflected_action(u, A, sfd).apply(A.basis) - A.basis) < 1e-9
-        assert maxabs(conjugation_action(sfd.reflect(u), A).apply(A.basis) - A.basis) < 1e-9
+        assert maxabs(reflected_action(u, A, sfd).apply(basis) - basis) < 1e-9
+        assert maxabs(conjugation_action(sfd.reflect(u), A).apply(basis) - basis) < 1e-9
 
     def test_canonical_has_equal_actions(self, model22):
-        A = half_algebra(model22)
+        A, basis = half_algebra(model22), basis_half(model22).basis
         sfd = tomita_data(A, model22.vacuum)
         theta = conjugation_action(random_unitary_in(A, rng), A)
         U = canonical_implementation(sfd, A, theta).unitary
         for side in (conjugation_action(U, A), reflected_action(U, A, sfd)):
             assert side.distance(theta) < 1e-9
-            assert maxabs(side.apply(A.basis) - theta.apply(A.basis)) < 1e-9
+            assert maxabs(side.apply(basis) - theta.apply(basis)) < 1e-9
 
 
 def rank_deficient_stack(rand, rows, cols, rank):
@@ -511,7 +527,7 @@ class TestTallRowSpaces:
             self.assert_matches_wide_svd(flat)
 
     def test_cone_tensor_matches_einsum(self, context23):
-        alg, sfd = context23.algebra, context23.sfd
+        alg, sfd = monomial_algebra(context23.model, "first"), context23.sfd
         jbj_omega = np.stack([sfd.reflect(b) @ sfd.omega for b in alg.basis])
         reference = np.einsum("iab,jb->ija", alg.basis, jbj_omega)
         tensor = cone_tensor(alg, sfd)
@@ -519,8 +535,11 @@ class TestTallRowSpaces:
         assert maxabs(tensor - reference) <= 1e-13
 
     def test_context_bases_are_c_contiguous(self, context23):
-        for alg in (context23.algebra, loopfock.rep.half_algebra(context23.model, "second")):
-            assert alg.basis.flags.c_contiguous
+        # the frames, and the reference's monomial bases
+        for which in ("first", "second"):
+            assert loopfock.rep.half_algebra(context23.model, which).frame.flags.c_contiguous
+            assert monomial_algebra(context23.model, which).basis.flags.c_contiguous
+        assert context23.algebra.frame.flags.c_contiguous
 
 
 @pytest.fixture(scope="module", params=[(1, 2), (2, 2), (2, 3), (3, 2)],
@@ -537,24 +556,26 @@ class TestGeneratorChecks:
 
     @staticmethod
     def both_forms(ctx, residual):
-        return residual(ctx.algebra.generators), residual(ctx.algebra.basis)
+        return residual(ctx.algebra.generators), residual(monomial_algebra(ctx.model, "first").basis)
 
     def test_normalizer(self, context):
         rand = np.random.default_rng(5)
         A = context.algebra
         model = context.model
+        basis = monomial_algebra(model, "first").basis
         second = model.generators[generator_indices(model, half_space(model, "second"))[0]]
         for W in (random_unitary_in(A, rand), second, context.sfd.reflect(second)):
-            forms = self.both_forms(context, lambda stack: span_residual(W @ stack @ W.conj().T, A.basis))
+            forms = self.both_forms(context, lambda stack: span_residual(W @ stack @ W.conj().T, basis))
             assert max(forms) < 1e-10
 
     def test_canonical_action(self, context):
         rand = np.random.default_rng(5)
         A, sfd = context.algebra, context.sfd
+        basis = monomial_algebra(context.model, "first").basis
         for _ in range(3):
             theta = conjugation_action(random_unitary_in(A, rand), A)
             U, act, _ = canonical_implementation(sfd, A, theta)
-            on_basis = maxabs(U @ A.basis @ U.conj().T - theta.apply(A.basis))
+            on_basis = maxabs(U @ basis @ U.conj().T - theta.apply(basis))
             assert max(act, on_basis) < 1e-10
 
     def test_double_commutant(self, context):
@@ -564,7 +585,7 @@ class TestGeneratorChecks:
         comm = generated_star_algebra(twisted)
         assert comm.dim * context.algebra.dim == model.fock_dim ** 2
         on_generators = max(maxabs(a @ twisted - twisted @ a) for a in context.algebra.generators)
-        on_bases = max(maxabs(a @ comm.basis - comm.basis @ a) for a in context.algebra.basis)
+        on_bases = max(maxabs(a @ comm.basis - comm.basis @ a) for a in monomial_algebra(model, "first").basis)
         assert max(on_generators, on_bases) < 1e-9
 
     def test_action_kernels(self, context):
@@ -590,8 +611,9 @@ class TestGeneratorChecks:
             with pytest.raises(NotInNormalizer):
                 refused()
         w = model22.generators[generator_indices(model22, half_space(model22, "second"))[0]]
+        basis = basis_half(model22).basis
         for theta in (conjugation_action(w, A), reflected_action(w, A, sfd)):
-            assert span_residual(theta.apply(A.basis), A.basis) < 1e-10
+            assert span_residual(theta.apply(basis), basis) < 1e-10
 
     def test_every_generator_is_checked(self, model22):
         # rotating generator 1 into the second half fixes generator 0, which
@@ -606,16 +628,17 @@ class TestGeneratorChecks:
     def test_an_algebra_needs_generators(self, model22, monkeypatch):
         A = half_algebra(model22)
         with pytest.raises(TypeError):
-            OperatorAlgebra(A.basis)
+            OperatorAlgebra(frame=A.frame)
         sfd = tomita_data(A, model22.vacuum)
         theta = conjugation_action(random_unitary_in(A, rng), A)
         U, act, _ = canonical_implementation(sfd, A, theta)
         assert act == maxabs(U @ A.generators @ U.conj().T - theta.images)
         seen = []
 
-        def recording(stack, ortho):
-            seen.append(len(stack))
-            return span_residual(stack, ortho)
+        def recording(blocks, ortho):
+            # the frame check reads dim A = k^2 blocks of k x k per matrix
+            seen.append(len(blocks) / A.dim)
+            return span_residual(blocks, ortho)
 
         monkeypatch.setattr(loopfock.algebra, "span_residual", recording)
         conjugation_action(U, A)
@@ -647,7 +670,7 @@ class TestGeneratorInnerSolve:
     replaced, which the tests keep as reference.basis_sum_inner_unitary."""
 
     def test_routes_agree(self, context, monkeypatch):
-        A = context.algebra
+        A, B = context.algebra, monomial_algebra(context.model, "first")
         assert A.generators_ready(DEFAULT_TOL)
         seen = recording_projections(monkeypatch)
         rand = np.random.default_rng(11)
@@ -656,7 +679,7 @@ class TestGeneratorInnerSolve:
             u_gen = inner_unitary(conjugation_action(v, A))
             assert seen[-1] == len(A.generators)
             calls = len(seen)
-            u_basis = basis_sum_inner_unitary(conjugation_action(v, A))
+            u_basis = basis_sum_inner_unitary(conjugation_action(v, B))
             assert len(seen) == calls
             assert same_line(u_gen, u_basis) == pytest.approx(1.0, rel=0, abs=1e-12)
 
@@ -670,9 +693,7 @@ class TestGeneratorInnerSolve:
     def test_generators_that_do_not_sign_commute_take_the_basis_route(self, monkeypatch):
         # sigma_x and (sigma_x + sigma_z)/sqrt(2) are unitary involutions whose
         # products neither commute nor anticommute; they generate M_2
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        A = generated_star_algebra(np.stack([sx, (sx + sz) / np.sqrt(2)]))
+        A = sigma_algebra()
         assert A.dim == 4 and not A.generators_ready(DEFAULT_TOL)
         seen = recording_projections(monkeypatch)
         v = random_unitary_in(A, np.random.default_rng(13))
@@ -714,7 +735,7 @@ class TestGeneratorInnerSolve:
         A = half_algebra(model22)
         assert A.generators_ready(DEFAULT_TOL)
         with pytest.raises(TypeError):
-            OperatorAlgebra(A.basis, A.generators, {DEFAULT_TOL: True})
+            OperatorAlgebra(A.generators, A.frame, {DEFAULT_TOL: True})
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         bad = np.stack([np.kron(np.eye(A.space_dim // 2), m) for m in (sx, (sx + np.diag([1.0, -1.0])) / np.sqrt(2))])
         assert not dataclasses.replace(A, generators=bad).generators_ready(DEFAULT_TOL)
@@ -743,20 +764,21 @@ def test_inner_unitary_recovers_exponentials(n, d, data):
     """For v = exp(i h), h Hermitian in the algebra, both routes return v up
     to a phase from the action of Ad v."""
     if (n, d) not in inner_algebras:
-        inner_algebras[n, d] = half_algebra(build_clifford_model(n, d))
-    A = inner_algebras[n, d]
+        model = build_clifford_model(n, d)
+        inner_algebras[n, d] = half_algebra(model), monomial_algebra(model, "first")
+    A, B = inner_algebras[n, d]
     coords = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
     c = np.array(data.draw(st.lists(coords, min_size=2 * A.dim, max_size=2 * A.dim)))
     x = A.from_coordinates(c[:A.dim] + 1j * c[A.dim:])
     w, V = np.linalg.eigh(0.5 * (x + x.conj().T))
     v = (V * np.exp(1j * w)) @ V.conj().T
-    for solve in (inner_unitary, basis_sum_inner_unitary):
-        assert same_line(solve(conjugation_action(v, A)), v) == pytest.approx(1.0, rel=0, abs=1e-12)
+    for solve, alg in ((inner_unitary, A), (basis_sum_inner_unitary, B)):
+        assert same_line(solve(conjugation_action(v, alg)), v) == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 @pytest.fixture
 def tensor(context):
-    return cone_tensor(context.algebra, context.sfd)
+    return cone_tensor(monomial_algebra(context.model, "first"), context.sfd)
 
 
 def cone_vectors(ctx, rand):
@@ -806,6 +828,10 @@ class TestConeDefects:
 
     def test_eigenvalues_only_when_cholesky_fails(self, context, tensor, monkeypatch):
         sfd = context.sfd
+        # omega and a J a J omega for random a lie inside the cone, where the
+        # pairing form is positive definite; the cone vectors of the matrix
+        # units in sfd.cone_frame lie on its boundary
+        inside = np.stack(cone_vectors(context, np.random.default_rng(19))[2:])
         seen = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -814,9 +840,9 @@ class TestConeDefects:
             return eigvalsh(M)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        assert max(tensor_cone_defects(tensor, sfd.cone_frame[:4])) < 1e-12
+        assert max(tensor_cone_defects(tensor, inside)) < 1e-12
         assert seen == []
-        planted = np.stack([sfd.cone_frame[0], -sfd.omega])
+        planted = np.stack([inside[1], -sfd.omega])
         defects = tensor_cone_defects(tensor, planted)
         assert seen == [2]
         assert defects[0] < 1e-12 and defects[1] > 1e-3
@@ -842,6 +868,8 @@ class TestConeFrame:
 
     def test_frame_is_unitary_and_carries_generators_to_the_first_factor(self, context):
         W, N = context.sfd.frame, context.algebra.space_dim
+        # the modular data hold the algebra's frame itself, not a copy
+        assert W is context.algebra.frame
         k = context.sfd.vacuum_phase.shape[0]
         assert k * k == N
         assert maxabs(W.conj().T @ W - np.eye(N)) <= DEFAULT_TOL.eq_tol
@@ -852,9 +880,8 @@ class TestConeFrame:
         assert maxabs(context.sfd.vacuum_phase @ context.sfd.vacuum_phase.conj().T - np.eye(k)) <= 1e-12
 
     @pytest.mark.parametrize("plant", ["repeated", "nan", "odd count"])
-    def test_a_stack_that_is_not_clifford_is_refused(self, context, plant):
-        A = context.algebra
-        gens = A.generators.copy()
+    def test_a_stack_that_is_not_clifford_is_refused(self, context, plant, monkeypatch):
+        gens = context.algebra.generators.copy()
         if plant == "repeated":
             gens[1] = gens[0]
         elif plant == "nan":
@@ -862,9 +889,11 @@ class TestConeFrame:
         else:
             gens = gens[1:]
         with pytest.raises(NotClifford):
-            clifford_frame(OperatorAlgebra(A.basis, gens))
+            clifford_frame(gens)
+        # the context builds the algebra's frame, so it refuses the stack
+        monkeypatch.setattr(loopfock.rep, "half_generators", lambda model, which: gens)
         with pytest.raises(NotClifford):
-            tomita_data(OperatorAlgebra(A.basis, gens), context.model.vacuum)
+            build_context(context.model)
 
     def test_a_planted_sign_flip_violates_the_cone(self, context, monkeypatch):
         A, sfd = context.algebra, context.sfd
@@ -877,20 +906,31 @@ class TestConeFrame:
 
 @pytest.fixture(scope="module")
 def standard42():
-    """A, the vacuum and tomita_data at (4,2), where the Schmidt weights of
+    """The model, A and tomita_data at (4,2), where the Schmidt weights of
     the vacuum span 9.2e5."""
     model = build_clifford_model(4, 2)
     A = loopfock.rep.half_algebra(model, "first")
-    return A, model.vacuum, tomita_data(A, model.vacuum)
+    return model, A, tomita_data(A, model.vacuum)
 
 
-def oracle_deviations(A, omega, sfd):
-    """J, Delta and S of sfd against the dense solve and polar route; Delta
-    and S relative to their largest entries."""
-    S, J, delta = dense_modular_data(A, omega)
+def oracle_deviations(model, sfd):
+    """J, Delta and S of sfd, the first half's modular data, against the
+    dense solve and polar route over its monomial basis; Delta and S
+    relative to their largest entries."""
+    S, J, delta = dense_modular_data(monomial_algebra(model, "first"), sfd.omega)
     return (maxabs(sfd.conjugation.linear - J.linear),
             maxabs(sfd.delta - delta) / maxabs(delta),
             maxabs(sfd.tomita.linear - S.linear) / maxabs(S.linear))
+
+
+def spread_vacuum(A, spread, seed):
+    """W vec(q1 diag(s) q2) / norm for seeded unitaries q1 and q2: a cyclic
+    and separating unit vector whose Schmidt weights s^2 span the ratio
+    spread."""
+    rand = np.random.default_rng(seed)
+    s = np.sqrt(np.geomspace(1.0, 1.0 / spread, A.k))
+    xi = random_unitary(rand, A.k) @ np.diag(s) @ random_unitary(rand, A.k)
+    return A.frame @ (xi / np.linalg.norm(xi)).reshape(-1)
 
 
 class TestSchmidtModularData:
@@ -898,12 +938,15 @@ class TestSchmidtModularData:
     route in tests/reference.py."""
 
     def test_matches_the_dense_route(self, context):
-        A, sfd = context.algebra, context.sfd
-        assert max(oracle_deviations(A, context.model.vacuum, sfd)) <= 1e-13
-        assert star_relation_residual(A, context.model.vacuum, sfd.tomita) <= 1e-13
+        A, sfd, model = context.algebra, context.sfd, context.model
+        assert max(oracle_deviations(model, sfd)) <= 1e-13
+        assert star_relation_residual(A, model.vacuum, sfd.tomita) <= 1e-13
+        basis = monomial_algebra(model, "first")
+        assert basis_star_relation_residual(basis, model.vacuum, sfd.tomita) <= 1e-13
 
     def test_matches_the_dense_route_at_4_2(self, standard42):
-        A, omega, sfd = standard42
+        model, A, sfd = standard42
+        omega = model.vacuum
         # the dense route takes J as the polar factor of its solved S.  The
         # singular values of S are the square roots of Delta's eigenvalues
         # p_i / p_j, so they span [r^-1/2, r^1/2], r = 9.2e5 the range of the
@@ -914,13 +957,14 @@ class TestSchmidtModularData:
         weights = np.linalg.svd((sfd.frame.conj().T @ omega).reshape(k, k), compute_uv=False) ** 2
         r = weights[0] / weights[-1]
         assert r == pytest.approx(9.2e5, rel=0.01)
-        assert max(oracle_deviations(A, omega, sfd)) <= np.finfo(float).eps * r
+        assert max(oracle_deviations(model, sfd)) <= np.finfo(float).eps * r
         assert star_relation_residual(A, omega, sfd.tomita) <= 1e-13
 
     def test_cone_vectors_read_zero_at_4_2(self, standard42):
         # the dense J misses the frame's exact one by 1.6e-12 here, and these
         # vectors read 2.7e-12 with it
-        A, omega, sfd = standard42
+        model, A, sfd = standard42
+        omega = model.vacuum
         rand = np.random.default_rng(18)
         vectors = []
         for _ in range(8):
@@ -938,3 +982,37 @@ class TestSchmidtModularData:
         monkeypatch.setattr(loopfock.algebra, "_frame_conjugation", lambda W, V: honest(W, V.conj().T))
         with pytest.raises(NotCyclicSeparating):
             tomita_data(A, model22.vacuum)
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (2, 3)])
+    def test_weights_spread_by_1e8_pass_the_delta_omega_guard(self, n, d):
+        # Delta's largest entry is about 1e7 here, and Delta omega - omega
+        # read 5.7e-9 at (2,2) and 3.4e-9 at (2,3) on its own scale
+        A = half_algebra(build_clifford_model(n, d))
+        omega = spread_vacuum(A, 1e8, 20)
+        sfd = tomita_data(A, omega)
+        assert maxabs(sfd.delta) > 1e6
+        assert modular_identity_terms(A, sfd)["Delta omega"] <= 1e-12
+
+    def test_a_delta_off_by_a_relative_1e6_is_refused(self, model22, monkeypatch):
+        # Delta + 1e-6 |Delta| omega omega^*: the guard and the term read
+        # about 1e-6 of omega's largest entry
+        A = half_algebra(model22)
+        omega = spread_vacuum(A, 1e8, 20)
+        sfd = tomita_data(A, omega)
+        planted = sfd.delta + 1e-6 * maxabs(sfd.delta) * np.outer(omega, omega.conj())
+        assert modular_identity_terms(A, dataclasses.replace(sfd, delta=planted))["Delta omega"] > 1e-8
+        honest = loopfock.algebra._frame_linear
+        formed = []
+
+        def plant(W, P, Q):
+            # Delta is the first operator tomita_data forms in the frame
+            out = honest(W, P, Q)
+            if not formed:
+                out += 1e-6 * maxabs(out) * np.outer(omega, omega.conj())
+            formed.append(out)
+            return out
+
+        monkeypatch.setattr(loopfock.algebra, "_frame_linear", plant)
+        with pytest.raises(NotCyclicSeparating):
+            tomita_data(A, omega)
+        assert maxabs(formed[0] - planted) <= 1e-6

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 import loopfock.rep
-from loopfock.algebra import _checked_algebra, conjugation_action, super_commutant_probes
+from loopfock.algebra import OperatorAlgebra, conjugation_action, super_commutant_probes
 from loopfock.bogoliubov import implementation_residual
 from loopfock.clifford import (build_clifford_model, clifford_monomials, generator_indices,
                                half_space, monomial_closure_residual)
 from loopfock.errors import EndpointMismatch, NotAveragingReady, NotInA
 from loopfock.linalg import CHECK_ROWS, DEFAULT_TOL, TolerancePolicy, maxabs, span_residual
-from loopfock.loops import (concat_paths, double_path, lift, loop_identity,
-                            omega_matrix)
+from loopfock.loops import (SpinGroup, concat_paths, double_path, half_supported_loop, lift,
+                            loop_identity, omega_matrix)
 from loopfock.report import RunConfig
 from loopfock.rep import (TWISTED_PROBES, PairLiftGroup, build_context, check_alpha_compatibility,
                           check_f_scalar, check_fusion_factorization,
@@ -28,7 +28,7 @@ from loopfock.rep import (TWISTED_PROBES, PairLiftGroup, build_context, check_al
 from loopfock.suites import Environment, run_suites, tomita_checks
 from loopfock.twogroup import check_intertwiner, check_minimal_data
 from reference import (algebra_from_span, commutant, generated_star_algebra, kernel_commutant,
-                       kernel_super_commutant, super_commutant)
+                       kernel_super_commutant, monomial_algebra, super_commutant)
 
 rng = np.random.default_rng(61)
 TOL = TolerancePolicy()
@@ -60,36 +60,41 @@ def half_model(request):
 class TestHalfAlgebra:
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_basis_is_orthonormal(self, half_model, which):
-        alg = half_algebra(half_model, which)
+        # the reference's monomials over sqrt(N), orthonormal as they come
+        alg = monomial_algebra(half_model, which)
         flat = alg.basis.reshape(alg.dim, -1)
         assert maxabs(flat @ flat.conj().T - np.eye(alg.dim)) <= 1e-13
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_matches_the_orthonormalized_monomial_span(self, half_model, which):
-        alg = half_algebra(half_model, which)
+        alg = monomial_algebra(half_model, which)
         reference = algebra_from_span(clifford_monomials(half_model, half_space(half_model, which)),
                                       half_generators(half_model, which))
-        assert alg.dim == reference.dim
+        assert alg.dim == reference.dim == half_algebra(half_model, which).dim
         assert span_residual(alg.basis, reference.basis) <= 1e-12
         assert span_residual(reference.basis, alg.basis) <= 1e-12
+        # and the frame holds every basis element
+        assert half_algebra(half_model, which).membership_residual(alg.basis) <= 1e-13
 
-    def test_closure_checks_stay_below_twice_the_basis(self):
-        model = build_clifford_model(3, 2)
-        points = half_space(model, "first")
-        basis = clifford_monomials(model, points) / np.sqrt(model.fock_dim)
-        generators = model.generators[generator_indices(model, points)]
+    def test_context_build_peaks_below_the_old_basis(self):
+        # the context held the basis of A, dim A = N matrices of N x N
+        # complex entries: N^3 16 B = 4 MiB at (2,3), and the build peaked at
+        # 8.2 MiB with it.  The frame W, the modular data and their
+        # transients are a few N x N arrays, 64 KiB each
+        model = build_clifford_model(2, 3)
         tracemalloc.start()
         try:
-            _checked_algebra(basis, generators, TOL)
+            build_context(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the adjoints of the whole basis, checked at once, peaked at 4.5 times it
-        assert peak <= 2 * basis.nbytes
+        assert peak < model.fock_dim ** 3 * 16
 
     def test_context_carries_the_first_half(self, half_model):
-        basis = half_algebra(half_model, "first").basis
-        assert np.array_equal(build_context(half_model).algebra.basis, basis)
+        A = half_algebra(half_model, "first")
+        carried = build_context(half_model).algebra
+        assert np.array_equal(carried.generators, A.generators)
+        assert np.array_equal(carried.frame, A.frame)
 
 
 def same_span(closed, reference):
@@ -112,7 +117,7 @@ class TestClosedForms:
 
     def test_super_commutant_is_the_averaged_one(self, half_model):
         A = half_algebra(half_model, "first")
-        assert same_span(half_algebra(half_model, "second").basis,
+        assert same_span(monomial_algebra(half_model, "second").basis,
                          super_commutant(A, half_model.grading_signs))
 
     @pytest.mark.parametrize("n, d", [(1, 2), (2, 2)])
@@ -121,12 +126,13 @@ class TestClosedForms:
         # space is of a 4096 x 4096 matrix, and one solve ran over four
         # minutes on a 2-core machine
         model = build_clifford_model(n, d)
-        basis = half_algebra(model, "first").basis
+        basis = monomial_algebra(model, "first").basis
         assert same_span(twisted_commutant(model).basis, kernel_commutant(basis))
-        assert same_span(half_algebra(model, "second").basis, kernel_super_commutant(basis, model.grading_signs))
+        assert same_span(monomial_algebra(model, "second").basis,
+                         kernel_super_commutant(basis, model.grading_signs))
 
     def test_probes_lie_in_the_averaged_super_commutant(self, half_model):
-        A, B = half_algebra(half_model, "first"), half_algebra(half_model, "second")
+        A, B = monomial_algebra(half_model, "first"), half_algebra(half_model, "second")
         reference = super_commutant(B, half_model.grading_signs)
         probes = super_commutant_probes(B.generators, half_model.grading_signs, TWISTED_PROBES)
         assert span_residual(probes, reference) <= 1e-12
@@ -144,7 +150,7 @@ class TestContext:
     def test_algebra_is_the_monomial_span(self, ctx22):
         mono = clifford_monomials(ctx22.model, half_space(ctx22.model, "first"))
         assert ctx22.algebra.dim == mono.shape[0]
-        assert span_residual(mono, ctx22.algebra.basis) < 1e-12
+        assert ctx22.algebra.membership_residual(mono) < 1e-12
 
     def test_super_commutant_is_the_other_half(self, ctx22):
         res = check_twisted_duality(ctx22)
@@ -166,10 +172,25 @@ class TestContext:
                 raise AssertionError(f"monomials of {points} were built")
             return monomials(model, points)
 
-        for module in (loopfock.clifford, loopfock.rep):
-            monkeypatch.setattr(module, "clifford_monomials", first_half_only)
+        monkeypatch.setattr(loopfock.clifford, "clifford_monomials", first_half_only)
         # the same records, the structural reds included
         assert [records(cfg) for cfg in runs] == expected
+
+    def test_only_the_clifford_suite_builds_monomials(self, monkeypatch):
+        cfg = RunConfig(n=2, d=2, suites=("tomita", "two-group", "string", "rep"))
+
+        def records():
+            code, recs = run_suites(cfg)
+            return code, [(r.suite, r.name, r.residual, r.passed) for r in recs]
+
+        expected = records()
+
+        def refused(model, points):
+            raise AssertionError(f"monomials of {points} were built")
+
+        monkeypatch.setattr(loopfock.clifford, "clifford_monomials", refused)
+        assert records() == expected
+        assert not any(name.endswith("aborted") for _, name, _, _ in expected[1])
 
     def test_modular_conjugation_edge_law(self, ctx22):
         # J pi(e_{j,a}) J = i Gamma pi(e_{2n-1-j,a}): the lattice reflection
@@ -183,6 +204,64 @@ class TestContext:
                 W = J.conjugate_matrix(model.generators[j * d + a])
                 target = 1j * G @ model.generators[((2 * n - 1 - j) % (2 * n)) * d + a]
                 assert maxabs(W - target) < 1e-9
+
+
+FRAME_CONFIGS = [(1, 2), (2, 2), (2, 3), (3, 2), (2, 4)]
+
+
+def membership_cases(model):
+    """Members of the first-half algebra, a lifted half loop and the
+    generators, and planted non-members: a second-half generator, and the
+    lift plus 1e-3 times it."""
+    spin = SpinGroup(model.d)
+    U = lift(model, spin, half_supported_loop(model.n, spin, np.random.default_rng(3))).unitary
+    g = half_generators(model, "second")[0]
+    return ({"half-loop lift": U, "generators": half_generators(model, "first")},
+            {"second-half generator": g, "lift plus 1e-3 generator": U + 1e-3 * g})
+
+
+def routes_agree(frame, basis, members, outside):
+    """Frame and basis membership both read the members at rounding level,
+    and each planted non-member above 1e-4 and within a factor two of each
+    other."""
+    for X in members.values():
+        if not max(frame.membership_residual(X), basis.membership_residual(X)) <= 1e-13:
+            return False
+    for X in outside.values():
+        a, b = frame.membership_residual(X), basis.membership_residual(X)
+        if not (min(a, b) > 1e-4 and 0.5 <= a / b <= 2.0):
+            return False
+    return True
+
+
+def first_factor_residual(alg, X):
+    """membership_residual with the partial trace over the first factor: it
+    tests W^* X W against 1 (x) M_k, on the blocks Y[(., q), (., s)]."""
+    k = alg.k
+    Y = alg.frame.conj().T @ np.asarray(X, dtype=complex) @ alg.frame
+    blocks = Y.reshape(-1, k, k, k, k).transpose(0, 2, 4, 1, 3).reshape(-1, k, k)
+    return span_residual(blocks, np.eye(k)[None] / np.sqrt(k))
+
+
+class TestFrameMembership:
+    """Membership in the frame against the span residual over the monomial
+    basis in tests/reference.py."""
+
+    @pytest.mark.parametrize("n, d", FRAME_CONFIGS)
+    def test_frame_and_basis_routes_agree(self, n, d):
+        model = build_clifford_model(n, d)
+        members, outside = membership_cases(model)
+        assert routes_agree(half_algebra(model, "first"), monomial_algebra(model, "first"), members, outside)
+
+    def test_a_partial_trace_over_the_first_factor_is_caught(self, monkeypatch):
+        model = build_clifford_model(2, 2)
+        frame, basis = half_algebra(model, "first"), monomial_algebra(model, "first")
+        members, outside = membership_cases(model)
+        monkeypatch.setattr(OperatorAlgebra, "membership_residual", first_factor_residual)
+        assert not routes_agree(frame, basis, members, outside)
+        _, records = run_suites(RunConfig(n=2, d=2, suites=("rep",)))
+        fiber = next(r for r in records if r.name == "fiber lands in the algebra")
+        assert not fiber.passed and fiber.residual > 0.1
 
 
 class TestTwistedDuality:
@@ -233,7 +312,7 @@ class TestTomitaMemory:
 
     def test_span_residual_holds_one_chunk(self):
         model = build_clifford_model(2, 3)
-        A, B = half_algebra(model, "first"), half_algebra(model, "second")
+        A, B = monomial_algebra(model, "first"), monomial_algebra(model, "second")
         tracemalloc.start()
         try:
             res = span_residual(A.basis, B.basis)

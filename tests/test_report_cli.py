@@ -18,7 +18,7 @@ from loopfock.linalg import maxabs
 from loopfock.report import (SUITE_NAMES, CheckRecord, RunConfig, emit_report,
                              strip_timing, summarize)
 from loopfock.suites import Environment, modular_identity_terms, run_suites, tomita_checks
-from reference import dense_modular_data
+from reference import dense_modular_data, monomial_algebra
 
 
 class TestRunConfig:
@@ -314,9 +314,9 @@ class TestGatedRecords:
     def test_modular_identities_fail_on_the_modular_data_of_the_second_half(self, monkeypatch):
         # the dense S, J and Delta of the second-half algebra B for the same
         # vacuum pass every polar and vacuum term; only S(a omega) = a^* omega
-        # over A's basis tells them from A's
+        # over A's matrix units tells them from A's
         env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
-        B = loopfock.rep.half_algebra(env.model, "second")
+        B = monomial_algebra(env.model, "second")
         S, J, delta = dense_modular_data(B, env.model.vacuum)
         honest = loopfock.rep.tomita_data
         monkeypatch.setattr(loopfock.rep, "tomita_data", lambda *args: dataclasses.replace(
