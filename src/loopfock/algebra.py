@@ -13,11 +13,16 @@ the tomita checks read the half-circle commutants on their generators
 (rep.half_generators), and the tests keep the commutant solvers as
 references.
 
-An automorphism is carried as conjugation by a unitary W that normalizes
-the algebra, together with the images W g W^* of the generators, which fix
-it as a star-automorphism.  Its representative, a unitary u inside the
-algebra with Ad u = Ad W on it, is solved by projections over the
-generators (inner_unitary).
+An automorphism is carried in the frame: a unitary U normalizes M_k (x) 1
+exactly when W^* U W is a product u_hat (x) v_hat, and then conjugation by
+U acts on the algebra as Ad u_hat on M_k.  The automorphism keeps u_hat,
+the frame images u_hat g_hat u_hat^* of the generators, which fix it, and
+the residual of that factorization (conjugation_action).  Its
+representative, a unitary inside the algebra with the same action, is
+solved from the images alone by projections over the generators on k x k
+matrices (inner_unitary), and the canonical implementation u J u J is
+W (u_hat (x) B^T) W^* with B = V^* u_hat^* V, checked in the frame too.
+The tests keep the dense routes on N x N matrices as references.
 
 The vacuum's matrix xi = rho^{1/2} V in the frame, from one k x k SVD,
 gives the standard form of M_k (Bratteli-Robinson I, 2.5; Takesaki II):
@@ -31,7 +36,7 @@ Every guard here is written so that a NaN residual fails it.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from math import isqrt
 from typing import NamedTuple
 
@@ -40,16 +45,17 @@ import numpy as np
 from .errors import (ConeViolation, NotAveragingReady, NotClifford, NotCyclicSeparating,
                      NotInNormalizer, NotInner)
 from .linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners, maxabs,
-                     polar_unitary, singular_rows, span_residual, sup)
+                     polar_unitary, scalar_defect, singular_rows, span_residual, sup)
 
 
 @dataclass
 class OperatorAlgebra:
     """The algebra W (M_k (x) 1) W^* that generators generate, W = frame from
     clifford_frame, with the orthonormal units W (E_pq (x) 1) W^* / sqrt(k).
-    A conjugation or an automorphism is checked on the generators alone; when
-    they qualify for the averaging projections (generators_ready),
-    inner_unitary solves by projecting over them.
+    A conjugation or an automorphism is checked on the generators alone, in
+    the frame on their k x k parts generator_hats; when those qualify for the
+    averaging projections (generators_ready), inner_unitary solves by
+    projecting over them.
     """
 
     generators: np.ndarray
@@ -70,14 +76,25 @@ class OperatorAlgebra:
         """x_hat for coordinates c over the units (last axis), row-major."""
         return np.reshape(c, np.shape(c)[:-1] + (self.k, self.k)) / np.sqrt(self.k)
 
-    def embed(self, x_hat):
-        """W (x_hat (x) 1) W^* for k x k matrices x_hat (last two axes)."""
+    def embed(self, x_hat, y_hat=None):
+        """W (x_hat (x) y_hat) W^* for k x k matrices x_hat (last two axes),
+        y_hat the identity when it is not given."""
         N, k = self.space_dim, self.k
         left = np.einsum("ips,...pr->...irs", self.frame.reshape(N, k, k), x_hat)
+        if y_hat is not None:
+            left = left @ y_hat
         return left.reshape(left.shape[:-3] + (N, N)) @ self.frame.conj().T
 
     def from_coordinates(self, c):
         return self.embed(self.coordinate_matrix(c))
+
+    def frame_blocks(self, X):
+        """The k x k blocks Y[(p, .), (r, .)] of Y = W^* X W, one matrix or a
+        stack, at [..., p, r, :, :]; X = W (x_hat (x) y_hat) W^* has the
+        blocks x_hat[p, r] y_hat."""
+        k = self.k
+        Y = self.frame.conj().T @ np.asarray(X, dtype=complex) @ self.frame
+        return Y.reshape(Y.shape[:-2] + (k, k, k, k)).swapaxes(-3, -2)
 
     def membership_residual(self, X):
         """span_residual of X, one matrix or a stack: Y = W^* X W lies in M_k
@@ -85,15 +102,19 @@ class OperatorAlgebra:
         sqrt(k), whose projection leaves x_hat[p, r] 1_k, x_hat the partial
         trace of Y over the second factor over k."""
         k = self.k
-        Y = self.frame.conj().T @ np.asarray(X, dtype=complex) @ self.frame
-        blocks = Y.reshape(-1, k, k, k, k).transpose(0, 1, 3, 2, 4).reshape(-1, k, k)
-        return span_residual(blocks, np.eye(k)[None] / np.sqrt(k))
+        return span_residual(self.frame_blocks(X).reshape(-1, k, k), np.eye(k)[None] / np.sqrt(k))
+
+    @cached_property
+    def generator_hats(self):
+        """The g_hat with W^* g W = g_hat (x) 1: the partial traces of the
+        frame blocks over k, as clifford_frame reads them."""
+        return np.einsum("gprqq->gpr", self.frame_blocks(self.generators)) / self.k
 
     def generators_ready(self, tol):
-        """True iff the generators qualify for the averaging projections of
-        inner_unitary; decided once per tolerance policy."""
+        """True iff the generators' frame parts qualify for the averaging
+        projections of inner_unitary; decided once per tolerance policy."""
         if tol not in self._ready:
-            self._ready[tol] = _averaging_ready(self.generators, tol)
+            self._ready[tol] = _averaging_ready(self.generator_hats, tol)
         return self._ready[tol]
 
 
@@ -188,22 +209,54 @@ class StandardFormData:
     all read from the Schmidt form of the vacuum in the frame.
 
     frame is the algebra's frame W, so a vector v reads as mat(W^* v);
-    vacuum_phase is V^* for mat(W^* omega) = rho^{1/2} V.  cone_frame holds
-    the cone vectors a_pq J a_pq J omega of the units in row q k + p, so its
-    first k rows are not parallel.
+    vacuum_hat is xi = mat(W^* omega) = rho^{1/2} V and vacuum_phase is V^*.
     """
 
     omega: np.ndarray
     tomita: AntilinearOperator
     conjugation: AntilinearOperator
     delta: np.ndarray
-    cone_frame: np.ndarray
     frame: np.ndarray = field(repr=False)
+    vacuum_hat: np.ndarray = field(repr=False)
     vacuum_phase: np.ndarray = field(repr=False)
 
     def reflect(self, U):
         """J U J for a linear operator U."""
         return self.conjugation.conjugate_matrix(U)
+
+    def reflect_frame(self, u_hat):
+        """B = V^* u_hat^* V: J W (u_hat (x) 1) W^* J = W (1 (x) B^T) W^*, the
+        right multiplication X -> X B."""
+        Vh = self.vacuum_phase
+        return Vh @ u_hat.conj().T @ Vh.conj().T
+
+    def j_residual(self, P, Q):
+        """Sup norm of U - J U J over the k^2 units W vec(E_pq), for U the
+        operator X -> P X Q in the frame.  J X = V X^* V makes J U J the
+        operator X -> L X R with L = V Q^* V^* and R = V^* P^* V, so the
+        unit E_pq goes to the matrix P[a, p] Q[q, b] - L[a, p] R[q, b]."""
+        Vh = self.vacuum_phase
+        L = Vh.conj().T @ Q.conj().T @ Vh
+        R = Vh @ P.conj().T @ Vh.conj().T
+        return maxabs(np.einsum("ap,qb->apqb", P, Q) - np.einsum("ap,qb->apqb", L, R))
+
+    def cone_units(self, count):
+        """mat(W^* a_pq J a_pq J omega) = rho^{1/2}_qq E_pp V for the units
+        a_pq in the order q k + p, the first count of them; the first k are
+        not parallel.  rho^{1/2} = xi V^*."""
+        Vh = self.vacuum_phase
+        k = Vh.shape[0]
+        root = np.einsum("qj,jq->q", self.vacuum_hat, Vh)
+        q, p = np.divmod(np.arange(count), k)
+        X = np.zeros((count, k, k), dtype=complex)
+        X[np.arange(count), p] = root[q, None] * Vh.conj().T[p]
+        return X
+
+    def cone_probe(self, x_hat):
+        """mat(W^* a J a J omega) = x_hat V xi^* x_hat^* V for a = W (x_hat (x)
+        1) W^*: a omega reads x_hat xi, and J X = V X^* V."""
+        V = self.vacuum_phase.conj().T
+        return x_hat @ V @ self.vacuum_hat.conj().T @ x_hat.conj().T @ V
 
     def cone_defect(self, v):
         """Distance data of v from the self-dual positive cone; cone_defects
@@ -211,21 +264,26 @@ class StandardFormData:
         return float(self.cone_defects(np.asarray(v)[None])[0])
 
     def cone_defects(self, vectors):
-        """Distance data of each row of vectors from the self-dual positive cone.
+        """Distance data of each row of vectors from the self-dual positive
+        cone: frame_cone_defects of the rows read in the frame."""
+        k = self.vacuum_phase.shape[0]
+        # rows conj(conj(v) W) = (W^* v)^T, without a conjugated copy of W
+        return self.frame_cone_defects(np.conj(np.conj(np.asarray(vectors, dtype=complex)) @ self.frame)
+                                       .reshape(-1, k, k))
+
+    def frame_cone_defects(self, X):
+        """Distance data from the self-dual positive cone of the vectors W
+        vec(X) for a stack of k x k matrices X.
 
         The cone of (M_k (x) 1, rho^{1/2}) is the positive semidefinite
         matrices, and the right multiplication by V, a unitary of the
-        commutant, carries it onto the cone of omega.  So a unit vector v
-        lies in the cone iff X = mat(W^* v) V^* is positive semidefinite; the
-        defect is the worst of the non-Hermitian part of X and the negative
-        eigenvalue of its Hermitian part.
+        commutant, carries it onto the cone of omega.  So a unit vector lies
+        in the cone iff its X V^* is positive semidefinite; the defect is the
+        worst of the non-Hermitian part of X V^* and the negative eigenvalue
+        of its Hermitian part.
         """
-        V = np.asarray(vectors, dtype=complex)
-        norms = np.linalg.norm(V, axis=1)
-        k = self.vacuum_phase.shape[0]
-        # rows conj(conj(v) W) = (W^* v)^T, without a conjugated copy of W
-        X = np.conj(np.conj(V) @ self.frame).reshape(-1, k, k) @ self.vacuum_phase
-        X /= np.where(norms == 0, 1.0, norms)[:, None, None]
+        norms = np.linalg.norm(X, axis=(1, 2))
+        X = X @ self.vacuum_phase / np.where(norms == 0, 1.0, norms)[:, None, None]
         Xh = np.conj(np.transpose(X, (0, 2, 1)))
         skew = np.max(np.abs(X - Xh), axis=(1, 2))
         lam_min = np.linalg.eigvalsh(0.5 * (X + Xh))[:, 0]
@@ -310,7 +368,8 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
     relative to Delta's largest entry (the ratio of the extreme Schmidt
     weights); a failure of either raises NotCyclicSeparating."""
     W = alg.frame
-    u, s, vh = np.linalg.svd(vacuum_matrix(alg, omega))
+    xi = vacuum_matrix(alg, omega)
+    u, s, vh = np.linalg.svd(xi)
     status = _cyclic_separating(s, tol)
     if not status:
         raise NotCyclicSeparating(f"cyclic={status.cyclic} separating={status.separating}")
@@ -326,46 +385,55 @@ def tomita_data(alg, omega, tol=DEFAULT_TOL):
     }
     if not sup(checks.values()) <= tol.eq_tol:
         raise NotCyclicSeparating(f"modular data failed vacuum identities: {checks}")
-    # a_pq J a_pq J omega = W vec(E_pq V xi^* E_qp V) = rho^{1/2}_qq W vec(E_pp V)
-    root = np.einsum("qj,j,qj->q", u, s, u.conj())
-    cone_frame = np.einsum("q,ips,ps->qpi", root, W.reshape(-1, alg.k, alg.k), V).reshape(alg.dim, -1)
-    return StandardFormData(np.asarray(omega, dtype=complex), S, J, delta, cone_frame, W, V.conj().T)
+    return StandardFormData(np.asarray(omega, dtype=complex), S, J, delta, W, xi, V.conj().T)
+
+
+def _conjugated(u_hat, hats):
+    """u_hat g_hat u_hat^* for a stack of frame parts g_hat."""
+    return u_hat @ hats @ u_hat.conj().T
 
 
 @dataclass
 class InnerAutomorphism:
-    """Star-automorphism a -> W a W^* of an algebra, W a unitary normalizing it.
+    """Star-automorphism of an algebra, carried in its frame as Ad u_hat on
+    M_k: it sends W (x_hat (x) 1) W^* to W (u_hat x_hat u_hat^* (x) 1) W^*.
 
-    W need not lie in the algebra.  images holds W g W^* for the generators
-    g; they fix the automorphism, so distance compares them, and the phase
-    of W is irrelevant.
-    Composition and inversion act on W.  A representative unitary inside
-    the algebra is attached lazily when some construction needs one.
+    factor is u_hat and images holds the frame images u_hat g_hat u_hat^* of
+    the generators; they fix the automorphism, so distance compares them,
+    and the phase of u_hat is irrelevant.  residual is the factorization
+    residual of the unitary it was read from (conjugation_action).
+    Composition and inversion act on u_hat.  A representative, the frame
+    part of a unitary inside the algebra with the same action, is attached
+    when the unitary read lies in the algebra, and otherwise solved lazily
+    from the images (inner_unitary).
     """
 
     algebra: OperatorAlgebra
-    implementer: np.ndarray
+    factor: np.ndarray
     images: np.ndarray
+    residual: float
     _representative: np.ndarray | None = field(default=None, repr=False)
 
     def distance(self, other):
         return maxabs(self.images - other.images)
 
     def apply(self, X):
-        W = self.implementer
-        return W @ X @ W.conj().T
+        """The automorphism on X in the algebra, one matrix or a stack."""
+        U = self.algebra.embed(self.factor)
+        return U @ X @ U.conj().T
 
     def compose(self, other):
-        """self after other, implemented by the product of the implementers;
-        no representative is carried over."""
-        W = self.implementer
-        return InnerAutomorphism(self.algebra, W @ other.implementer, W @ other.images @ W.conj().T)
+        """self after other, in the frame; no representative is carried over."""
+        u = self.factor
+        return InnerAutomorphism(self.algebra, u @ other.factor, _conjugated(u, other.images),
+                                 sup((self.residual, other.residual)))
 
     def inverse(self):
-        W = self.implementer.conj().T
-        return InnerAutomorphism(self.algebra, W, W @ self.algebra.generators @ W.conj().T)
+        u = self.factor.conj().T
+        return InnerAutomorphism(self.algebra, u, _conjugated(u, self.algebra.generator_hats), self.residual)
 
     def representative(self, tol=DEFAULT_TOL):
+        """The frame part u_hat of a representative W (u_hat (x) 1) W^*."""
         if self._representative is None:
             self._representative = inner_unitary(self, tol)
         return self._representative
@@ -375,42 +443,45 @@ INNER_PROBES = 2
 
 
 def inner_unitary(theta, tol=DEFAULT_TOL):
-    """Unitary u in the algebra with u a u^* = theta(a) on the algebra.
+    """The frame part u_hat of a unitary u = W (u_hat (x) 1) W^* in the
+    algebra with u a u^* = theta(a) on the algebra.
 
-    For theta = Ad u the map x -> sum_i theta(b_i) x b_i^* over the
+    For theta = Ad u the map x -> sum_i theta(b_i) x b_i^* over an
     orthonormal basis b_i sends every x to a solution y of theta(a) y = y a,
     and sends the algebra onto u Z(A), Z(A) the centre.  The same line comes
     from composing the commuting projections x -> (x + theta(g) x g^*)/2
     over the generators g, which is that map up to a positive factor and
-    reads only the generator images.  The projections need generators ready
-    for averaging (generators_ready); without them NotAveragingReady is
-    raised.  The solve assumes a factor, where the line is C u, and checks
-    it: the images of two fixed-seed probes in the algebra must have rank
-    one.  Rank zero means no implementer lies in the algebra, rank above
-    one that the algebra has a centre.  The rank cutoff is relative to the
-    largest image (the images may carry the conditioning error of the
-    modular data).  The tests keep the basis sum as a reference solve.
+    reads only the generator images; in the frame they act on k x k
+    matrices, x_hat -> (x_hat + theta_hat(g) x_hat g_hat^*)/2.  The
+    projections need generators ready for averaging (generators_ready);
+    without them NotAveragingReady is raised.  The solve assumes a factor,
+    where the line is C u, and checks it: the images of two fixed-seed
+    probes in the algebra must have rank one.  Rank zero means no
+    implementer lies in the algebra, rank above one that the algebra has a
+    centre or that the images are not those of an automorphism.  The rank
+    cutoff is relative to the largest image (the images may carry the
+    conditioning error of the modular data).  The tests keep the dense
+    route and the basis sum as reference solves.
 
-    The returned u lies in the span and satisfies u g u^* = theta(g) to
-    eq_tol on every generator.
+    The returned u_hat is unitary and satisfies u_hat g_hat u_hat^* =
+    theta_hat(g) to eq_tol on every generator.
     """
     alg = theta.algebra
     if not alg.generators_ready(tol):
         raise NotAveragingReady("the algebra's generators do not qualify for the averaging projections")
-    k, N = alg.dim, alg.space_dim
+    k = alg.k
     rng = np.random.default_rng(5)
-    coords = rng.standard_normal((INNER_PROBES, k)) + 1j * rng.standard_normal((INNER_PROBES, k))
-    probes = alg.from_coordinates(coords)
-    solved = _project_intertwiners(probes, theta.images, alg.generators)
-    svals, vh = singular_rows(solved.reshape(INNER_PROBES, N * N))
+    coords = rng.standard_normal((INNER_PROBES, alg.dim)) + 1j * rng.standard_normal((INNER_PROBES, alg.dim))
+    solved = _project_intertwiners(alg.coordinate_matrix(coords), theta.images, alg.generator_hats)
+    svals, vh = singular_rows(solved.reshape(INNER_PROBES, k * k))
     dim = int(np.sum(svals > max(tol.rank_tol, 1e-6 * svals[0])))
     if dim == 0:
         raise NotInner("no implementing element inside the algebra")
     if dim > 1:
         raise NotInner(f"solution space has dimension {dim}; algebra is not a factor")
-    u = polar_unitary(vh[0].reshape(N, N), tol)
-    worst = maxabs(u @ alg.generators @ u.conj().T - theta.images)
-    if not sup((worst, alg.membership_residual(u))) <= tol.eq_tol:
+    u = polar_unitary(vh[0].reshape(k, k), tol)
+    worst = maxabs(_conjugated(u, alg.generator_hats) - theta.images)
+    if not worst <= tol.eq_tol:
         raise NotInner(f"candidate representative fails the action by {worst:.2e}")
     return u
 
@@ -418,16 +489,27 @@ def inner_unitary(theta, tol=DEFAULT_TOL):
 def conjugation_action(U, alg, tol=DEFAULT_TOL):
     """The automorphism a -> U a U^* of the algebra (t-side structure map).
 
-    U must normalize the algebra.  That is decided on the generator images
-    the automorphism keeps: the algebra is star-closed, so a conjugation
-    that keeps its generators inside it keeps the algebra they generate.  U
-    is attached as the representative when it lies in the span.
+    U must normalize the algebra, M_k (x) 1 in the frame: exactly when the
+    blocks of Y = W^* U W factor as u_hat[p, r] v_hat.  v_hat is read from
+    the largest block, scaled to Frobenius norm sqrt(k) (a partial trace
+    would lose it: v_hat is traceless for a second-half generator), u_hat
+    from the overlaps of every block with it, and the sup norm of Y - u_hat
+    (x) v_hat is the residual that decides.  u_hat is attached as the
+    representative when v_hat is a scalar, that is when U lies in the
+    algebra.
     """
-    images = U @ alg.generators @ U.conj().T
-    if not alg.membership_residual(images) <= tol.eq_tol:
-        raise NotInNormalizer("unitary does not normalize the algebra")
-    rep = U if alg.membership_residual(U) <= tol.eq_tol else None
-    return InnerAutomorphism(alg, U, images, rep)
+    k = alg.k
+    blocks = alg.frame_blocks(U)
+    norms = np.einsum("prqs,prqs->pr", blocks, blocks.conj()).real
+    p, r = np.unravel_index(np.argmax(norms), norms.shape)
+    v_hat = blocks[p, r] * np.sqrt(k / norms[p, r])
+    u_hat = np.einsum("prqs,qs->pr", blocks, v_hat.conj()) / k
+    residual = maxabs(blocks - u_hat[:, :, None, None] * v_hat)
+    if not residual <= tol.eq_tol:
+        raise NotInNormalizer(f"unitary does not normalize the algebra (frame factorization residual "
+                              f"{residual:.2e})")
+    rep = u_hat if scalar_defect(v_hat)[0] <= tol.eq_tol else None
+    return InnerAutomorphism(alg, u_hat, _conjugated(u_hat, alg.generator_hats), residual, rep)
 
 
 def reflected_action(U, alg, sfd, tol=DEFAULT_TOL):
@@ -439,32 +521,39 @@ class CanonicalImplementation(NamedTuple):
     """The unitary u J u J with the two residuals it was verified by."""
 
     unitary: np.ndarray
-    action_residual: float      # sup norm of U g U^* - theta(g) over the generators
-    j_residual: float           # sup norm of U J - J U
+    action_residual: float      # sup norm of U g U^* - theta(g) in the frame, and theta's residual
+    j_residual: float           # sup norm of U - J U J over the k^2 units
+
+
+CONE_PROBES = 4
 
 
 def canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
     """The unitary u J u J implementing theta on the algebra.
 
-    Phase independent in the representative u; verified to act as theta on
-    the generators, to commute with J, and to preserve the positive cone on
-    sampled elements.  The first two residuals are returned with the
-    unitary.
+    With u = W (u_hat (x) 1) W^* the representative and J u J = W (1 (x)
+    B^T) W^* (reflect_frame), it is W (u_hat (x) B^T) W^*, the operator X ->
+    u_hat X B in the frame, where it is checked: it acts as theta on the
+    generators, u_hat g_hat u_hat^* = theta_hat(g), with theta's own
+    factorization residual counted in; it commutes with J over the k^2
+    units (j_residual); and it keeps the positive cone on the first
+    CONE_PROBES cone vectors of the units and on CONE_PROBES vectors a J a J
+    omega for sampled a.  Phase independent in u_hat.  The first two
+    residuals are returned with the unitary.
     """
     u = theta.representative(tol)
-    U = u @ sfd.reflect(u)
-    act = maxabs(U @ alg.generators @ U.conj().T - theta.images)
-    jcomm = maxabs(U @ sfd.conjugation.linear - sfd.conjugation.linear @ np.conj(U))
+    B = sfd.reflect_frame(u)
+    act = sup((maxabs(_conjugated(u, alg.generator_hats) - theta.images), theta.residual))
+    jcomm = sfd.j_residual(u, B)
     if not sup((act, jcomm)) <= tol.eq_tol:
         raise NotInner(f"canonical implementation failed action/J checks ({act:.2e}, {jcomm:.2e})")
     if rng is None:
         rng = np.random.default_rng(4)
-    probes = list(sfd.cone_frame[:4])
-    for _ in range(4):
+    probes = list(sfd.cone_units(CONE_PROBES))
+    for _ in range(CONE_PROBES):
         c = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-        a = alg.from_coordinates(c)
-        probes.append(a @ sfd.conjugation(a @ sfd.omega))
-    worst = float(np.max(sfd.cone_defects(np.stack(probes) @ U.T)))
+        probes.append(sfd.cone_probe(alg.coordinate_matrix(c)))
+    worst = float(np.max(sfd.frame_cone_defects(u @ np.stack(probes) @ B)))
     if not worst <= tol.eq_tol:
         raise ConeViolation(f"cone moved by {worst:.2e}")
-    return CanonicalImplementation(U, act, jcomm)
+    return CanonicalImplementation(alg.embed(u, B.T), act, jcomm)

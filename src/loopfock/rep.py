@@ -187,7 +187,7 @@ def check_alpha_compatibility(ctx, sample_count, rng):
         p = ctx.string_cm.base.sample(rng)
         ext = ctx.string_cm.fiber.sample(rng)
         left = loop_unitary(ctx, ctx.string_cm.act(p, ext))
-        u = path_automorphism(ctx, p).representative(ctx.tol)
+        u = ctx.algebra.embed(path_automorphism(ctx, p).representative(ctx.tol))
         right = u @ loop_unitary(ctx, ext) @ u.conj().T
         z = np.trace(right.conj().T @ left)
         z = z / abs(z) if abs(z) > 0 else 1.0

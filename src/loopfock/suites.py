@@ -196,17 +196,25 @@ def bogoliubov_checks(env):
 
 def modular_identity_terms(alg, sfd):
     """Residual of each identity of the modular data sfd of (alg, omega): the
-    polar and vacuum ones, and S(a omega) = a^* omega, which ties S to alg."""
+    polar and vacuum ones, and S(a omega) = a^* omega, which ties S to alg.
+
+    A product is measured against the scale of its factors, which grows
+    with the spread of the vacuum's Schmidt weights.  S = J Delta^{1/2} is
+    read as J S = Delta^{1/2}: the matrix Mj conj(Ms) of J S must be
+    Hermitian, square to Delta and have no negative eigenvalue."""
     Ms, Mj, delta, omega = sfd.tomita.linear, sfd.conjugation.linear, sfd.delta, sfd.omega
     eye = np.eye(len(omega))
-    w, V = np.linalg.eigh(delta)
-    half = (V * np.sqrt(w)) @ V.conj().T
+    root = Mj @ np.conj(Ms)
+    scale = max(1.0, maxabs(root))
+    lam_min = np.linalg.eigvalsh(0.5 * (root + root.conj().T))[0]
+    polar = sup((maxabs(root - root.conj().T) / scale, maxabs(root @ root - delta) / scale ** 2,
+                 -min(lam_min, 0.0) / scale))
     # Delta^{-1} = S S^* exactly when S S = 1, which the terms check too
     inv = Ms @ Ms.conj().T
     return {
-        "S S": maxabs(Ms @ np.conj(Ms) - eye),
+        "S S": maxabs(Ms @ np.conj(Ms) - eye) / max(1.0, maxabs(Ms)) ** 2,
         "J J": maxabs(Mj @ np.conj(Mj) - eye),
-        "S = J Delta^1/2": maxabs(Ms - Mj @ np.conj(half)) / max(1.0, maxabs(half)),
+        "S = J Delta^1/2": polar,
         "J Delta J = Delta^-1": maxabs(sfd.conjugation.conjugate_matrix(delta) - inv) / max(1.0, maxabs(inv)),
         "S omega": maxabs(Ms @ np.conj(omega) - omega),
         "Delta omega": maxabs(delta @ omega - omega) / max(1.0, maxabs(delta)),
@@ -256,8 +264,9 @@ def tomita_checks(env):
         theta = alg_mod.conjugation_action(units.sample(rng), A)
         theta2 = alg_mod.conjugation_action(units.sample(rng), A)
         U, act, jcomm = alg_mod.canonical_implementation(sfd, A, theta, tol, rng=rng)
-        probe = A.from_coordinates(rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
-        cone = sfd.cone_defect(U @ (probe @ sfd.conjugation(probe @ sfd.omega)))
+        # a J a J omega for a sampled a, built in the frame as W vec(X)
+        x = A.coordinate_matrix(rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
+        cone = sfd.cone_defect(U @ (sfd.frame @ sfd.cone_probe(x).reshape(-1)))
         U2 = alg_mod.canonical_implementation(sfd, A, theta2, tol, rng=rng).unitary
         U12 = alg_mod.canonical_implementation(sfd, A, theta.compose(theta2), tol, rng=rng).unitary
         # kernel identity: for u in A, JuJ lies in the commutant, so

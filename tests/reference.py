@@ -1,18 +1,20 @@
 """Reference routes the tests compare the program against.
 
 The program carries an algebra as its generators and its Clifford frame,
-reads every commutant on generators, solves inner automorphisms by
-projections over the generators and checks the positive cone in a k x k
-frame; these are the descriptions and solvers those shortcuts replaced,
+reads every commutant on generators, carries, solves and implements inner
+automorphisms on k x k matrices in the frame and checks the positive cone
+there; these are the descriptions and solvers those shortcuts replaced,
 kept only as independent references: an algebra carried by an orthonormal
 basis stack (BasisAlgebra) with its closure check and the cyclic and
 separating test over that basis, the generic algebras no frame carries
 (the scalars, the full M_N, M_2 from sigma_x), SVD kernels and row spaces,
 the frontier growth of a generated star-algebra, the averaging and kernel
-commutants and super commutants, the basis-sum inner solve, the cone
-pairing tensor with its Cholesky membership test, and the dense modular
-data: a solve for the Tomita operator's matrix and its antilinear polar
-decomposition by an N x N SVD.  The commutant solvers return orthonormal
+commutants and super commutants, the dense automorphism with its
+conjugation action, inner solve and canonical implementation on N x N
+matrices, the basis-sum inner solve, the cone pairing tensor with its
+Cholesky membership test, and the dense modular data: a solve for the
+Tomita operator's matrix and its antilinear polar decomposition by an
+N x N SVD.  The commutant solvers return orthonormal
 basis stacks, since an algebra needs generators and a solved commutant has
 none.  The grading enters as its +-1 diagonal signs, as in the program.
 """
@@ -21,12 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from loopfock.algebra import INNER_PROBES, CyclicSeparating, OperatorAlgebra, _dressed_generators
+from loopfock.algebra import (INNER_PROBES, CanonicalImplementation, CyclicSeparating, _averaging_ready,
+                              _dressed_generators)
 from loopfock.clifford import clifford_monomials, half_space
-from loopfock.errors import LoopfockError, NotInner
-from loopfock.errors import SingularInput
-from loopfock.linalg import (DEFAULT_TOL, AntilinearOperator, _rank_cut, averaged_intertwiners, maxabs,
-                             polar_unitary, row_chunks, singular_rows, span_residual, sup)
+from loopfock.errors import (ConeViolation, LoopfockError, NotAveragingReady, NotInner, NotInNormalizer,
+                             SingularInput)
+from loopfock.linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners, _rank_cut,
+                             averaged_intertwiners, maxabs, polar_unitary, row_chunks, singular_rows,
+                             span_residual, sup)
 from loopfock.rep import half_generators
 
 
@@ -116,7 +120,10 @@ class BasisAlgebra:
         c = np.asarray(c, dtype=complex)
         return np.tensordot(c, self.basis, axes=(c.ndim - 1, 0))
 
-    generators_ready = OperatorAlgebra.generators_ready
+    def generators_ready(self, tol):
+        if tol not in self._ready:
+            self._ready[tol] = _averaging_ready(self.generators, tol)
+        return self._ready[tol]
 
 
 def closed_span(basis, tol=DEFAULT_TOL):
@@ -295,10 +302,102 @@ def super_commutant(alg, signs, tol=DEFAULT_TOL):
                                                 expected=N * N // alg.dim), tol)
 
 
+@dataclass
+class DenseAutomorphism:
+    """Star-automorphism a -> U a U^* carried as the dense unitary U and the
+    N x N images U g U^* of the generators, as the program carried it
+    before the frame; composition and inversion act on U."""
+
+    algebra: object
+    implementer: np.ndarray
+    images: np.ndarray
+    _representative: np.ndarray | None = field(default=None, repr=False)
+
+    def distance(self, other):
+        return maxabs(self.images - other.images)
+
+    def apply(self, X):
+        U = self.implementer
+        return U @ X @ U.conj().T
+
+    def compose(self, other):
+        U = self.implementer
+        return DenseAutomorphism(self.algebra, U @ other.implementer, U @ other.images @ U.conj().T)
+
+    def inverse(self):
+        U = self.implementer.conj().T
+        return DenseAutomorphism(self.algebra, U, U @ self.algebra.generators @ U.conj().T)
+
+    def representative(self, tol=DEFAULT_TOL):
+        if self._representative is None:
+            self._representative = dense_inner_unitary(self, tol)
+        return self._representative
+
+
+def dense_conjugation_action(U, alg, tol=DEFAULT_TOL):
+    """conjugation_action on N x N matrices: U normalizes the algebra when
+    the images U g U^* lie in its span, and U is the representative when it
+    lies there itself."""
+    images = U @ alg.generators @ U.conj().T
+    if not alg.membership_residual(images) <= tol.eq_tol:
+        raise NotInNormalizer("unitary does not normalize the algebra")
+    rep = U if alg.membership_residual(U) <= tol.eq_tol else None
+    return DenseAutomorphism(alg, U, images, rep)
+
+
+def dense_inner_unitary(theta, tol=DEFAULT_TOL):
+    """inner_unitary on N x N matrices: the averaging projections over the
+    dense generators on the dense embeddings of the same fixed-seed probes,
+    the rank test and the polar step on N x N, and the action and
+    membership checks of the dense unitary it returns."""
+    alg = theta.algebra
+    if not alg.generators_ready(tol):
+        raise NotAveragingReady("the algebra's generators do not qualify for the averaging projections")
+    k, N = alg.dim, alg.space_dim
+    rng = np.random.default_rng(5)
+    coords = rng.standard_normal((INNER_PROBES, k)) + 1j * rng.standard_normal((INNER_PROBES, k))
+    solved = _project_intertwiners(alg.from_coordinates(coords), theta.images, alg.generators)
+    svals, vh = singular_rows(solved.reshape(INNER_PROBES, N * N))
+    dim = int(np.sum(svals > max(tol.rank_tol, 1e-6 * svals[0])))
+    if dim == 0:
+        raise NotInner("no implementing element inside the algebra")
+    if dim > 1:
+        raise NotInner(f"solution space has dimension {dim}; algebra is not a factor")
+    u = polar_unitary(vh[0].reshape(N, N), tol)
+    worst = maxabs(u @ alg.generators @ u.conj().T - theta.images)
+    if not sup((worst, alg.membership_residual(u))) <= tol.eq_tol:
+        raise NotInner(f"candidate representative fails the action by {worst:.2e}")
+    return u
+
+
+def dense_canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
+    """canonical_implementation on N x N matrices: U = u J u J from the
+    dense representative, its action on the generators and U J - J U
+    densely, and the cone kept on the first four cone vectors of the units
+    and on a J a J omega for four sampled a."""
+    u = theta.representative(tol)
+    U = u @ sfd.reflect(u)
+    act = maxabs(U @ alg.generators @ U.conj().T - theta.images)
+    jcomm = maxabs(U @ sfd.conjugation.linear - sfd.conjugation.linear @ np.conj(U))
+    if not sup((act, jcomm)) <= tol.eq_tol:
+        raise NotInner(f"canonical implementation failed action/J checks ({act:.2e}, {jcomm:.2e})")
+    if rng is None:
+        rng = np.random.default_rng(4)
+    probes = list(cone_frame(sfd)[:4])
+    for _ in range(4):
+        a = alg.from_coordinates(rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
+        probes.append(a @ sfd.conjugation(a @ sfd.omega))
+    worst = float(np.max(sfd.cone_defects(np.stack(probes) @ U.T)))
+    if not worst <= tol.eq_tol:
+        raise ConeViolation(f"cone moved by {worst:.2e}")
+    return CanonicalImplementation(U, act, jcomm)
+
+
 def basis_sum_inner_unitary(theta, tol=DEFAULT_TOL):
-    """inner_unitary by the basis sum x -> sum_i theta(b_i) x b_i^* over the
-    orthonormal basis, on the same probes and with the same rank cutoff;
-    the result is checked against theta on every basis element."""
+    """dense_inner_unitary by the basis sum x -> sum_i theta(b_i) x b_i^*
+    over the orthonormal basis, on the same probes and with the same rank
+    cutoff; the result is checked against theta on every basis element.
+    theta is a DenseAutomorphism of a BasisAlgebra."""
     alg = theta.algebra
     k, N = alg.dim, alg.space_dim
     rng = np.random.default_rng(5)
@@ -319,6 +418,13 @@ def basis_sum_inner_unitary(theta, tol=DEFAULT_TOL):
     if not sup((worst, alg.membership_residual(u))) <= tol.eq_tol:
         raise NotInner(f"candidate representative fails the action by {worst:.2e}")
     return u
+
+
+def cone_frame(sfd):
+    """The cone vectors a_pq J a_pq J omega of all k^2 units, W vec of
+    StandardFormData.cone_units, in rows q k + p."""
+    k = sfd.vacuum_phase.shape[0]
+    return sfd.cone_units(k * k).reshape(k * k, -1) @ sfd.frame.T
 
 
 def cone_tensor(alg, sfd):

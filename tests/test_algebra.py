@@ -17,14 +17,15 @@ from loopfock.clifford import (build_clifford_model, clifford_monomials,
                                generator_indices, half_space)
 from loopfock.errors import (ConeViolation, NotAveragingReady, NotClifford, NotCyclicSeparating,
                              NotInner, NotInNormalizer)
-from loopfock.linalg import DEFAULT_TOL, maxabs, singular_rows, span_residual
+from loopfock.linalg import DEFAULT_TOL, AntilinearOperator, maxabs, singular_rows, span_residual
 from loopfock.rep import build_context, half_generators
 from loopfock.suites import modular_identity_terms
 from reference import (NotGraded, algebra_from_span, basis_cyclic_separating,
-                       basis_star_relation_residual, basis_sum_inner_unitary, commutant, cone_tensor,
-                       dense_modular_data, full_algebra, generated_star_algebra, kernel_commutant,
-                       kernel_super_commutant, monomial_algebra, orthonormal_rows, scalars,
-                       sigma_algebra, subspace_equal, super_commutant, tensor_cone_defects)
+                       basis_star_relation_residual, basis_sum_inner_unitary, commutant, cone_frame,
+                       cone_tensor, dense_canonical_implementation, dense_conjugation_action,
+                       dense_inner_unitary, dense_modular_data, full_algebra, generated_star_algebra,
+                       kernel_commutant, kernel_super_commutant, monomial_algebra, orthonormal_rows,
+                       scalars, sigma_algebra, subspace_equal, super_commutant, tensor_cone_defects)
 
 rng = np.random.default_rng(31)
 
@@ -296,14 +297,14 @@ class TestInnerAutomorphisms:
     def test_identity_representative(self, model12):
         A, basis = half_algebra(model12), basis_half(model12).basis
         theta = conjugation_action(np.eye(4, dtype=complex), A)
-        u = theta.representative()
+        u = A.embed(theta.representative())
         assert maxabs(u @ u.conj().T - np.eye(4)) < 1e-11
         assert maxabs(u @ basis[1] @ u.conj().T - basis[1]) < 1e-10
 
     def test_round_trip_recovers_unitary(self, model22):
         A = half_algebra(model22)
         v = random_unitary_in(A, rng)
-        u = inner_unitary(conjugation_action(v, A))
+        u = A.embed(inner_unitary(conjugation_action(v, A)))
         z = np.trace(v.conj().T @ u) / np.trace(v.conj().T @ v)
         assert maxabs(u - z * v) < 1e-9
         assert abs(abs(z) - 1.0) < 1e-9
@@ -313,7 +314,7 @@ class TestInnerAutomorphisms:
         t1 = conjugation_action(random_unitary_in(A, rng), A)
         t2 = conjugation_action(random_unitary_in(A, rng), A)
         both = t1.compose(t2)
-        direct = conjugation_action(t1._representative @ t2._representative, A)
+        direct = conjugation_action(A.embed(t1._representative @ t2._representative), A)
         assert both.distance(direct) < 1e-10
         assert maxabs(both.apply(basis) - direct.apply(basis)) < 1e-10
         round_trip = t1.compose(t1.inverse())
@@ -328,7 +329,7 @@ class TestInnerAutomorphisms:
         first = generator_indices(model22, half_space(model22, "first"))
         v = model22.generators[first[0]] @ model22.generators[first[1]]
         assert abs(np.trace(v)) < 1e-12
-        u = inner_unitary(conjugation_action(v, A))
+        u = A.embed(inner_unitary(conjugation_action(v, A)))
         z = np.trace(v.conj().T @ u) / np.trace(v.conj().T @ v)
         assert maxabs(u - z * v) < 1e-9
         assert abs(abs(z) - 1.0) < 1e-9
@@ -338,7 +339,7 @@ class TestInnerAutomorphisms:
         # re-verifies the action on every basis element
         A = basis_half(model22)
         v = random_unitary_in(A, rng)
-        u = basis_sum_inner_unitary(conjugation_action(v, A))
+        u = basis_sum_inner_unitary(dense_conjugation_action(v, A))
         z = np.trace(v.conj().T @ u) / np.trace(v.conj().T @ v)
         assert maxabs(u - z * v) < 1e-9
 
@@ -347,28 +348,41 @@ class TestInnerAutomorphisms:
         A, basis = half_algebra(model), monomial_algebra(model, "first").basis
         v = random_unitary_in(A, rng)
         theta = conjugation_action(v, A)
-        u = inner_unitary(theta)
+        u = A.embed(inner_unitary(theta))
         assert maxabs(u @ basis @ u.conj().T - theta.apply(basis)) < 1e-9
         z = np.trace(v.conj().T @ u) / np.trace(v.conj().T @ v)
         assert maxabs(u - z * v) < 1e-9
 
     def test_rejects_automorphism_implemented_outside(self):
         # conjugation by the other generator flips the sign of the first: an
-        # automorphism of the two-point algebra with no implementer inside it
+        # automorphism of the two-point algebra with no implementer inside it.
+        # Every automorphism of a frame algebra M_k is inner, so only the
+        # dense route meets one
         model = build_clifford_model(1, 1, allow_odd_modes=True)
         A = algebra_from_span(np.stack([np.eye(2, dtype=complex), model.generators[0]]), model.generators[:1])
         w = model.generators[1]
         with pytest.raises(NotInner, match="no implementing element"):
-            inner_unitary(conjugation_action(w, A))
+            dense_inner_unitary(dense_conjugation_action(w, A))
 
     def test_center_blocks_uniqueness(self):
         # single lattice mode: the two-point algebra has a center, so the
-        # implementing line is not unique
+        # implementing line is not unique; a frame algebra is a factor
         model = build_clifford_model(1, 1, allow_odd_modes=True)
         span = np.stack([np.eye(2, dtype=complex), model.generators[0]])
         A = algebra_from_span(span, model.generators[:1])
         with pytest.raises(NotInner):
-            inner_unitary(conjugation_action(np.eye(2, dtype=complex), A))
+            dense_inner_unitary(dense_conjugation_action(np.eye(2, dtype=complex), A))
+
+    def test_images_of_no_automorphism_are_refused(self, model22):
+        # g_0 as the image of every generator: no x != 0 has x g_1 = g_0 x =
+        # x g_0, since (g_1 - g_0)^2 = 2, and the averaging maps are no longer
+        # commuting projections, so the probes keep rank two
+        A = half_algebra(model22)
+        theta = conjugation_action(np.eye(model22.fock_dim), A)
+        wrong = dataclasses.replace(theta, images=np.stack([A.generator_hats[0]] * len(A.generators)),
+                                    _representative=None)
+        with pytest.raises(NotInner, match="dimension 2"):
+            inner_unitary(wrong)
 
 
 class TestCanonicalImplementation:
@@ -398,9 +412,11 @@ class TestCanonicalImplementation:
             U, act, jcomm = canonical_implementation(sfd, A, theta)
             targets = np.stack([theta.apply(g) for g in A.generators])
             on_generators = maxabs(U @ A.generators @ U.conj().T - targets)
+            # the frame residuals against the same identities on N x N
             assert act == pytest.approx(on_generators, rel=0, abs=1e-15)
             assert act < 1e-9
-            assert jcomm == maxabs(U @ Mj - Mj @ np.conj(U)) < 1e-9
+            assert jcomm == pytest.approx(maxabs(U @ Mj - Mj @ np.conj(U)), rel=0, abs=1e-15)
+            assert jcomm < 1e-9
 
     def test_multiplicative(self, model22):
         A = half_algebra(model22)
@@ -432,7 +448,7 @@ class TestNormalizer:
     def test_algebra_unitaries_normalize(self, model22):
         A = half_algebra(model22)
         theta = conjugation_action(random_unitary_in(A, rng), A)
-        assert span_residual(theta.images, basis_half(model22).basis) <= DEFAULT_TOL.eq_tol
+        assert span_residual(theta.apply(A.generators), basis_half(model22).basis) <= DEFAULT_TOL.eq_tol
 
     def test_graded_second_half_generator_normalizes(self, model22):
         # an odd generator of the complementary half conjugates the algebra
@@ -440,7 +456,7 @@ class TestNormalizer:
         A = half_algebra(model22)
         w = model22.generators[generator_indices(model22, half_space(model22, "second"))[0]]
         theta = conjugation_action(w, A)
-        assert span_residual(theta.images, basis_half(model22).basis) <= DEFAULT_TOL.eq_tol
+        assert span_residual(theta.apply(A.generators), basis_half(model22).basis) <= DEFAULT_TOL.eq_tol
 
     def test_cross_half_rotation_does_not_normalize(self, model22):
         A = half_algebra(model22)
@@ -598,8 +614,8 @@ class TestGeneratorChecks:
         # images from u1, representative u2: the action check must catch it
         A = half_algebra(model22)
         sfd = tomita_data(A, model22.vacuum)
-        u1, u2 = random_unitary_in(A, rng), random_unitary_in(A, rng)
-        theta = InnerAutomorphism(A, u1, u1 @ A.generators @ u1.conj().T, u2)
+        t1, t2 = (conjugation_action(random_unitary_in(A, rng), A) for _ in range(2))
+        theta = InnerAutomorphism(A, t1.factor, t1.images, t1.residual, t2.factor)
         with pytest.raises(NotInner, match="action/J"):
             canonical_implementation(sfd, A, theta)
 
@@ -632,19 +648,22 @@ class TestGeneratorChecks:
         sfd = tomita_data(A, model22.vacuum)
         theta = conjugation_action(random_unitary_in(A, rng), A)
         U, act, _ = canonical_implementation(sfd, A, theta)
-        assert act == maxabs(U @ A.generators @ U.conj().T - theta.images)
+        u = theta.representative()
+        assert act == max(maxabs(u @ A.generator_hats @ u.conj().T - theta.images), theta.residual)
+        assert maxabs(U @ A.generators @ U.conj().T - theta.apply(A.generators)) <= 1e-13
         seen = []
+        blocks = OperatorAlgebra.frame_blocks
 
-        def recording(blocks, ortho):
-            # the frame check reads dim A = k^2 blocks of k x k per matrix
-            seen.append(len(blocks) / A.dim)
-            return span_residual(blocks, ortho)
+        def recording(alg, X):
+            seen.append(np.shape(X))
+            return blocks(alg, X)
 
-        monkeypatch.setattr(loopfock.algebra, "span_residual", recording)
+        monkeypatch.setattr(OperatorAlgebra, "frame_blocks", recording)
+        monkeypatch.setattr(loopfock.algebra, "span_residual", lambda *args: pytest.fail("span read"))
         conjugation_action(U, A)
-        # the normalizer check on the generators, then U's own membership,
-        # which decides whether U is kept as the representative
-        assert seen == [len(A.generators), 1]
+        # U is read in the frame once; its factorization decides both the
+        # normalizer check and whether u_hat is kept as the representative
+        assert seen == [U.shape]
 
 
 def same_line(u, v):
@@ -676,10 +695,10 @@ class TestGeneratorInnerSolve:
         rand = np.random.default_rng(11)
         for _ in range(3):
             v = random_unitary_in(A, rand)
-            u_gen = inner_unitary(conjugation_action(v, A))
+            u_gen = A.embed(inner_unitary(conjugation_action(v, A)))
             assert seen[-1] == len(A.generators)
             calls = len(seen)
-            u_basis = basis_sum_inner_unitary(conjugation_action(v, B))
+            u_basis = basis_sum_inner_unitary(dense_conjugation_action(v, B))
             assert len(seen) == calls
             assert same_line(u_gen, u_basis) == pytest.approx(1.0, rel=0, abs=1e-12)
 
@@ -697,9 +716,9 @@ class TestGeneratorInnerSolve:
         assert A.dim == 4 and not A.generators_ready(DEFAULT_TOL)
         seen = recording_projections(monkeypatch)
         v = random_unitary_in(A, np.random.default_rng(13))
-        theta = conjugation_action(v, A)
+        theta = dense_conjugation_action(v, A)
         with pytest.raises(NotAveragingReady):
-            inner_unitary(theta)
+            dense_inner_unitary(theta)
         u = basis_sum_inner_unitary(theta)
         assert seen == []
         assert same_line(u, v) == pytest.approx(1.0, rel=0, abs=1e-12)
@@ -713,9 +732,10 @@ class TestGeneratorInnerSolve:
         # final check at least 2 eq_tol away, whatever u the solve returns
         A = half_algebra(model22)
         v = random_unitary_in(A, np.random.default_rng(4))
-        assert same_line(inner_unitary(conjugation_action(v, A)), v) == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert same_line(A.embed(inner_unitary(conjugation_action(v, A))), v) == \
+            pytest.approx(1.0, rel=0, abs=1e-12)
         theta = conjugation_action(v, A)
-        theta.images[0] += 2.0 * DEFAULT_TOL.eq_tol * np.eye(A.space_dim)
+        theta.images[0] += 2.0 * DEFAULT_TOL.eq_tol * np.eye(A.k)
         with pytest.raises(NotInner, match="fails the action"):
             inner_unitary(theta)
 
@@ -772,8 +792,85 @@ def test_inner_unitary_recovers_exponentials(n, d, data):
     x = A.from_coordinates(c[:A.dim] + 1j * c[A.dim:])
     w, V = np.linalg.eigh(0.5 * (x + x.conj().T))
     v = (V * np.exp(1j * w)) @ V.conj().T
-    for solve, alg in ((inner_unitary, A), (basis_sum_inner_unitary, B)):
-        assert same_line(solve(conjugation_action(v, alg)), v) == pytest.approx(1.0, rel=0, abs=1e-12)
+    routes = ((lambda theta: A.embed(inner_unitary(theta)), conjugation_action, A),
+              (basis_sum_inner_unitary, dense_conjugation_action, B))
+    for solve, action, alg in routes:
+        assert same_line(solve(action(v, alg)), v) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+@pytest.fixture(scope="module", params=[(1, 2), (2, 2), (2, 3), (3, 2), (2, 4)],
+                ids=lambda nd: f"{nd[0]}-{nd[1]}")
+def oracle_context(request):
+    return build_context(build_clifford_model(*request.param))
+
+
+class TestFrameAgainstDenseRoutes:
+    """conjugation_action, inner_unitary and canonical_implementation in the
+    frame against the dense routes on N x N matrices in tests/reference.py,
+    on the same implementers: a unitary inside A, a composite of two, which
+    both routes solve afresh, and a second-half generator, which normalizes A
+    from outside it."""
+
+    @staticmethod
+    def implementers(ctx):
+        rand = np.random.default_rng(21)
+        A, model = ctx.algebra, ctx.model
+        second = model.generators[generator_indices(model, half_space(model, "second"))[0]]
+        v1, v2 = random_unitary_in(A, rand), random_unitary_in(A, rand)
+        return {"inside": (v1,), "composite": (v1, v2), "second half": (second,)}
+
+    @staticmethod
+    def both_routes(ctx, factors):
+        frame = [conjugation_action(U, ctx.algebra) for U in factors]
+        dense = [dense_conjugation_action(U, ctx.algebra) for U in factors]
+        if len(factors) == 2:
+            return frame[0].compose(frame[1]), dense[0].compose(dense[1])
+        return frame[0], dense[0]
+
+    def test_canonical_implementations_agree(self, oracle_context):
+        ctx = oracle_context
+        for name, factors in self.implementers(ctx).items():
+            theta, dense = self.both_routes(ctx, factors)
+            U, act, jcomm = canonical_implementation(ctx.sfd, ctx.algebra, theta)
+            U_dense, act_dense, j_dense = dense_canonical_implementation(ctx.sfd, ctx.algebra, dense)
+            assert maxabs(U - U_dense) <= 1e-12, name
+            assert max(act, jcomm, act_dense, j_dense) <= 1e-13, name
+
+    def test_representatives_agree_up_to_phase(self, oracle_context):
+        ctx = oracle_context
+        A = ctx.algebra
+        for name, factors in self.implementers(ctx).items():
+            theta, dense = self.both_routes(ctx, factors)
+            u = A.embed(inner_unitary(theta))
+            assert same_line(u, dense_inner_unitary(dense)) == pytest.approx(1.0, rel=0, abs=1e-12), name
+            # the images agree as operators
+            assert maxabs(theta.apply(A.generators) - dense.images) <= 1e-13, name
+
+    def test_representatives_match_the_basis_sum(self, context):
+        # the basis sum reads the (dim A, N, N) monomial basis, 256 MiB at
+        # (2,4), so it runs at the four reference configurations
+        A, B = context.algebra, monomial_algebra(context.model, "first")
+        for name, factors in self.implementers(context).items():
+            theta, _ = self.both_routes(context, factors)
+            dense = [dense_conjugation_action(U, B) for U in factors]
+            dense = dense[0].compose(dense[1]) if len(dense) == 2 else dense[0]
+            u = A.embed(inner_unitary(theta))
+            assert same_line(u, basis_sum_inner_unitary(dense)) == pytest.approx(1.0, rel=0, abs=1e-12), name
+
+    def test_a_non_product_term_of_1e6_leaves_the_normalizer(self, oracle_context):
+        # W (u (x) v) W^* normalizes A; adding 1e-6 of W (u (x) w + w (x) u)
+        # W^*, whose frame blocks are not all parallel, takes it out
+        A = oracle_context.algebra
+        rand = np.random.default_rng(22)
+        u, v, w = (random_unitary(rand, A.k) for _ in range(3))
+        product = A.embed(u, v)
+        theta = conjugation_action(product, A)
+        assert theta.residual <= 1e-13 and theta._representative is None
+        planted = product + 1e-6 * (A.embed(u, w) + A.embed(w, u))
+        with pytest.raises(NotInNormalizer):
+            conjugation_action(planted, A)
+        with pytest.raises(NotInNormalizer):
+            dense_conjugation_action(planted, A)
 
 
 @pytest.fixture
@@ -787,7 +884,8 @@ def cone_vectors(ctx, rand):
     in both product orders."""
     A, sfd = ctx.algebra, ctx.sfd
     U = canonical_implementation(sfd, A, conjugation_action(random_unitary_in(A, rand), A)).unitary
-    inside = [sfd.cone_frame[0], U @ sfd.cone_frame[1], sfd.omega]
+    units = cone_frame(sfd)
+    inside = [units[0], U @ units[1], sfd.omega]
     for _ in range(3):
         a = A.from_coordinates(rand.standard_normal(A.dim) + 1j * rand.standard_normal(A.dim))
         inside += [a @ sfd.conjugation(a @ sfd.omega), a @ sfd.reflect(a) @ sfd.omega]
@@ -830,7 +928,7 @@ class TestConeDefects:
         sfd = context.sfd
         # omega and a J a J omega for random a lie inside the cone, where the
         # pairing form is positive definite; the cone vectors of the matrix
-        # units in sfd.cone_frame lie on its boundary
+        # units (reference.cone_frame) lie on its boundary
         inside = np.stack(cone_vectors(context, np.random.default_rng(19))[2:])
         seen = []
         eigvalsh = np.linalg.eigvalsh
@@ -898,8 +996,9 @@ class TestConeFrame:
     def test_a_planted_sign_flip_violates_the_cone(self, context, monkeypatch):
         A, sfd = context.algebra, context.sfd
         theta = conjugation_action(random_unitary_in(A, np.random.default_rng(17)), A)
-        reflect = StandardFormData.reflect
-        monkeypatch.setattr(StandardFormData, "reflect", lambda self, U: -reflect(self, U))
+        # J u J = W (1 (x) B^T) W^* with -B in place of B
+        reflect = StandardFormData.reflect_frame
+        monkeypatch.setattr(StandardFormData, "reflect_frame", lambda self, u: -reflect(self, u))
         with pytest.raises(ConeViolation):
             canonical_implementation(sfd, A, theta)
 
@@ -992,6 +1091,25 @@ class TestSchmidtModularData:
         sfd = tomita_data(A, omega)
         assert maxabs(sfd.delta) > 1e6
         assert modular_identity_terms(A, sfd)["Delta omega"] <= 1e-12
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (2, 3)])
+    def test_weights_spread_by_1e8_pass_every_modular_identity(self, n, d):
+        # S S read 1.7e-9 and 1.3e-9 as an absolute residual, S = J
+        # Delta^1/2 6.5e-10 and 7.4e-9 with Delta^1/2 from an eigh of Delta
+        A = half_algebra(build_clifford_model(n, d))
+        terms = modular_identity_terms(A, tomita_data(A, spread_vacuum(A, 1e8, 20)))
+        assert max(terms.values()) <= 1e-11
+
+    def test_a_negated_conjugation_fails_only_the_polar_term(self, model22):
+        # J' = -J is an antiunitary involution with J' Delta J' = J Delta J,
+        # and J' S = -Delta^1/2 is Hermitian and squares to Delta: only its
+        # negative eigenvalues tell it from Delta^1/2
+        A = half_algebra(model22)
+        sfd = tomita_data(A, model22.vacuum)
+        negated = dataclasses.replace(sfd, conjugation=AntilinearOperator(-sfd.conjugation.linear))
+        terms = modular_identity_terms(A, negated)
+        assert terms.pop("S = J Delta^1/2") > 0.1
+        assert max(terms.values()) <= 1e-13
 
     def test_a_delta_off_by_a_relative_1e6_is_refused(self, model22, monkeypatch):
         # Delta + 1e-6 |Delta| omega omega^*: the guard and the term read

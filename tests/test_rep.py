@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -189,6 +190,32 @@ class TestContext:
             raise AssertionError(f"monomials of {points} were built")
 
         monkeypatch.setattr(loopfock.clifford, "clifford_monomials", refused)
+        assert records() == expected
+        assert not any(name.endswith("aborted") for _, name, _, _ in expected[1])
+
+    def test_tomita_reads_no_dense_coordinates_or_membership(self, monkeypatch):
+        # the tomita checks draw in the frame and decide normalizers by the
+        # frame factorization; only rep's twisted duality reads membership
+        cfg = RunConfig(n=2, d=2, suites=("tomita",))
+
+        def records():
+            code, recs = run_suites(cfg)
+            return code, [(r.suite, r.name, r.residual, r.passed) for r in recs]
+
+        expected = records()
+
+        def only_from_rep(name):
+            honest = getattr(OperatorAlgebra, name)
+
+            def guarded(self, *args):
+                caller = sys._getframe(1).f_globals["__name__"]
+                if caller != "loopfock.rep":
+                    raise AssertionError(f"{caller} called {name}")
+                return honest(self, *args)
+            return guarded
+
+        for name in ("from_coordinates", "membership_residual"):
+            monkeypatch.setattr(OperatorAlgebra, name, only_from_rep(name))
         assert records() == expected
         assert not any(name.endswith("aborted") for _, name, _, _ in expected[1])
 

@@ -328,6 +328,29 @@ class TestGatedRecords:
         planted = record_named(records, "modular identities")
         assert not planted.passed and planted.residual == terms["S a omega"]
 
+    def test_canonical_action_fails_on_a_planted_frame_image(self, monkeypatch):
+        # conjugation_action with 1e-6 g_hat_1 added to the frame image of
+        # g_0: the representative still comes from the implementer, so the
+        # first draw's action check reads about 1e-6.  canonical_implementation
+        # gates at the record's own tolerance, so the draw raises and the
+        # suite ends in a failed abort instead of a passed record
+        env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
+        assert record_named(tomita_checks(env), "canonical action").passed
+        honest = loopfock.algebra.conjugation_action
+
+        def planted(U, alg, *args):
+            theta = honest(U, alg, *args)
+            images = theta.images.copy()
+            images[0] += 1e-6 * alg.generator_hats[1]
+            return dataclasses.replace(theta, images=images)
+
+        monkeypatch.setattr(loopfock.algebra, "conjugation_action", planted)
+        _, records = run_suites(RunConfig(n=2, d=2, suites=("tomita",)))
+        assert "canonical action" not in [r.name for r in records if r.passed]
+        assert records[-1].name == "tomita aborted" and not records[-1].passed
+        assert records[-1].error.startswith("NotInner: canonical implementation failed action/J checks")
+        assert all(r.passed for r in records[:-1])
+
     def test_modular_identities_resolve_to_rounding_at_3_2(self):
         # cond(Delta) is about 1.3e6 here; inverting Delta by eigh read 3.4e-10
         env = Environment(RunConfig(n=3, d=2, suites=("tomita",)))
@@ -393,10 +416,11 @@ class TestAbortedSuite:
         assert "Traceback" in err and "NotInner: planted" in err
 
     def test_a_sign_flipped_canonical_implementation_aborts_tomita(self, monkeypatch, tmp_path):
-        # -U acts as U does and commutes with J, but maps the cone to its negative
-        reflect = loopfock.algebra.StandardFormData.reflect
-        monkeypatch.setattr(loopfock.algebra.StandardFormData, "reflect",
-                            lambda self, U: -reflect(self, U))
+        # -U acts as U does and commutes with J, but maps the cone to its
+        # negative; U = W (u_hat (x) B^T) W^* with -B in place of B
+        reflect = loopfock.algebra.StandardFormData.reflect_frame
+        monkeypatch.setattr(loopfock.algebra.StandardFormData, "reflect_frame",
+                            lambda self, u: -reflect(self, u))
         path = tmp_path / "report.json"
         assert main(["--points", "2", "--dim", "2", "--suite", "tomita", "--report", str(path)]) == 1
         records = json.loads(path.read_text())["records"]
