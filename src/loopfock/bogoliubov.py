@@ -41,7 +41,11 @@ def is_special(g, tol=DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class Implementer:
-    """A Fock unitary together with the orthogonal map it implements."""
+    """A Fock unitary together with the orthogonal map it implements.
+
+    The unitary is N x N; an even one may also be its blocks (2, N/2, N/2)
+    on model.parity_blocks, which normalize_phase reads alike.
+    """
 
     unitary: np.ndarray
     implemented: np.ndarray
@@ -184,12 +188,19 @@ def normalize_phase(imp, mode="vacuum", tol=DEFAULT_TOL):
     cutoff and so move the pivot; the rotation is then repeated on the
     result, each time at an earlier pivot, until the pivot it picks is
     already real positive.
+
+    The unitary may be dense or an even block stack: the vacuum entry is
+    the first of either, and scan reads the stack in its own row-major
+    order, even block first.  The vacuum row of an even unitary has norm
+    one and lies in the even block's first row, so on a unitary scan picks
+    the same entry in both layouts, and the two results agree bit for bit
+    on the blocks.
     """
     if mode not in ("vacuum", "scan"):
         raise ValueError(f"unknown mode {mode!r}")
     U = imp.unitary
     while True:
-        used, at, modulus = mode, 0, abs(U[0, 0])
+        used, at, modulus = mode, 0, abs(U.flat[0])
         # a NaN overlap is degenerate too: scan never picks a NaN pivot
         if mode == "vacuum" and not tol.rank_tol <= modulus:
             used = "scan"

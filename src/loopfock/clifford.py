@@ -173,8 +173,8 @@ class CliffordModel:
     contraction with v.  The lift and implementation_residual read only c.
     grading_signs is the +-1 diagonal of the grading, (-1) to the occupation
     number; the dense grading is formed from it on first read.  lift_cache
-    holds the 16 most recently used loop lifts (LiftCache), about 1 MiB each
-    at Fock dimension 256.
+    holds the 16 most recently used loop lifts (LiftCache) as their even
+    blocks, about 0.5 MiB each at Fock dimension 256.
     """
 
     lattice: LatticeModel

@@ -8,11 +8,15 @@ places every vertex block at once, and SpinGroup draws k values in one
 (k, d, d) normal draw, the same numbers as k single draws.  Pointwise
 conjugation on vectors gives the orthogonal action on H; the pointwise spin
 representation, phase-fixed by the vacuum overlap, lifts loops to pairs
-(loop, unitary) forming the extension group.
+(loop, unitary) forming the extension group.  Every lift is even, so its
+unitary is carried as its two N/2 x N/2 blocks on model.parity_blocks:
+the extension group and the string action multiply and compare blocks, and
+the N x N unitary is scattered from them when a caller reads it.
 """
 
 import reprlib
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import reduce
 from numbers import Real
 
@@ -193,23 +197,55 @@ def omega_matrix(model, spin, loop):
     return vertex_blocks(model, spin.covering(loop))
 
 
+def embed_even(places, blocks):
+    """The N x N operator whose even blocks (2, N/2, N/2) sit on the
+    indices places = model.parity_blocks; its odd blocks are zero."""
+    out = np.zeros((2 * places.shape[1],) * 2, dtype=blocks.dtype)
+    out[places[:, :, None], places[:, None, :]] = blocks
+    return out
+
+
 @dataclass(frozen=True)
 class ExtLoop:
-    """A loop with an implementer of its orthogonal action (extension element)."""
+    """A loop with an even Fock unitary implementing its orthogonal action
+    (extension element).
+
+    The unitary is held as its blocks (2, N/2, N/2) on places, which is
+    model.parity_blocks itself, not a copy; implemented is the rotation.
+    The dense unitary and the Implementer are formed when read, by one
+    N x N scatter.  The element keeps only a weak reference to that array:
+    a read while a caller still holds an earlier read's array returns it,
+    so reading the unitary and then the implementer scatters once, and the
+    lift cache holds blocks alone.
+    """
 
     loop: np.ndarray
-    implementer: Implementer
+    blocks: np.ndarray
+    implemented: np.ndarray
+    places: np.ndarray
+    normalization: str = "raw"
+    _dense: weakref.ref = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def unitary(self):
-        return self.implementer.unitary
+        dense = self._dense and self._dense()
+        if dense is None:
+            dense = embed_even(self.places, self.blocks)
+            object.__setattr__(self, "_dense", weakref.ref(dense))
+        return dense
+
+    @property
+    def implementer(self):
+        return Implementer(self.unitary, self.implemented, "even", self.normalization)
 
 
 def lift(model, spin, loop, tol=DEFAULT_TOL):
     """Pointwise unitary of the loop, phase fixed by its vacuum overlap.
 
-    Kept in model.lift_cache, which holds the 16 most recently used lifts;
-    a lift evicted from it is recomputed bit for bit on its next request.
+    The phase is fixed on the block stack, whose entry [0, 0, 0] is the
+    vacuum overlap: Fock index 0 is the first even basis vector.  Kept in
+    model.lift_cache, which holds the 16 most recently used lifts; a lift
+    evicted from it is recomputed bit for bit on its next request.
     """
     key = np.asarray(loop).tobytes()
     cached = model.lift_cache.get(key)
@@ -218,29 +254,28 @@ def lift(model, spin, loop, tol=DEFAULT_TOL):
     g = check_orthogonal(omega_matrix(model, spin, loop), tol)
     if not is_special(g, tol):
         raise NotSpecialOrthogonal("a loop value is odd: its rotation has det -1")
-    imp = Implementer(pointwise_unitary(model, spin, loop), g, "even", "raw")
-    out = ExtLoop(np.array(loop), normalize_phase(imp, "vacuum", tol))
+    imp = normalize_phase(Implementer(pointwise_unitary(model, spin, loop), g, "even", "raw"),
+                          "vacuum", tol)
+    out = ExtLoop(np.array(loop), imp.unitary, g, model.parity_blocks, imp.normalization)
     model.lift_cache.put(key, out)
     return out
 
 
 def pointwise_unitary(model, spin, loop):
-    """Fock unitary of the loop through the pointwise spin representation.
+    """Fock unitary of the loop through the pointwise spin representation,
+    as its even blocks (2, N/2, N/2) on model.parity_blocks.
 
     At vertex j, gamma_a -> i pi(e_{j,a}) extends to a *-homomorphism rho_j
     of the Clifford algebra, and U = prod_j rho_j(x_j) with
     rho_j(x) = sum_{|S| even} tr(gamma_S^* x)/r M_{j,S}, M_{j,S} being the
     ordered product of the i pi(e_{j,a}), a in S.  Every factor is even, so
-    it is two N/2 x N/2 blocks on model.parity_blocks: the blocks of the
-    M_{j,S} are read from the row-compressed vertex_monomials table and
-    scattered into one (2, N/2, N/2) stack per vertex, a lift multiplies
-    the 2n stacks blockwise, and the two blocks of the product are placed
-    into the N x N result.  Even elements at different vertices commute, so
-    loop -> U is an exact group homomorphism implementing omega_matrix(loop);
-    no phase is fixed.
+    it is two N/2 x N/2 blocks: the blocks of the M_{j,S} are read from the
+    row-compressed vertex_monomials table and scattered into one (2, N/2,
+    N/2) stack per vertex, and a lift multiplies the 2n stacks blockwise.
+    Even elements at different vertices commute, so loop -> U is an exact
+    group homomorphism implementing omega_matrix(loop); no phase is fixed.
     """
-    r, blocks = spin.dim, model.parity_blocks
-    h = blocks.shape[1]
+    r, h = spin.dim, model.parity_blocks.shape[1]
     parity, rows = np.arange(2)[:, None, None], np.arange(h)[:, None]
     U = None
     for x, table in zip(loop, model.vertex_monomials, strict=True):
@@ -249,16 +284,15 @@ def pointwise_unitary(model, spin, loop):
             cols, vals = table[S]
             rho[parity, rows, cols] += np.vdot(gamma_S, x) / r * vals
         U = rho if U is None else U @ rho
-    out = np.zeros((model.fock_dim,) * 2, dtype=complex)
-    out[blocks[:, :, None], blocks[:, None, :]] = U
-    return out
+    return U
 
 
 class ExtLoopGroup(ComputableGroup):
     """Lifted half-supported loops with their U(1) fiber.
 
-    Elements multiply componentwise; equality sees both the loop and the
-    unitary, so central phases are distinct elements.
+    Elements multiply componentwise, the unitaries blockwise; equality sees
+    both the loop and the blocks, so central phases are distinct elements.
+    The odd blocks are zero, so the distance is that of the N x N unitaries.
     """
 
     def __init__(self, model, spin, tol=DEFAULT_TOL):
@@ -266,44 +300,38 @@ class ExtLoopGroup(ComputableGroup):
         self.name = "lifted half loops"
 
     def identity(self):
-        n = self.model.n
-        loop = loop_identity(n, self.spin)
-        imp = Implementer(np.eye(self.model.fock_dim, dtype=complex),
-                          np.eye(self.model.dim_h), "even", "vacuum")
-        return ExtLoop(loop, imp)
+        places = self.model.parity_blocks
+        blocks = np.stack([np.eye(places.shape[1], dtype=complex)] * 2)
+        return ExtLoop(loop_identity(self.model.n, self.spin), blocks, np.eye(self.model.dim_h),
+                       places, "vacuum")
 
     def mul(self, a, b):
-        return ExtLoop(a.loop @ b.loop,
-                       Implementer(a.unitary @ b.unitary,
-                                   a.implementer.implemented @ b.implementer.implemented,
-                                   "even" if a.implementer.parity == b.implementer.parity else "odd",
-                                   "raw"))
+        return ExtLoop(a.loop @ b.loop, a.blocks @ b.blocks, a.implemented @ b.implemented, a.places)
 
     def inv(self, a):
-        return ExtLoop(np.conj(np.transpose(a.loop, (0, 2, 1))),
-                       Implementer(a.unitary.conj().T, a.implementer.implemented.T,
-                                   a.implementer.parity, "raw"))
+        return ExtLoop(np.conj(np.transpose(a.loop, (0, 2, 1))), np.conj(np.swapaxes(a.blocks, -1, -2)),
+                       a.implemented.T, a.places)
 
     def dist(self, a, b):
-        return sup((maxabs(a.loop - b.loop), maxabs(a.unitary - b.unitary)))
+        return sup((maxabs(a.loop - b.loop), maxabs(a.blocks - b.blocks)))
 
     def sample(self, rng):
         ext = lift(self.model, self.spin, half_supported_loop(self.model.n, self.spin, rng), self.tol)
         z = np.exp(2j * np.pi * rng.random())
-        return ExtLoop(ext.loop, Implementer(z * ext.unitary, ext.implementer.implemented,
-                                             ext.implementer.parity, "raw"))
+        return ExtLoop(ext.loop, z * ext.blocks, ext.implemented, ext.places)
 
     def central(self, z):
         e = self.identity()
-        return ExtLoop(e.loop, Implementer(z * e.unitary, e.implementer.implemented, "even", "raw"))
+        return ExtLoop(e.loop, z * e.blocks, e.implemented, e.places)
 
 
 def string_crossed_module(model, spin, tol=DEFAULT_TOL):
     """Lifted half loops over based paths, acting through doubled-path lifts.
 
-    The action conjugates the loop pointwise by the doubled path and the
-    unitary by any lift of the doubled loop; central phases make the choice
-    of lift irrelevant.
+    The action conjugates, in the fiber group, by the lift of the doubled
+    path: the loop pointwise by the doubled path and the blocks by those of
+    the lift.  Any lift of the doubled loop gives the same result; central
+    phases make the choice irrelevant.
     """
     fiber = ExtLoopGroup(model, spin, tol)
     base = PathGroup(model.n, spin)
@@ -312,13 +340,7 @@ def string_crossed_module(model, spin, tol=DEFAULT_TOL):
         return restrict_loop(ext.loop, tol)
 
     def act(p, ext):
-        dbl = double_path(p, tol)
-        V = lift(model, spin, dbl, tol)
-        loop = dbl @ ext.loop @ np.conj(np.transpose(dbl, (0, 2, 1)))
-        g = V.implementer.implemented
-        return ExtLoop(loop, Implementer(V.unitary @ ext.unitary @ V.unitary.conj().T,
-                                         g @ ext.implementer.implemented @ g.T,
-                                         ext.implementer.parity, "raw"))
+        return fiber.conj(lift(model, spin, double_path(p, tol), tol), ext)
 
     return CrossedModule(base=base, fiber=fiber, t=t, act=act, name="string model")
 

@@ -21,8 +21,8 @@ from .bogoliubov import LINE_PROBES, Implementer, implementation_residual
 from .clifford import generator_indices, half_space
 from .errors import NotInA
 from .linalg import DEFAULT_TOL, averaged_intertwiners, maxabs, scalar_defect, sup, worst
-from .loops import (ExtLoop, SpinGroup, concat_paths, double_path,
-                    edge_double_path, edge_reflection, lift, omega_matrix,
+from .loops import (SpinGroup, concat_paths, double_path, edge_double_path,
+                    edge_reflection, embed_even, lift, omega_matrix,
                     pointwise_unitary, reflect_orthogonal, restrict_loop,
                     reversed_loop, string_crossed_module, vertex_reflection)
 from .twogroup import (ComputableGroup, CrossedModule, StrictIntertwiner,
@@ -207,6 +207,19 @@ def check_well_definedness(ctx, sample_count, rng):
     return worst(draw() for _ in range(sample_count))
 
 
+@dataclass(frozen=True)
+class FusionFactor:
+    """A doubled loop with the canonical unitary of its path automorphism,
+    kept dense: nothing makes that unitary even, so an odd part would show."""
+
+    loop: np.ndarray
+    implementer: Implementer
+
+    @property
+    def unitary(self):
+        return self.implementer.unitary
+
+
 def fusion_factorization(ctx, p):
     """Doubled loop paired with the canonical implementation of its automorphism.
 
@@ -219,7 +232,7 @@ def fusion_factorization(ctx, p):
     theta = path_automorphism(ctx, p)
     W = canonical_implementation(ctx.sfd, ctx.algebra, theta, ctx.tol).unitary
     dbl = double_path(p, ctx.tol)
-    return ExtLoop(dbl, Implementer(W, omega_matrix(ctx.model, ctx.spin, dbl), "even", "raw"))
+    return FusionFactor(dbl, Implementer(W, omega_matrix(ctx.model, ctx.spin, dbl), "even", "raw"))
 
 
 def check_fusion_factorization(ctx, sample_count, rng):
@@ -308,7 +321,8 @@ def pair_two_group(ctx):
     morphisms = PairLiftGroup(ctx)
 
     def unit(p):
-        return (p, p, pointwise_unitary(ctx.model, ctx.spin, double_path(p, ctx.tol)))
+        blocks = pointwise_unitary(ctx.model, ctx.spin, double_path(p, ctx.tol))
+        return (p, p, embed_even(ctx.model.parity_blocks, blocks))
 
     return TwoGroup(
         objects=ctx.string_cm.base,

@@ -21,7 +21,7 @@ from loopfock.clifford import build_clifford_model, pi_columns
 from loopfock.errors import (ContractViolation, DimensionMismatch, NonScalarDefect, NotOrthogonal,
                              NotSpecialOrthogonal, SingularInput)
 from loopfock.linalg import DEFAULT_TOL, maxabs, polar_unitary, scalar_defect
-from loopfock.loops import SpinGroup, lift, loop_identity, omega_matrix
+from loopfock.loops import SpinGroup, embed_even, lift, loop_identity, omega_matrix, pointwise_unitary
 from loopfock.report import RunConfig
 from reference import joint_kernel
 
@@ -404,6 +404,62 @@ class TestNormalization:
             warnings.simplefilter("error")
             with pytest.raises(SingularInput, match="no pivot"):
                 normalize_phase(zero, mode)
+
+
+def even_unitary_blocks(model, rng, vacuum_overlap=None):
+    """Blocks (2, N/2, N/2) of a random even unitary; with vacuum_overlap, the
+    even block's first column and first row mixed so that entry [0, 0, 0] has it."""
+    h = model.fock_dim // 2
+    blocks = np.stack([np.linalg.qr(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))[0]
+                       for _ in range(2)])
+    if vacuum_overlap is not None:
+        # a unitary mix of the first two columns takes (a, b) to r (c, -s)
+        a, b = blocks[0, 0, :2]
+        r = np.hypot(abs(a), abs(b))
+        c = vacuum_overlap / r
+        s = np.sqrt(1.0 - c * c)
+        G = np.array([[np.conj(a), -b], [np.conj(b), a]]) / r @ np.array([[c, -s], [s, c]])
+        blocks[0, :, :2] = blocks[0, :, :2] @ G
+    return blocks
+
+
+class TestNormalizationLayouts:
+    """normalize_phase on an even block stack and on its dense embedding."""
+
+    @pytest.mark.parametrize("mode, overlap, used", [
+        ("vacuum", None, "vacuum"), ("scan", None, "scan"), ("vacuum", 0.0, "scan"),
+        ("vacuum", DEFAULT_TOL.rank_tol / 4, "scan"), ("scan", 0.0, "scan")])
+    def test_blocks_and_dense_agree_bit_for_bit(self, mode, overlap, used):
+        model = build_clifford_model(2, 2)
+        places = model.parity_blocks
+        blocks = even_unitary_blocks(model, np.random.default_rng(11), overlap)
+        if overlap is not None:
+            assert abs(abs(blocks[0, 0, 0]) - overlap) <= 1e-15
+        dense = embed_even(places, blocks)
+        on_blocks = normalize_phase(Implementer(blocks, np.eye(8), "even", "raw"), mode)
+        on_dense = normalize_phase(Implementer(dense, np.eye(8), "even", "raw"), mode)
+        assert on_blocks.normalization == on_dense.normalization == used
+        assert on_blocks.unitary.shape == blocks.shape
+        dense_blocks = on_dense.unitary[places[:, :, None], places[:, None, :]]
+        assert on_blocks.unitary.tobytes() == dense_blocks.tobytes()
+        assert not np.any(on_dense.unitary[places[0][:, None], places[1]])
+        # scan skips a vacuum entry of at most eq_tol
+        pivot = on_blocks.unitary[0, 0, 0 if overlap is None else 1]
+        assert pivot.imag == 0.0 and pivot.real > 0.0
+
+    def test_lift_blocks_against_the_dense_pointwise_unitary(self):
+        model, spin = build_clifford_model(2, 3), SpinGroup(3)
+        local = np.random.default_rng(12)
+        for _ in range(4):
+            loop = spin.samples(local, 4)
+            raw = pointwise_unitary(model, spin, loop)
+            g = omega_matrix(model, spin, loop)
+            for mode in ("vacuum", "scan"):
+                on_blocks = normalize_phase(Implementer(raw, g, "even", "raw"), mode)
+                dense = embed_even(model.parity_blocks, raw)
+                on_dense = normalize_phase(Implementer(dense, g, "even", "raw"), mode)
+                assert on_blocks.normalization == on_dense.normalization == mode
+                assert embed_even(model.parity_blocks, on_blocks.unitary).tobytes() == on_dense.unitary.tobytes()
 
 
 # entry magnitudes around both cutoffs of normalize_phase: below rank_tol a

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 import loopfock.clifford
 import loopfock.loops
-from loopfock.bogoliubov import implement_pin, implementation_residual, normalize_phase
+from loopfock.bogoliubov import Implementer, implement_pin, implementation_residual, normalize_phase
 from loopfock.clifford import LiftCache, build_clifford_model, even_monomials
 from loopfock.errors import EndpointMismatch, NotOrthogonal, NotSpecialOrthogonal
 from loopfock.linalg import maxabs, scalar_defect
 from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
                             disjoint_support_pair, discrete_loop_cocycle,
                             discrete_loop_cocycle_centered, double_path,
-                            edge_reflection, gamma_matrices, is_half_supported,
+                            edge_reflection, embed_even, gamma_matrices,
+                            half_supported_loop, is_half_supported,
                             lift, loop_cocycle_compare, loop_from_bivectors,
                             loop_identity, omega_matrix, pointwise_unitary,
                             random_loop_algebra, reflect_orthogonal, restrict_loop, reversed_loop,
@@ -125,9 +126,10 @@ class TestPathsAndLoops:
         # the builtin max keeps a number that comes before a NaN
         H = ExtLoopGroup(build_clifford_model(1, 2), SpinGroup(2))
         a = H.sample(np.random.default_rng(0))
-        U = a.unitary.copy()
-        U[0, 0] = np.nan
-        b = dataclasses.replace(a, implementer=dataclasses.replace(a.implementer, unitary=U))
+        blocks = a.blocks.copy()
+        blocks[0, 0, 0] = np.nan
+        b = dataclasses.replace(a, blocks=blocks)
+        assert np.isnan(b.unitary[0, 0])
         assert np.isnan(H.dist(a, b)) and np.isnan(H.dist(b, a))
 
 
@@ -371,6 +373,17 @@ class TestLiftCache:
         assert len(lifted) > LiftCache.CAPACITY
         assert len(set(lifted)) == len(lifted)
 
+    def test_a_cached_lift_keeps_no_dense_unitary(self):
+        model, spin = build_clifford_model(2, 4), SpinGroup(4)
+        ext = lift(model, spin, spin.samples(np.random.default_rng(33), 4))
+        U = ext.unitary
+        # read while held, the unitary is scattered once, for the implementer too
+        assert ext.unitary is U and ext.implementer.unitary is U
+        assert U.nbytes == 2 * ext.blocks.nbytes == 2 ** 20
+        del U
+        assert ext._dense() is None
+        assert lift(model, spin, ext.loop) is ext
+
     def test_holds_the_capacity_after_many_fresh_lifts(self):
         model, spin = build_clifford_model(2, 4), SpinGroup(4)
         local = np.random.default_rng(32)
@@ -436,9 +449,93 @@ def tabled_vs_dense(model, spin, seed):
     worst = 0.0
     for _ in range(3):
         loop = np.stack([spin.sample(local) for _ in range(2 * model.n)])
-        worst = max(worst, maxabs(pointwise_unitary(model, spin, loop)
+        worst = max(worst, maxabs(embed_even(model.parity_blocks, pointwise_unitary(model, spin, loop))
                                   - dense_pointwise_unitary(model, spin, loop)))
     return worst
+
+
+def dense_lift(model, spin, loop):
+    """The dense reference of the lift: the dense pointwise unitary, its phase fixed."""
+    raw = Implementer(dense_pointwise_unitary(model, spin, loop), omega_matrix(model, spin, loop),
+                      "even", "raw")
+    return normalize_phase(raw, "vacuum")
+
+
+BLOCK_CONFIGS = [(1, 2), (2, 2), (2, 3), (3, 2), (2, 4)]
+
+
+class TestBlockLifts:
+    """Lifts and the string crossed module carried as even blocks, against the
+    same computations on dense N x N unitaries."""
+
+    @pytest.mark.parametrize("n, d", BLOCK_CONFIGS)
+    def test_block_lift_equals_the_dense_route(self, n, d):
+        model, spin = build_clifford_model(n, d), SpinGroup(d)
+        h = model.fock_dim // 2
+        local = np.random.default_rng(40 + 10 * n + d)
+        for loop in [spin.samples(local, 2 * n) for _ in range(3)] + [loop_identity(n, spin)]:
+            ext, ref = lift(model, spin, loop), dense_lift(model, spin, loop)
+            assert ext.blocks.shape == (2, h, h) and ext.places is model.parity_blocks
+            assert ext.normalization == ref.normalization == "vacuum"
+            assert maxabs(ext.unitary - ref.unitary) <= 1e-12
+            assert ext.implemented.tobytes() == ref.implemented.tobytes()
+
+    @pytest.mark.parametrize("n, d", BLOCK_CONFIGS)
+    def test_group_operations_and_action_equal_the_dense_ones(self, n, d):
+        model, spin = build_clifford_model(n, d), SpinGroup(d)
+        cm = string_crossed_module(model, spin)
+        H, N = cm.fiber, model.fock_dim
+        local = np.random.default_rng(50 + 10 * n + d)
+        a, b, p = H.sample(local), H.sample(local), cm.base.sample(local)
+        Ua, Ub = a.unitary, b.unitary
+        V = lift(model, spin, double_path(p)).unitary
+        z = np.exp(0.3j)
+        state = local.bit_generator.state
+        drawn = H.sample(local)
+        local.bit_generator.state = state
+        half = lift(model, spin, half_supported_loop(n, spin, local))
+        pairs = {"identity": (H.identity(), np.eye(N)),
+                 "mul": (H.mul(a, b), Ua @ Ub),
+                 "inv": (H.inv(a), Ua.conj().T),
+                 "sample": (drawn, np.exp(2j * np.pi * local.random()) * half.unitary),
+                 "central": (H.central(z), z * np.eye(N)),
+                 "act": (cm.act(p, a), V @ Ua @ V.conj().T)}
+        for name, (ext, dense) in pairs.items():
+            assert maxabs(ext.unitary - dense) <= 1e-13, name
+        assert H.mul(a, b).implemented.tobytes() == (a.implemented @ b.implemented).tobytes()
+        assert H.inv(a).implemented.tobytes() == a.implemented.T.tobytes()
+        g = lift(model, spin, double_path(p)).implemented
+        assert maxabs(cm.act(p, a).implemented - g @ a.implemented @ g.T) == 0.0
+        # the odd blocks are zero, so the block distance is the dense one exactly
+        for x, y in [(a, b), (b, a), (a, H.central(z)), (cm.act(p, a), a)]:
+            assert H.dist(x, y) == max(maxabs(x.loop - y.loop), maxabs(x.unitary - y.unitary))
+
+    def test_action_is_conjugation_by_the_doubled_path_lift(self, model22):
+        spin = SpinGroup(2)
+        cm = string_crossed_module(model22, spin)
+        p, ext = cm.base.sample(rng), cm.fiber.sample(rng)
+        conj = cm.fiber.conj(lift(model22, spin, double_path(p)), ext)
+        acted = cm.act(p, ext)
+        assert acted.blocks.tobytes() == conj.blocks.tobytes()
+        assert acted.loop.tobytes() == conj.loop.tobytes()
+
+    def test_crossed_module_axioms_form_no_dense_unitary(self, monkeypatch):
+        model, spin = build_clifford_model(2, 3), SpinGroup(3)
+        embedded = []
+        real = loopfock.loops.embed_even
+
+        def counting(places, blocks):
+            embedded.append(blocks.shape)
+            return real(places, blocks)
+
+        monkeypatch.setattr(loopfock.loops, "embed_even", counting)
+        cm = string_crossed_module(model, spin)
+        res = check_crossed_module(cm, 10, np.random.default_rng(3))
+        assert max(res.values()) <= 1e-9, res
+        assert embedded == []
+        # reading the unitary is what forms it
+        cm.fiber.sample(np.random.default_rng(4)).unitary
+        assert embedded == [(2, 32, 32)]
 
 
 class TestVertexTable:

@@ -374,11 +374,10 @@ class TestFiberAndBase:
 
     def test_nan_unitary_rejected(self, ctx12):
         ext = ctx12.string_cm.fiber.sample(np.random.default_rng(4))
-        U = ext.unitary.copy()
-        U[0, 0] = np.nan
-        implementer = dataclasses.replace(ext.implementer, unitary=U)
+        blocks = ext.blocks.copy()
+        blocks[0, 0, 0] = np.nan
         with pytest.raises(NotInA):
-            loop_unitary(ctx12, dataclasses.replace(ext, implementer=implementer))
+            loop_unitary(ctx12, dataclasses.replace(ext, blocks=blocks))
 
     def test_full_support_unitary_rejected(self, ctx22):
         spin = ctx22.spin
@@ -485,6 +484,25 @@ class TestFusionFactorization:
         W = fusion_factorization(ctx22, p).unitary
         g = omega_matrix(ctx22.model, ctx22.spin, edge_double_path(p))
         assert implementation_residual(ctx22.model, W, g) < 1e-9
+
+    def test_an_odd_part_of_the_canonical_unitary_survives(self, ctx22, monkeypatch):
+        # the canonical unitary is not a lift and nothing makes it even, so it stays dense
+        model = ctx22.model
+        odd = model.generators[0]
+        canonical = loopfock.rep.canonical_implementation
+        p = ctx22.string_cm.base.sample(np.random.default_rng(5))
+        W = fusion_factorization(ctx22, p).unitary
+
+        def planted(*args):
+            out = canonical(*args)
+            return out._replace(unitary=out.unitary + 1e-6 * odd)
+
+        monkeypatch.setattr(loopfock.rep, "canonical_implementation", planted)
+        planted = fusion_factorization(ctx22, p).unitary
+        s = model.grading_signs
+        odd_part = (planted - s[:, None] * planted * s) / 2
+        assert maxabs(odd_part - 1e-6 * odd) <= 1e-15
+        assert maxabs(planted - W - 1e-6 * odd) <= 1e-15
 
     def test_unit_comparison_defect_is_nonscalar(self, ctx22):
         res = check_f_scalar(ctx22, 10, np.random.default_rng(7))

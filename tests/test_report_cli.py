@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import loopfock.algebra
 import loopfock.clifford
+import loopfock.loops
 import loopfock.rep
 import loopfock.suites
 import loopfock.twogroup
@@ -230,6 +231,28 @@ class TestGatedRecords:
 
         monkeypatch.setattr(loopfock.clifford, "clifford_monomials", short)
         assert not record_named(run_suites(cfg)[1], "monomial span").passed
+
+    def test_string_crossed_module_fails_on_swapped_lift_blocks(self, monkeypatch):
+        cfg = RunConfig(n=2, d=2, suites=("string",))
+        code, records = run_suites(cfg)
+        assert code == 0 and record_named(records, "string crossed module").passed
+        honest = loopfock.loops.string_crossed_module
+
+        def planted(model, spin, tol):
+            # the action conjugates by the doubled-path lift with its even and odd blocks swapped
+            cm = honest(model, spin, tol)
+
+            def act(p, ext):
+                V = loopfock.loops.lift(model, spin, loopfock.loops.double_path(p, tol), tol)
+                return cm.fiber.conj(dataclasses.replace(V, blocks=V.blocks[::-1]), ext)
+
+            return dataclasses.replace(cm, act=act)
+
+        monkeypatch.setattr(loopfock.loops, "string_crossed_module", planted)
+        code, planted_records = run_suites(cfg)
+        assert code == 1
+        assert not record_named(planted_records, "string crossed module").passed
+        assert [r.name for r in planted_records if not r.passed] == ["string crossed module"]
 
     def test_double_commutant_record(self, plant_second_half):
         env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
