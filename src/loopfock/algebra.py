@@ -85,9 +85,6 @@ class OperatorAlgebra:
             left = left @ y_hat
         return left.reshape(left.shape[:-3] + (N, N)) @ self.frame.conj().T
 
-    def from_coordinates(self, c):
-        return self.embed(self.coordinate_matrix(c))
-
     def frame_blocks(self, X):
         """The k x k blocks Y[(p, .), (r, .)] of Y = W^* X W, one matrix or a
         stack, at [..., p, r, :, :]; X = W (x_hat (x) y_hat) W^* has the

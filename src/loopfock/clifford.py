@@ -117,14 +117,17 @@ def even_monomials(mats, partners=None):
     return out
 
 
-def _compressed_rows(M):
-    """(cols, vals) with M[..., k, cols[..., k, :]] = vals[..., k, :]: each row's
-    nonzero columns first, padded with zero entries to the widest row of the
-    stack.  Both arrays own their data."""
+def _flat_rows(M, starts):
+    """(flat, vals) with M.flat[flat[..., k, :]] = vals[..., k, :], starts[..., k]
+    the flat position of row k: each row's nonzero entries first, padded
+    with zero entries to the widest row of the stack.  Both arrays own
+    their data."""
     nonzero = M != 0
     width = int(nonzero.sum(axis=-1).max())
     cols = np.argsort(~nonzero, axis=-1, kind="stable")[..., :width].copy()
-    return cols, np.take_along_axis(M, cols, axis=-1)
+    vals = np.take_along_axis(M, cols, axis=-1)
+    cols += starts
+    return cols, vals
 
 
 class LiftCache:
@@ -170,7 +173,9 @@ class CliffordModel:
     with c[i, mu, r] = pi_i[r, r ^ 2^mu] and X_mu the flip of mode mu, so c
     is (2nd, nd, N), N/(nd) times smaller than the dense stack.  generators,
     that (2nd, N, N) stack, is scattered from c on first read; pi(v) is its
-    contraction with v.  The lift and implementation_residual read only c.
+    contraction with v.  The lift and implementation_residual read only c;
+    the lift through vertex_monomials, the even monomials of every vertex
+    as flat positions and values in the parity block stack, built once.
     grading_signs is the +-1 diagonal of the grading, (-1) to the occupation
     number; the dense grading is formed from it on first read.  lift_cache
     holds the 16 most recently used loop lifts (LiftCache) as their even
@@ -248,15 +253,18 @@ class CliffordModel:
     def vertex_monomials(self):
         """Per vertex j, the even monomials of i pi(e_{j,a}) keyed by bitmask,
         each stored as its two parity blocks, row-compressed and stacked to
-        (cols, vals) of shape (2, N/2, width); built on first read.
+        (flat, vals) of shape (2, N/2, width); built on first read.
 
-        Each pi(e_{j,a}) is odd, so it is scattered from its flips into the
-        stack of its two off-diagonal blocks, and a product of two is that
-        stack times the other's with its blocks swapped; no N x N matrix is
-        formed."""
+        flat holds each entry's position P h^2 + row h + col in the flattened
+        (2, h, h) block stack, h = N/2, so a lift scatters a monomial with one
+        1-D index.  Each pi(e_{j,a}) is odd, so it is scattered from its flips
+        into the stack of its two off-diagonal blocks, and a product of two is
+        that stack times the other's with its blocks swapped; no N x N matrix
+        is formed."""
         d, blocks = self.d, self.parity_blocks
         flipped, h = self.block_flips[0], blocks.shape[1]
         parity, rows = np.arange(2)[:, None, None], np.arange(h)[:, None]
+        starts = (parity * h + rows) * h
         out = []
         for j in range(self.lattice.points):
             # odd[a, P] is the block of pi(e_{j,a}) from parity 1 - P to P
@@ -264,7 +272,7 @@ class CliffordModel:
             odd = np.zeros((d, 2, h, h), dtype=complex)
             odd[:, parity, rows, flipped] = coefficients.transpose(0, 2, 3, 1)
             # a product of 2k factors i pi(e_{j,a}) is (-1)^k times that of the pi(e_{j,a})
-            out.append({S: _compressed_rows((-1) ** (S.bit_count() // 2) * M)
+            out.append({S: _flat_rows((-1) ** (S.bit_count() // 2) * M, starts)
                         for S, M in even_monomials(odd, odd[:, ::-1]).items()})
         return out
 

@@ -268,22 +268,31 @@ def pointwise_unitary(model, spin, loop):
     At vertex j, gamma_a -> i pi(e_{j,a}) extends to a *-homomorphism rho_j
     of the Clifford algebra, and U = prod_j rho_j(x_j) with
     rho_j(x) = sum_{|S| even} tr(gamma_S^* x)/r M_{j,S}, M_{j,S} being the
-    ordered product of the i pi(e_{j,a}), a in S.  Every factor is even, so
-    it is two N/2 x N/2 blocks: the blocks of the M_{j,S} are read from the
-    row-compressed vertex_monomials table and scattered into one (2, N/2,
-    N/2) stack per vertex, and a lift multiplies the 2n stacks blockwise.
-    Even elements at different vertices commute, so loop -> U is an exact
-    group homomorphism implementing omega_matrix(loop); no phase is fixed.
+    ordered product of the i pi(e_{j,a}), a in S.  rho_j(1) = 1, so only
+    the moved vertices, whose value is not exactly the identity, enter the
+    product; with none, U is the two identity blocks.  Every factor is even,
+    so it is two N/2 x N/2 blocks: the blocks of the M_{j,S} are scattered
+    from the vertex_monomials table by their flat positions into one
+    (2, N/2, N/2) stack per moved vertex, and the stacks are multiplied
+    blockwise in vertex order.  Even elements at different vertices
+    commute, so loop -> U is an exact group homomorphism implementing
+    omega_matrix(loop); no phase is fixed.
     """
     r, h = spin.dim, model.parity_blocks.shape[1]
-    parity, rows = np.arange(2)[:, None, None], np.arange(h)[:, None]
+    one = spin.identity()
     U = None
     for x, table in zip(loop, model.vertex_monomials, strict=True):
-        rho = np.zeros((2, h, h), dtype=complex)
+        if np.array_equal(x, one):
+            continue
+        rho = np.zeros(2 * h * h, dtype=complex)
         for S, gamma_S in spin.even_gammas.items():
-            cols, vals = table[S]
-            rho[parity, rows, cols] += np.vdot(gamma_S, x) / r * vals
+            flat, vals = table[S]
+            rho[flat] += np.vdot(gamma_S, x) / r * vals
+        rho = rho.reshape(2, h, h)
         U = rho if U is None else U @ rho
+    if U is None:
+        U = np.zeros((2, h, h), dtype=complex)
+        U[:, np.arange(h), np.arange(h)] = 1.0
     return U
 
 

@@ -17,6 +17,10 @@ Tomita operator's matrix and its antilinear polar decomposition by an
 N x N SVD.  The commutant solvers return orthonormal
 basis stacks, since an algebra needs generators and a solved commutant has
 none.  The grading enters as its +-1 diagonal signs, as in the program.
+Two helpers stand in for what the program no longer carries: the element
+of an algebra at given coordinates over its orthonormal units, and the
+pointwise lift as the full chain of 2n vertex factors, identity factors
+included, scattered row by row from the vertex tables.
 """
 
 from dataclasses import dataclass, field
@@ -97,8 +101,8 @@ class BasisAlgebra:
     """An algebra carried by a basis stack, rows orthonormal in the
     Hilbert-Schmidt inner product, and its generators: the description the
     program's frame replaced.  It has OperatorAlgebra's dim, space_dim,
-    generators, from_coordinates, membership_residual and generators_ready,
-    so the program's solvers take it too."""
+    generators, membership_residual and generators_ready, so the program's
+    solvers take it too."""
 
     basis: np.ndarray
     generators: np.ndarray
@@ -116,14 +120,20 @@ class BasisAlgebra:
         X = np.asarray(X, dtype=complex)
         return span_residual(X[None] if X.ndim == 2 else X, self.basis)
 
-    def from_coordinates(self, c):
-        c = np.asarray(c, dtype=complex)
-        return np.tensordot(c, self.basis, axes=(c.ndim - 1, 0))
-
     def generators_ready(self, tol):
         if tol not in self._ready:
             self._ready[tol] = _averaging_ready(self.generators, tol)
         return self._ready[tol]
+
+
+def from_coordinates(alg, c):
+    """The element with coordinates c (last axis) over the orthonormal units
+    of alg, one or a stack: the basis sum for a BasisAlgebra, W x_hat W^*
+    for an OperatorAlgebra carried by its frame W."""
+    c = np.asarray(c, dtype=complex)
+    if isinstance(alg, BasisAlgebra):
+        return np.tensordot(c, alg.basis, axes=(c.ndim - 1, 0))
+    return alg.embed(alg.coordinate_matrix(c))
 
 
 def closed_span(basis, tol=DEFAULT_TOL):
@@ -356,7 +366,7 @@ def dense_inner_unitary(theta, tol=DEFAULT_TOL):
     k, N = alg.dim, alg.space_dim
     rng = np.random.default_rng(5)
     coords = rng.standard_normal((INNER_PROBES, k)) + 1j * rng.standard_normal((INNER_PROBES, k))
-    solved = _project_intertwiners(alg.from_coordinates(coords), theta.images, alg.generators)
+    solved = _project_intertwiners(from_coordinates(alg, coords), theta.images, alg.generators)
     svals, vh = singular_rows(solved.reshape(INNER_PROBES, N * N))
     dim = int(np.sum(svals > max(tol.rank_tol, 1e-6 * svals[0])))
     if dim == 0:
@@ -385,7 +395,7 @@ def dense_canonical_implementation(sfd, alg, theta, tol=DEFAULT_TOL, rng=None):
         rng = np.random.default_rng(4)
     probes = list(cone_frame(sfd)[:4])
     for _ in range(4):
-        a = alg.from_coordinates(rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
+        a = from_coordinates(alg, rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim))
         probes.append(a @ sfd.conjugation(a @ sfd.omega))
     worst = float(np.max(sfd.cone_defects(np.stack(probes) @ U.T)))
     if not worst <= tol.eq_tol:
@@ -497,3 +507,18 @@ def dense_modular_data(alg, omega, tol=DEFAULT_TOL):
     S = AntilinearOperator(np.linalg.solve(np.conj(frame).T, star_frame.T).T)
     J, delta = antilinear_polar(S, tol)
     return S, J, delta
+
+
+def full_chain_pointwise_unitary(model, spin, loop):
+    """pointwise_unitary as the product of all 2n vertex factors, identity
+    factors included, each scattered into its (2, N/2, N/2) stack by block,
+    row and column from the flat positions of the vertex table."""
+    r, h = spin.dim, model.parity_blocks.shape[1]
+    U = None
+    for x, table in zip(loop, model.vertex_monomials, strict=True):
+        rho = np.zeros((2, h, h), dtype=complex)
+        for S, gamma_S in spin.even_gammas.items():
+            flat, vals = table[S]
+            rho[np.unravel_index(flat, rho.shape)] += np.vdot(gamma_S, x) / r * vals
+        U = rho if U is None else U @ rho
+    return U

@@ -23,7 +23,7 @@ from loopfock.clifford import build_clifford_model
 from loopfock.linalg import maxabs, span_residual
 from loopfock.report import RunConfig, emit_report, strip_timing
 from loopfock.suites import Environment, run_suites
-from reference import commutant, monomial_algebra
+from reference import commutant, from_coordinates, monomial_algebra
 
 CONFIGS = [(1, 2), (2, 2), (2, 3), (3, 2)]
 SEED = 2024
@@ -130,8 +130,8 @@ def test_c05_modular_theory():
             U = am.canonical_implementation(sfd, ctx.algebra, theta, env.tol, rng=rng).unitary
             worst = max(worst, maxabs(U @ basis @ U.conj().T - theta.apply(basis)))
             worst = max(worst, maxabs(U @ Mj - Mj @ np.conj(U)))
-            probe = ctx.algebra.from_coordinates(
-                rng.standard_normal(ctx.algebra.dim) + 1j * rng.standard_normal(ctx.algebra.dim))
+            probe = from_coordinates(
+                ctx.algebra, rng.standard_normal(ctx.algebra.dim) + 1j * rng.standard_normal(ctx.algebra.dim))
             worst = max(worst, sfd.cone_defect(U @ (probe @ sfd.conjugation(probe @ sfd.omega))))
     ok = report_line(5, "modular identities and canonical implementations", worst, 1e-9)
     assert ok

@@ -23,9 +23,10 @@ from loopfock.suites import modular_identity_terms
 from reference import (NotGraded, algebra_from_span, basis_cyclic_separating,
                        basis_star_relation_residual, basis_sum_inner_unitary, commutant, cone_frame,
                        cone_tensor, dense_canonical_implementation, dense_conjugation_action,
-                       dense_inner_unitary, dense_modular_data, full_algebra, generated_star_algebra,
-                       kernel_commutant, kernel_super_commutant, monomial_algebra, orthonormal_rows,
-                       scalars, sigma_algebra, subspace_equal, super_commutant, tensor_cone_defects)
+                       dense_inner_unitary, dense_modular_data, from_coordinates, full_algebra,
+                       generated_star_algebra, kernel_commutant, kernel_super_commutant, monomial_algebra,
+                       orthonormal_rows, scalars, sigma_algebra, subspace_equal, super_commutant,
+                       tensor_cone_defects)
 
 rng = np.random.default_rng(31)
 
@@ -77,7 +78,7 @@ def random_unitary(rand, k):
 
 def random_unitary_in(alg, rand):
     c = rand.standard_normal(alg.dim) + 1j * rand.standard_normal(alg.dim)
-    x = alg.from_coordinates(c)
+    x = from_coordinates(alg, c)
     h = 0.5 * (x + x.conj().T)
     w, V = np.linalg.eigh(h)
     return (V * np.exp(1j * w)) @ V.conj().T
@@ -287,7 +288,7 @@ class TestTomita:
         A = half_algebra(model22)
         sfd = tomita_data(A, model22.vacuum)
         for _ in range(5):
-            a = A.from_coordinates(rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
+            a = from_coordinates(A, rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
             v = a @ sfd.reflect(a) @ sfd.omega
             assert sfd.cone_defect(v) < 1e-10
         assert sfd.cone_defect(-sfd.omega) > 0.1
@@ -789,7 +790,7 @@ def test_inner_unitary_recovers_exponentials(n, d, data):
     A, B = inner_algebras[n, d]
     coords = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
     c = np.array(data.draw(st.lists(coords, min_size=2 * A.dim, max_size=2 * A.dim)))
-    x = A.from_coordinates(c[:A.dim] + 1j * c[A.dim:])
+    x = from_coordinates(A, c[:A.dim] + 1j * c[A.dim:])
     w, V = np.linalg.eigh(0.5 * (x + x.conj().T))
     v = (V * np.exp(1j * w)) @ V.conj().T
     routes = ((lambda theta: A.embed(inner_unitary(theta)), conjugation_action, A),
@@ -887,7 +888,7 @@ def cone_vectors(ctx, rand):
     units = cone_frame(sfd)
     inside = [units[0], U @ units[1], sfd.omega]
     for _ in range(3):
-        a = A.from_coordinates(rand.standard_normal(A.dim) + 1j * rand.standard_normal(A.dim))
+        a = from_coordinates(A, rand.standard_normal(A.dim) + 1j * rand.standard_normal(A.dim))
         inside += [a @ sfd.conjugation(a @ sfd.omega), a @ sfd.reflect(a) @ sfd.omega]
     return inside
 
@@ -1067,7 +1068,7 @@ class TestSchmidtModularData:
         rand = np.random.default_rng(18)
         vectors = []
         for _ in range(8):
-            a = A.from_coordinates(rand.standard_normal(A.dim) + 1j * rand.standard_normal(A.dim))
+            a = from_coordinates(A, rand.standard_normal(A.dim) + 1j * rand.standard_normal(A.dim))
             vectors.append(a @ sfd.conjugation(a @ omega))
         assert max(sfd.cone_defects(np.stack(vectors))) <= 1e-13
 

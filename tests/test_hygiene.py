@@ -2,12 +2,13 @@
 module: no unused imports, no function-local name that is assigned but
 never read, no module-level definition of the package, nor method of one
 of its classes, that nothing refers to, none that the program's entry
-points cannot reach (the reference routes the tests compare against live
-in tests/reference.py), no worst residual kept by hand in a loop nor
-combined by the builtin max or min in a dist method: linalg.worst and
-linalg.sup take them, and keep a NaN, no if test that compares with >
-or >= against eq_tol or rank_tol, a guard that a NaN residual passes, and
-no builtin max or min on the residual side of a comparison with either."""
+points cannot reach, no method that only the tests refer to (the
+reference routes the tests compare against live in tests/reference.py),
+no worst residual kept by hand in a loop nor combined by the builtin max
+or min in a dist method: linalg.worst and linalg.sup take them, and keep
+a NaN, no if test that compares with > or >= against eq_tol or rank_tol,
+a guard that a NaN residual passes, and no builtin max or min on the
+residual side of a comparison with either."""
 
 import ast
 from pathlib import Path
@@ -164,6 +165,12 @@ def dead_definitions(tree, referencing_trees):
     return [(line, label) for line, label, name in defined_names(tree) if name not in used]
 
 
+def unreferenced_methods(tree, package_trees):
+    """Methods of tree's classes whose name no module of package_trees
+    refers to: a method that only the tests call."""
+    return [(line, label) for line, label in dead_definitions(tree, package_trees) if "." in label]
+
+
 def module_bindings(trees):
     """Name -> the module-level statements of trees that bind it: function
     and class definitions and assignments."""
@@ -238,6 +245,13 @@ def test_no_dead_definitions():
     assert found == []
 
 
+def test_no_method_only_the_tests_call():
+    trees = [parse(path) for path in PACKAGE]
+    found = [f"{path.relative_to(ROOT)}:{line} {name}"
+             for path, tree in zip(PACKAGE, trees) for line, name in unreferenced_methods(tree, trees)]
+    assert found == []
+
+
 def test_package_is_reached_from_its_entry_points():
     trees = [parse(path) for path in PACKAGE]
     seeds = ENTRY_POINTS.union(*(referenced_names(parse(path)) for path in PERFBENCH))
@@ -281,6 +295,8 @@ def test_finders_flag_what_they_name():
     assert dead_definitions(module, [module]) == [(4, "unused"), (7, "Called"), (11, "Called.method"),
                                                   (14, "Called.stale"), (17, "Dead")]
     assert dead_definitions(module, [module, caller]) == [(14, "Called.stale"), (17, "Dead")]
+    assert unreferenced_methods(module, [module]) == [(11, "Called.method"), (14, "Called.stale")]
+    assert unreferenced_methods(module, [module, caller]) == [(14, "Called.stale")]
     graph = ast.parse("def a():\n    return b()\n\ndef b():\n    pass\n\ndef c():\n    pass\n\n"
                       "TABLE = [c]\n\ndef d():\n    return TABLE\n\nclass K:\n    def m(self):\n"
                       "        return a()\n")

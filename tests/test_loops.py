@@ -25,6 +25,7 @@ from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
 from loopfock.report import RunConfig
 from loopfock.suites import run_suites
 from loopfock.twogroup import check_crossed_module
+from reference import full_chain_pointwise_unitary
 
 rng = np.random.default_rng(53)
 
@@ -538,6 +539,49 @@ class TestBlockLifts:
         assert embedded == [(2, 32, 32)]
 
 
+def moved_vertex_loops(model, spin, local):
+    """Loops that leave some vertices exactly at the identity, and the
+    identity loop; "minus one" moves one vertex, to -1."""
+    n = model.n
+    half = half_supported_loop(n, spin, local)
+    minus = loop_identity(n, spin)
+    minus[1] = -spin.identity()
+    return {"half-supported": half,
+            "doubled path": double_path(PathGroup(n, spin).sample(local)),
+            "doubled restriction": double_path(restrict_loop(half)),
+            "identity": loop_identity(n, spin),
+            "minus one": minus}
+
+
+class TestMovedVertices:
+    """The lift multiplies the factors of the moved vertices only."""
+
+    @pytest.mark.parametrize("n, d", BLOCK_CONFIGS)
+    def test_moved_vertex_product_equals_the_full_chain(self, n, d):
+        model, spin = build_clifford_model(n, d), SpinGroup(d)
+        eye = np.stack([np.eye(model.fock_dim // 2)] * 2)
+        for name, loop in moved_vertex_loops(model, spin, np.random.default_rng(60 + 10 * n + d)).items():
+            blocks = pointwise_unitary(model, spin, loop)
+            # bit for bit up to the sign of zeros (+ 0.0 makes -0 +0): at (1,2)
+            # the chain's product 1 (-1) has an off-diagonal -0
+            full = full_chain_pointwise_unitary(model, spin, loop)
+            assert (blocks + 0.0).tobytes() == (full + 0.0).tobytes(), name
+            assert maxabs(embed_even(model.parity_blocks, blocks)
+                          - dense_pointwise_unitary(model, spin, loop)) <= 1e-13, name
+            if name in ("identity", "minus one"):
+                assert np.array_equal(blocks, eye if name == "identity" else -eye), name
+
+    def test_a_vertex_left_at_the_identity_reads_no_table(self):
+        model, spin = build_clifford_model(2, 3), SpinGroup(3)
+        loop = half_supported_loop(2, spin, np.random.default_rng(61))
+        expected = pointwise_unitary(model, spin, loop)
+        # only vertex 1 is moved; the other vertices' tables are gone
+        model.vertex_monomials = [table if j == 1 else None for j, table in enumerate(model.vertex_monomials)]
+        assert pointwise_unitary(model, spin, loop).tobytes() == expected.tobytes()
+        with pytest.raises(TypeError):
+            pointwise_unitary(model, spin, spin.samples(np.random.default_rng(62), 4))
+
+
 class TestVertexTable:
     @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2), (1, 4), (2, 4)])
     def test_tabled_lift_equals_the_dense_route(self, n, d):
@@ -547,10 +591,10 @@ class TestVertexTable:
     def test_dropping_one_table_entry_is_detected(self):
         model, spin = build_clifford_model(2, 3), SpinGroup(3)
         table = [dict(vertex) for vertex in model.vertex_monomials]
-        cols, vals = table[1][3]
+        flat, vals = table[1][3]
         vals = vals.copy()
         vals[0, 0, 0] = 0.0
-        table[1][3] = cols, vals
+        table[1][3] = flat, vals
         model.vertex_monomials = table
         assert tabled_vs_dense(model, spin, 23) > 1e-3
 
@@ -580,7 +624,7 @@ class TestVertexTable:
         # a view would pin the full N x N array it was cut from
         assert all(a.base is None for a in arrays)
         assert {a.shape[:2] for a in arrays} == {(2, model.fock_dim // 2)}
-        widths = {S: cols.shape[2] for S, (cols, _) in model.vertex_monomials[0].items()}
+        widths = {S: flat.shape[2] for S, (flat, _) in model.vertex_monomials[0].items()}
         assert widths == {0: 1, 3: 4, 5: 4, 6: 4, 9: 4, 10: 4, 12: 4, 15: 16}
 
     def test_table_build_memory_peak_at_fock_256(self):
