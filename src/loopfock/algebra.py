@@ -14,10 +14,10 @@ the tomita checks read the half-circle commutants on their generators
 references.
 
 An automorphism is carried in the frame: a unitary U normalizes M_k (x) 1
-exactly when W^* U W is a product u_hat (x) v_hat, and then conjugation by
-U acts on the algebra as Ad u_hat on M_k.  The automorphism keeps u_hat,
-the frame images u_hat g_hat u_hat^* of the generators, which fix it, and
-the residual of that factorization (conjugation_action).  Its
+exactly when W^* U W = u_hat (x) v_hat, and then U acts on the algebra as
+Ad u_hat and J U J as Ad(V conj(v_hat) V^*) (conjugation_action,
+reflected_action).  The automorphism keeps its factor, the frame images of
+the generators, which fix it, and the residual of that one read.  Its
 representative, a unitary inside the algebra with the same action, is
 solved from the images alone by projections over the generators on k x k
 matrices (inner_unitary), and the canonical implementation u J u J is
@@ -398,11 +398,11 @@ class InnerAutomorphism:
     factor is u_hat and images holds the frame images u_hat g_hat u_hat^* of
     the generators; they fix the automorphism, so distance compares them,
     and the phase of u_hat is irrelevant.  residual is the factorization
-    residual of the unitary it was read from (conjugation_action).
-    Composition and inversion act on u_hat.  A representative, the frame
-    part of a unitary inside the algebra with the same action, is attached
-    when the unitary read lies in the algebra, and otherwise solved lazily
-    from the images (inner_unitary).
+    residual of the unitary read (_frame_factors), 0 for one formed from
+    u_hat.  Composition and inversion act on u_hat.  A representative, the
+    frame part of a unitary inside the algebra with the same action, is u_hat
+    when that unitary lies in the algebra, and otherwise solved lazily from
+    the images (inner_unitary).
     """
 
     algebra: OperatorAlgebra
@@ -419,6 +419,11 @@ class InnerAutomorphism:
         U = self.algebra.embed(self.factor)
         return U @ X @ U.conj().T
 
+    @classmethod
+    def ad(cls, alg, u_hat, residual=0.0, inside=False):
+        """Ad u_hat, with u_hat as its representative when inside is true."""
+        return cls(alg, u_hat, _conjugated(u_hat, alg.generator_hats), residual, u_hat if inside else None)
+
     def compose(self, other):
         """self after other, in the frame; no representative is carried over."""
         u = self.factor
@@ -426,8 +431,7 @@ class InnerAutomorphism:
                                  sup((self.residual, other.residual)))
 
     def inverse(self):
-        u = self.factor.conj().T
-        return InnerAutomorphism(self.algebra, u, _conjugated(u, self.algebra.generator_hats), self.residual)
+        return InnerAutomorphism.ad(self.algebra, self.factor.conj().T, self.residual)
 
     def representative(self, tol=DEFAULT_TOL):
         """The frame part u_hat of a representative W (u_hat (x) 1) W^*."""
@@ -483,18 +487,14 @@ def inner_unitary(theta, tol=DEFAULT_TOL):
     return u
 
 
-def conjugation_action(U, alg, tol=DEFAULT_TOL):
-    """The automorphism a -> U a U^* of the algebra (t-side structure map).
-
-    U must normalize the algebra, M_k (x) 1 in the frame: exactly when the
-    blocks of Y = W^* U W factor as u_hat[p, r] v_hat.  v_hat is read from
-    the largest block, scaled to Frobenius norm sqrt(k) (a partial trace
-    would lose it: v_hat is traceless for a second-half generator), u_hat
-    from the overlaps of every block with it, and the sup norm of Y - u_hat
-    (x) v_hat is the residual that decides.  u_hat is attached as the
-    representative when v_hat is a scalar, that is when U lies in the
-    algebra.
-    """
+def _frame_factors(U, alg, tol):
+    """(u_hat, v_hat, residual) for W^* U W = u_hat (x) v_hat: U normalizes
+    the algebra, M_k (x) 1 in the frame, exactly when the blocks of Y = W^*
+    U W factor as u_hat[p, r] v_hat.  v_hat is read from the largest block,
+    scaled to Frobenius norm sqrt(k) (a partial trace would lose it: v_hat
+    is traceless for a second-half generator), u_hat from the overlaps of
+    every block with it, and the sup norm of Y - u_hat (x) v_hat is the
+    residual that decides (NotInNormalizer)."""
     k = alg.k
     blocks = alg.frame_blocks(U)
     norms = np.einsum("prqs,prqs->pr", blocks, blocks.conj()).real
@@ -505,13 +505,25 @@ def conjugation_action(U, alg, tol=DEFAULT_TOL):
     if not residual <= tol.eq_tol:
         raise NotInNormalizer(f"unitary does not normalize the algebra (frame factorization residual "
                               f"{residual:.2e})")
-    rep = u_hat if scalar_defect(v_hat)[0] <= tol.eq_tol else None
-    return InnerAutomorphism(alg, u_hat, _conjugated(u_hat, alg.generator_hats), residual, rep)
+    return u_hat, v_hat, residual
+
+
+def conjugation_action(U, alg, tol=DEFAULT_TOL):
+    """The automorphism a -> U a U^* of the algebra (t-side structure map),
+    Ad u_hat for W^* U W = u_hat (x) v_hat; U lies in the algebra, with
+    u_hat as the representative, when v_hat is a scalar."""
+    u_hat, v_hat, residual = _frame_factors(U, alg, tol)
+    return InnerAutomorphism.ad(alg, u_hat, residual, scalar_defect(v_hat)[0] <= tol.eq_tol)
 
 
 def reflected_action(U, alg, sfd, tol=DEFAULT_TOL):
-    """The automorphism a -> (JUJ) a (JUJ)^* (s-side structure map)."""
-    return conjugation_action(sfd.reflect(U), alg, tol)
+    """The automorphism a -> (JUJ) a (JUJ)^* (s-side structure map): J X = V
+    X^* V, V = vacuum_phase^*, gives J U J = W (V conj(v_hat) V^* (x) (V^*
+    u_hat^* V)^T) W^* for W^* U W = u_hat (x) v_hat, so it is Ad(V conj(v_hat)
+    V^*), with that factor as the representative when u_hat is a scalar."""
+    u_hat, v_hat, residual = _frame_factors(U, alg, tol)
+    w_hat = sfd.vacuum_phase.conj().T @ v_hat.conj() @ sfd.vacuum_phase
+    return InnerAutomorphism.ad(alg, w_hat, residual, scalar_defect(u_hat)[0] <= tol.eq_tol)
 
 
 class CanonicalImplementation(NamedTuple):

@@ -406,11 +406,6 @@ def reversed_loop(loop, shift=0):
     return np.array(loop[idx])
 
 
-def skew_from_loop_algebra(model, xi):
-    """Block-diagonal antisymmetric generator from per-vertex so(d) values."""
-    return vertex_blocks(model, xi)
-
-
 def discrete_loop_cocycle(xi, eta):
     """(2 pi i)^{-1} sum_j <xi_j, eta_{j+1} - eta_j> with <A, B> = tr(A^T B)/2.
 
@@ -444,8 +439,7 @@ def loop_cocycle_compare(model, xi, eta, tol=DEFAULT_TOL):
     """
     disc = discrete_loop_cocycle(xi, eta)
     centered = discrete_loop_cocycle_centered(xi, eta)
-    fock = schwinger_term(model, skew_from_loop_algebra(model, xi),
-                          skew_from_loop_algebra(model, eta), tol)
+    fock = schwinger_term(model, vertex_blocks(model, xi), vertex_blocks(model, eta), tol)
     return {"discrete": complex(disc), "centered": complex(centered), "fock": complex(fock),
             "difference": complex(fock - disc)}
 

@@ -2,22 +2,24 @@
 automorphisms, and the strict 2-group round trip.
 
 The context bundles the half-circle algebra, its modular data and the
-string crossed module.  The sampled verification helpers return
-linalg.worst of their draws, a dict from check name to its worst residual
-whose .draws counts the draws, and gate nothing; the suite layer decides
-which entries gate and which are merely recorded.  Checks that the lattice
-model provably cannot satisfy (the reflection shift, see edge_reflection)
-are still computed faithfully and reported with their true residuals.
+string crossed module.  Automorphisms of the algebra are formed once from
+k x k data (InnerAutomorphism.ad, conjugation_action, reflected_action).
+The sampled verification helpers return linalg.worst of their draws, a
+dict from check name to its worst residual whose .draws counts the draws,
+and gate nothing; the suite layer decides which entries gate and which are
+merely recorded.  Checks that the lattice model provably cannot satisfy
+(the reflection shift, see edge_reflection) are still computed faithfully
+and reported with their true residuals.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (OperatorAlgebra, canonical_implementation, clifford_frame,
-                      conjugation_action, reflected_action, super_commutant_probes,
-                      tomita_data)
-from .bogoliubov import LINE_PROBES, Implementer, implementation_residual
+from .algebra import (InnerAutomorphism, OperatorAlgebra, canonical_implementation,
+                      clifford_frame, conjugation_action, reflected_action,
+                      super_commutant_probes, tomita_data)
+from .bogoliubov import LINE_PROBES, Implementer, implementation_residual, projective_distance
 from .clifford import generator_indices, half_space
 from .errors import NotInA
 from .linalg import DEFAULT_TOL, averaged_intertwiners, maxabs, scalar_defect, sup, worst
@@ -49,31 +51,32 @@ class RepresentationContext:
 
 
 class UnitaryInAlgebraGroup(UnitaryGroup):
-    """Unitary elements of an operator algebra, sampled by exponentials."""
+    """Unitaries W (u_hat (x) 1) W^* of an algebra, u_hat = exp(i h) for k x k Hermitian h."""
 
     def __init__(self, alg):
         super().__init__(alg.space_dim, name="U(A)")
         self.alg = alg
 
-    def sample(self, rng):
+    def sample_hat(self, rng):
         c = rng.standard_normal(self.alg.dim) + 1j * rng.standard_normal(self.alg.dim)
         x = self.alg.coordinate_matrix(c * 0.8)
-        h = 0.5 * (x + x.conj().T)
-        w, V = np.linalg.eigh(h)
-        return self.alg.embed((V * np.exp(1j * w)) @ V.conj().T)
+        w, V = np.linalg.eigh(0.5 * (x + x.conj().T))
+        return (V * np.exp(1j * w)) @ V.conj().T
+
+    def sample(self, rng):
+        return self.alg.embed(self.sample_hat(rng))
 
 
 class InnerAutomorphismGroup(ComputableGroup):
-    """Automorphisms of a finite factor, carried by implementing unitaries
-    and compared by their action on the generators."""
+    """Automorphisms Ad u_hat of a finite factor, formed in the frame and
+    compared by their action on the generators."""
 
     def __init__(self, alg):
-        self.alg = alg
-        self.unitaries = UnitaryInAlgebraGroup(alg)
+        self.alg, self.unitaries = alg, UnitaryInAlgebraGroup(alg)
         self.name = "Aut(A)"
 
     def identity(self):
-        return conjugation_action(np.eye(self.alg.space_dim, dtype=complex), self.alg)
+        return InnerAutomorphism.ad(self.alg, np.eye(self.alg.k, dtype=complex), inside=True)
 
     def mul(self, a, b):
         return a.compose(b)
@@ -85,16 +88,15 @@ class InnerAutomorphismGroup(ComputableGroup):
         return a.distance(b)
 
     def sample(self, rng):
-        return conjugation_action(self.unitaries.sample(rng), self.alg)
+        return InnerAutomorphism.ad(self.alg, self.unitaries.sample_hat(rng), inside=True)
 
 
 def unitary_automorphism_module(alg):
     """U(A) -> Aut(A): units map to conjugation, automorphisms act by evaluation."""
-    fiber = UnitaryInAlgebraGroup(alg)
     base = InnerAutomorphismGroup(alg)
     return CrossedModule(
         base=base,
-        fiber=fiber,
+        fiber=base.unitaries,
         t=lambda u: conjugation_action(u, alg),
         act=lambda theta, u: theta.apply(u),
         name="unitary automorphism module",
@@ -189,9 +191,7 @@ def check_alpha_compatibility(ctx, sample_count, rng):
         left = loop_unitary(ctx, ctx.string_cm.act(p, ext))
         u = ctx.algebra.embed(path_automorphism(ctx, p).representative(ctx.tol))
         right = u @ loop_unitary(ctx, ext) @ u.conj().T
-        z = np.trace(right.conj().T @ left)
-        z = z / abs(z) if abs(z) > 0 else 1.0
-        return {"exact": maxabs(left - right), "projective": maxabs(left - z * right)}
+        return {"exact": maxabs(left - right), "projective": projective_distance(left, right)}
     return worst(draw() for _ in range(sample_count))
 
 
@@ -275,8 +275,8 @@ def check_f_scalar(ctx, sample_count, rng):
 
 
 class PairLiftGroup(ComputableGroup):
-    """Morphisms of the path-pair 2-group: ((p, q), U) with U implementing
-    the concatenated loop's rotation; componentwise products."""
+    """Morphisms of the path-pair 2-group: ((p, q), U), U the even blocks of a
+    unitary implementing the concatenated loop's rotation; componentwise products."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -285,13 +285,13 @@ class PairLiftGroup(ComputableGroup):
 
     def identity(self):
         e = self.paths.identity()
-        return (e, e, np.eye(self.ctx.model.fock_dim, dtype=complex))
+        return (e, e, np.stack([np.eye(self.ctx.model.fock_dim // 2, dtype=complex)] * 2))
 
     def mul(self, a, b):
         return (a[0] @ b[0], a[1] @ b[1], a[2] @ b[2])
 
     def inv(self, a):
-        return (self.paths.inv(a[0]), self.paths.inv(a[1]), a[2].conj().T)
+        return (self.paths.inv(a[0]), self.paths.inv(a[1]), np.conj(np.swapaxes(a[2], -1, -2)))
 
     def dist(self, a, b):
         return sup(maxabs(x - y) for x, y in zip(a, b))
@@ -299,9 +299,8 @@ class PairLiftGroup(ComputableGroup):
     def sample(self, rng, interior=False):
         """interior: pairs whose loops vanish at both reflection-fixed vertices."""
         p, q = self.paths.sample_common_end(rng, 2, end_identity=interior)
-        U = lift(self.ctx.model, self.ctx.spin, concat_paths(p, q, self.ctx.tol), self.ctx.tol).unitary
-        z = np.exp(2j * np.pi * rng.random())
-        return (p, q, z * U)
+        V = lift(self.ctx.model, self.ctx.spin, concat_paths(p, q, self.ctx.tol), self.ctx.tol).blocks
+        return (p, q, np.exp(2j * np.pi * rng.random()) * V)
 
 
 def pair_two_group(ctx):
@@ -321,8 +320,7 @@ def pair_two_group(ctx):
     morphisms = PairLiftGroup(ctx)
 
     def unit(p):
-        blocks = pointwise_unitary(ctx.model, ctx.spin, double_path(p, ctx.tol))
-        return (p, p, embed_even(ctx.model.parity_blocks, blocks))
+        return (p, p, pointwise_unitary(ctx.model, ctx.spin, double_path(p, ctx.tol)))
 
     return TwoGroup(
         objects=ctx.string_cm.base,
@@ -368,15 +366,11 @@ class NormalizerGroup(UnitaryGroup):
 
     def __init__(self, ctx):
         super().__init__(ctx.model.fock_dim, name="N(A)")
-        self.ctx = ctx
-        self.unitaries = UnitaryInAlgebraGroup(ctx.algebra)
+        self.alg, self.unitaries = ctx.algebra, UnitaryInAlgebraGroup(ctx.algebra)
 
     def sample(self, rng):
-        u = self.unitaries.sample(rng)
-        v = self.unitaries.sample(rng)
-        theta = conjugation_action(self.unitaries.sample(rng), self.ctx.algebra)
-        W = canonical_implementation(self.ctx.sfd, self.ctx.algebra, theta, self.ctx.tol).unitary
-        return u @ self.ctx.sfd.reflect(v) @ W
+        """W (a_hat (x) b_hat) W^* for two k x k unitary draws."""
+        return self.alg.embed(self.unitaries.sample_hat(rng), self.unitaries.sample_hat(rng))
 
 
 def normalizer_two_group(ctx):
@@ -406,22 +400,20 @@ def check_two_group_compatibility(ctx, sample_count, rng):
     out; the residual against the edge-reversed source is returned
     alongside, which is the identity this lattice actually satisfies.
     """
-    pairs = PairLiftGroup(ctx)
+    pairs, places = PairLiftGroup(ctx), ctx.model.parity_blocks
 
     def draw():
         p, _, U = pairs.sample(rng)
-        t_rep = conjugation_action(U, ctx.algebra, ctx.tol)
+        t_rep = conjugation_action(embed_even(places, U), ctx.algebra, ctx.tol)
         target = t_rep.distance(path_automorphism(ctx, p))
 
         pi_, qi_, Ui = pairs.sample(rng, interior=True)
-        s_rep = reflected_action(Ui, ctx.algebra, ctx.sfd, ctx.tol)
+        s_rep = reflected_action(embed_even(places, Ui), ctx.algebra, ctx.sfd, ctx.tol)
         source = s_rep.distance(path_automorphism(ctx, qi_))
         # identity satisfied exactly: source equals conjugation by a lift of
         # the edge-reversed concatenated loop
-        loop = concat_paths(pi_, qi_, ctx.tol)
-        shifted = reversed_loop(loop, shift=1)
-        Vs = lift(ctx.model, ctx.spin, shifted, ctx.tol)
-        s_exact = conjugation_action(Vs.unitary, ctx.algebra, ctx.tol)
+        shifted = reversed_loop(concat_paths(pi_, qi_, ctx.tol), shift=1)
+        s_exact = conjugation_action(lift(ctx.model, ctx.spin, shifted, ctx.tol).unitary, ctx.algebra, ctx.tol)
         return {"target": target, "source (interior class)": source,
                 "source vs edge-reversed loop": s_rep.distance(s_exact)}
     return worst(draw() for _ in range(sample_count))

@@ -371,11 +371,12 @@ PI0_ATTEMPTS = 200   # fiber samples searched by pi0_equal outside finite groups
 
 @dataclass
 class PiReport:
-    """pi_1 predicate/sampler, pi_0 equivalence predicate, centrality residual."""
+    """pi_1 predicate/sampler, pi_0 equivalence predicate, centrality residual and its draws."""
 
     pi1_contains: callable
     pi0_equal: callable
     centrality: float
+    draws: int
 
 
 def pi0_pi1(cm, rng, sample_count, tol=DEFAULT_TOL):
@@ -401,7 +402,7 @@ def pi0_pi1(cm, rng, sample_count, tol=DEFAULT_TOL):
         h = H.sample(rng)
         return {"centrality": H.dist(cm.act(G.sample(rng), h), h)} if pi1_contains(h) else {}
     central = worst(centrality() for _ in range(sample_count))
-    return PiReport(pi1_contains, pi0_equal, central.get("centrality", 0.0))
+    return PiReport(pi1_contains, pi0_equal, central.get("centrality", 0.0), central.draws)
 
 
 def delooping(abelian_group):

@@ -11,7 +11,7 @@ separating test over that basis, the generic algebras no frame carries
 the frontier growth of a generated star-algebra, the averaging and kernel
 commutants and super commutants, the dense automorphism with its
 conjugation action, inner solve and canonical implementation on N x N
-matrices, the basis-sum inner solve, the cone pairing tensor with its
+matrices, the reflected action read from a dense J U J, the basis-sum inner solve, the cone pairing tensor with its
 Cholesky membership test, and the dense modular data: a solve for the
 Tomita operator's matrix and its antilinear polar decomposition by an
 N x N SVD.  The commutant solvers return orthonormal
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from loopfock.algebra import (INNER_PROBES, CanonicalImplementation, CyclicSeparating, _averaging_ready,
-                              _dressed_generators)
+                              _dressed_generators, conjugation_action)
 from loopfock.clifford import clifford_monomials, half_space
 from loopfock.errors import (ConeViolation, LoopfockError, NotAveragingReady, NotInner, NotInNormalizer,
                              SingularInput)
@@ -353,6 +353,12 @@ def dense_conjugation_action(U, alg, tol=DEFAULT_TOL):
         raise NotInNormalizer("unitary does not normalize the algebra")
     rep = U if alg.membership_residual(U) <= tol.eq_tol else None
     return DenseAutomorphism(alg, U, images, rep)
+
+
+def dense_reflected_action(U, alg, sfd, tol=DEFAULT_TOL):
+    """reflected_action by J U J formed on N x N matrices and read in the
+    frame: a second read of the factorization the program reads once."""
+    return conjugation_action(sfd.reflect(U), alg, tol)
 
 
 def dense_inner_unitary(theta, tol=DEFAULT_TOL):

@@ -20,8 +20,7 @@ from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
                             lift, loop_cocycle_compare, loop_from_bivectors,
                             loop_identity, omega_matrix, pointwise_unitary,
                             random_loop_algebra, reflect_orthogonal, restrict_loop, reversed_loop,
-                            skew_from_loop_algebra, string_crossed_module,
-                            vertex_reflection)
+                            string_crossed_module, vertex_blocks, vertex_reflection)
 from loopfock.report import RunConfig
 from loopfock.suites import run_suites
 from loopfock.twogroup import check_crossed_module
@@ -230,7 +229,7 @@ class TestLoopArrays:
         assert np.array_equal(omega_matrix(model, spin, loop),
                               vertexwise_blocks(model, [spin.covering(x) for x in loop]))
         xi = random_loop_algebra(model, local)
-        assert np.array_equal(skew_from_loop_algebra(model, xi), vertexwise_blocks(model, xi))
+        assert np.array_equal(vertex_blocks(model, xi), vertexwise_blocks(model, xi))
 
     @pytest.mark.parametrize("end_identity", [False, True])
     def test_common_end_paths_match_the_inline_idiom(self, end_identity):

@@ -1,21 +1,25 @@
 import dataclasses
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import loopfock.loops
 import loopfock.rep
-from loopfock.algebra import OperatorAlgebra, conjugation_action, super_commutant_probes
+from loopfock.algebra import (OperatorAlgebra, StandardFormData, canonical_implementation,
+                              conjugation_action, reflected_action, super_commutant_probes)
 from loopfock.bogoliubov import implementation_residual
 from loopfock.clifford import (build_clifford_model, clifford_monomials, generator_indices,
                                half_space, monomial_closure_residual)
-from loopfock.errors import EndpointMismatch, NotAveragingReady, NotInA
+from loopfock.errors import EndpointMismatch, NotAveragingReady, NotInA, NotInNormalizer
 from loopfock.linalg import CHECK_ROWS, DEFAULT_TOL, TolerancePolicy, maxabs, span_residual
-from loopfock.loops import (SpinGroup, concat_paths, double_path, half_supported_loop, lift,
-                            loop_identity, omega_matrix)
+from loopfock.loops import (SpinGroup, concat_paths, double_path, embed_even, half_supported_loop,
+                            lift, loop_identity, omega_matrix)
 from loopfock.report import RunConfig
-from loopfock.rep import (TWISTED_PROBES, PairLiftGroup, build_context, check_alpha_compatibility,
+from loopfock.rep import (TWISTED_PROBES, InnerAutomorphismGroup, NormalizerGroup, PairLiftGroup,
+                          build_context, check_alpha_compatibility,
                           check_f_scalar, check_fusion_factorization,
                           check_membership_evenness, check_pi_levels,
                           check_t_compatibility, check_twisted_duality,
@@ -28,8 +32,8 @@ from loopfock.rep import (TWISTED_PROBES, PairLiftGroup, build_context, check_al
                           representation_intertwiner, unit_sign_cocycle)
 from loopfock.suites import Environment, run_suites, tomita_checks
 from loopfock.twogroup import check_intertwiner, check_minimal_data
-from reference import (algebra_from_span, commutant, generated_star_algebra, kernel_commutant,
-                       kernel_super_commutant, monomial_algebra, super_commutant)
+from reference import (algebra_from_span, commutant, dense_reflected_action, generated_star_algebra,
+                       kernel_commutant, kernel_super_commutant, monomial_algebra, super_commutant)
 
 rng = np.random.default_rng(61)
 TOL = TolerancePolicy()
@@ -445,6 +449,7 @@ class TestCompatibilities:
         ref_q[-1] = ref_p[-1]
         V = lift(ctx22.model, ctx22.spin, concat_paths(ref_p, ref_q)).unitary
         ref_U = np.exp(2j * np.pi * local.random()) * V
+        U = embed_even(ctx22.model.parity_blocks, U)
         assert np.array_equal(p, ref_p) and np.array_equal(q, ref_q) and np.array_equal(U, ref_U)
         if interior:
             assert np.array_equal(p[-1], np.eye(2)) and np.array_equal(q[-1], np.eye(2))
@@ -527,7 +532,7 @@ class TestTwoGroups:
             p, q = paths.sample(sample), paths.sample(sample)
             for path in (p, q, paths.mul(p, q)):
                 dbl = double_path(path)
-                U = pair.unit(path)[2]
+                U = embed_even(model.parity_blocks, pair.unit(path)[2])
                 g = omega_matrix(model, ctx22.spin, dbl)
                 assert implementation_residual(model, U, g) < 1e-9
                 # the vacuum-normalized lift is the unit times the sign of
@@ -569,3 +574,92 @@ class TestPiLevels:
 
     def test_kernel_dimension(self, ctx12):
         assert irreducibility_dimension(ctx12.model, np.random.default_rng(14)) == 1
+
+
+@pytest.fixture(scope="module", params=FRAME_CONFIGS, ids=lambda nd: f"{nd[0]}-{nd[1]}")
+def frame_ctx(request):
+    return build_context(build_clifford_model(*request.param))
+
+
+class TestReflectedAction:
+    """reflected_action reads J U J's automorphism off U's own frame
+    factorization; the reference forms J U J densely and reads it again."""
+
+    def mirrored(self, ctx):
+        """Normalizer samples, pair lifts and canonical units."""
+        draw = np.random.default_rng(21)
+        pairs, units = PairLiftGroup(ctx), InnerAutomorphismGroup(ctx.algebra)
+        out = [NormalizerGroup(ctx).sample(draw) for _ in range(3)]
+        out += [embed_even(ctx.model.parity_blocks, pairs.sample(draw, interior)[2]) for interior in (False, True)]
+        out += [canonical_implementation(ctx.sfd, ctx.algebra, units.sample(draw), ctx.tol).unitary
+                for _ in range(2)]
+        return out
+
+    def test_frame_and_dense_routes_agree(self, frame_ctx):
+        ctx = frame_ctx
+        for U in self.mirrored(ctx):
+            frame = reflected_action(U, ctx.algebra, ctx.sfd, ctx.tol)
+            dense = dense_reflected_action(U, ctx.algebra, ctx.sfd, ctx.tol)
+            assert frame.distance(dense) <= 1e-13
+            assert max(frame.residual, dense.residual) <= 1e-13
+
+    def test_both_routes_refuse_a_non_normalizer(self, frame_ctx):
+        ctx = frame_ctx
+        N = ctx.model.fock_dim
+        z = np.random.default_rng(22).standard_normal((2, N, N))
+        random_unitary = np.linalg.qr(z[0] + 1j * z[1])[0]
+        nan = np.eye(N, dtype=complex)
+        nan[1, 1] = np.nan
+        for U in (random_unitary, nan):
+            for route in (reflected_action, dense_reflected_action):
+                with pytest.raises(NotInNormalizer):
+                    route(U, ctx.algebra, ctx.sfd, ctx.tol)
+
+
+class TestFrameRoutes:
+    """The automorphisms of rep are formed from k x k factors: no dense J U J,
+    no read-back of an embedded sample, no scatter of a pair lift outside
+    the compatibility check."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = Counter()
+
+        def counting(owner, name):
+            honest = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                seen[name] += 1
+                return honest(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(StandardFormData, "reflect")
+        counting(OperatorAlgebra, "frame_blocks")
+        counting(loopfock.loops, "embed_even")
+        counting(loopfock.rep, "embed_even")
+        return seen
+
+    def test_normalizer_and_compatibility_reflect_nothing_densely(self, ctx22, calls):
+        check_minimal_data(normalizer_two_group(ctx22), 8, np.random.default_rng(30))
+        check_two_group_compatibility(ctx22, 4, np.random.default_rng(31))
+        assert calls["reflect"] == 0
+        # the compatibility check scatters its two pair lifts per draw, and
+        # its path automorphisms read their lifts dense
+        assert calls["embed_even"] >= 2 * 4
+        modular_vs_reflection(ctx22, 1, np.random.default_rng(32))
+        assert calls["reflect"] == 1
+
+    def test_sampled_automorphisms_read_no_frame_blocks(self, ctx22, calls):
+        autos = InnerAutomorphismGroup(ctx22.algebra)
+        draw = np.random.default_rng(33)
+        sampled = [autos.sample(draw) for _ in range(4)]
+        assert calls["frame_blocks"] == 0
+        for theta in sampled:
+            read = conjugation_action(ctx22.algebra.embed(theta.factor), ctx22.algebra)
+            assert theta.distance(read) <= 1e-13
+        assert calls["frame_blocks"] == 4
+
+    def test_pair_minimal_data_scatters_no_lift(self, ctx22, calls):
+        res = check_minimal_data(pair_two_group(ctx22), 8, np.random.default_rng(34))
+        assert max(res.values()) <= 1e-9, res
+        assert calls["embed_even"] == 0

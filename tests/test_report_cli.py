@@ -392,7 +392,15 @@ class TestSampleCounts:
     # B(Z4), S3, B(Z2) and Z6 give 4^2 + 6^2 + 2^2 + 6^2, B(S3) 6^2, and both
     # intertwiners out of B(Z2) 2^2
     ENUMERATED = {"finite crossed modules": 92, "peiffer detects nonabelian": 36,
-                  "inclusion intertwiner": 4, "intertwiner detects defect": 4}
+                  "inclusion intertwiner": 4, "intertwiner detects defect": 4,
+                  # the round trips enumerate the 2-groups of the four stock
+                  # examples, O x O x M x M, and draw 50 tuples for AUT(M2):
+                  # 1 * 4^2 + 6^2 * 6^2 + 1 * 2^2 + 6^2 * 6^2 + 50; the crossed
+                  # modules back, 4^2 + 6^2 + 2^2 + 6^2 + 50, plus 20 embedded
+                  # draws each; 30 interchange draws, one inverse and one unit
+                  # draw each; 50 centrality draws for each of the two pi examples
+                  "minimal data": 2662, "functor round trip": 142 + 5 * 20,
+                  "composition laws": 5 * (30 + 2), "pi structure": 2 * 50}
 
     def test_records_count_the_samples_their_checks_draw(self):
         cfg, _ = build_config(["--points", "2", "--dim", "2"])
