@@ -414,11 +414,6 @@ class InnerAutomorphism:
     def distance(self, other):
         return maxabs(self.images - other.images)
 
-    def apply(self, X):
-        """The automorphism on X in the algebra, one matrix or a stack."""
-        U = self.algebra.embed(self.factor)
-        return U @ X @ U.conj().T
-
     @classmethod
     def ad(cls, alg, u_hat, residual=0.0, inside=False):
         """Ad u_hat, with u_hat as its representative when inside is true."""

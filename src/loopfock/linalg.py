@@ -206,15 +206,18 @@ def _off_span(chunk, B):
 
 
 def scalar_part(M):
-    """Best scalar approximation tr(M)/n of a square matrix."""
-    n = M.shape[0]
-    return complex(np.trace(M) / n)
+    """Best scalar approximation tr(M)/n of a square matrix, or of the
+    block-diagonal matrix of a stack (..., n, n) of blocks: the summed trace
+    over the total diagonal size."""
+    return complex(np.trace(M, axis1=-2, axis2=-1).sum() / (M.size // M.shape[-1]))
 
 
 def scalar_defect(M):
-    """Distance of M from the scalar line C*1 (sup norm), and the scalar."""
+    """Distance of M from the scalar line C*1 (sup norm), and the scalar; for
+    a block stack, the distance of its block-diagonal matrix, whose entries
+    off the blocks are zero."""
     lam = scalar_part(M)
-    return maxabs(M - lam * np.eye(M.shape[0])), lam
+    return maxabs(M - lam * np.eye(M.shape[-1])), lam
 
 
 def format_complex(z):

@@ -8,10 +8,18 @@ places every vertex block at once, and SpinGroup draws k values in one
 (k, d, d) normal draw, the same numbers as k single draws.  Pointwise
 conjugation on vectors gives the orthogonal action on H; the pointwise spin
 representation, phase-fixed by the vacuum overlap, lifts loops to pairs
-(loop, unitary) forming the extension group.  Every lift is even, so its
-unitary is carried as its two N/2 x N/2 blocks on model.parity_blocks:
-the extension group and the string action multiply and compare blocks, and
-the N x N unitary is scattered from them when a caller reads it.
+(loop, unitary).  Every lift is even, so its unitary is carried as its two
+N/2 x N/2 blocks on model.parity_blocks, and the N x N unitary is scattered
+from them when a caller reads it.
+
+The string crossed module's fiber, the lifted half-supported loops, lives in
+the first-half algebra A = W (M_k (x) 1) W^*, k = sqrt(N): each first-half
+vertex factor is a sum of even products of A's generators, so the lift of a
+half-supported loop is W (u_hat (x) 1) W^* for the vertex-ordered product
+u_hat of the k x k factors.  The extension group carries (loop, u_hat,
+rotation) and multiplies, inverts and compares k x k matrices; a second-half
+factor commutes with A, so the string action is Ad of the doubled path's
+first-half factor.
 """
 
 import reprlib
@@ -22,9 +30,10 @@ from numbers import Real
 
 import numpy as np
 
+from .algebra import vacuum_matrix
 from .bogoliubov import (Implementer, check_orthogonal, is_special, normalize_phase,
                          schwinger_term)
-from .clifford import even_monomials
+from .clifford import LiftCache, even_monomials
 from .errors import EndpointMismatch, NotSpecialOrthogonal
 from .linalg import DEFAULT_TOL, maxabs, sup
 from .twogroup import ComputableGroup, CrossedModule, UnitaryGroup
@@ -205,6 +214,13 @@ def embed_even(places, blocks):
     return out
 
 
+def even_distance(X, places, blocks):
+    """maxabs(X - embed_even(places, blocks)) without the scatter: X's even
+    blocks against blocks and its odd blocks against zero."""
+    rows = places[:, :, None]
+    return sup((maxabs(X[rows, places[:, None, :]] - blocks), maxabs(X[rows, places[::-1, None, :]])))
+
+
 @dataclass(frozen=True)
 class ExtLoop:
     """A loop with an even Fock unitary implementing its orthogonal action
@@ -296,60 +312,124 @@ def pointwise_unitary(model, spin, loop):
     return U
 
 
-class ExtLoopGroup(ComputableGroup):
-    """Lifted half-supported loops with their U(1) fiber.
+def frame_monomials(hats, d):
+    """Per first-half vertex j, the frame parts of the even monomials of the
+    i pi(e_{j,a}), a stack (n, 2^(d-1), k, k) in the key order of
+    even_monomials: the products of the generator_hats of vertex j, with the
+    sign (-1)^(|S|/2) of vertex_monomials."""
+    return np.array([[(-1) ** (S.bit_count() // 2) * M
+                      for S, M in even_monomials(hats[j * d:(j + 1) * d]).items()]
+                     for j in range(len(hats) // d)])
 
-    Elements multiply componentwise, the unitaries blockwise; equality sees
-    both the loop and the blocks, so central phases are distinct elements.
-    The odd blocks are zero, so the distance is that of the N x N unitaries.
+
+@dataclass(frozen=True)
+class FrameLoop:
+    """A loop with the frame factor u_hat of its first-half vertices, W
+    (u_hat (x) 1) W^* being the product of their Fock factors, and the
+    rotation the loop implements.  For a half-supported loop that product is
+    the loop's unitary."""
+
+    loop: np.ndarray
+    factor: np.ndarray
+    implemented: np.ndarray
+
+
+class ExtLoopGroup(ComputableGroup):
+    """Lifted half-supported loops with their U(1) fiber, in the frame of the
+    first-half algebra alg.
+
+    An element is a FrameLoop: the loop, the k x k factor u_hat of its
+    unitary W (u_hat (x) 1) W^* and its rotation.  Elements multiply
+    componentwise; equality sees both the loop and u_hat, so central phases
+    are distinct elements.  The distance is the sup norm over the loop
+    values and the entries of u_hat.
     """
 
-    def __init__(self, model, spin, tol=DEFAULT_TOL):
+    def __init__(self, model, spin, alg, tol=DEFAULT_TOL):
         self.model, self.spin, self.tol = model, spin, tol
         self.name = "lifted half loops"
+        self.tables = frame_monomials(alg.generator_hats, model.d)
+        self.vacuum_hat = vacuum_matrix(alg, model.vacuum)
+        # tr(gamma_S^* x) / r is the coefficient of the monomial S in rho_j(x)
+        self._coefficients = np.conj(np.stack(list(spin.even_gammas.values()))) / spin.dim
+
+    def frame_loop(self, loop):
+        """The loop with its rotation, checked special orthogonal as lift
+        checks it, and the vertex-ordered product of the k x k factors
+        rho_hat_j(x_j) of its moved first-half vertices (the identity when
+        none moves)."""
+        g = check_orthogonal(omega_matrix(self.model, self.spin, loop), self.tol)
+        if not is_special(g, self.tol):
+            raise NotSpecialOrthogonal("a loop value is odd: its rotation has det -1")
+        one = self.spin.identity()
+        moved = [j for j in range(self.model.n) if not np.array_equal(loop[j], one)]
+        coefficients = np.einsum("sab,jab->js", self._coefficients, loop[moved])
+        rho = np.einsum("js,jspq->jpq", coefficients, self.tables[moved])
+        factor = reduce(np.matmul, rho) if moved else np.eye(self.tables.shape[-1], dtype=complex)
+        return FrameLoop(np.array(loop), factor, g)
+
+    def lift(self, loop):
+        """The fiber element of a half-supported loop, phase fixed by its
+        vacuum overlap tr(xi^* u_hat xi), xi = mat(W^* Omega), as lift fixes
+        it.  Below rank_tol the overlap fixes no phase and the raw product is
+        kept; the block lift scans there instead."""
+        if not is_half_supported(loop, self.tol):
+            raise ValueError("loop is not supported in the first half circle")
+        ext = self.frame_loop(loop)
+        xi = self.vacuum_hat
+        overlap = np.vdot(xi, ext.factor @ xi)
+        if not self.tol.rank_tol <= abs(overlap):
+            return ext
+        return FrameLoop(ext.loop, ext.factor * (np.conj(overlap) / abs(overlap)), ext.implemented)
 
     def identity(self):
-        places = self.model.parity_blocks
-        blocks = np.stack([np.eye(places.shape[1], dtype=complex)] * 2)
-        return ExtLoop(loop_identity(self.model.n, self.spin), blocks, np.eye(self.model.dim_h),
-                       places, "vacuum")
+        return self.central(1.0)
 
     def mul(self, a, b):
-        return ExtLoop(a.loop @ b.loop, a.blocks @ b.blocks, a.implemented @ b.implemented, a.places)
+        return FrameLoop(a.loop @ b.loop, a.factor @ b.factor, a.implemented @ b.implemented)
 
     def inv(self, a):
-        return ExtLoop(np.conj(np.transpose(a.loop, (0, 2, 1))), np.conj(np.swapaxes(a.blocks, -1, -2)),
-                       a.implemented.T, a.places)
+        return FrameLoop(np.conj(np.transpose(a.loop, (0, 2, 1))), a.factor.conj().T, a.implemented.T)
 
     def dist(self, a, b):
-        return sup((maxabs(a.loop - b.loop), maxabs(a.blocks - b.blocks)))
+        return sup((maxabs(a.loop - b.loop), maxabs(a.factor - b.factor)))
 
     def sample(self, rng):
-        ext = lift(self.model, self.spin, half_supported_loop(self.model.n, self.spin, rng), self.tol)
+        ext = self.lift(half_supported_loop(self.model.n, self.spin, rng))
         z = np.exp(2j * np.pi * rng.random())
-        return ExtLoop(ext.loop, z * ext.blocks, ext.implemented, ext.places)
+        return FrameLoop(ext.loop, z * ext.factor, ext.implemented)
 
     def central(self, z):
-        e = self.identity()
-        return ExtLoop(e.loop, z * e.blocks, e.implemented, e.places)
+        k = self.tables.shape[-1]
+        return FrameLoop(loop_identity(self.model.n, self.spin), z * np.eye(k, dtype=complex),
+                         np.eye(self.model.dim_h))
 
 
-def string_crossed_module(model, spin, tol=DEFAULT_TOL):
-    """Lifted half loops over based paths, acting through doubled-path lifts.
+def string_crossed_module(model, spin, alg, tol=DEFAULT_TOL):
+    """Lifted half loops over based paths, in the frame of the first-half
+    algebra alg, acting through doubled paths.
 
-    The action conjugates, in the fiber group, by the lift of the doubled
-    path: the loop pointwise by the doubled path and the blocks by those of
-    the lift.  Any lift of the doubled loop gives the same result; central
-    phases make the choice irrelevant.
+    The action conjugates, in the fiber group, by the doubled path's
+    FrameLoop: the loop pointwise by the doubled path, u_hat by the path's
+    first-half factor and the rotation by the path's.  The doubled path's
+    second-half factor commutes with A, so this is conjugation by its lift;
+    the phase of the factor cancels.  The 16 most recently used paths keep
+    their FrameLoop.
     """
-    fiber = ExtLoopGroup(model, spin, tol)
+    fiber = ExtLoopGroup(model, spin, alg, tol)
     base = PathGroup(model.n, spin)
+    doubled = LiftCache()
 
     def t(ext):
         return restrict_loop(ext.loop, tol)
 
     def act(p, ext):
-        return fiber.conj(lift(model, spin, double_path(p, tol), tol), ext)
+        key = p.tobytes()
+        frame = doubled.get(key)
+        if frame is None:
+            frame = fiber.frame_loop(double_path(p, tol))
+            doubled.put(key, frame)
+        return fiber.conj(frame, ext)
 
     return CrossedModule(base=base, fiber=fiber, t=t, act=act, name="string model")
 

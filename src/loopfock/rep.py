@@ -3,7 +3,10 @@ automorphisms, and the strict 2-group round trip.
 
 The context bundles the half-circle algebra, its modular data and the
 string crossed module.  Automorphisms of the algebra are formed once from
-k x k data (InnerAutomorphism.ad, conjugation_action, reflected_action).
+k x k data (InnerAutomorphism.ad, conjugation_action, reflected_action),
+and the representation reads the string fiber there too: a lifted half
+loop maps to the frame part u_hat of its unitary, and U(A) is carried as
+such u_hat.
 The sampled verification helpers return linalg.worst of their draws, a
 dict from check name to its worst residual whose .draws counts the draws,
 and gate nothing; the suite layer decides which entries gate and which are
@@ -24,7 +27,7 @@ from .clifford import generator_indices, half_space
 from .errors import NotInA
 from .linalg import DEFAULT_TOL, averaged_intertwiners, maxabs, scalar_defect, sup, worst
 from .loops import (SpinGroup, concat_paths, double_path, edge_double_path,
-                    edge_reflection, embed_even, lift, omega_matrix,
+                    edge_reflection, embed_even, is_half_supported, lift, omega_matrix,
                     pointwise_unitary, reflect_orthogonal, restrict_loop,
                     reversed_loop, string_crossed_module, vertex_reflection)
 from .twogroup import (ComputableGroup, CrossedModule, StrictIntertwiner,
@@ -51,20 +54,18 @@ class RepresentationContext:
 
 
 class UnitaryInAlgebraGroup(UnitaryGroup):
-    """Unitaries W (u_hat (x) 1) W^* of an algebra, u_hat = exp(i h) for k x k Hermitian h."""
+    """Unitaries W (u_hat (x) 1) W^* of an algebra, carried as their k x k
+    frame parts u_hat; u_hat = exp(i h) for k x k Hermitian h."""
 
     def __init__(self, alg):
-        super().__init__(alg.space_dim, name="U(A)")
+        super().__init__(alg.k, name="U(A)")
         self.alg = alg
 
-    def sample_hat(self, rng):
+    def sample(self, rng):
         c = rng.standard_normal(self.alg.dim) + 1j * rng.standard_normal(self.alg.dim)
         x = self.alg.coordinate_matrix(c * 0.8)
         w, V = np.linalg.eigh(0.5 * (x + x.conj().T))
         return (V * np.exp(1j * w)) @ V.conj().T
-
-    def sample(self, rng):
-        return self.alg.embed(self.sample_hat(rng))
 
 
 class InnerAutomorphismGroup(ComputableGroup):
@@ -88,17 +89,18 @@ class InnerAutomorphismGroup(ComputableGroup):
         return a.distance(b)
 
     def sample(self, rng):
-        return InnerAutomorphism.ad(self.alg, self.unitaries.sample_hat(rng), inside=True)
+        return InnerAutomorphism.ad(self.alg, self.unitaries.sample(rng), inside=True)
 
 
 def unitary_automorphism_module(alg):
-    """U(A) -> Aut(A): units map to conjugation, automorphisms act by evaluation."""
+    """U(A) -> Aut(A) in the frame: a unit u_hat maps to Ad u_hat, and Ad w_hat
+    acts on it by conjugation, u_hat -> w_hat u_hat w_hat^*."""
     base = InnerAutomorphismGroup(alg)
     return CrossedModule(
         base=base,
         fiber=base.unitaries,
-        t=lambda u: conjugation_action(u, alg),
-        act=lambda theta, u: theta.apply(u),
+        t=lambda u: InnerAutomorphism.ad(alg, u, inside=True),
+        act=lambda theta, u: theta.factor @ u @ theta.factor.conj().T,
         name="unitary automorphism module",
     )
 
@@ -115,35 +117,37 @@ def half_algebra(model, which, tol=DEFAULT_TOL):
     return OperatorAlgebra(gens, clifford_frame(gens, tol))
 
 
-def build_context(model, tol=DEFAULT_TOL):
-    """Assemble algebra, modular and string data for one lattice model."""
+def build_context(model, tol=DEFAULT_TOL, alg=None):
+    """Assemble algebra, modular and string data for one lattice model; alg
+    is the first-half algebra when it is already built."""
     spin = SpinGroup(model.d)
-    alg = half_algebra(model, "first", tol)
+    if alg is None:
+        alg = half_algebra(model, "first", tol)
     sfd = tomita_data(alg, model.vacuum, tol)
     return RepresentationContext(
         model=model,
         spin=spin,
         algebra=alg,
         sfd=sfd,
-        string_cm=string_crossed_module(model, spin, tol),
+        string_cm=string_crossed_module(model, spin, alg, tol),
         unitary_cm=unitary_automorphism_module(alg),
         tol=tol,
     )
 
 
 def loop_unitary(ctx, ext):
-    """Fiber map of the representation: the unitary of a lifted half loop.
+    """Fiber map of the representation: the frame part u_hat of the unitary W
+    (u_hat (x) 1) W^* of a lifted half loop, which lies in the algebra and is
+    even by construction.
 
-    Verified to be grading even and to lie in the half-circle algebra span
-    before it is returned.
+    Verified to be unitary and to belong to a half-supported loop before it
+    is returned.
     """
-    U = ext.unitary
-    s = ctx.model.grading_signs
-    even = maxabs(U * s - s[:, None] * U)
-    member = ctx.algebra.membership_residual(U)
-    if not sup((even, member)) <= ctx.tol.eq_tol:
-        raise NotInA(f"half-loop unitary failed evenness/membership ({even:.2e}, {member:.2e})")
-    return U
+    u = ext.factor
+    unitarity = maxabs(u @ u.conj().T - np.eye(len(u)))
+    if not (unitarity <= ctx.tol.eq_tol and is_half_supported(ext.loop, ctx.tol)):
+        raise NotInA(f"fiber element is no unitary of a half-supported loop (unitarity {unitarity:.2e})")
+    return u
 
 
 def path_automorphism(ctx, p):
@@ -161,8 +165,11 @@ def representation_intertwiner(ctx):
 
 
 def check_membership_evenness(ctx, sample_count, rng):
+    """Membership and evenness of the block lift of each sampled fiber
+    element's loop, the route independent of the frame."""
     def draw():
-        U, s = ctx.string_cm.fiber.sample(rng).unitary, ctx.model.grading_signs
+        loop = ctx.string_cm.fiber.sample(rng).loop
+        U, s = lift(ctx.model, ctx.spin, loop, ctx.tol).unitary, ctx.model.grading_signs
         return {"algebra membership": ctx.algebra.membership_residual(U),
                 "evenness": maxabs(U * s - s[:, None] * U)}
     return worst(draw() for _ in range(sample_count))
@@ -173,7 +180,7 @@ def check_t_compatibility(ctx, sample_count, rng):
     def draw():
         ext = ctx.string_cm.fiber.sample(rng)
         left = path_automorphism(ctx, restrict_loop(ext.loop, ctx.tol))
-        right = conjugation_action(loop_unitary(ctx, ext), ctx.algebra, ctx.tol)
+        right = InnerAutomorphism.ad(ctx.algebra, loop_unitary(ctx, ext))
         return {"action residual": left.distance(right)}
     return worst(draw() for _ in range(sample_count))
 
@@ -181,15 +188,16 @@ def check_t_compatibility(ctx, sample_count, rng):
 def check_alpha_compatibility(ctx, sample_count, rng):
     """Fiber map intertwines the two actions, as elements and up to phase.
 
-    The string action conjugates by the lift of the doubled path; the
-    other side conjugates by the representative u in the algebra that is
-    solved for the path automorphism, so the two are computed apart.
+    The string action conjugates by the doubled path's first-half factor;
+    the other side conjugates by the representative u_hat in the algebra
+    that is solved for the path automorphism, so the two are computed apart.
+    Both sides are k x k frame parts.
     """
     def draw():
         p = ctx.string_cm.base.sample(rng)
         ext = ctx.string_cm.fiber.sample(rng)
         left = loop_unitary(ctx, ctx.string_cm.act(p, ext))
-        u = ctx.algebra.embed(path_automorphism(ctx, p).representative(ctx.tol))
+        u = path_automorphism(ctx, p).representative(ctx.tol)
         right = u @ loop_unitary(ctx, ext) @ u.conj().T
         return {"exact": maxabs(left - right), "projective": projective_distance(left, right)}
     return worst(draw() for _ in range(sample_count))
@@ -268,8 +276,12 @@ def check_f_scalar(ctx, sample_count, rng):
     def draw():
         p = ctx.string_cm.base.sample(rng)
         W = fusion_factorization(ctx, p).unitary
-        V = lift(ctx.model, ctx.spin, double_path(p, ctx.tol), ctx.tol).unitary
-        defect, lam = scalar_defect(W @ V.conj().T)
+        V = lift(ctx.model, ctx.spin, double_path(p, ctx.tol), ctx.tol).blocks
+        # V^* is even: the columns of W V^* on each parity block are W's times that block
+        WV = np.empty_like(W)
+        for b, places in zip(V, ctx.model.parity_blocks, strict=True):
+            WV[:, places] = W[:, places] @ b.conj().T
+        defect, lam = scalar_defect(WV)
         return {"scalar defect": defect, "scalar minus one": abs(lam / max(abs(lam), 1e-300) - 1.0)}
     return worst(draw() for _ in range(sample_count))
 
@@ -350,10 +362,9 @@ def unit_sign_cocycle(ctx, sample_count, rng):
 
     def draw():
         p, q = base.sample(rng), base.sample(rng)
-        Up = lift(ctx.model, ctx.spin, double_path(p, ctx.tol), ctx.tol).unitary
-        Uq = lift(ctx.model, ctx.spin, double_path(q, ctx.tol), ctx.tol).unitary
-        Upq = lift(ctx.model, ctx.spin, double_path(base.mul(p, q), ctx.tol), ctx.tol).unitary
-        defect, lam = scalar_defect(Up @ Uq @ Upq.conj().T)
+        Up, Uq, Upq = (lift(ctx.model, ctx.spin, double_path(x, ctx.tol), ctx.tol).blocks
+                       for x in (p, q, base.mul(p, q)))
+        defect, lam = scalar_defect(Up @ Uq @ np.conj(np.swapaxes(Upq, -1, -2)))
         negative.append(abs(lam + 1.0) < 0.5)
         return {"distance from signs": sup((defect, min(abs(lam - 1.0), abs(lam + 1.0))))}
     res = worst(draw() for _ in range(sample_count))
@@ -370,7 +381,7 @@ class NormalizerGroup(UnitaryGroup):
 
     def sample(self, rng):
         """W (a_hat (x) b_hat) W^* for two k x k unitary draws."""
-        return self.alg.embed(self.unitaries.sample_hat(rng), self.unitaries.sample_hat(rng))
+        return self.alg.embed(self.unitaries.sample(rng), self.unitaries.sample(rng))
 
 
 def normalizer_two_group(ctx):
@@ -457,10 +468,10 @@ def check_pi_levels(ctx, sample_count, rng):
     """Central fiber elements map to their phase; endpoint-equal paths give
     automorphisms differing by conjugation inside the algebra."""
     def draw():
-        fiber, base, N = ctx.string_cm.fiber, ctx.string_cm.base, ctx.model.fock_dim
+        fiber, base = ctx.string_cm.fiber, ctx.string_cm.base
         z = np.exp(2j * np.pi * rng.random())
         central = fiber.central(z)
-        identity = maxabs(loop_unitary(ctx, central) - z * np.eye(N))
+        identity = maxabs(loop_unitary(ctx, central) - z * np.eye(ctx.algebra.k))
         p, q = base.sample_common_end(rng, 2)
         centrality = fiber.dist(ctx.string_cm.act(p, central), central)
 

@@ -29,9 +29,11 @@ EXPLORATORY = float("inf")
 
 
 class Environment:
-    """Lazily built model, spin group and context shared by the checks of one
-    run, the records its suites made and the time of the latest record or
-    suite start.  Only the tomita and rep suites read the context."""
+    """Lazily built model, spin group, first-half algebra and context shared
+    by the checks of one run, the records its suites made and the time of
+    the latest record or suite start.  Only the tomita and rep suites read
+    the context; the string suite reads the algebra, which the context
+    shares, so its frame is built once per run."""
 
     def __init__(self, config):
         self.config = config
@@ -44,8 +46,12 @@ class Environment:
         return cliff.build_clifford_model(self.config.n, self.config.d, tol=self.tol)
 
     @cached_property
+    def algebra(self):
+        return rep.half_algebra(self.model, "first", self.tol)
+
+    @cached_property
     def ctx(self):
-        return rep.build_context(self.model, self.tol)
+        return rep.build_context(self.model, self.tol, self.algebra)
 
     @cached_property
     def spin(self):
@@ -262,8 +268,8 @@ def tomita_checks(env):
     units = rep.UnitaryInAlgebraGroup(A)
 
     def haagerup():
-        theta = alg_mod.conjugation_action(units.sample(rng), A)
-        theta2 = alg_mod.conjugation_action(units.sample(rng), A)
+        theta = alg_mod.conjugation_action(A.embed(units.sample(rng)), A)
+        theta2 = alg_mod.conjugation_action(A.embed(units.sample(rng)), A)
         U, act, jcomm = alg_mod.canonical_implementation(sfd, A, theta, tol, rng=rng)
         # a J a J omega for a sampled a, built in the frame as W vec(X)
         x = A.coordinate_matrix(rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim))
@@ -272,7 +278,7 @@ def tomita_checks(env):
         U12 = alg_mod.canonical_implementation(sfd, A, theta.compose(theta2), tol, rng=rng).unitary
         # kernel identity: for u in A, JuJ lies in the commutant, so
         # conjugation by JuJ is the identity on A, decided on its generators
-        W = sfd.reflect(units.sample(rng))
+        W = sfd.reflect(A.embed(units.sample(rng)))
         return {"action": act, "J": jcomm, "cone": cone, "multiplicative": maxabs(U @ U2 - U12),
                 "kernel": maxabs(W @ gens @ W.conj().T - gens)}
     res = worst(haagerup() for _ in range(20))
@@ -425,30 +431,44 @@ def string_checks(env):
 
     rng = env.rng("lift structure")
 
+    # lifts are even, so their products are read on the (2, N/2, N/2) block stacks
     def lifts():
         a = spin.samples(rng, 2 * model.n)
         b = spin.samples(rng, 2 * model.n)
         ext_a = lp.lift(model, spin, a, tol)
-        Ua = ext_a.unitary
-        Ub = lp.lift(model, spin, b, tol).unitary
-        Uab = lp.lift(model, spin, a @ b, tol).unitary
-        defect, lam = scalar_defect(Ua @ Ub @ Uab.conj().T)
-        rescan = bog.normalize_phase(ext_a.implementer, "scan", tol).unitary
-        sdef, slam = scalar_defect(rescan @ Ua.conj().T)
+        Ua = ext_a.blocks
+        Ub = lp.lift(model, spin, b, tol).blocks
+        Uab = lp.lift(model, spin, a @ b, tol).blocks
+        defect, lam = scalar_defect(Ua @ Ub @ np.conj(np.swapaxes(Uab, -1, -2)))
+        raw = bog.Implementer(Ua, ext_a.implemented, "even", ext_a.normalization)
+        rescan = bog.normalize_phase(raw, "scan", tol).unitary
+        sdef, slam = scalar_defect(rescan @ np.conj(np.swapaxes(Ua, -1, -2)))
         return {"projective": sup((defect, abs(abs(lam) - 1.0))), "scan": sup((sdef, abs(abs(slam) - 1.0)))}
     res = worst(lifts() for _ in range(20))
     record("projective lifts", "lift products differ by a phase", res["projective"], cfg.gate, res.draws)
     record("lift ambiguity", "renormalized lifts differ by a phase", res["scan"], cfg.gate, res.draws)
 
-    string_cm = lp.string_crossed_module(model, spin, tol)
+    string_cm = lp.string_crossed_module(model, spin, env.algebra, tol)
     res = tg.check_crossed_module(string_cm, 100, env.rng("string axioms"))
     record("string crossed module", "equivariance and peiffer", sup(res.values()), cfg.gate, res.draws)
+
+    # the frame factor embedded against the block lift of the same loop
+    rng = env.rng("frame fiber agreement")
+
+    def agreement():
+        loop = lp.half_supported_loop(model.n, spin, rng)
+        U = env.algebra.embed(string_cm.fiber.lift(loop).factor)
+        blocks = lp.lift(model, spin, loop, tol).blocks
+        return {"agreement": lp.even_distance(U, model.parity_blocks, blocks)}
+    res = worst(agreement() for _ in range(20))
+    record("frame fiber agreement", "frame lift equals the Fock-space lift", res["agreement"], cfg.gate,
+           res.draws)
 
     rng = env.rng("disjoint supports")
 
     def commutator(first, second):
-        U1 = lp.lift(model, spin, first, tol).unitary
-        U2 = lp.lift(model, spin, second, tol).unitary
+        U1 = lp.lift(model, spin, first, tol).blocks
+        U2 = lp.lift(model, spin, second, tol).blocks
         return {"commutator": maxabs(U1 @ U2 - U2 @ U1)}
     res = worst(commutator(*lp.disjoint_support_pair(model, spin, rng)) for _ in range(50))
     record("disjoint commutativity", "separated half loops commute", res["commutator"], cfg.gate, res.draws)

@@ -17,10 +17,12 @@ Tomita operator's matrix and its antilinear polar decomposition by an
 N x N SVD.  The commutant solvers return orthonormal
 basis stacks, since an algebra needs generators and a solved commutant has
 none.  The grading enters as its +-1 diagonal signs, as in the program.
-Two helpers stand in for what the program no longer carries: the element
-of an algebra at given coordinates over its orthonormal units, and the
-pointwise lift as the full chain of 2n vertex factors, identity factors
-included, scattered row by row from the vertex tables.
+Helpers stand in for what the program no longer carries: the element
+of an algebra at given coordinates over its orthonormal units, an inner
+automorphism applied to N x N matrices, the pointwise lift as the full
+chain of 2n vertex factors, identity factors included, scattered row by row
+from the vertex tables, and the string crossed module with its fiber
+carried as the (2, N/2, N/2) even blocks of the Fock-space lifts.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +37,10 @@ from loopfock.errors import (ConeViolation, LoopfockError, NotAveragingReady, No
 from loopfock.linalg import (DEFAULT_TOL, AntilinearOperator, _project_intertwiners, _rank_cut,
                              averaged_intertwiners, maxabs, polar_unitary, row_chunks, singular_rows,
                              span_residual, sup)
+from loopfock.loops import (ExtLoop, PathGroup, double_path, half_supported_loop, lift, loop_identity,
+                            restrict_loop)
 from loopfock.rep import half_generators
+from loopfock.twogroup import ComputableGroup, CrossedModule
 
 
 class NotGraded(LoopfockError):
@@ -528,3 +533,54 @@ def full_chain_pointwise_unitary(model, spin, loop):
             rho[np.unravel_index(flat, rho.shape)] += np.vdot(gamma_S, x) / r * vals
         U = rho if U is None else U @ rho
     return U
+
+
+def frame_apply(theta, X):
+    """The InnerAutomorphism theta on X in its algebra, one matrix or a
+    stack: conjugation by W (u_hat (x) 1) W^*, u_hat its factor."""
+    U = theta.algebra.embed(theta.factor)
+    return U @ X @ U.conj().T
+
+
+class BlockExtLoopGroup(ComputableGroup):
+    """Lifted half-supported loops with their U(1) fiber, carried as the
+    loops' block lifts (loops.ExtLoop): elements multiply componentwise,
+    the unitaries blockwise, and the distance is that of the N x N
+    unitaries, since the odd blocks are zero."""
+
+    def __init__(self, model, spin, tol=DEFAULT_TOL):
+        self.model, self.spin, self.tol = model, spin, tol
+        self.name = "lifted half loops (blocks)"
+
+    def identity(self):
+        return self.central(1.0)
+
+    def mul(self, a, b):
+        return ExtLoop(a.loop @ b.loop, a.blocks @ b.blocks, a.implemented @ b.implemented, a.places)
+
+    def inv(self, a):
+        return ExtLoop(np.conj(np.transpose(a.loop, (0, 2, 1))), np.conj(np.swapaxes(a.blocks, -1, -2)),
+                       a.implemented.T, a.places)
+
+    def dist(self, a, b):
+        return sup((maxabs(a.loop - b.loop), maxabs(a.blocks - b.blocks)))
+
+    def sample(self, rng):
+        ext = lift(self.model, self.spin, half_supported_loop(self.model.n, self.spin, rng), self.tol)
+        z = np.exp(2j * np.pi * rng.random())
+        return ExtLoop(ext.loop, z * ext.blocks, ext.implemented, ext.places)
+
+    def central(self, z):
+        places = self.model.parity_blocks
+        blocks = np.stack([z * np.eye(places.shape[1], dtype=complex)] * 2)
+        return ExtLoop(loop_identity(self.model.n, self.spin), blocks, np.eye(self.model.dim_h), places)
+
+
+def block_string_crossed_module(model, spin, tol=DEFAULT_TOL):
+    """The string crossed module on BlockExtLoopGroup: the action conjugates
+    by the block lift of the doubled path."""
+    fiber = BlockExtLoopGroup(model, spin, tol)
+    return CrossedModule(base=PathGroup(model.n, spin), fiber=fiber,
+                         t=lambda ext: restrict_loop(ext.loop, tol),
+                         act=lambda p, ext: fiber.conj(lift(model, spin, double_path(p, tol), tol), ext),
+                         name="string model (blocks)")

@@ -1,11 +1,13 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopfock.algebra
 import loopfock.clifford
 import loopfock.loops
 from loopfock.bogoliubov import Implementer, implement_pin, implementation_residual, normalize_phase
@@ -21,10 +23,11 @@ from loopfock.loops import (ExtLoopGroup, PathGroup, SpinGroup, concat_paths,
                             loop_identity, omega_matrix, pointwise_unitary,
                             random_loop_algebra, reflect_orthogonal, restrict_loop, reversed_loop,
                             string_crossed_module, vertex_blocks, vertex_reflection)
+from loopfock.rep import half_algebra
 from loopfock.report import RunConfig
 from loopfock.suites import run_suites
 from loopfock.twogroup import check_crossed_module
-from reference import full_chain_pointwise_unitary
+from reference import block_string_crossed_module, full_chain_pointwise_unitary
 
 rng = np.random.default_rng(53)
 
@@ -32,6 +35,16 @@ rng = np.random.default_rng(53)
 @pytest.fixture(scope="module")
 def model22():
     return build_clifford_model(2, 2)
+
+
+@pytest.fixture(scope="module")
+def alg22(model22):
+    return half_algebra(model22, "first")
+
+
+def frame_module(model, spin):
+    """The string crossed module in the frame of the model's first-half algebra."""
+    return string_crossed_module(model, spin, half_algebra(model, "first"))
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +126,9 @@ class TestPathsAndLoops:
         with pytest.raises(ValueError, match="not supported"):
             restrict_loop(loop)
 
-    def test_restrict_is_a_homomorphism_on_half_loops(self, model22):
+    def test_restrict_is_a_homomorphism_on_half_loops(self, model22, alg22):
         spin = SpinGroup(2)
-        H = ExtLoopGroup(model22, spin)
+        H = ExtLoopGroup(model22, spin, alg22)
         for _ in range(10):
             a, b = H.sample(rng), H.sample(rng)
             left = restrict_loop((a.loop @ b.loop))
@@ -124,12 +137,11 @@ class TestPathsAndLoops:
 
     def test_distance_reads_a_nan_unitary(self):
         # the builtin max keeps a number that comes before a NaN
-        H = ExtLoopGroup(build_clifford_model(1, 2), SpinGroup(2))
+        H = frame_module(build_clifford_model(1, 2), SpinGroup(2)).fiber
         a = H.sample(np.random.default_rng(0))
-        blocks = a.blocks.copy()
-        blocks[0, 0, 0] = np.nan
-        b = dataclasses.replace(a, blocks=blocks)
-        assert np.isnan(b.unitary[0, 0])
+        factor = a.factor.copy()
+        factor[0, 0] = np.nan
+        b = dataclasses.replace(a, factor=factor)
         assert np.isnan(H.dist(a, b)) and np.isnan(H.dist(b, a))
 
 
@@ -148,9 +160,9 @@ class TestOmega:
             assert maxabs(ga.T @ ga - np.eye(8)) < 1e-12
             assert abs(np.linalg.det(ga) - 1.0) < 1e-10
 
-    def test_half_supported_blocks(self, model22):
+    def test_half_supported_blocks(self, model22, alg22):
         spin = SpinGroup(2)
-        H = ExtLoopGroup(model22, spin)
+        H = ExtLoopGroup(model22, spin, alg22)
         g = omega_matrix(model22, spin, H.sample(rng).loop)
         assert maxabs(g[4:, 4:] - np.eye(4)) < 1e-13
         assert maxabs(g[:2, :2] - np.eye(2)) < 1e-13  # vertex 0 fixed as well
@@ -482,60 +494,76 @@ class TestBlockLifts:
 
     @pytest.mark.parametrize("n, d", BLOCK_CONFIGS)
     def test_group_operations_and_action_equal_the_dense_ones(self, n, d):
+        # the frame fiber against the block-fiber oracle, embedded
         model, spin = build_clifford_model(n, d), SpinGroup(d)
-        cm = string_crossed_module(model, spin)
-        H, N = cm.fiber, model.fock_dim
+        alg = half_algebra(model, "first")
+        cm, oracle = string_crossed_module(model, spin, alg), block_string_crossed_module(model, spin)
+        H, O = cm.fiber, oracle.fiber
         local = np.random.default_rng(50 + 10 * n + d)
-        a, b, p = H.sample(local), H.sample(local), cm.base.sample(local)
-        Ua, Ub = a.unitary, b.unitary
-        V = lift(model, spin, double_path(p)).unitary
-        z = np.exp(0.3j)
-        state = local.bit_generator.state
-        drawn = H.sample(local)
-        local.bit_generator.state = state
-        half = lift(model, spin, half_supported_loop(n, spin, local))
-        pairs = {"identity": (H.identity(), np.eye(N)),
-                 "mul": (H.mul(a, b), Ua @ Ub),
-                 "inv": (H.inv(a), Ua.conj().T),
-                 "sample": (drawn, np.exp(2j * np.pi * local.random()) * half.unitary),
-                 "central": (H.central(z), z * np.eye(N)),
-                 "act": (cm.act(p, a), V @ Ua @ V.conj().T)}
-        for name, (ext, dense) in pairs.items():
-            assert maxabs(ext.unitary - dense) <= 1e-13, name
+        loops = [half_supported_loop(n, spin, local) for _ in range(2)]
+        (a, b), (oa, ob) = [H.lift(x) for x in loops], [lift(model, spin, x) for x in loops]
+        p, z = cm.base.sample(local), np.exp(0.3j)
+        pairs = {"lift": (a, oa), "mul": (H.mul(a, b), O.mul(oa, ob)), "inv": (H.inv(a), O.inv(oa)),
+                 "central": (H.central(z), O.central(z)), "act": (cm.act(p, a), oracle.act(p, oa))}
+        for name, (ext, ref) in pairs.items():
+            assert maxabs(alg.embed(ext.factor) - ref.unitary) <= 1e-13, name
+            assert ext.loop.tobytes() == ref.loop.tobytes(), name
         assert H.mul(a, b).implemented.tobytes() == (a.implemented @ b.implemented).tobytes()
         assert H.inv(a).implemented.tobytes() == a.implemented.T.tobytes()
         g = lift(model, spin, double_path(p)).implemented
         assert maxabs(cm.act(p, a).implemented - g @ a.implemented @ g.T) == 0.0
-        # the odd blocks are zero, so the block distance is the dense one exactly
-        for x, y in [(a, b), (b, a), (a, H.central(z)), (cm.act(p, a), a)]:
-            assert H.dist(x, y) == max(maxabs(x.loop - y.loop), maxabs(x.unitary - y.unitary))
+
+    @pytest.mark.parametrize("n, d", BLOCK_CONFIGS)
+    def test_fiber_lift_equals_the_block_lift(self, n, d):
+        model, spin = build_clifford_model(n, d), SpinGroup(d)
+        alg = half_algebra(model, "first")
+        H = string_crossed_module(model, spin, alg).fiber
+        local = np.random.default_rng(60 + 10 * n + d)
+        for loop in [half_supported_loop(n, spin, local) for _ in range(3)] + [loop_identity(n, spin)]:
+            ext, ref = H.lift(loop), lift(model, spin, loop)
+            assert ext.factor.shape == (alg.k, alg.k)
+            assert maxabs(alg.embed(ext.factor) - ref.unitary) <= 1e-13
+            assert ext.implemented.tobytes() == ref.implemented.tobytes()
+        # the sampled element is the lift of the drawn loop times the drawn phase
+        state = local.bit_generator.state
+        drawn = H.sample(local)
+        local.bit_generator.state = state
+        half = H.lift(half_supported_loop(n, spin, local))
+        assert drawn.factor.tobytes() == (np.exp(2j * np.pi * local.random()) * half.factor).tobytes()
+        with pytest.raises(ValueError, match="not supported"):
+            H.lift(spin.samples(local, 2 * n))
 
     def test_action_is_conjugation_by_the_doubled_path_lift(self, model22):
         spin = SpinGroup(2)
-        cm = string_crossed_module(model22, spin)
+        cm = frame_module(model22, spin)
         p, ext = cm.base.sample(rng), cm.fiber.sample(rng)
-        conj = cm.fiber.conj(lift(model22, spin, double_path(p)), ext)
+        conj = cm.fiber.conj(cm.fiber.frame_loop(double_path(p)), ext)
         acted = cm.act(p, ext)
-        assert acted.blocks.tobytes() == conj.blocks.tobytes()
+        assert acted.factor.tobytes() == conj.factor.tobytes()
         assert acted.loop.tobytes() == conj.loop.tobytes()
 
     def test_crossed_module_axioms_form_no_dense_unitary(self, monkeypatch):
         model, spin = build_clifford_model(2, 3), SpinGroup(3)
-        embedded = []
-        real = loopfock.loops.embed_even
+        cm = frame_module(model, spin)
+        calls = Counter()
 
-        def counting(places, blocks):
-            embedded.append(blocks.shape)
-            return real(places, blocks)
+        def counting(owner, name):
+            real = getattr(owner, name)
 
-        monkeypatch.setattr(loopfock.loops, "embed_even", counting)
-        cm = string_crossed_module(model, spin)
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapped)
+
+        counting(loopfock.loops, "pointwise_unitary")
+        counting(loopfock.loops, "embed_even")
+        counting(loopfock.algebra.OperatorAlgebra, "frame_blocks")
         res = check_crossed_module(cm, 10, np.random.default_rng(3))
         assert max(res.values()) <= 1e-9, res
-        assert embedded == []
-        # reading the unitary is what forms it
-        cm.fiber.sample(np.random.default_rng(4)).unitary
-        assert embedded == [(2, 32, 32)]
+        assert calls == {}
+        # the routes counted are live: a block lift scatters its blocks to read the unitary
+        lift(model, spin, half_supported_loop(2, spin, np.random.default_rng(4))).unitary
+        assert calls == {"pointwise_unitary": 1, "embed_even": 1}
 
 
 def moved_vertex_loops(model, spin, local):
@@ -673,13 +701,13 @@ class TestStringCrossedModule:
     def test_axioms(self):
         model = build_clifford_model(2, 3)
         spin = SpinGroup(3)
-        cm = string_crossed_module(model, spin)
+        cm = frame_module(model, spin)
         res = check_crossed_module(cm, 40, np.random.default_rng(9))
         assert max(res.values()) <= 1e-9, res
 
-    def test_action_phase_independence(self, model22):
+    def test_action_phase_independence(self, model22, alg22):
         spin = SpinGroup(2)
-        cm = string_crossed_module(model22, spin)
+        cm = string_crossed_module(model22, spin, alg22)
         paths = cm.base
         p = paths.sample(rng)
         ext = cm.fiber.sample(rng)
@@ -687,22 +715,22 @@ class TestStringCrossedModule:
         # conjugating by any other lift of the doubled loop gives the same result
         dbl = double_path(p)
         V = lift(model22, spin, dbl).unitary * np.exp(0.61j)
-        twisted = V @ ext.unitary @ V.conj().T
-        assert maxabs(out1.unitary - twisted) < 1e-11
+        twisted = V @ alg22.embed(ext.factor) @ V.conj().T
+        assert maxabs(alg22.embed(out1.factor) - twisted) < 1e-11
 
     def test_central_fiber(self, model22):
         spin = SpinGroup(2)
-        cm = string_crossed_module(model22, spin)
+        cm = frame_module(model22, spin)
         z = np.exp(0.4j)
         central = cm.fiber.central(z)
-        assert maxabs(central.unitary - z * np.eye(16)) == 0.0
+        assert maxabs(central.factor - z * np.eye(4)) == 0.0
         p = cm.base.sample(rng)
         acted = cm.act(p, central)
         assert cm.fiber.dist(acted, central) < 1e-12
 
     def test_restriction_ends_at_identity(self, model22):
         spin = SpinGroup(2)
-        cm = string_crossed_module(model22, spin)
+        cm = frame_module(model22, spin)
         ext = cm.fiber.sample(rng)
         path = cm.t(ext)
         assert maxabs(path[0] - np.eye(2)) < 1e-13

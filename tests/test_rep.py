@@ -363,7 +363,7 @@ class TestTomitaMemory:
 class TestFiberAndBase:
     def test_trivial_elements(self, ctx22):
         fiber = ctx22.string_cm.fiber
-        assert maxabs(loop_unitary(ctx22, fiber.identity()) - np.eye(16)) == 0.0
+        assert maxabs(loop_unitary(ctx22, fiber.identity()) - np.eye(4)) == 0.0
         ident = path_automorphism(ctx22, ctx22.string_cm.base.identity())
         identity = conjugation_action(np.eye(16), ctx22.algebra)
         assert ident.distance(identity) <= DEFAULT_TOL.eq_tol
@@ -371,7 +371,7 @@ class TestFiberAndBase:
     def test_central_scalars_pass_through(self, ctx22):
         z = np.exp(1.1j)
         central = ctx22.string_cm.fiber.central(z)
-        assert maxabs(loop_unitary(ctx22, central) - z * np.eye(16)) < 1e-14
+        assert maxabs(loop_unitary(ctx22, central) - z * np.eye(4)) < 1e-14
 
     def test_membership_and_evenness(self, ctx22):
         res = check_membership_evenness(ctx22, 25, np.random.default_rng(1))
@@ -379,15 +379,16 @@ class TestFiberAndBase:
 
     def test_nan_unitary_rejected(self, ctx12):
         ext = ctx12.string_cm.fiber.sample(np.random.default_rng(4))
-        blocks = ext.blocks.copy()
-        blocks[0, 0, 0] = np.nan
+        factor = ext.factor.copy()
+        factor[0, 0] = np.nan
         with pytest.raises(NotInA):
-            loop_unitary(ctx12, dataclasses.replace(ext, blocks=blocks))
+            loop_unitary(ctx12, dataclasses.replace(ext, factor=factor))
 
     def test_full_support_unitary_rejected(self, ctx22):
         spin = ctx22.spin
         loop = np.stack([spin.sample(rng) for _ in range(4)])
-        ext = lift(ctx22.model, spin, loop)
+        # the first-half factor of a full-support loop is a unitary of A, but not the loop's
+        ext = ctx22.string_cm.fiber.frame_loop(loop)
         with pytest.raises(NotInA):
             loop_unitary(ctx22, ext)
 

@@ -238,13 +238,15 @@ class TestGatedRecords:
         assert code == 0 and record_named(records, "string crossed module").passed
         honest = loopfock.loops.string_crossed_module
 
-        def planted(model, spin, tol):
-            # the action conjugates by the doubled-path lift with its even and odd blocks swapped
-            cm = honest(model, spin, tol)
+        def planted(model, spin, alg, tol):
+            # the action conjugates by a wrong doubled-path factor: the true one
+            # times the frame part of a vertex-1 generator, which is odd
+            cm = honest(model, spin, alg, tol)
+            odd = alg.generator_hats[model.d]
 
             def act(p, ext):
-                V = loopfock.loops.lift(model, spin, loopfock.loops.double_path(p, tol), tol)
-                return cm.fiber.conj(dataclasses.replace(V, blocks=V.blocks[::-1]), ext)
+                frame = cm.fiber.frame_loop(loopfock.loops.double_path(p, tol))
+                return cm.fiber.conj(dataclasses.replace(frame, factor=odd @ frame.factor), ext)
 
             return dataclasses.replace(cm, act=act)
 
@@ -253,6 +255,43 @@ class TestGatedRecords:
         assert code == 1
         assert not record_named(planted_records, "string crossed module").passed
         assert [r.name for r in planted_records if not r.passed] == ["string crossed module"]
+
+    @pytest.mark.parametrize("n, d, crossed_module_fails", [(2, 2, False), (2, 3, True)])
+    def test_frame_fiber_agreement_fails_on_a_wrong_table_sign(self, monkeypatch, n, d, crossed_module_fails):
+        cfg = RunConfig(n=n, d=d, suites=("string",))
+        code, records = run_suites(cfg)
+        honest = record_named(records, "frame fiber agreement")
+        assert code == 0 and honest.passed and honest.tolerance == cfg.gate and honest.sample_count == 20
+        tables = loopfock.loops.frame_monomials
+
+        def planted(hats, d):
+            # the largest entry of vertex 1's first bivector monomial changes sign
+            out = tables(hats, d)
+            entry = np.unravel_index(np.argmax(np.abs(out[1, 1])), out[1, 1].shape)
+            out[(1, 1) + entry] *= -1
+            return out
+
+        monkeypatch.setattr(loopfock.loops, "frame_monomials", planted)
+        code, records = run_suites(cfg)
+        failed = [r.name for r in records if not r.passed]
+        assert code == 1 and "frame fiber agreement" in failed
+        # at d = 2 every vertex factor lies in one commutative algebra, so a
+        # wrong factor still satisfies the crossed-module axioms
+        assert ("string crossed module" in failed) == crossed_module_fails
+        assert set(failed) <= {"frame fiber agreement", "string crossed module"}
+
+    def test_one_frame_per_report(self, monkeypatch):
+        calls = []
+        honest = loopfock.algebra.clifford_frame
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(loopfock.algebra, "clifford_frame", counting)
+        monkeypatch.setattr(loopfock.rep, "clifford_frame", counting)
+        code, _ = run_suites(RunConfig(n=2, d=3, suites=("clifford", "tomita", "two-group", "string")))
+        assert code == 0 and len(calls) == 1
 
     def test_double_commutant_record(self, plant_second_half):
         env = Environment(RunConfig(n=2, d=2, suites=("tomita",)))
@@ -384,7 +423,7 @@ class TestSampleCounts:
     # each record counts the draws its check took
     FIXED = {"matrix automorphism module": 50, "fiber lands in the algebra": 50,
              "well definedness": 50, "strict intertwiner": 50, "t compatibility": 100,
-             "action compatibility": 100, "string crossed module": 100,
+             "action compatibility": 100, "string crossed module": 100, "frame fiber agreement": 20,
              "fusion factorization": 12, "unit comparison scalar": 20, "twisted duality": 1,
              # every generator pair, or every generator, plus one sampled pair
              "anticommutation": 4 * 5 // 2 + 1, "star relation": 4 + 1}
